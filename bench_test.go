@@ -463,12 +463,12 @@ func BenchmarkSolverBatch(b *testing.B) {
 }
 
 // Service benchmarks: the HTTP daemon's hot path. The cold series
-// disables the cache so every POST /v1/solve pays the full solve;
+// disables the cache so every POST /v2/solve pays the full solve;
 // the warm series serves the same golden instance from the canonical-
 // hash LRU. The warm/cold ratio is the caching layer's whole point —
 // the acceptance bar is warm ≥ 10× faster than cold.
 
-// serviceSolveBody renders a POST /v1/solve body for an lp-round
+// serviceSolveBody renders a POST /v2/solve body for an lp-round
 // placement on a ~200-node instance: a solve expensive enough (dense
 // simplex) that the cache, not HTTP or JSON, decides the outcome.
 func serviceSolveBody(b *testing.B) []byte {
@@ -477,14 +477,14 @@ func serviceSolveBody(b *testing.B) []byte {
 	in := gen.RandomInstance(rng, gen.TreeConfig{
 		Internals: 100, MaxArity: 3, MaxDist: 3, MaxReq: 12, ExtraClients: 50,
 	}, true)
-	body, err := json.Marshal(service.SolveRequest{Solver: solver.LPRound, Instance: in})
+	body, err := json.Marshal(service.SolveRequestV2{Solver: solver.LPRound, Instance: in})
 	if err != nil {
 		b.Fatal(err)
 	}
 	return body
 }
 
-func benchServiceSolve(b *testing.B, path string, cacheSize int) {
+func benchServiceSolve(b *testing.B, cacheSize int) {
 	srv := service.New(service.Options{CacheSize: cacheSize})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
@@ -492,12 +492,11 @@ func benchServiceSolve(b *testing.B, path string, cacheSize int) {
 	body := serviceSolveBody(b)
 
 	post := func() bool {
-		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(body))
+		resp, err := http.Post(ts.URL+"/v2/solve", "application/json", bytes.NewReader(body))
 		if err != nil {
 			b.Fatal(err)
 		}
 		defer resp.Body.Close()
-		// Both versions' solve responses carry the "cached" flag.
 		var sr struct {
 			Cached bool `json:"cached"`
 		}
@@ -521,16 +520,9 @@ func benchServiceSolve(b *testing.B, path string, cacheSize int) {
 	}
 }
 
-func BenchmarkServiceSolveCold(b *testing.B) { benchServiceSolve(b, "/v1/solve", 0) }
-func BenchmarkServiceSolveWarm(b *testing.B) {
-	benchServiceSolve(b, "/v1/solve", service.DefaultCacheSize)
-}
-
-// The /v2 series share the engine path and cache with /v1; parity
-// between the two warm series is the adapter's no-overhead claim.
-func BenchmarkServiceSolveV2Cold(b *testing.B) { benchServiceSolve(b, "/v2/solve", 0) }
+func BenchmarkServiceSolveV2Cold(b *testing.B) { benchServiceSolve(b, 0) }
 func BenchmarkServiceSolveV2Warm(b *testing.B) {
-	benchServiceSolve(b, "/v2/solve", service.DefaultCacheSize)
+	benchServiceSolve(b, service.DefaultCacheSize)
 }
 
 func BenchmarkCanonicalHash(b *testing.B) {
@@ -543,20 +535,8 @@ func BenchmarkCanonicalHash(b *testing.B) {
 	}
 }
 
-// BenchmarkSolverRegistryGet pins the deprecated v1 dispatch shim,
-// which must not regress while it exists.
-func BenchmarkSolverRegistryGet(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		//lint:ignore SA1019 the benchmark exists to pin the deprecated shim's cost
-		if _, err := solver.Get(solver.MultipleBest); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSolverRegistryLookup is the v2 dispatch path: name →
-// engine. It must stay on par with the v1 Get shim (both are one
-// RLock'd map read).
+// BenchmarkSolverRegistryLookup is the dispatch path: name → engine,
+// one RLock'd map read.
 func BenchmarkSolverRegistryLookup(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := solver.Lookup(solver.MultipleBest); err != nil {

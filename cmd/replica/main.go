@@ -46,7 +46,6 @@ func main() {
 func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	fs := flag.NewFlagSet("replica", flag.ContinueOnError)
 	name := fs.String("solver", "", "solver name from the registry, or 'list' to print the registered set")
-	algo := fs.String("algo", "", "deprecated alias for -solver")
 	inPath := fs.String("in", "-", "instance JSON file ('-' for stdin)")
 	format := fs.String("format", "text", "output format: text|json|dot")
 	pushup := fs.Bool("pushup", false, "apply the push-up post-pass (Single policy only)")
@@ -84,9 +83,6 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 				fmt.Fprintln(os.Stderr, "replica: memprofile:", err)
 			}
 		}()
-	}
-	if *name == "" {
-		*name = *algo
 	}
 	if *name == "" {
 		*name = solver.SingleGen

@@ -64,17 +64,6 @@ func TestRunSolverList(t *testing.T) {
 	}
 }
 
-// TestRunAlgoAlias keeps the pre-registry flag working.
-func TestRunAlgoAlias(t *testing.T) {
-	var out bytes.Buffer
-	if err := run([]string{"-algo", "multiple-bin"}, strings.NewReader(instanceJSON(t)), &out); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "policy=Multiple") {
-		t.Errorf("alias dispatch wrong:\n%s", out.String())
-	}
-}
-
 func TestRunJSONAndDotFormats(t *testing.T) {
 	var out bytes.Buffer
 	if err := run([]string{"-solver", "single-gen", "-format", "json"},

@@ -7,11 +7,10 @@
 //	replicad -addr :8080 -cache 1024 -job-workers 2
 //
 // Endpoints: POST /v2/solve, POST /v2/batch, GET /v2/jobs/{id},
-// GET /v2/solvers (full capability documents), the stateful
-// /v2/instances session endpoints (PUT, POST …/mutate,
-// GET …/solution, DELETE), their deprecated /v1 counterparts,
-// GET /healthz and GET /metrics. The daemon shuts down gracefully on
-// SIGINT/SIGTERM.
+// GET /v2/jobs/{id}/proof/{task}, GET /v2/solvers (full capability
+// documents), the stateful /v2/instances session endpoints (PUT,
+// POST …/mutate, GET …/solution, DELETE), GET /healthz and
+// GET /metrics. The daemon shuts down gracefully on SIGINT/SIGTERM.
 package main
 
 import (
@@ -45,7 +44,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	addr := fs.String("addr", ":8080", "listen address")
 	cacheSize := fs.Int("cache", service.DefaultCacheSize, "result cache capacity in entries (0 disables caching)")
 	jobWorkers := fs.Int("job-workers", 2, "concurrently running batch jobs")
-	jobQueue := fs.Int("job-queue", 64, "queued batch jobs before /v1/batch returns 503")
+	jobQueue := fs.Int("job-queue", 64, "queued batch jobs before /v2/batch returns 503")
 	maxInstances := fs.Int("max-instances", service.DefaultMaxInstances, "live instance sessions before LRU eviction")
 	instanceTTL := fs.Duration("instance-ttl", service.DefaultInstanceTTL, "idle lifetime of an instance session")
 	drain := fs.Duration("drain", 5*time.Second, "graceful shutdown drain timeout")

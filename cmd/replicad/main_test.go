@@ -75,11 +75,11 @@ func TestDaemonServesGoldenInstance(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	body, err := json.Marshal(service.SolveRequest{Solver: "multiple-best", Instance: &in})
+	body, err := json.Marshal(service.SolveRequestV2{Solver: "multiple-best", Instance: &in})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(url+"/v1/solve", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(url+"/v2/solve", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestDaemonServesGoldenInstance(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, raw)
 	}
-	var sr service.SolveResponse
+	var sr service.SolveResponseV2
 	if err := json.Unmarshal(raw, &sr); err != nil {
 		t.Fatal(err)
 	}
@@ -108,12 +108,12 @@ func TestDaemonServesGoldenInstance(t *testing.T) {
 	if hresp.StatusCode != http.StatusOK {
 		t.Errorf("healthz status %d", hresp.StatusCode)
 	}
-	resp2, err := http.Post(url+"/v1/solve", "application/json", bytes.NewReader(body))
+	resp2, err := http.Post(url+"/v2/solve", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp2.Body.Close()
-	var warm service.SolveResponse
+	var warm service.SolveResponseV2
 	if err := json.NewDecoder(resp2.Body).Decode(&warm); err != nil {
 		t.Fatal(err)
 	}

@@ -49,7 +49,7 @@ func E11LowerBounds(scale Scale, seed int64) *Result {
 				ok = false
 				continue
 			}
-			o := float64(opts[i].Solution.NumReplicas())
+			o := float64(opts[i].Report.Solution.NumReplicas())
 			if o == 0 {
 				continue
 			}
@@ -158,7 +158,7 @@ func E12FaultTolerance(scale Scale, seed int64) *Result {
 			ok = false
 			continue
 		}
-		tightSol, headSol := tightRes[i].Solution, headRes[i].Solution
+		tightSol, headSol := tightRes[i].Report.Solution, headRes[i].Report.Solution
 
 		for _, pc := range []struct {
 			sol *core.Solution

@@ -83,13 +83,13 @@ func E9PolicyComparison(scale Scale, seed int64) *Result {
 				failed = true
 				break
 			}
-			counts[k] = res.Solution.NumReplicas()
+			counts[k] = res.Report.Solution.NumReplicas()
 		}
 		if failed {
 			ok = false
 			continue
 		}
-		optS, optM := optSIdx[i].Solution, optMIdx[i].Solution
+		optS, optM := optSIdx[i].Report.Solution, optMIdx[i].Report.Solution
 		var items []int64
 		for _, c := range in.Tree.Clients() {
 			if r := in.Tree.Requests(c); r > 0 {

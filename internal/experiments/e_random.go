@@ -44,7 +44,7 @@ func E4NoDRatio(scale Scale, seed int64) *Result {
 				continue
 			}
 			ratios = append(ratios,
-				float64(sols[i].Solution.NumReplicas())/float64(opts[i].Solution.NumReplicas()))
+				float64(sols[i].Report.Solution.NumReplicas())/float64(opts[i].Report.Solution.NumReplicas()))
 		}
 		holds := stats.Max(ratios) <= float64(arity)+1e-9
 		if !holds {
@@ -106,7 +106,7 @@ func E7MultipleBinOptimal(scale Scale, seed int64) *Result {
 				return &Result{ID: "E7", Title: "Theorem 6", Table: tab,
 					Notes: []string{"exact solver failed: " + r.Err.Error()}}
 			}
-			opts[i] = r.Solution.NumReplicas()
+			opts[i] = r.Report.Solution.NumReplicas()
 		}
 		for _, v := range variants {
 			optimal, maxGap := 0, 0
@@ -115,7 +115,7 @@ func E7MultipleBinOptimal(scale Scale, seed int64) *Result {
 					ok = false
 					continue
 				}
-				gap := r.Solution.NumReplicas() - opts[i]
+				gap := r.Report.Solution.NumReplicas() - opts[i]
 				if gap == 0 {
 					optimal++
 				}
@@ -181,7 +181,7 @@ func E8GreedyMultiple(scale Scale, seed int64) *Result {
 				ok = false
 				continue
 			}
-			gap := sols[i].Solution.NumReplicas() - opts[i].Solution.NumReplicas()
+			gap := sols[i].Report.Solution.NumReplicas() - opts[i].Report.Solution.NumReplicas()
 			if gap == 0 {
 				optimal++
 			}

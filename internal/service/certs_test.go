@@ -298,54 +298,3 @@ func TestCertMetricsCounters(t *testing.T) {
 		t.Fatalf("/metrics certs %+v != snapshot %+v", metricsDoc.Certs, certs)
 	}
 }
-
-// TestJobSeamV1V2Parity pins the job seam audited for this change:
-// one job polled through both API versions must agree on outcomes,
-// and the v2 rendering must preserve the report-only fields (Proved,
-// Work, LowerBound) that v1's adapter shape cannot carry — they are
-// rendered from the full solver.Report at settle, not re-derived from
-// the v1 result.
-func TestJobSeamV1V2Parity(t *testing.T) {
-	in := goldenInstance(t, "binary_dist_1.json")
-	_, ts := newTestServer(t, Options{CacheSize: 8})
-	resp, body := postJSON(t, ts.URL+"/v2/batch", BatchRequestV2{
-		Tasks: []BatchTaskV2{{ID: "t0", Solver: solver.ExactMultiple, Instance: in}},
-	})
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("batch status %d: %s", resp.StatusCode, body)
-	}
-	var acc BatchAccepted
-	if err := json.Unmarshal(body, &acc); err != nil {
-		t.Fatal(err)
-	}
-	v2 := pollJobV2(t, ts.URL, acc.JobID)
-
-	var v1 JobResponse
-	if r := getJSON(t, ts.URL+"/v1/jobs/"+acc.JobID, &v1); r.StatusCode != http.StatusOK {
-		t.Fatalf("v1 poll status %d", r.StatusCode)
-	}
-	if v1.Status != JobDone || len(v1.Results) != 1 || len(v2.Results) != 1 {
-		t.Fatalf("both renderings must settle with one result: v1=%+v v2=%+v", v1, v2)
-	}
-	r1, r2 := v1.Results[0], v2.Results[0]
-	if !r1.OK || !r2.OK {
-		t.Fatalf("task failed: v1=%q v2=%q", r1.Error, r2.Error)
-	}
-	if r1.Replicas != r2.Replicas {
-		t.Fatalf("replica counts disagree across versions: v1=%d v2=%d", r1.Replicas, r2.Replicas)
-	}
-	if got, want := len(r1.Solution.Replicas), len(r2.Solution.Replicas); got != want {
-		t.Fatalf("solutions disagree across versions: v1=%d v2=%d replicas", got, want)
-	}
-	// The report-only fields must survive in v2 (exact-multiple proves
-	// optimality and tracks work on this instance).
-	if !r2.Proved {
-		t.Fatal("v2 job rendering dropped Proved")
-	}
-	if r2.Work <= 0 {
-		t.Fatalf("v2 job rendering dropped Work (got %d)", r2.Work)
-	}
-	if r2.LowerBound <= 0 {
-		t.Fatalf("v2 job rendering dropped LowerBound (got %d)", r2.LowerBound)
-	}
-}

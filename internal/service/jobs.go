@@ -10,14 +10,12 @@ import (
 	"replicatree/internal/solver"
 )
 
-// JobManager runs asynchronous batch jobs: POST /v{1,2}/batch
-// enqueues a job, a bounded pool of runner goroutines drains the
-// queue through solver.Batch, and GET /v{1,2}/jobs/{id} polls the
-// outcome. Jobs store the raw solver results; each API version
-// renders its own wire shape at poll time, so one job is pollable
-// from both surfaces. The queue is bounded too — a full queue rejects
-// the submit (the server turns that into 503) instead of buffering
-// unboundedly.
+// JobManager runs asynchronous batch jobs: POST /v2/batch enqueues a
+// job, a bounded pool of runner goroutines drains the queue through
+// solver.Batch, and GET /v2/jobs/{id} polls the outcome, rendered once
+// when the job settles. The queue is bounded too — a full queue
+// rejects the submit (the server turns that into 503) instead of
+// buffering unboundedly.
 type JobManager struct {
 	mu     sync.Mutex
 	jobs   map[string]*job
@@ -41,14 +39,13 @@ type job struct {
 	tasks  []solver.Task
 	opt    solver.Options
 	status string
-	// Both wire renderings are produced once, when the batch settles
+	// The wire rendering is produced once, when the batch settles
 	// (outside the manager lock), so polls are O(1) copies and a done
-	// job's responses are frozen — in particular the per-task cached
+	// job's response is frozen — in particular the per-task cached
 	// flag is snapshotted at settle time and cannot flip if an
 	// abandoned timed-out solve finishes later.
-	resultsV1 []TaskResult
-	resultsV2 []TaskResultV2
-	stats     *JobStats
+	results []TaskResultV2
+	stats   *JobStats
 	// Certificate state, built once at settle when the submit asked
 	// for certificates: per-task certs (nil for failed tasks), the
 	// Merkle tree over the successful tasks' leaf hashes (task order)
@@ -117,24 +114,9 @@ func (m *JobManager) Submit(tasks []solver.Task, opt solver.Options, certs bool)
 	return j.id, nil
 }
 
-// Get returns the v1 rendering of the job, or false if the ID is
-// unknown (never submitted, or pruned after retention).
-func (m *JobManager) Get(id string) (JobResponse, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	j, ok := m.jobs[id]
-	if !ok {
-		return JobResponse{}, false
-	}
-	resp := JobResponse{JobID: j.id, Status: j.status, Stats: j.stats}
-	if j.resultsV1 != nil {
-		resp.Results = append([]TaskResult(nil), j.resultsV1...)
-	}
-	return resp, true
-}
-
-// GetV2 returns the v2 rendering of the job — per-task reports with
-// the uniform bound/gap/proof metadata — or false for unknown IDs.
+// GetV2 returns the job's rendering — per-task reports with the
+// uniform bound/gap/proof metadata — or false if the ID is unknown
+// (never submitted, or pruned after retention).
 func (m *JobManager) GetV2(id string) (JobResponseV2, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -143,8 +125,8 @@ func (m *JobManager) GetV2(id string) (JobResponseV2, bool) {
 		return JobResponseV2{}, false
 	}
 	resp := JobResponseV2{JobID: j.id, Status: j.status, Stats: j.stats}
-	if j.resultsV2 != nil {
-		resp.Results = append([]TaskResultV2(nil), j.resultsV2...)
+	if j.results != nil {
+		resp.Results = append([]TaskResultV2(nil), j.results...)
 	}
 	if j.merkle != nil {
 		resp.CertificateRoot = j.merkle.RootHex()
@@ -239,11 +221,9 @@ func (m *JobManager) runner() {
 	for j := range m.queue {
 		m.setStatus(j, JobRunning)
 		results, st := solver.Batch(m.ctx, j.tasks, j.opt)
-		trs1 := make([]TaskResult, len(results))
-		trs2 := make([]TaskResultV2, len(results))
+		trs := make([]TaskResultV2, len(results))
 		for i, r := range results {
-			trs1[i] = taskResult(r)
-			trs2[i] = taskResultV2(r)
+			trs[i] = taskResultV2(r)
 		}
 		stats := jobStats(st)
 		// Certificates are built here, once, outside the manager lock
@@ -258,8 +238,7 @@ func (m *JobManager) runner() {
 			certs, leafIdx, merkle = m.certifyResults(j.tasks, results)
 		}
 		m.mu.Lock()
-		j.resultsV1 = trs1
-		j.resultsV2 = trs2
+		j.results = trs
 		j.stats = stats
 		j.certs = certs
 		j.leafIdx = leafIdx
@@ -324,17 +303,13 @@ func (m *JobManager) setStatus(j *job, status string) {
 	m.mu.Unlock()
 }
 
-// taskName resolves the display name of a task's engine, covering
-// both task forms.
+// taskName is the display name of a task's engine ("" for the nil
+// engine of a malformed task, which Batch fails without dispatching).
 func taskName(t solver.Task) string {
-	switch {
-	case t.Engine != nil:
-		return t.Engine.Name()
-	case t.Solver != nil:
-		return t.Solver.Name()
-	default:
+	if t.Engine == nil {
 		return ""
 	}
+	return t.Engine.Name()
 }
 
 // taskCached reads the per-task cache flag when the task's engine
@@ -343,24 +318,7 @@ func taskCached(t solver.Task) bool {
 	if c, ok := t.Engine.(cachedReporter); ok {
 		return c.LastCached()
 	}
-	if c, ok := t.Solver.(cachedReporter); ok {
-		return c.LastCached()
-	}
 	return false
-}
-
-func taskResult(r solver.Result) TaskResult {
-	tr := TaskResult{ID: r.Task.ID, Solver: taskName(r.Task), Cached: taskCached(r.Task)}
-	if r.Err != nil {
-		tr.Error = r.Err.Error()
-		return tr
-	}
-	tr.OK = true
-	tr.Solution = r.Solution
-	if r.Solution != nil {
-		tr.Replicas = r.Solution.NumReplicas()
-	}
-	return tr
 }
 
 func taskResultV2(r solver.Result) TaskResultV2 {

@@ -53,10 +53,10 @@ func TestBatchTaskTimeoutAbandonedSolve(t *testing.T) {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(10 * time.Second)
-	var jr JobResponse
+	var jr JobResponseV2
 	for {
 		var ok bool
-		jr, ok = srv.jobs.Get(id)
+		jr, ok = srv.jobs.GetV2(id)
 		if !ok {
 			t.Fatal("job vanished")
 		}
@@ -123,7 +123,7 @@ func TestJobManagerCloseSkipsQueued(t *testing.T) {
 		t.Error("closed manager accepted a job")
 	}
 	for _, id := range []string{running, queued} {
-		jr, ok := m.Get(id)
+		jr, ok := m.GetV2(id)
 		if !ok {
 			t.Fatalf("job %s vanished", id)
 		}
@@ -132,7 +132,7 @@ func TestJobManagerCloseSkipsQueued(t *testing.T) {
 		}
 	}
 	// The queued job was drained post-cancel: its tasks are skipped.
-	jr, _ := m.Get(queued)
+	jr, _ := m.GetV2(queued)
 	for _, r := range jr.Results {
 		if r.OK {
 			t.Errorf("queued task unexpectedly ran to completion: %+v", r)

@@ -9,7 +9,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"replicatree/internal/core"
 	"replicatree/internal/solver"
@@ -30,15 +29,26 @@ func goldenManifest(t testing.TB) map[string]map[string]int {
 	return manifest
 }
 
-// TestV1V2SolveParityGoldenCorpus is the API-freeze pin: for every
-// (instance, solver) pair of the golden corpus, /v1/solve and
-// /v2/solve return identical solutions, hashes, bounds and replica
-// counts, and share one cache (the v1-warmed entry serves the v2
-// request). /v1 is the adapter; this test is what "byte-identical"
-// rides on.
-func TestV1V2SolveParityGoldenCorpus(t *testing.T) {
+// TestV2SolveGoldenCorpus is the answer pin of the HTTP surface: for
+// every (instance, solver) pair of the golden corpus, a cold /v2/solve
+// returns the manifest's replica count under the instance's canonical
+// hash, and an identical repeat is served from the cache with the
+// identical solution and metadata.
+func TestV2SolveGoldenCorpus(t *testing.T) {
 	manifest := goldenManifest(t)
 	srv, ts := newTestServer(t, Options{CacheSize: 4096})
+	solve := func(file, name string, in *core.Instance) SolveResponseV2 {
+		t.Helper()
+		resp, body := postJSON(t, ts.URL+"/v2/solve", SolveRequestV2{Solver: name, Instance: in})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s/%s: status %d: %s", file, name, resp.StatusCode, body)
+		}
+		var sr SolveResponseV2
+		if err := json.Unmarshal(body, &sr); err != nil {
+			t.Fatal(err)
+		}
+		return sr
+	}
 	pairs := 0
 	for file, want := range manifest {
 		in := goldenInstance(t, file)
@@ -46,54 +56,38 @@ func TestV1V2SolveParityGoldenCorpus(t *testing.T) {
 			if name == "lower-bound" {
 				continue
 			}
-			// v1 first (cold), then v2 (must hit the shared cache).
-			resp1, body1 := postJSON(t, ts.URL+"/v1/solve", SolveRequest{Solver: name, Instance: in})
-			if resp1.StatusCode != http.StatusOK {
-				t.Fatalf("%s/%s: v1 status %d: %s", file, name, resp1.StatusCode, body1)
-			}
-			var v1 SolveResponse
-			if err := json.Unmarshal(body1, &v1); err != nil {
-				t.Fatal(err)
-			}
-			resp2, body2 := postJSON(t, ts.URL+"/v2/solve", SolveRequestV2{Solver: name, Instance: in})
-			if resp2.StatusCode != http.StatusOK {
-				t.Fatalf("%s/%s: v2 status %d: %s", file, name, resp2.StatusCode, body2)
-			}
-			var v2 SolveResponseV2
-			if err := json.Unmarshal(body2, &v2); err != nil {
-				t.Fatal(err)
-			}
+			cold := solve(file, name, in)
+			warm := solve(file, name, in)
 			pairs++
-			if v1.Replicas != wantReplicas || v2.Replicas != wantReplicas {
-				t.Errorf("%s/%s: replicas v1=%d v2=%d, golden %d", file, name, v1.Replicas, v2.Replicas, wantReplicas)
+			if cold.Replicas != wantReplicas || warm.Replicas != wantReplicas {
+				t.Errorf("%s/%s: replicas cold=%d warm=%d, golden %d", file, name, cold.Replicas, warm.Replicas, wantReplicas)
 			}
-			if v1.Hash != v2.Hash || v1.Hash != in.CanonicalHash() {
-				t.Errorf("%s/%s: hash mismatch: v1=%s v2=%s", file, name, v1.Hash, v2.Hash)
+			if cold.Hash != in.CanonicalHash() || warm.Hash != cold.Hash {
+				t.Errorf("%s/%s: hash mismatch: cold=%s warm=%s", file, name, cold.Hash, warm.Hash)
 			}
-			if v1.Policy != v2.Policy || v1.LowerBound != v2.LowerBound || v1.Gap != v2.Gap {
-				t.Errorf("%s/%s: metadata diverged: v1={%s %d %v} v2={%s %d %v}",
-					file, name, v1.Policy, v1.LowerBound, v1.Gap, v2.Policy, v2.LowerBound, v2.Gap)
+			if cold.Policy != warm.Policy || cold.LowerBound != warm.LowerBound || cold.Gap != warm.Gap {
+				t.Errorf("%s/%s: metadata diverged: cold={%s %d %v} warm={%s %d %v}",
+					file, name, cold.Policy, cold.LowerBound, cold.Gap, warm.Policy, warm.LowerBound, warm.Gap)
 			}
-			if !reflect.DeepEqual(v1.Solution, v2.Solution) {
-				t.Errorf("%s/%s: solutions diverged between versions", file, name)
+			if !reflect.DeepEqual(cold.Solution, warm.Solution) {
+				t.Errorf("%s/%s: cached solution diverged from the cold one", file, name)
 			}
-			if v1.Cached {
-				t.Errorf("%s/%s: first (v1) request reported cached", file, name)
+			if cold.Cached {
+				t.Errorf("%s/%s: first request reported cached", file, name)
 			}
-			if !v2.Cached {
-				t.Errorf("%s/%s: v2 request missed the cache the v1 solve filled", file, name)
+			if !warm.Cached {
+				t.Errorf("%s/%s: repeat missed the cache the cold solve filled", file, name)
 			}
-			if !v1.Verified || !v2.Verified {
-				t.Errorf("%s/%s: verification flags v1=%v v2=%v", file, name, v1.Verified, v2.Verified)
+			if !cold.Verified || !warm.Verified {
+				t.Errorf("%s/%s: verification flags cold=%v warm=%v", file, name, cold.Verified, warm.Verified)
 			}
 		}
 	}
 	if pairs < 50 {
-		t.Fatalf("parity covered only %d (instance, solver) pairs", pairs)
+		t.Fatalf("golden corpus covered only %d (instance, solver) pairs", pairs)
 	}
-	st := srv.CacheStats()
-	if st.Hits < uint64(pairs) {
-		t.Errorf("cache hits %d below pair count %d: versions are not sharing the cache", st.Hits, pairs)
+	if st := srv.CacheStats(); st.Hits < uint64(pairs) {
+		t.Errorf("cache hits %d below pair count %d", st.Hits, pairs)
 	}
 }
 
@@ -178,7 +172,7 @@ func TestV2ProblemStatuses(t *testing.T) {
 		}
 	}
 
-	// Malformed JSON → 400 problem, not a v1-style {"error": …} body.
+	// Malformed JSON → 400 problem.
 	resp, err := http.Post(ts.URL+"/v2/solve", "application/json", strings.NewReader("{"))
 	if err != nil {
 		t.Fatal(err)
@@ -262,8 +256,7 @@ func TestV2AutoSolve(t *testing.T) {
 
 // TestV2BatchLifecycle: typed batch tasks (policy constraints, auto,
 // a failing NoD-gated task) through submit → poll, with the full
-// report block per task; the same job is also pollable through the
-// frozen v1 rendering.
+// report block per task.
 func TestV2BatchLifecycle(t *testing.T) {
 	in1 := goldenInstance(t, "binary_nod_1.json")
 	in2 := goldenInstance(t, "binary_dist_2.json")
@@ -287,20 +280,7 @@ func TestV2BatchLifecycle(t *testing.T) {
 		t.Fatalf("unexpected accept body %+v", acc)
 	}
 
-	deadline := time.Now().Add(10 * time.Second)
-	var jr JobResponseV2
-	for {
-		if resp := getJSON(t, ts.URL+acc.StatusURL, &jr); resp.StatusCode != http.StatusOK {
-			t.Fatalf("poll status %d", resp.StatusCode)
-		}
-		if jr.Status == JobDone {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job stuck in %q", jr.Status)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	jr := pollJobV2(t, ts.URL, acc.JobID)
 	if len(jr.Results) != 4 || jr.Stats == nil || jr.Stats.Solved != 3 || jr.Stats.Failed != 1 {
 		t.Fatalf("job outcome %+v", jr)
 	}
@@ -319,16 +299,6 @@ func TestV2BatchLifecycle(t *testing.T) {
 	}
 	if r := byID["bad"]; r.OK || r.Error == "" {
 		t.Errorf("NoD-gated task did not fail: %+v", r)
-	}
-
-	// The same job renders through the v1 endpoint too (shared
-	// manager), minus the v2 metadata.
-	var v1 JobResponse
-	if resp := getJSON(t, ts.URL+"/v1/jobs/"+acc.JobID, &v1); resp.StatusCode != http.StatusOK {
-		t.Fatalf("v1 poll status %d", resp.StatusCode)
-	}
-	if v1.Status != JobDone || len(v1.Results) != 4 {
-		t.Errorf("v1 rendering of a v2 job: %+v", v1)
 	}
 
 	// Unknown job IDs are typed 404 problems on v2.

@@ -1,33 +1,29 @@
 // Package service exposes the solver registry as an HTTP/JSON daemon:
-// placement-as-a-service. The v2 surface mirrors the solver package's
-// typed Request/Report contract; v1 is a frozen adapter over the same
-// engine path and stays byte-identical. Endpoints:
+// placement-as-a-service. The /v2 surface mirrors the solver package's
+// typed Request/Report contract. Endpoints:
 //
 //	POST /v2/solve    — solve one instance (policy/budget/timeout/hints)
 //	POST /v2/batch    — enqueue an async job over many typed tasks
 //	GET  /v2/jobs/{id} — poll a batch job with full per-task reports
+//	GET  /v2/jobs/{id}/proof/{task} — one task's certificate + inclusion proof
 //	GET  /v2/solvers  — every engine's Capabilities document
 //	PUT    /v2/instances/{id}          — open a stateful instance session
 //	POST   /v2/instances/{id}/mutate   — mutate a session, re-solve, report churn
 //	GET    /v2/instances/{id}/solution — the session's current placement
 //	DELETE /v2/instances/{id}          — drop a session
-//	POST /v1/solve    — deprecated: v2 minus bound/proof/work metadata
-//	POST /v1/batch    — deprecated: untyped tasks
-//	GET  /v1/jobs/{id} — deprecated: v1 rendering of the same jobs
-//	GET  /v1/solvers  — deprecated: name/policy/exact triples
 //	GET  /healthz     — liveness
 //	GET  /metrics     — request counts, cache hit rate, per-solver latency
 //
-// v2 errors are RFC 7807 application/problem+json documents typed by
-// the solver sentinels (unknown solver → 404, unsupported request or
-// infeasible instance → 422); v1 keeps its legacy {"error": …} bodies.
+// Errors are RFC 7807 application/problem+json documents typed by the
+// solver sentinels (unknown solver → 404, unsupported request or
+// infeasible instance → 422).
 //
 // The hot path is the result cache: instances are keyed by their
 // canonical hash (core.Instance.CanonicalHash) so a repeated placement
 // of the same tree is served from an LRU in memory instead of
-// re-solved. The cache stores full solve reports and is shared by both
-// API versions. Every solution — cached or fresh — has passed
-// core.Verify before it leaves the process.
+// re-solved. The cache stores full solve reports and serves both
+// /v2/solve and batch tasks. Every solution — cached or fresh — has
+// passed core.Verify before it leaves the process.
 package service
 
 import (
@@ -36,7 +32,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -102,10 +97,6 @@ func New(opt Options) *Server {
 		started:   time.Now(),
 	}
 	s.jobs.metrics = s.metrics
-	s.mux.HandleFunc("POST /v1/solve", s.handleSolve)
-	s.mux.HandleFunc("POST /v1/batch", s.handleBatch)
-	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleJob)
-	s.mux.HandleFunc("GET /v1/solvers", s.handleSolvers)
 	s.mux.HandleFunc("POST /v2/solve", s.handleSolveV2)
 	s.mux.HandleFunc("POST /v2/batch", s.handleBatchV2)
 	s.mux.HandleFunc("GET /v2/jobs/{id}", s.handleJobV2)
@@ -159,25 +150,6 @@ const maxBatchTasks = 4096
 // masquerade as malformed requests.
 const statusClientClosed = 499
 
-// solveErrorStatus classifies a failed solve: infeasible output →
-// 500 (checked first — a verification failure must surface as 5xx
-// even when the client has since disconnected), client gone → 499,
-// unknown engine → 404, anything else (the ErrPolicyUnsupported /
-// ErrInfeasible sentinels, budget exhaustion) → 422. Classification
-// is by errors.Is on the solver sentinels, never by string matching.
-func solveErrorStatus(r *http.Request, err error) int {
-	switch {
-	case errors.Is(err, errVerification):
-		return http.StatusInternalServerError
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) || r.Context().Err() != nil:
-		return statusClientClosed
-	case errors.Is(err, solver.ErrUnknownSolver):
-		return http.StatusNotFound
-	default:
-		return http.StatusUnprocessableEntity
-	}
-}
-
 // decodeBody decodes a JSON request body into v under the size cap,
 // returning the HTTP status to use on failure.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) (int, error) {
@@ -204,8 +176,8 @@ type solveOutcome struct {
 // change a solve's outcome — the policy constraint, the work budget
 // and the (already service-filtered) hints — so differently
 // constrained requests never share a cache line. Unconstrained
-// requests encode to "", which keeps the plain v1 key shape and lets
-// /v1 and zero-constraint /v2 requests share entries.
+// requests encode to "", so their cache key is the bare canonical
+// hash — the ring key the fleet's shardKey reduces every variant to.
 func requestVariant(req solver.Request) string {
 	if req.Policy == solver.AnyPolicy && req.Budget == 0 && len(req.Hints) == 0 {
 		return ""
@@ -227,12 +199,12 @@ func requestVariant(req solver.Request) string {
 	return sb.String()
 }
 
-// solveCached is the shared engine path of both API versions'
-// solve and batch endpoints: canonical hash, cache lookup, engine
-// solve on miss, verify, fill. The cache key is the dispatched engine
-// name plus the hash and request variant, so /v1 and unconstrained
-// /v2 requests share entries for the same (solver, instance) while
-// constrained requests get their own lines.
+// solveCached is the shared engine path of the solve and batch
+// endpoints: canonical hash, cache lookup, engine solve on miss,
+// verify, fill. The cache key is the dispatched engine name plus the
+// hash and request variant, so solves and batch tasks share entries
+// for the same (solver, instance) while constrained requests get their
+// own lines.
 func (s *Server) solveCached(ctx context.Context, eng solver.Engine, req solver.Request) (solveOutcome, error) {
 	out := solveOutcome{hash: req.Instance.CanonicalHash()}
 	key := out.hash
@@ -272,129 +244,6 @@ func (s *Server) solveCached(ctx context.Context, eng solver.Engine, req solver.
 	return out, nil
 }
 
-func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
-	const endpoint = "/v1/solve"
-	begin := time.Now()
-	var req SolveRequest
-	if status, err := decodeBody(w, r, &req); err != nil {
-		s.writeError(w, endpoint, status, err)
-		return
-	}
-	if req.Instance == nil {
-		s.writeError(w, endpoint, http.StatusBadRequest, errors.New("missing instance"))
-		return
-	}
-	if req.Solver == "" {
-		s.writeError(w, endpoint, http.StatusBadRequest, errors.New("missing solver name (see GET /v1/solvers)"))
-		return
-	}
-	eng, err := solver.Lookup(req.Solver)
-	if err != nil {
-		s.writeError(w, endpoint, http.StatusNotFound, err)
-		return
-	}
-	out, err := s.solveCached(r.Context(), eng, solver.Request{Instance: req.Instance})
-	if err != nil {
-		s.writeError(w, endpoint, solveErrorStatus(r, err), err)
-		return
-	}
-	resp := SolveResponse{
-		Solver:     eng.Name(),
-		Policy:     out.report.Policy.String(),
-		Hash:       out.hash,
-		Replicas:   out.report.Solution.NumReplicas(),
-		LowerBound: out.report.LowerBound,
-		Gap:        out.report.Gap,
-		Verified:   true,
-		Cached:     out.cached,
-		ElapsedMS:  durMS(time.Since(begin)),
-		Solution:   out.report.Solution,
-	}
-	s.writeJSON(w, endpoint, http.StatusOK, resp)
-}
-
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	const endpoint = "/v1/batch"
-	var req BatchRequest
-	if status, err := decodeBody(w, r, &req); err != nil {
-		s.writeError(w, endpoint, status, err)
-		return
-	}
-	if len(req.Tasks) == 0 {
-		s.writeError(w, endpoint, http.StatusBadRequest, errors.New("empty task list"))
-		return
-	}
-	if len(req.Tasks) > maxBatchTasks {
-		s.writeError(w, endpoint, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("batch of %d tasks exceeds the limit of %d (split into multiple jobs)", len(req.Tasks), maxBatchTasks))
-		return
-	}
-	if req.Workers < 0 {
-		s.writeError(w, endpoint, http.StatusBadRequest, fmt.Errorf("negative workers %d", req.Workers))
-		return
-	}
-	// Workers is client-controlled; clamp it so one job can never
-	// spawn more solve goroutines than the machine has cores
-	// (solver.Batch treats 0 as GOMAXPROCS already).
-	workers := req.Workers
-	if cores := runtime.GOMAXPROCS(0); workers > cores {
-		workers = cores
-	}
-	tasks := make([]solver.Task, len(req.Tasks))
-	for i, bt := range req.Tasks {
-		if bt.Instance == nil {
-			s.writeError(w, endpoint, http.StatusBadRequest, fmt.Errorf("task %d: missing instance", i))
-			return
-		}
-		eng, err := solver.Lookup(bt.Solver)
-		if err != nil {
-			s.writeError(w, endpoint, http.StatusNotFound, fmt.Errorf("task %d: %w", i, err))
-			return
-		}
-		tasks[i] = solver.Task{
-			ID:      bt.ID,
-			Engine:  &cachingEngine{server: s, inner: eng},
-			Request: solver.Request{Instance: bt.Instance},
-		}
-	}
-	// v1 predates certificates; jobs submitted here never build them.
-	opt := solver.Options{Workers: workers, Timeout: time.Duration(req.TimeoutMS) * time.Millisecond}
-	id, err := s.jobs.Submit(tasks, opt, false)
-	if err != nil {
-		s.writeError(w, endpoint, http.StatusServiceUnavailable, err)
-		return
-	}
-	s.writeJSON(w, endpoint, http.StatusAccepted, BatchAccepted{
-		JobID:     id,
-		StatusURL: "/v1/jobs/" + id,
-		Tasks:     len(tasks),
-	})
-}
-
-func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	const endpoint = "/v1/jobs"
-	id := r.PathValue("id")
-	resp, ok := s.jobs.Get(id)
-	if !ok {
-		s.writeError(w, endpoint, http.StatusNotFound, fmt.Errorf("unknown job %q", id))
-		return
-	}
-	s.writeJSON(w, endpoint, http.StatusOK, resp)
-}
-
-func (s *Server) handleSolvers(w http.ResponseWriter, r *http.Request) {
-	catalog := solver.Catalog()
-	infos := make([]SolverInfo, len(catalog))
-	for i, c := range catalog {
-		infos[i] = SolverInfo{
-			Name:   c.Name,
-			Policy: c.Policy.String(),
-			Exact:  c.Exact,
-		}
-	}
-	s.writeJSON(w, "/v1/solvers", http.StatusOK, infos)
-}
-
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, "/healthz", http.StatusOK, map[string]any{
 		"status":    "ok",
@@ -418,10 +267,6 @@ func (s *Server) writeJSON(w http.ResponseWriter, endpoint string, status int, v
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(v) // the status line is already out; nothing to salvage
-}
-
-func (s *Server) writeError(w http.ResponseWriter, endpoint string, status int, err error) {
-	s.writeJSON(w, endpoint, status, ErrorResponse{Error: err.Error()})
 }
 
 // cachingEngine routes a batch task's Solve through the server's

@@ -4,14 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"replicatree/internal/core"
 	"replicatree/internal/solver"
@@ -97,11 +96,11 @@ func TestSolveRoundTripGolden(t *testing.T) {
 	in := goldenInstance(t, instance)
 	_, ts := newTestServer(t, Options{CacheSize: 8})
 
-	resp, body := postJSON(t, ts.URL+"/v1/solve", SolveRequest{Solver: solverName, Instance: in})
+	resp, body := postJSON(t, ts.URL+"/v2/solve", SolveRequestV2{Solver: solverName, Instance: in})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d, body %s", resp.StatusCode, body)
 	}
-	var sr SolveResponse
+	var sr SolveResponseV2
 	if err := json.Unmarshal(body, &sr); err != nil {
 		t.Fatal(err)
 	}
@@ -135,14 +134,14 @@ func TestSolveRoundTripGolden(t *testing.T) {
 func TestSolveCacheAccounting(t *testing.T) {
 	in := goldenInstance(t, "binary_dist_1.json")
 	srv, ts := newTestServer(t, Options{CacheSize: 8})
-	req := SolveRequest{Solver: "multiple-greedy", Instance: in}
+	req := SolveRequestV2{Solver: "multiple-greedy", Instance: in}
 
-	var first, second SolveResponse
-	_, body := postJSON(t, ts.URL+"/v1/solve", req)
+	var first, second SolveResponseV2
+	_, body := postJSON(t, ts.URL+"/v2/solve", req)
 	if err := json.Unmarshal(body, &first); err != nil {
 		t.Fatal(err)
 	}
-	_, body = postJSON(t, ts.URL+"/v1/solve", req)
+	_, body = postJSON(t, ts.URL+"/v2/solve", req)
 	if err := json.Unmarshal(body, &second); err != nil {
 		t.Fatal(err)
 	}
@@ -162,8 +161,8 @@ func TestSolveCacheAccounting(t *testing.T) {
 	}
 
 	// A different solver on the same instance is a distinct cache line.
-	_, body = postJSON(t, ts.URL+"/v1/solve", SolveRequest{Solver: "single-gen", Instance: in})
-	var third SolveResponse
+	_, body = postJSON(t, ts.URL+"/v2/solve", SolveRequestV2{Solver: "single-gen", Instance: in})
+	var third SolveResponseV2
 	if err := json.Unmarshal(body, &third); err != nil {
 		t.Fatal(err)
 	}
@@ -188,20 +187,25 @@ func TestSolveMalformedRequests(t *testing.T) {
 		"invalid capacity": `{"solver":"single-gen","instance":{"tree":{"root":0,"nodes":[{"id":0,"parent":-1,"dist":0},{"id":1,"parent":0,"dist":1,"requests":1}]},"w":0}}`,
 	}
 	for name, body := range cases {
-		resp, err := http.Post(ts.URL+"/v1/solve", "application/json", strings.NewReader(body))
+		resp, err := http.Post(ts.URL+"/v2/solve", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
-		var er ErrorResponse
-		if err := json.NewDecoder(resp.Body).Decode(&er); err != nil {
-			t.Fatalf("%s: non-JSON error body: %v", name, err)
-		}
+		raw, err := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: status %d, want 400 (error %q)", name, resp.StatusCode, er.Error)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if er.Error == "" {
-			t.Errorf("%s: empty error message", name)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400 (%s)", name, resp.StatusCode, raw)
+			continue
+		}
+		p := problemFrom(t, resp, raw)
+		if p.Type != ProblemBadRequest {
+			t.Errorf("%s: problem type %q, want %q", name, p.Type, ProblemBadRequest)
+		}
+		if p.Detail == "" {
+			t.Errorf("%s: empty problem detail", name)
 		}
 	}
 }
@@ -209,17 +213,17 @@ func TestSolveMalformedRequests(t *testing.T) {
 func TestSolveUnknownSolverListsRegistry(t *testing.T) {
 	in := goldenInstance(t, "binary_nod_1.json")
 	_, ts := newTestServer(t, Options{})
-	resp, body := postJSON(t, ts.URL+"/v1/solve", SolveRequest{Solver: "no-such-solver", Instance: in})
+	resp, body := postJSON(t, ts.URL+"/v2/solve", SolveRequestV2{Solver: "no-such-solver", Instance: in})
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("status %d, want 404", resp.StatusCode)
 	}
-	var er ErrorResponse
-	if err := json.Unmarshal(body, &er); err != nil {
-		t.Fatal(err)
+	p := problemFrom(t, resp, body)
+	if p.Type != ProblemUnknownSolver {
+		t.Errorf("problem type %q, want %q", p.Type, ProblemUnknownSolver)
 	}
 	for _, name := range solver.List() {
-		if !strings.Contains(er.Error, name) {
-			t.Errorf("404 body does not list registered solver %q: %s", name, er.Error)
+		if !strings.Contains(p.Detail, name) {
+			t.Errorf("404 detail does not list registered solver %q: %s", name, p.Detail)
 		}
 	}
 }
@@ -229,49 +233,12 @@ func TestSolveUnknownSolverListsRegistry(t *testing.T) {
 func TestSolveNoDGatedSolver(t *testing.T) {
 	in := goldenInstance(t, "binary_dist_1.json")
 	_, ts := newTestServer(t, Options{})
-	resp, body := postJSON(t, ts.URL+"/v1/solve", SolveRequest{Solver: "single-nod", Instance: in})
+	resp, body := postJSON(t, ts.URL+"/v2/solve", SolveRequestV2{Solver: "single-nod", Instance: in})
 	if resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("status %d, want 422; body %s", resp.StatusCode, body)
 	}
-}
-
-func TestSolversParityWithRegistry(t *testing.T) {
-	_, ts := newTestServer(t, Options{})
-	var infos []SolverInfo
-	if resp := getJSON(t, ts.URL+"/v1/solvers", &infos); resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
-	}
-	names := make([]string, len(infos))
-	for i, info := range infos {
-		names[i] = info.Name
-		c := solver.MustLookup(info.Name).Capabilities()
-		if got := c.Policy.String(); info.Policy != got {
-			t.Errorf("%s: policy %q, registry says %q", info.Name, info.Policy, got)
-		}
-		if info.Exact != c.Exact {
-			t.Errorf("%s: exact %v, registry says %v", info.Name, info.Exact, c.Exact)
-		}
-	}
-	if want := solver.List(); !reflect.DeepEqual(names, want) {
-		t.Errorf("solver names %v, registry lists %v", names, want)
-	}
-}
-
-func waitForJob(t testing.TB, url string) JobResponse {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		var jr JobResponse
-		if resp := getJSON(t, url, &jr); resp.StatusCode != http.StatusOK {
-			t.Fatalf("job poll status %d", resp.StatusCode)
-		}
-		if jr.Status == JobDone {
-			return jr
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job stuck in status %q", jr.Status)
-		}
-		time.Sleep(5 * time.Millisecond)
+	if p := problemFrom(t, resp, body); p.Type != ProblemUnsupported {
+		t.Errorf("problem type %q, want %q", p.Type, ProblemUnsupported)
 	}
 }
 
@@ -282,13 +249,13 @@ func TestBatchJobLifecycle(t *testing.T) {
 
 	// Workers: 1 makes in-job dispatch sequential, so the repeat of
 	// task "a" deterministically finds its result already cached.
-	req := BatchRequest{Workers: 1, Tasks: []BatchTask{
+	req := BatchRequestV2{Workers: 1, Tasks: []BatchTaskV2{
 		{ID: "a", Solver: "multiple-best", Instance: in1},
 		{ID: "b", Solver: "multiple-best", Instance: in2},
 		{ID: "a-again", Solver: "multiple-best", Instance: in1},
 		{ID: "bad", Solver: "single-nod", Instance: in2}, // NoD-gated → fails
 	}}
-	resp, body := postJSON(t, ts.URL+"/v1/batch", req)
+	resp, body := postJSON(t, ts.URL+"/v2/batch", req)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("status %d, body %s", resp.StatusCode, body)
 	}
@@ -296,15 +263,15 @@ func TestBatchJobLifecycle(t *testing.T) {
 	if err := json.Unmarshal(body, &acc); err != nil {
 		t.Fatal(err)
 	}
-	if acc.Tasks != 4 || acc.JobID == "" {
+	if acc.Tasks != 4 || acc.JobID == "" || acc.StatusURL != "/v2/jobs/"+acc.JobID {
 		t.Fatalf("unexpected accept body %+v", acc)
 	}
 
-	jr := waitForJob(t, ts.URL+acc.StatusURL)
+	jr := pollJobV2(t, ts.URL, acc.JobID)
 	if len(jr.Results) != 4 {
 		t.Fatalf("%d results, want 4", len(jr.Results))
 	}
-	byID := make(map[string]TaskResult, len(jr.Results))
+	byID := make(map[string]TaskResultV2, len(jr.Results))
 	for _, r := range jr.Results {
 		byID[r.ID] = r
 	}
@@ -338,41 +305,87 @@ func TestBatchJobLifecycle(t *testing.T) {
 func TestBatchRejections(t *testing.T) {
 	in := goldenInstance(t, "binary_nod_1.json")
 	srv, ts := newTestServer(t, Options{})
-	if resp, _ := postJSON(t, ts.URL+"/v1/batch", BatchRequest{}); resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("empty batch: status %d, want 400", resp.StatusCode)
-	}
-	if resp, _ := postJSON(t, ts.URL+"/v1/batch", BatchRequest{Tasks: []BatchTask{
-		{Solver: "nope", Instance: in},
-	}}); resp.StatusCode != http.StatusNotFound {
-		t.Errorf("unknown batch solver: status %d, want 404", resp.StatusCode)
-	}
-	if resp, _ := postJSON(t, ts.URL+"/v1/batch", BatchRequest{Workers: -1, Tasks: []BatchTask{
-		{Solver: "multiple-best", Instance: in},
-	}}); resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("negative workers: status %d, want 400", resp.StatusCode)
-	}
-	oversized := BatchRequest{Tasks: make([]BatchTask, maxBatchTasks+1)}
+	task := BatchTaskV2{Solver: "multiple-best", Instance: in}
+	oversized := BatchRequestV2{Tasks: make([]BatchTaskV2, maxBatchTasks+1)}
 	for i := range oversized.Tasks {
-		oversized.Tasks[i] = BatchTask{Solver: "multiple-best", Instance: in}
+		oversized.Tasks[i] = task
 	}
-	if resp, _ := postJSON(t, ts.URL+"/v1/batch", oversized); resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Errorf("oversized batch: status %d, want 413", resp.StatusCode)
+	cases := []struct {
+		name   string
+		req    BatchRequestV2
+		status int
+		typ    string
+	}{
+		{"empty batch", BatchRequestV2{}, http.StatusBadRequest, ProblemBadRequest},
+		{"unknown batch solver", BatchRequestV2{Tasks: []BatchTaskV2{{Solver: "nope", Instance: in}}},
+			http.StatusNotFound, ProblemUnknownSolver},
+		{"negative workers", BatchRequestV2{Workers: -1, Tasks: []BatchTaskV2{task}},
+			http.StatusBadRequest, ProblemBadRequest},
+		{"oversized batch", oversized, http.StatusRequestEntityTooLarge, ProblemTooLarge},
 	}
-	resp, err := http.Get(ts.URL + "/v1/jobs/job-999999")
+	for _, c := range cases {
+		resp, body := postJSON(t, ts.URL+"/v2/batch", c.req)
+		if resp.StatusCode != c.status {
+			t.Errorf("%s: status %d, want %d (%s)", c.name, resp.StatusCode, c.status, body)
+			continue
+		}
+		if p := problemFrom(t, resp, body); p.Type != c.typ {
+			t.Errorf("%s: problem type %q, want %q", c.name, p.Type, c.typ)
+		}
+	}
+
+	resp, err := http.Get(ts.URL + "/v2/jobs/job-999999")
 	if err != nil {
 		t.Fatal(err)
 	}
+	raw, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown job: status %d, want 404", resp.StatusCode)
+	} else if p := problemFrom(t, resp, raw); p.Type != ProblemUnknownJob {
+		t.Errorf("unknown job: problem type %q, want %q", p.Type, ProblemUnknownJob)
 	}
 
 	// A closed job pool refuses new work with 503.
 	srv.jobs.Close()
-	if resp, _ := postJSON(t, ts.URL+"/v1/batch", BatchRequest{Tasks: []BatchTask{
-		{Solver: "multiple-best", Instance: in},
-	}}); resp.StatusCode != http.StatusServiceUnavailable {
+	resp, body := postJSON(t, ts.URL+"/v2/batch", BatchRequestV2{Tasks: []BatchTaskV2{task}})
+	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("closed pool: status %d, want 503", resp.StatusCode)
+	} else if p := problemFrom(t, resp, body); p.Type != ProblemOverloaded {
+		t.Errorf("closed pool: problem type %q, want %q", p.Type, ProblemOverloaded)
+	}
+}
+
+// TestTimeoutValidation: timeout_ms is validated identically on solve
+// and batch — negative values and values whose millisecond-to-Duration
+// conversion overflows are 400 bad-request problems, never a silent
+// "no timeout" or a deadline in the past (422 budget-exhausted).
+func TestTimeoutValidation(t *testing.T) {
+	in := goldenInstance(t, "binary_nod_1.json")
+	_, ts := newTestServer(t, Options{})
+	for _, ms := range []int64{-1, 1e13} {
+		for _, c := range []struct {
+			path string
+			body any
+		}{
+			{"/v2/solve", SolveRequestV2{Solver: "single-gen", Instance: in, TimeoutMS: ms}},
+			{"/v2/batch", BatchRequestV2{TimeoutMS: ms, Tasks: []BatchTaskV2{{Solver: "single-gen", Instance: in}}}},
+		} {
+			resp, body := postJSON(t, ts.URL+c.path, c.body)
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s timeout_ms=%d: status %d, want 400 (%s)", c.path, ms, resp.StatusCode, body)
+				continue
+			}
+			p := problemFrom(t, resp, body)
+			if p.Type != ProblemBadRequest || !strings.Contains(p.Detail, "timeout_ms") {
+				t.Errorf("%s timeout_ms=%d: problem %+v, want bad-request naming timeout_ms", c.path, ms, p)
+			}
+		}
+	}
+	// The largest representable timeout is still accepted.
+	resp, body := postJSON(t, ts.URL+"/v2/solve", SolveRequestV2{Solver: "single-gen", Instance: in, TimeoutMS: maxTimeoutMS})
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("timeout_ms=%d: status %d (%s)", maxTimeoutMS, resp.StatusCode, body)
 	}
 }
 
@@ -392,10 +405,10 @@ func TestHealthzAndMetrics(t *testing.T) {
 	}
 
 	// Two solves (one warm) and a 404, then check the counters.
-	req := SolveRequest{Solver: "multiple-best", Instance: in}
-	postJSON(t, ts.URL+"/v1/solve", req)
-	postJSON(t, ts.URL+"/v1/solve", req)
-	postJSON(t, ts.URL+"/v1/solve", SolveRequest{Solver: "nope", Instance: in})
+	req := SolveRequestV2{Solver: "multiple-best", Instance: in}
+	postJSON(t, ts.URL+"/v2/solve", req)
+	postJSON(t, ts.URL+"/v2/solve", req)
+	postJSON(t, ts.URL+"/v2/solve", SolveRequestV2{Solver: "nope", Instance: in})
 
 	var metrics struct {
 		MetricsSnapshot
@@ -404,7 +417,7 @@ func TestHealthzAndMetrics(t *testing.T) {
 	if resp := getJSON(t, ts.URL+"/metrics", &metrics); resp.StatusCode != http.StatusOK {
 		t.Fatalf("metrics status %d", resp.StatusCode)
 	}
-	if got := metrics.Requests["/v1/solve"]; got != 3 {
+	if got := metrics.Requests["/v2/solve"]; got != 3 {
 		t.Errorf("solve request count %d, want 3", got)
 	}
 	if got := metrics.Statuses["4xx"]; got != 1 {
@@ -436,14 +449,14 @@ func TestHealthzAndMetrics(t *testing.T) {
 func TestConcurrentSolves(t *testing.T) {
 	in := goldenInstance(t, "wide_nod.json")
 	srv, ts := newTestServer(t, Options{CacheSize: 4})
-	req := SolveRequest{Solver: "multiple-greedy", Instance: in}
+	req := SolveRequestV2{Solver: "multiple-greedy", Instance: in}
 	const n = 16
 	errs := make(chan error, n)
 	for i := 0; i < n; i++ {
 		go func() {
 			resp, body := func() (*http.Response, []byte) {
 				data, _ := json.Marshal(req)
-				resp, err := http.Post(ts.URL+"/v1/solve", "application/json", bytes.NewReader(data))
+				resp, err := http.Post(ts.URL+"/v2/solve", "application/json", bytes.NewReader(data))
 				if err != nil {
 					errs <- err
 					return nil, nil
@@ -474,8 +487,8 @@ func TestConcurrentSolves(t *testing.T) {
 	}
 	// After the storm settles the entry is resident: one more request
 	// must be a deterministic hit.
-	_, body := postJSON(t, ts.URL+"/v1/solve", req)
-	var sr SolveResponse
+	_, body := postJSON(t, ts.URL+"/v2/solve", req)
+	var sr SolveResponseV2
 	if err := json.Unmarshal(body, &sr); err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"runtime"
 	"strings"
@@ -230,8 +231,7 @@ func problem(typ, title string, status int, err error) Problem {
 }
 
 // solveProblem classifies a failed solve onto a Problem via the
-// solver sentinels — the typed replacement for v1's status-only
-// classification. Verification failures outrank everything (they are
+// solver sentinels. Verification failures outrank everything (they are
 // 5xx even when the client has since disconnected); a dead client
 // outranks the rest so aborted solves don't read as bad instances.
 func solveProblem(r *http.Request, err error) Problem {
@@ -310,6 +310,24 @@ func v2Request(in *core.Instance, policy string, budget int64, hints map[string]
 	}, nil
 }
 
+// maxTimeoutMS is the largest timeout_ms whose conversion to a
+// time.Duration does not overflow (about 292 years).
+const maxTimeoutMS = int64(math.MaxInt64 / time.Millisecond)
+
+// parseTimeout converts a wire timeout_ms into a duration (0 = none).
+// Negative and overflowing values are client errors: unchecked, a
+// negative batch timeout would silently mean "no timeout" and an
+// overflowing one would wrap into a deadline in the past.
+func parseTimeout(ms int64) (time.Duration, error) {
+	if ms < 0 {
+		return 0, fmt.Errorf("negative timeout_ms %d", ms)
+	}
+	if ms > maxTimeoutMS {
+		return 0, fmt.Errorf("timeout_ms %d exceeds the maximum of %d", ms, maxTimeoutMS)
+	}
+	return time.Duration(ms) * time.Millisecond, nil
+}
+
 func (s *Server) handleSolveV2(w http.ResponseWriter, r *http.Request) {
 	const endpoint = "/v2/solve"
 	begin := time.Now()
@@ -337,13 +355,13 @@ func (s *Server) handleSolveV2(w http.ResponseWriter, r *http.Request) {
 		s.writeProblem(w, endpoint, problem(ProblemBadRequest, "invalid request body", http.StatusBadRequest, err))
 		return
 	}
-	if req.TimeoutMS < 0 {
-		s.writeProblem(w, endpoint, problem(ProblemBadRequest, "invalid request body",
-			http.StatusBadRequest, fmt.Errorf("negative timeout_ms %d", req.TimeoutMS)))
+	timeout, err := parseTimeout(req.TimeoutMS)
+	if err != nil {
+		s.writeProblem(w, endpoint, problem(ProblemBadRequest, "invalid request body", http.StatusBadRequest, err))
 		return
 	}
-	if req.TimeoutMS > 0 {
-		sreq.Deadline = time.Now().Add(time.Duration(req.TimeoutMS) * time.Millisecond)
+	if timeout > 0 {
+		sreq.Deadline = time.Now().Add(timeout)
 	}
 	eng, err := solver.Lookup(req.Solver)
 	if err != nil {
@@ -414,6 +432,11 @@ func (s *Server) handleBatchV2(w http.ResponseWriter, r *http.Request) {
 			http.StatusBadRequest, fmt.Errorf("negative workers %d", req.Workers)))
 		return
 	}
+	timeout, err := parseTimeout(req.TimeoutMS)
+	if err != nil {
+		s.writeProblem(w, endpoint, problem(ProblemBadRequest, "invalid request body", http.StatusBadRequest, err))
+		return
+	}
 	// Workers is client-controlled; clamp it so one job can never
 	// spawn more solve goroutines than the machine has cores.
 	workers := req.Workers
@@ -445,7 +468,7 @@ func (s *Server) handleBatchV2(w http.ResponseWriter, r *http.Request) {
 			Request: sreq,
 		}
 	}
-	opt := solver.Options{Workers: workers, Timeout: time.Duration(req.TimeoutMS) * time.Millisecond}
+	opt := solver.Options{Workers: workers, Timeout: timeout}
 	id, err := s.jobs.Submit(tasks, opt, req.Certificates)
 	if err != nil {
 		s.writeProblem(w, endpoint, problem(ProblemOverloaded, "job queue unavailable", http.StatusServiceUnavailable, err))

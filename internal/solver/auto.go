@@ -75,10 +75,6 @@ func (a *autoEngine) Solve(ctx context.Context, req Request) (Report, error) {
 			Auto), ErrPolicyUnsupported)
 	}
 	in := req.Instance
-	budget := req.Budget
-	if budget <= 0 {
-		budget = BudgetFrom(ctx)
-	}
 
 	// Oversized instances route to the subtree decomposition engine
 	// when it is linked into the binary: racing whole-tree engines on
@@ -90,7 +86,7 @@ func (a *autoEngine) Solve(ctx context.Context, req Request) (Report, error) {
 		if eng, err := Lookup(Decomp); err == nil && req.Policy.Allows(core.Multiple) {
 			creq := Request{
 				Instance: in,
-				Budget:   budget,
+				Budget:   req.Budget,
 				Deadline: req.Deadline,
 				Hints:    map[string]string{"no-lower-bound": "1"},
 			}
@@ -146,8 +142,8 @@ func (a *autoEngine) Solve(ctx context.Context, req Request) (Report, error) {
 			if req.Hint("exact") == "skip" {
 				continue
 			}
-			// Engines registered through the deprecated v1 shim declare
-			// no MaxNodes; exponential ones still get the classic gate.
+			// Exponential engines that declare no MaxNodes get the
+			// classic size gate.
 			limit := c.MaxNodes
 			if limit == 0 {
 				limit = autoExactMaxNodes
@@ -171,7 +167,7 @@ func (a *autoEngine) Solve(ctx context.Context, req Request) (Report, error) {
 		// candidates' solutions into one arena).
 		creq := Request{
 			Instance: in,
-			Budget:   budget,
+			Budget:   req.Budget,
 			Deadline: req.Deadline,
 			// Auto computes the bound once for its own report; the
 			// candidates need not repeat it.

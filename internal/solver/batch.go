@@ -9,58 +9,36 @@ import (
 	"sync"
 	"time"
 
-	"replicatree/internal/core"
 	"replicatree/internal/stats"
 )
 
-// Task is one (engine, request) pair of a batch. Set Engine plus
-// Request (v2); the deprecated Solver/Instance pair keeps working and
-// is adapted on dispatch.
+// Task is one (engine, request) pair of a batch.
 type Task struct {
 	// ID is an optional caller label carried into the Result.
-	ID string
-	// Engine and Request are the v2 task form; Request.Instance may be
-	// left nil when the legacy Instance field is set.
+	ID      string
 	Engine  Engine
 	Request Request
-	// Solver is the deprecated task form, adapted via AsEngine.
-	//
-	// Deprecated: set Engine instead.
-	Solver Solver
-	// Instance is the deprecated companion of Solver.
-	//
-	// Deprecated: set Request.Instance instead.
-	Instance *core.Instance
 }
 
-// normalize resolves the two task forms into the engine dispatch pair.
-func (t Task) normalize() (Engine, Request, error) {
-	eng := t.Engine
-	if eng == nil {
-		if t.Solver == nil {
-			return nil, Request{}, errors.New("solver: batch task has nil solver")
-		}
-		eng = AsEngine(t.Solver)
+// validate rejects tasks that cannot be dispatched.
+func (t Task) validate() error {
+	if t.Engine == nil {
+		return errors.New("solver: batch task has nil solver")
 	}
-	req := t.Request
-	if req.Instance == nil {
-		req.Instance = t.Instance
+	if t.Request.Instance == nil {
+		return fmt.Errorf("solver: batch task for %s has nil instance", t.Engine.Name())
 	}
-	if req.Instance == nil {
-		return nil, Request{}, fmt.Errorf("solver: batch task for %s has nil instance", eng.Name())
-	}
-	return eng, req, nil
+	return nil
 }
 
 // Result is the outcome of one Task.
 type Result struct {
 	Task Task
-	// Report is the engine's full v2 outcome (bound, gap, work, proof).
-	Report Report
-	// Solution mirrors Report.Solution for v1 consumers.
-	Solution *core.Solution
-	Err      error
-	Elapsed  time.Duration
+	// Report is the engine's full outcome (solution, bound, gap, work,
+	// proof).
+	Report  Report
+	Err     error
+	Elapsed time.Duration
 	// Skipped marks tasks never started because the batch context was
 	// cancelled first; their Err is the context error.
 	Skipped bool
@@ -176,8 +154,8 @@ func Batch(ctx context.Context, tasks []Task, opt Options) ([]Result, Stats) {
 			continue
 		}
 		st.Solved++
-		if r.Solution != nil {
-			st.Replicas += r.Solution.NumReplicas()
+		if r.Report.Solution != nil {
+			st.Replicas += r.Report.Solution.NumReplicas()
 		}
 	}
 	return results, st
@@ -187,11 +165,11 @@ func Batch(ctx context.Context, tasks []Task, opt Options) ([]Result, Stats) {
 // the solve goroutine against the task context.
 func runTask(ctx context.Context, t Task, opt Options) Result {
 	res := Result{Task: t}
-	eng, req, err := t.normalize()
-	if err != nil {
+	if err := t.validate(); err != nil {
 		res.Err = err
 		return res
 	}
+	eng, req := t.Engine, t.Request
 	var sc *Scratch
 	if opt.WarmScratch && req.Scratch == nil {
 		sc = GetScratch()
@@ -250,7 +228,6 @@ func runTask(ctx context.Context, t Task, opt Options) Result {
 			// cheaper than racing its buffers.
 		}
 	}
-	res.Solution = res.Report.Solution
 	res.Elapsed = time.Since(begin)
 	return res
 }

@@ -44,7 +44,7 @@ func TestBatchSolvesAllInOrder(t *testing.T) {
 	var tasks []Task
 	for i, in := range instances {
 		for _, name := range []string{SingleGen, MultipleBest} {
-			tasks = append(tasks, Task{ID: fmt.Sprintf("%d/%s", i, name), Solver: MustGet(name), Instance: in})
+			tasks = append(tasks, Task{ID: fmt.Sprintf("%d/%s", i, name), Engine: MustLookup(name), Request: Request{Instance: in}})
 		}
 	}
 	results, st := Batch(context.Background(), tasks, Options{Workers: 4})
@@ -58,10 +58,11 @@ func TestBatchSolvesAllInOrder(t *testing.T) {
 		if r.Err != nil {
 			t.Errorf("%s: %v", r.Task.ID, r.Err)
 		}
-		if r.Solution == nil || r.Solution.NumReplicas() == 0 {
+		sol := r.Report.Solution
+		if sol == nil || sol.NumReplicas() == 0 {
 			t.Errorf("%s: empty solution", r.Task.ID)
 		}
-		if err := core.Verify(r.Task.Instance, PolicyOf(r.Task.Solver), r.Solution); err != nil {
+		if err := core.Verify(r.Task.Request.Instance, r.Task.Engine.Capabilities().Policy, sol); err != nil {
 			t.Errorf("%s: infeasible: %v", r.Task.ID, err)
 		}
 	}
@@ -86,7 +87,7 @@ func TestBatchIdenticalAcrossWorkerCounts(t *testing.T) {
 		in := gen.RandomInstance(rng, gen.TreeConfig{
 			Internals: 1 + rng.Intn(4), MaxArity: 2, MaxDist: 3, MaxReq: 9,
 		}, true)
-		tasks = append(tasks, Task{Solver: MustGet(MultipleBest), Instance: in})
+		tasks = append(tasks, Task{Engine: MustLookup(MultipleBest), Request: Request{Instance: in}})
 	}
 	seq, _ := Batch(context.Background(), tasks, Options{Workers: 1})
 	par, _ := Batch(context.Background(), tasks, Options{Workers: 8})
@@ -95,36 +96,39 @@ func TestBatchIdenticalAcrossWorkerCounts(t *testing.T) {
 		if (a.Err == nil) != (b.Err == nil) {
 			t.Fatalf("task %d: error divergence: %v vs %v", i, a.Err, b.Err)
 		}
-		if a.Err == nil && a.Solution.NumReplicas() != b.Solution.NumReplicas() {
+		if a.Err == nil && a.Report.Solution.NumReplicas() != b.Report.Solution.NumReplicas() {
 			t.Fatalf("task %d: |R| diverged across worker counts: %d vs %d",
-				i, a.Solution.NumReplicas(), b.Solution.NumReplicas())
+				i, a.Report.Solution.NumReplicas(), b.Report.Solution.NumReplicas())
 		}
 	}
 }
 
-// blockingSolver blocks until its context is cancelled.
-type blockingSolver struct{ started chan struct{} }
-
-func (b *blockingSolver) Name() string { return "test-blocking" }
-func (b *blockingSolver) Solve(ctx context.Context, in *core.Instance) (*core.Solution, error) {
-	select {
-	case b.started <- struct{}{}:
-	default:
-	}
-	<-ctx.Done()
-	return nil, ctx.Err()
+// blockingEngine returns an engine that blocks until its context is
+// cancelled, plus a channel that signals its first solve started.
+func blockingEngine() (Engine, chan struct{}) {
+	started := make(chan struct{}, 1)
+	eng := NewEngine(Capabilities{Name: "test-blocking", Policy: core.Single, SupportsDMax: true},
+		func(ctx context.Context, _ Request) (*core.Solution, int64, error) {
+			select {
+			case started <- struct{}{}:
+			default:
+			}
+			<-ctx.Done()
+			return nil, 0, ctx.Err()
+		})
+	return eng, started
 }
 
 func TestBatchCancellationMidRun(t *testing.T) {
 	in := nodInstance(t)
-	blocker := &blockingSolver{started: make(chan struct{}, 1)}
+	blocker, started := blockingEngine()
 	tasks := make([]Task, 8)
 	for i := range tasks {
-		tasks[i] = Task{Solver: blocker, Instance: in}
+		tasks[i] = Task{Engine: blocker, Request: Request{Instance: in}}
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
-		<-blocker.started // first task is in flight
+		<-started // first task is in flight
 		cancel()
 	}()
 	results, st := Batch(ctx, tasks, Options{Workers: 1})
@@ -146,10 +150,10 @@ func TestBatchCancellationMidRun(t *testing.T) {
 
 func TestBatchPerTaskTimeout(t *testing.T) {
 	in := nodInstance(t)
-	blocker := &blockingSolver{started: make(chan struct{}, 1)}
+	blocker, _ := blockingEngine()
 	tasks := []Task{
-		{Solver: blocker, Instance: in},
-		{Solver: MustGet(SingleGen), Instance: in},
+		{Engine: blocker, Request: Request{Instance: in}},
+		{Engine: MustLookup(SingleGen), Request: Request{Instance: in}},
 	}
 	results, st := Batch(context.Background(), tasks, Options{Workers: 1, Timeout: 20 * time.Millisecond})
 	if !errors.Is(results[0].Err, context.DeadlineExceeded) {
@@ -166,12 +170,18 @@ func TestBatchPerTaskTimeout(t *testing.T) {
 func TestBatchMalformedTasks(t *testing.T) {
 	in := nodInstance(t)
 	results, st := Batch(context.Background(), []Task{
-		{Solver: nil, Instance: in},
-		{Solver: MustGet(SingleGen), Instance: nil},
-		{Solver: MustGet(SingleGen), Instance: in},
+		{Engine: nil, Request: Request{Instance: in}},
+		{Engine: MustLookup(SingleGen), Request: Request{}},
+		{Engine: MustLookup(SingleGen), Request: Request{Instance: in}},
 	}, Options{})
 	if results[0].Err == nil || results[1].Err == nil {
-		t.Error("nil solver / nil instance should fail their tasks")
+		t.Fatal("nil engine / nil instance should fail their tasks")
+	}
+	if got, want := results[0].Err.Error(), "solver: batch task has nil solver"; got != want {
+		t.Errorf("nil engine error %q, want %q", got, want)
+	}
+	if got, want := results[1].Err.Error(), "solver: batch task for "+SingleGen+" has nil instance"; got != want {
+		t.Errorf("nil instance error %q, want %q", got, want)
 	}
 	if results[2].Err != nil {
 		t.Errorf("well-formed task poisoned by malformed neighbours: %v", results[2].Err)

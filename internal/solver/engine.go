@@ -10,10 +10,9 @@ import (
 	"replicatree/internal/tree"
 )
 
-// This file is the v2 solver contract: a typed Request/Report pair
-// around a single Engine interface, plus the Capabilities document
-// every engine publishes through the registry. The v1 Solver contract
-// (solver.go) survives as a thin deprecated shim over it.
+// This file is the solver contract: a typed Request/Report pair around
+// a single Engine interface, plus the Capabilities document every
+// engine publishes through the registry.
 
 // Want expresses a Request's access-policy constraint.
 type Want uint8
@@ -58,8 +57,7 @@ func (w Want) String() string {
 
 // Request is everything a caller can ask of an engine. The zero value
 // plus an Instance is a plain unconstrained solve; every other field
-// tightens or annotates it. It replaces the former idiom of optional
-// interfaces plus context-value smuggling (WithBudget).
+// tightens or annotates it.
 type Request struct {
 	// Instance is the problem to solve. Required.
 	Instance *core.Instance
@@ -67,8 +65,7 @@ type Request struct {
 	// value (AnyPolicy) accepts the engine's native policy.
 	Policy Want
 	// Budget caps the elementary work of budget-aware (exact) engines;
-	// 0 keeps their default. It subsumes the deprecated WithBudget
-	// context idiom, which engines still honour as a fallback.
+	// 0 keeps their default.
 	Budget int64
 	// Deadline, when non-zero, bounds the wall-clock time of the solve
 	// via the context.
@@ -105,8 +102,7 @@ func (r Request) Hint(name string) string {
 }
 
 // Report is the full outcome of one solve: the solution plus the
-// uniform quality metadata (bound, gap, optimality proof, work) that
-// consumers previously re-derived ad hoc.
+// uniform quality metadata (bound, gap, optimality proof, work).
 type Report struct {
 	// Solution is the verified-feasible placement.
 	Solution *core.Solution
@@ -138,7 +134,7 @@ type Report struct {
 	Churn *multiple.Churn
 }
 
-// Engine is the v2 solver contract. Implementations must be safe for
+// Engine is the solver contract. Implementations must be safe for
 // concurrent use; Batch and the HTTP service call them from many
 // goroutines.
 type Engine interface {
@@ -152,8 +148,8 @@ type Engine interface {
 type CostClass uint8
 
 const (
-	// CostUnknown marks engines registered through the deprecated v1
-	// shim, which declares no cost.
+	// CostUnknown is the zero value: an engine that declares no cost
+	// class. The auto portfolio treats it like a polynomial engine.
 	CostUnknown CostClass = iota
 	// CostPolynomial engines are safe on instances of any size.
 	CostPolynomial
@@ -174,8 +170,7 @@ func (c CostClass) String() string {
 	}
 }
 
-// Capabilities is the registry's typed description of one engine. It
-// replaces the PolicyProvider/ExactProvider type-assertion dance: a
+// Capabilities is the registry's typed description of one engine: a
 // consumer reads one document instead of probing optional interfaces,
 // and a missing declaration is an explicit CostUnknown/zero field
 // rather than a silent default.
@@ -217,8 +212,8 @@ type Capabilities struct {
 type engineCore struct {
 	caps Capabilities
 	// fn returns the solution plus the elementary work performed
-	// (0 when untracked). It sees the normalized request: Instance
-	// non-nil, Budget resolved against the deprecated context idiom.
+	// (0 when untracked). It sees a request whose Instance is non-nil
+	// and that passed the capability gates.
 	fn func(ctx context.Context, req Request) (*core.Solution, int64, error)
 	// deltaFn, set only on Delta engines, additionally returns the
 	// churn against Request.Previous for Report.Churn.
@@ -259,8 +254,8 @@ func (e *engineCore) Solve(ctx context.Context, req Request) (Report, error) {
 			e.caps.Name, e.caps.Policy, req.Policy), ErrPolicyUnsupported)
 	}
 	if !e.caps.SupportsDMax && !req.Instance.NoD() {
-		// Same text the requireNoD gate used pre-v2, now carrying the
-		// sentinel for typed handling.
+		// The rendered text names the engine and the finite dmax; the
+		// sentinel carries the class for typed handling.
 		return rep, tag(fmt.Errorf("solver %s: requires a NoD instance (dmax=%d is finite)",
 			e.caps.Name, req.Instance.DMax), ErrPolicyUnsupported)
 	}
@@ -269,9 +264,6 @@ func (e *engineCore) Solve(ctx context.Context, req Request) (Report, error) {
 		// "feasible" placement on a failed node; fail typed instead.
 		return rep, tag(fmt.Errorf("solver %s: cannot honour excluded servers (delta engines only)",
 			e.caps.Name), ErrPolicyUnsupported)
-	}
-	if req.Budget <= 0 {
-		req.Budget = BudgetFrom(ctx) // deprecated context idiom, still honoured
 	}
 	if !req.Deadline.IsZero() {
 		var cancel context.CancelFunc
@@ -328,44 +320,4 @@ func fillBound(rep *Report, req Request) {
 	if rep.LowerBound > 0 {
 		rep.Gap = float64(rep.Solution.NumReplicas()-rep.LowerBound) / float64(rep.LowerBound)
 	}
-}
-
-// AsEngine adapts any v1 Solver to the Engine contract. Solvers
-// obtained from the registry unwrap back to their native engine;
-// foreign solvers are wrapped with capabilities derived from the
-// deprecated optional interfaces (Policy defaulting to Single, cost
-// unknown — the explicit spelling of what PolicyOf used to assume
-// silently).
-func AsEngine(s Solver) Engine {
-	if es, ok := s.(*engineSolver); ok {
-		return es.eng
-	}
-	return NewEngine(Capabilities{
-		Name:         s.Name(),
-		Policy:       PolicyOf(s),
-		Exact:        IsExact(s),
-		SupportsDMax: true,
-		Cost:         CostUnknown,
-		Description:  "externally registered v1 solver",
-	}, func(ctx context.Context, req Request) (*core.Solution, int64, error) {
-		// Re-smuggle the budget for solvers still reading BudgetFrom.
-		sol, err := s.Solve(WithBudget(ctx, req.Budget), req.Instance)
-		return sol, 0, err
-	})
-}
-
-// engineSolver adapts an Engine to the deprecated v1 Solver contract;
-// Get returns these so legacy consumers keep compiling.
-type engineSolver struct {
-	eng Engine
-}
-
-func (s *engineSolver) Name() string        { return s.eng.Name() }
-func (s *engineSolver) Policy() core.Policy { return s.eng.Capabilities().Policy }
-func (s *engineSolver) Exact() bool         { return s.eng.Capabilities().Exact }
-func (s *engineSolver) String() string      { return s.eng.Name() }
-
-func (s *engineSolver) Solve(ctx context.Context, in *core.Instance) (*core.Solution, error) {
-	rep, err := s.eng.Solve(ctx, Request{Instance: in})
-	return rep.Solution, err
 }

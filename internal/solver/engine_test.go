@@ -12,15 +12,13 @@ import (
 	"replicatree/internal/tree"
 )
 
-// nodInstance / withDistanceInstance live in solver_test helpers; this
-// file adds the v2 contract coverage: capabilities, sentinel errors,
-// request constraints and the report block.
+// nodInstance / withDistanceInstance live in batch_test.go; this file
+// covers the engine contract: capabilities, sentinel errors, request
+// constraints and the report block.
 
 // TestCapabilitiesPinned pins every built-in engine's declared
-// capability document — in particular that the v2 migration kept each
-// policy identical to what the v1 optional interfaces declared
-// (the PolicyOf fix: the default is now an explicit field, never a
-// silent fallback).
+// capability document: the policy is always an explicit field, never a
+// silent fallback.
 func TestCapabilitiesPinned(t *testing.T) {
 	want := map[string]Capabilities{
 		SingleGen:      {Policy: core.Single, SupportsDMax: true, Cost: CostPolynomial},
@@ -60,15 +58,6 @@ func TestCapabilitiesPinned(t *testing.T) {
 		if c.Description == "" {
 			t.Errorf("%s: empty description", name)
 		}
-		// The v1 shims must agree with the capability document, so the
-		// migration changed no consumer-visible metadata.
-		s := MustGet(name)
-		if PolicyOf(s) != c.Policy {
-			t.Errorf("%s: PolicyOf shim %v disagrees with capabilities %v", name, PolicyOf(s), c.Policy)
-		}
-		if IsExact(s) != c.Exact {
-			t.Errorf("%s: IsExact shim %v disagrees with capabilities %v", name, IsExact(s), c.Exact)
-		}
 	}
 	// The pin table must cover the whole built-in registry:
 	// registering a new engine without pinning it here is an error
@@ -89,11 +78,6 @@ func TestLookupUnknownSolverSentinel(t *testing.T) {
 	if !strings.Contains(err.Error(), SingleGen) {
 		t.Errorf("error should list the known set: %v", err)
 	}
-	// The deprecated Get shim carries the same sentinel and text.
-	_, gerr := Get("no-such-solver")
-	if !errors.Is(gerr, ErrUnknownSolver) || gerr.Error() != err.Error() {
-		t.Errorf("Get error diverged from Lookup: %v vs %v", gerr, err)
-	}
 }
 
 func TestNoDGateSentinelAndLegacyText(t *testing.T) {
@@ -102,11 +86,11 @@ func TestNoDGateSentinelAndLegacyText(t *testing.T) {
 	if !errors.Is(err, ErrPolicyUnsupported) {
 		t.Fatalf("NoD gate error %v does not wrap ErrPolicyUnsupported", err)
 	}
-	// The rendered message is the pre-v2 text, so /v1 error bodies are
-	// byte-identical.
+	// The rendered message names the engine and the finite dmax; the
+	// /v2 problem detail carries it verbatim.
 	want := "solver single-nod: requires a NoD instance (dmax=" // …d is finite)
 	if !strings.HasPrefix(err.Error(), want) {
-		t.Errorf("legacy gate text changed: %q", err.Error())
+		t.Errorf("gate text changed: %q", err.Error())
 	}
 }
 
@@ -162,12 +146,6 @@ func TestRequestBudgetStarvesExact(t *testing.T) {
 	if errors.Is(err, ErrInfeasible) {
 		t.Error("budget exhaustion mis-tagged as ErrInfeasible")
 	}
-	// Request.Budget wins over nothing — but the deprecated context
-	// idiom still reaches engines when the request leaves it unset.
-	_, err = MustLookup(ExactMultiple).Solve(WithBudget(context.Background(), 1), Request{Instance: in})
-	if !errors.Is(err, exact.ErrBudget) {
-		t.Fatalf("context budget fallback lost: %v", err)
-	}
 }
 
 func TestReportBlock(t *testing.T) {
@@ -216,26 +194,6 @@ func TestRequestDeadline(t *testing.T) {
 		Request{Instance: in, Deadline: time.Now().Add(-time.Second)})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("expired deadline: err = %v, want DeadlineExceeded", err)
-	}
-}
-
-// TestShimRoundTrip pins the adapter identities: Get's Solver shim
-// unwraps back to the registered engine, and repeated Gets return the
-// same shim (stable identity for consumers that compare).
-func TestShimRoundTrip(t *testing.T) {
-	eng := MustLookup(MultipleBest)
-	s1, s2 := MustGet(MultipleBest), MustGet(MultipleBest)
-	if s1 != s2 {
-		t.Error("Get returned distinct shims for one name")
-	}
-	if AsEngine(s1) != eng {
-		t.Error("AsEngine did not unwrap the shim to the registered engine")
-	}
-	// A foreign Solver adapts with explicit defaulted capabilities.
-	foreign := AsEngine(bareSolver{})
-	c := foreign.Capabilities()
-	if c.Policy != core.Single || c.Exact || c.Cost != CostUnknown {
-		t.Errorf("foreign solver capabilities %+v, want explicit Single/heuristic/unknown", c)
 	}
 }
 
@@ -297,27 +255,23 @@ func TestDeltaEngineContract(t *testing.T) {
 	}
 }
 
-// TestBatchReportsFlow pins that Batch fills both the v2 Report and
-// the mirrored v1 Solution on every result.
+// TestBatchReportsFlow pins that Batch fills the full Report on every
+// result.
 func TestBatchReportsFlow(t *testing.T) {
 	in := nodInstance(t)
-	tasks := []Task{
-		{ID: "v2", Engine: MustLookup(MultipleBest), Request: Request{Instance: in}},
-		{ID: "v1", Solver: MustGet(MultipleBest), Instance: in},
-	}
+	tasks := []Task{{ID: "t", Engine: MustLookup(MultipleBest), Request: Request{Instance: in}}}
 	results, st := Batch(context.Background(), tasks, Options{})
-	if st.Solved != 2 {
+	if st.Solved != 1 {
 		t.Fatalf("stats %+v", st)
 	}
-	for _, r := range results {
-		if r.Report.Solution == nil || r.Solution != r.Report.Solution {
-			t.Errorf("task %s: solution mirror broken: %+v", r.Task.ID, r)
-		}
-		if r.Report.Engine != MultipleBest {
-			t.Errorf("task %s: report engine %q", r.Task.ID, r.Report.Engine)
-		}
+	r := results[0]
+	if r.Report.Solution == nil {
+		t.Fatalf("task %s: no solution in report: %+v", r.Task.ID, r)
 	}
-	if a, b := results[0].Report.Solution.NumReplicas(), results[1].Report.Solution.NumReplicas(); a != b {
-		t.Errorf("v1 and v2 task forms disagree: %d vs %d", a, b)
+	if r.Report.Engine != MultipleBest {
+		t.Errorf("task %s: report engine %q", r.Task.ID, r.Report.Engine)
+	}
+	if st.Replicas != r.Report.Solution.NumReplicas() {
+		t.Errorf("stats replicas %d, report says %d", st.Replicas, r.Report.Solution.NumReplicas())
 	}
 }

@@ -2,7 +2,7 @@ package solver
 
 import "errors"
 
-// Sentinel errors of the v2 API. Engines and the registry wrap them
+// Sentinel errors of the solver API. Engines and the registry wrap them
 // with context, so classify with errors.Is rather than string
 // matching; the HTTP service maps each to a dedicated status.
 var (
@@ -19,9 +19,9 @@ var (
 )
 
 // taggedError attaches a sentinel to an underlying error without
-// changing its rendered message: Error() is the legacy text verbatim
-// (keeping /v1 response bodies byte-identical), while errors.Is sees
-// both the original chain and the sentinel.
+// changing its rendered message: Error() is the underlying text
+// verbatim (so problem details name the engine and the cause), while
+// errors.Is sees both the original chain and the sentinel.
 type taggedError struct {
 	err      error
 	sentinel error

@@ -34,36 +34,37 @@ func TestEverySolverVerifies(t *testing.T) {
 	for ii, in := range instances {
 		optimum := map[core.Policy]int{}
 		for _, name := range []string{ExactSingle, ExactMultiple} {
-			s := MustGet(name)
-			sol, err := s.Solve(ctx, in)
+			eng := MustLookup(name)
+			rep, err := eng.Solve(ctx, Request{Instance: in})
 			if err != nil {
 				t.Fatalf("instance %d: %s: %v", ii, name, err)
 			}
-			optimum[PolicyOf(s)] = sol.NumReplicas()
+			optimum[eng.Capabilities().Policy] = rep.Solution.NumReplicas()
 		}
 		if optimum[core.Multiple] > optimum[core.Single] {
 			t.Errorf("instance %d: Multiple optimum %d above Single optimum %d",
 				ii, optimum[core.Multiple], optimum[core.Single])
 		}
-		for _, s := range Solvers() {
-			sol, err := s.Solve(ctx, in)
+		for _, eng := range Engines() {
+			rep, err := eng.Solve(ctx, Request{Instance: in})
 			if err != nil {
 				// Declining an instance (NoD-gated solvers on finite
 				// dmax, budget exhaustion) is legitimate; returning an
 				// infeasible solution is not.
 				continue
 			}
-			pol := PolicyOf(s)
+			caps, sol := eng.Capabilities(), rep.Solution
+			pol := caps.Policy
 			if verr := core.Verify(in, pol, sol); verr != nil {
-				t.Errorf("instance %d: %s: infeasible solution: %v", ii, s.Name(), verr)
+				t.Errorf("instance %d: %s: infeasible solution: %v", ii, eng.Name(), verr)
 			}
 			if sol.NumReplicas() < optimum[pol] {
 				t.Errorf("instance %d: %s returned %d replicas, below the %s optimum %d",
-					ii, s.Name(), sol.NumReplicas(), pol, optimum[pol])
+					ii, eng.Name(), sol.NumReplicas(), pol, optimum[pol])
 			}
-			if IsExact(s) && sol.NumReplicas() != optimum[pol] {
+			if caps.Exact && sol.NumReplicas() != optimum[pol] {
 				t.Errorf("instance %d: exact solver %s returned %d, optimum is %d",
-					ii, s.Name(), sol.NumReplicas(), optimum[pol])
+					ii, eng.Name(), sol.NumReplicas(), optimum[pol])
 			}
 		}
 	}
@@ -74,8 +75,8 @@ func TestEverySolverVerifies(t *testing.T) {
 func TestExactBudgetSurfacesAsError(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	in := gen.RandomInstance(rng, gen.TreeConfig{Internals: 6, MaxArity: 3, MaxDist: 3, MaxReq: 9, ExtraClients: 4}, false)
-	ctx := WithBudget(context.Background(), 2)
-	results, st := Batch(ctx, []Task{{Solver: MustGet(ExactSingle), Instance: in}}, Options{})
+	task := Task{Engine: MustLookup(ExactSingle), Request: Request{Instance: in, Budget: 2}}
+	results, st := Batch(context.Background(), []Task{task}, Options{})
 	if st.Failed != 1 {
 		t.Fatalf("expected budget failure, got %+v", st)
 	}

@@ -13,15 +13,8 @@ import (
 // front, a new policy) without touching consumers.
 var (
 	regMu    sync.RWMutex
-	registry = make(map[string]*regEntry)
+	registry = make(map[string]Engine)
 )
-
-// regEntry pairs an engine with its lazily shared v1 shim, so Get
-// returns a stable Solver identity for a given name.
-type regEntry struct {
-	eng  Engine
-	shim *engineSolver
-}
 
 // RegisterEngine adds an engine under its name. Empty names, nil
 // engines and duplicate names are rejected: a silent overwrite would
@@ -43,7 +36,7 @@ func RegisterEngine(e Engine) error {
 	if _, dup := registry[name]; dup {
 		return fmt.Errorf("solver: duplicate registration of %q", name)
 	}
-	registry[name] = &regEntry{eng: e, shim: &engineSolver{eng: e}}
+	registry[name] = e
 	return nil
 }
 
@@ -60,12 +53,12 @@ func MustRegisterEngine(e Engine) {
 // self-diagnosing and services can map it to 404 with errors.Is.
 func Lookup(name string) (Engine, error) {
 	regMu.RLock()
-	entry, ok := registry[name]
+	e, ok := registry[name]
 	regMu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("%w %q (known: %s)", ErrUnknownSolver, name, strings.Join(List(), ", "))
 	}
-	return entry.eng, nil
+	return e, nil
 }
 
 // MustLookup is Lookup for names the caller knows are built-in.
@@ -83,15 +76,14 @@ func Engines() []Engine {
 	out := make([]Engine, len(names))
 	regMu.RLock()
 	for i, name := range names {
-		out[i] = registry[name].eng
+		out[i] = registry[name]
 	}
 	regMu.RUnlock()
 	return out
 }
 
 // Catalog returns every registered engine's capability document in
-// List() order — the typed replacement for probing PolicyProvider /
-// ExactProvider per solver.
+// List() order.
 func Catalog() []Capabilities {
 	engines := Engines()
 	out := make([]Capabilities, len(engines))
@@ -111,67 +103,4 @@ func List() []string {
 	regMu.RUnlock()
 	sort.Strings(names)
 	return names
-}
-
-// Register adds a v1 Solver under its name, deriving its capability
-// document from the deprecated optional interfaces.
-//
-// Deprecated: implement Engine and use RegisterEngine, which makes
-// the policy, cost class and distance support explicit.
-func Register(s Solver) error {
-	if s == nil {
-		return fmt.Errorf("solver: Register(nil)")
-	}
-	if s.Name() == "" {
-		return fmt.Errorf("solver: Register with empty name")
-	}
-	return RegisterEngine(AsEngine(s))
-}
-
-// MustRegister is Register for init-time use; it panics on error.
-//
-// Deprecated: use MustRegisterEngine.
-func MustRegister(s Solver) {
-	if err := Register(s); err != nil {
-		panic(err)
-	}
-}
-
-// Get returns the solver registered under name as a v1 Solver shim.
-//
-// Deprecated: use Lookup; the returned Engine's Report carries the
-// bound/gap/proof metadata this shim discards.
-func Get(name string) (Solver, error) {
-	regMu.RLock()
-	entry, ok := registry[name]
-	regMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("%w %q (known: %s)", ErrUnknownSolver, name, strings.Join(List(), ", "))
-	}
-	return entry.shim, nil
-}
-
-// MustGet is Get for names the caller knows are built-in.
-//
-// Deprecated: use MustLookup.
-func MustGet(name string) Solver {
-	s, err := Get(name)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
-// Solvers returns the registered solvers as v1 shims in List() order.
-//
-// Deprecated: use Engines or Catalog.
-func Solvers() []Solver {
-	names := List()
-	out := make([]Solver, len(names))
-	regMu.RLock()
-	for i, name := range names {
-		out[i] = registry[name].shim
-	}
-	regMu.RUnlock()
-	return out
 }

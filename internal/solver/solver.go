@@ -4,140 +4,11 @@
 // heterogeneous solvers — behind one contract, one registry and one
 // parallel batch runner.
 //
-// The contract (v2) is a typed request/response pair: an Engine turns
-// a Request (instance + policy constraint + budget + deadline + hints)
+// The contract is a typed request/response pair: an Engine turns a
+// Request (instance + policy constraint + budget + deadline + hints)
 // into a Report (solution + lower bound + gap + work + optimality
 // proof), and publishes a Capabilities document through the registry
 // so consumers select engines by declared properties instead of
 // type-asserting optional interfaces. The "auto" engine is a
 // capability-driven portfolio over the whole registry.
-//
-// The original minimal contract — Solver, PolicyOf/IsExact and the
-// WithBudget context idiom — survives in this file as a deprecated
-// shim layer over the engines; see DESIGN.md for the migration table.
 package solver
-
-import (
-	"context"
-	"fmt"
-
-	"replicatree/internal/core"
-)
-
-// Solver is the deprecated v1 contract: a name and a bare solve.
-//
-// Deprecated: implement or consume Engine instead; Request/Report
-// carry everything this interface and its optional companions spread
-// over type assertions and context values.
-type Solver interface {
-	Name() string
-	Solve(ctx context.Context, in *core.Instance) (*core.Solution, error)
-}
-
-// PolicyProvider is implemented by v1 solvers that know which access
-// policy their solutions obey.
-//
-// Deprecated: read Capabilities.Policy from the engine instead.
-type PolicyProvider interface {
-	Policy() core.Policy
-}
-
-// ExactProvider is implemented by v1 solvers that return a provably
-// optimal solution (possibly within a work budget).
-//
-// Deprecated: read Capabilities.Exact from the engine instead.
-type ExactProvider interface {
-	Exact() bool
-}
-
-// PolicyOf returns the access policy of s, defaulting to Single for
-// solvers that do not declare one. The default is silent — the exact
-// trap Capabilities removes: an engine's Capabilities.Policy is always
-// an explicit declaration, never a fallback.
-//
-// Deprecated: use Engine.Capabilities().Policy.
-func PolicyOf(s Solver) core.Policy {
-	if p, ok := s.(PolicyProvider); ok {
-		return p.Policy()
-	}
-	return core.Single
-}
-
-// IsExact reports whether s declares itself an exact solver.
-//
-// Deprecated: use Engine.Capabilities().Exact.
-func IsExact(s Solver) bool {
-	if e, ok := s.(ExactProvider); ok {
-		return e.Exact()
-	}
-	return false
-}
-
-// funcSolver adapts a plain function to the deprecated Solver
-// contract, carrying the metadata the old optional interfaces expose.
-type funcSolver struct {
-	name  string
-	pol   core.Policy
-	exact bool
-	fn    func(context.Context, *core.Instance) (*core.Solution, error)
-}
-
-func (s *funcSolver) Name() string        { return s.name }
-func (s *funcSolver) Policy() core.Policy { return s.pol }
-func (s *funcSolver) Exact() bool         { return s.exact }
-
-func (s *funcSolver) Solve(ctx context.Context, in *core.Instance) (*core.Solution, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if in == nil {
-		return nil, fmt.Errorf("solver %s: nil instance", s.name)
-	}
-	return s.fn(ctx, in)
-}
-
-func (s *funcSolver) String() string { return s.name }
-
-// New wraps a context-aware solve function as a v1 Solver.
-//
-// Deprecated: use NewEngine with an explicit Capabilities document.
-func New(name string, pol core.Policy, fn func(context.Context, *core.Instance) (*core.Solution, error)) Solver {
-	return &funcSolver{name: name, pol: pol, fn: fn}
-}
-
-// Wrap adapts the repository's prevailing context-less algorithm
-// signature to the v1 Solver contract.
-//
-// Deprecated: use NewEngine with an explicit Capabilities document.
-func Wrap(name string, pol core.Policy, fn func(*core.Instance) (*core.Solution, error)) Solver {
-	return &funcSolver{name: name, pol: pol, fn: func(_ context.Context, in *core.Instance) (*core.Solution, error) {
-		return fn(in)
-	}}
-}
-
-// budgetKey carries the work budget for exact solvers through the
-// context — the v1 smuggling idiom Request.Budget replaces.
-type budgetKey struct{}
-
-// WithBudget returns a context that instructs exact solvers to cap
-// their search at the given work budget (0 keeps their default).
-//
-// Deprecated: set Request.Budget instead. Engines keep honouring the
-// context value as a fallback so v1 callers behave unchanged.
-func WithBudget(ctx context.Context, budget int64) context.Context {
-	if budget <= 0 {
-		return ctx
-	}
-	return context.WithValue(ctx, budgetKey{}, budget)
-}
-
-// BudgetFrom extracts the work budget from ctx, or 0 if unset.
-//
-// Deprecated: read Request.Budget; engines resolve the context
-// fallback themselves.
-func BudgetFrom(ctx context.Context) int64 {
-	if b, ok := ctx.Value(budgetKey{}).(int64); ok {
-		return b
-	}
-	return 0
-}

@@ -2,6 +2,7 @@ package solver
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"replicatree/internal/core"
+	"replicatree/internal/exact"
 )
 
 func TestBuiltinsRegistered(t *testing.T) {
@@ -24,51 +26,76 @@ func TestBuiltinsRegistered(t *testing.T) {
 		MultipleBin, MultipleLazy, MultipleBest, MultipleGreedy,
 		ExactSingle, ExactMultiple, LPRound, HeteroGreedy, HeteroExact,
 	} {
-		if _, err := Get(want); err != nil {
+		if _, err := Lookup(want); err != nil {
 			t.Errorf("built-in %q missing: %v", want, err)
 		}
 	}
-	if len(Solvers()) != len(names) {
-		t.Errorf("Solvers() returned %d entries for %d names", len(Solvers()), len(names))
+	if len(Engines()) != len(names) {
+		t.Errorf("Engines() returned %d entries for %d names", len(Engines()), len(names))
 	}
 }
 
+// trivialEngine is a registrable Single-policy engine that returns
+// core.Trivial; caps.Name may deliberately differ from name.
+type trivialEngine struct {
+	name string
+	caps Capabilities
+}
+
+func (e trivialEngine) Name() string               { return e.name }
+func (e trivialEngine) Capabilities() Capabilities { return e.caps }
+func (e trivialEngine) Solve(_ context.Context, req Request) (Report, error) {
+	return Report{Solution: core.Trivial(req.Instance), Policy: core.Single, Engine: e.name}, nil
+}
+
+func newTrivialEngine(name string) Engine {
+	return trivialEngine{name: name, caps: Capabilities{Name: name, Policy: core.Single, SupportsDMax: true}}
+}
+
 func TestRegisterRejectsCollisionsAndNil(t *testing.T) {
-	if err := Register(nil); err == nil {
-		t.Error("Register(nil) should fail")
+	if err := RegisterEngine(nil); err == nil {
+		t.Error("RegisterEngine(nil) should fail")
 	}
-	if err := Register(Wrap("", core.Single, nil)); err == nil {
-		t.Error("Register with empty name should fail")
+	if err := RegisterEngine(newTrivialEngine("")); err == nil {
+		t.Error("RegisterEngine with empty name should fail")
 	}
-	if err := Register(Wrap(SingleGen, core.Single, nil)); err == nil {
+	if err := RegisterEngine(newTrivialEngine(SingleGen)); err == nil {
 		t.Error("duplicate registration should fail")
 	} else if !strings.Contains(err.Error(), SingleGen) {
 		t.Errorf("duplicate error should name the solver: %v", err)
 	}
-	// A fresh name registers and is visible to Get and List. The
+	// A fresh name registers and is visible to Lookup and List. The
 	// registry is process-global with no Unregister, so the name must
 	// be unique per invocation (go test -count=N reuses the process).
 	name := fmt.Sprintf("test-tmp-solver-%d", atomic.AddInt32(&tmpSolverSeq, 1))
-	tmp := Wrap(name, core.Single, func(in *core.Instance) (*core.Solution, error) {
-		return core.Trivial(in), nil
-	})
-	if err := Register(tmp); err != nil {
+
+	// An engine whose capability document names another engine is
+	// rejected, and the rejection leaves the name free.
+	mislabelled := trivialEngine{name: name, caps: Capabilities{Name: name + "-other", Policy: core.Single}}
+	if err := RegisterEngine(mislabelled); err == nil {
+		t.Error("capabilities naming another engine should fail")
+	} else if !strings.Contains(err.Error(), name+"-other") {
+		t.Errorf("mislabel error should name both names: %v", err)
+	}
+
+	tmp := newTrivialEngine(name)
+	if err := RegisterEngine(tmp); err != nil {
 		t.Fatalf("fresh registration failed: %v", err)
 	}
-	if err := Register(tmp); err == nil {
+	if err := RegisterEngine(tmp); err == nil {
 		t.Error("re-registration should fail")
 	}
-	if _, err := Get(name); err != nil {
-		t.Errorf("registered solver not gettable: %v", err)
+	if got, err := Lookup(name); err != nil || got != tmp {
+		t.Errorf("registered engine not found by Lookup: %v, %v", got, err)
 	}
 }
 
 var tmpSolverSeq int32
 
 func TestGetUnknownListsKnown(t *testing.T) {
-	_, err := Get("no-such-solver")
-	if err == nil {
-		t.Fatal("unknown solver should fail")
+	_, err := Lookup("no-such-solver")
+	if !errors.Is(err, ErrUnknownSolver) {
+		t.Fatalf("unknown solver error %v does not wrap ErrUnknownSolver", err)
 	}
 	if !strings.Contains(err.Error(), SingleGen) || !strings.Contains(err.Error(), "no-such-solver") {
 		t.Errorf("error should name the typo and the known set: %v", err)
@@ -91,32 +118,20 @@ func TestPolicyAndExactMetadata(t *testing.T) {
 		{HeteroExact, core.Multiple, true},
 	}
 	for _, c := range cases {
-		s := MustGet(c.name)
-		if got := PolicyOf(s); got != c.pol {
-			t.Errorf("%s: policy = %v, want %v", c.name, got, c.pol)
+		caps := MustLookup(c.name).Capabilities()
+		if caps.Policy != c.pol {
+			t.Errorf("%s: policy = %v, want %v", c.name, caps.Policy, c.pol)
 		}
-		if got := IsExact(s); got != c.exact {
-			t.Errorf("%s: exact = %v, want %v", c.name, got, c.exact)
+		if caps.Exact != c.exact {
+			t.Errorf("%s: exact = %v, want %v", c.name, caps.Exact, c.exact)
 		}
 	}
-	// A solver without metadata defaults to Single / not exact.
-	bare := bareSolver{}
-	if PolicyOf(bare) != core.Single || IsExact(bare) {
-		t.Error("metadata defaults wrong for bare solver")
-	}
-}
-
-type bareSolver struct{}
-
-func (bareSolver) Name() string { return "bare" }
-func (bareSolver) Solve(context.Context, *core.Instance) (*core.Solution, error) {
-	return nil, nil
 }
 
 func TestNoDGating(t *testing.T) {
 	in := withDistanceInstance(t)
 	for _, name := range []string{SingleNoD, SinglePassUp, SingleBest, SinglePushUp} {
-		if _, err := MustGet(name).Solve(context.Background(), in); err == nil {
+		if _, err := MustLookup(name).Solve(context.Background(), Request{Instance: in}); err == nil {
 			t.Errorf("%s on a distance-constrained instance should fail", name)
 		}
 	}
@@ -125,24 +140,16 @@ func TestNoDGating(t *testing.T) {
 func TestSolveHonoursCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := MustGet(SingleGen).Solve(ctx, nodInstance(t)); err == nil {
+	if _, err := MustLookup(SingleGen).Solve(ctx, Request{Instance: nodInstance(t)}); err == nil {
 		t.Error("cancelled context should fail before solving")
 	}
 }
 
 func TestBudgetContext(t *testing.T) {
-	ctx := context.Background()
-	if got := BudgetFrom(ctx); got != 0 {
-		t.Fatalf("BudgetFrom(empty) = %d", got)
-	}
-	if got := BudgetFrom(WithBudget(ctx, 42)); got != 42 {
-		t.Fatalf("BudgetFrom = %d, want 42", got)
-	}
-	if WithBudget(ctx, 0) != ctx {
-		t.Error("WithBudget(0) should be a no-op")
-	}
-	// A starvation budget must abort the exact search with an error.
-	if _, err := MustGet(ExactMultiple).Solve(WithBudget(ctx, 1), nodInstance(t)); err == nil {
-		t.Error("budget of 1 should exhaust the exact solver")
+	// A starvation budget must abort the exact search with the typed
+	// budget error.
+	_, err := MustLookup(ExactMultiple).Solve(context.Background(), Request{Instance: nodInstance(t), Budget: 1})
+	if !errors.Is(err, exact.ErrBudget) {
+		t.Errorf("budget of 1: err = %v, want exact.ErrBudget", err)
 	}
 }
