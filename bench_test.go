@@ -599,10 +599,11 @@ func BenchmarkE13_ConjectureProbe(b *testing.B) {
 }
 
 // benchWarmSolve measures Engine.Solve on a ~200-node binary instance
-// through the public seam, cold (fresh heap per solve) or warm
-// (scratch-backed session buffers, zero allocations once ingested).
-// The cold/warm pairs are the recorded trajectory of BENCH_008.json
-// (cmd/benchrec runs the same shapes).
+// through the public seam. The "Cold" variants lend no scratch, so
+// each solve borrows a pooled one, re-ingests the instance and clones
+// the solution out; the "Warm" variants lend one scratch whose
+// session buffers stay bound to the instance (zero allocations once
+// ingested).
 func benchWarmSolve(b *testing.B, name string, warm bool) {
 	rng := rand.New(rand.NewSource(97))
 	eng := solver.MustLookup(name)

@@ -1,0 +1,77 @@
+package replicatree_test
+
+// A distance bound of 0 (every client served locally) is a valid
+// instance in both forms: the pointer instance and the flat/chunked
+// instance apply the same parameter checks, so a dmax = 0 instance
+// streams, hashes, bounds, decomposes and certifies the same way on
+// either side.
+
+import (
+	"bytes"
+	"context"
+	"math/rand"
+	"testing"
+
+	"replicatree/internal/core"
+	"replicatree/internal/decomp"
+	"replicatree/internal/gen"
+	"replicatree/internal/solver"
+	"replicatree/internal/tree"
+)
+
+func TestZeroDMaxChunkedRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(83))
+	in := gen.RandomInstance(rng, gen.TreeConfig{Internals: 40, MaxArity: 3, MaxDist: 3, MaxReq: 8}, true)
+	in.DMax = 0
+	if err := in.Validate(); err != nil {
+		t.Fatalf("pointer instance rejects dmax = 0: %v", err)
+	}
+
+	var buf bytes.Buffer
+	fi := &core.FlatInstance{Flat: tree.Flatten(in.Tree), W: in.W, DMax: in.DMax}
+	if err := core.WriteChunked(&buf, fi, 16); err != nil {
+		t.Fatalf("WriteChunked: %v", err)
+	}
+	got, err := core.ReadChunked(&buf)
+	if err != nil {
+		t.Fatalf("ReadChunked: %v", err)
+	}
+	if got.W != in.W || got.DMax != 0 {
+		t.Fatalf("round trip changed the parameters: W=%d dmax=%d, want W=%d dmax=0", got.W, got.DMax, in.W)
+	}
+	if h, want := got.CanonicalHash(), in.CanonicalHash(); h != want {
+		t.Fatalf("flat hash %s, pointer hash %s", h, want)
+	}
+	if lb, want := got.LowerBound(), core.LowerBound(in); lb != want {
+		t.Fatalf("flat lower bound %d, pointer lower bound %d", lb, want)
+	}
+
+	ctx := context.Background()
+	res, err := decomp.SolveFlat(ctx, got, decomp.Options{TargetPieceSize: 8, Verify: true})
+	if err != nil {
+		t.Fatalf("decomp.SolveFlat: %v", err)
+	}
+	flatErr := got.Verify(core.Multiple, res.Solution)
+	ptrErr := core.Verify(in, core.Multiple, res.Solution)
+	if flatErr != nil || ptrErr != nil {
+		t.Fatalf("decomp solution: flat verify %v, pointer verify %v", flatErr, ptrErr)
+	}
+	if res.LowerBound != core.LowerBound(in) {
+		t.Fatalf("decomp lower bound %d, pointer lower bound %d", res.LowerBound, core.LowerBound(in))
+	}
+
+	rep, err := solver.MustLookup(solver.MultipleGreedy).Solve(ctx, solver.Request{Instance: in})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := solver.Certify(in, &rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.VerifyAgainst(in); err != nil {
+		t.Fatalf("certificate against the pointer instance: %v", err)
+	}
+	if err := c.VerifyAgainstFlat(got); err != nil {
+		t.Fatalf("certificate against the flat instance: %v", err)
+	}
+}

@@ -63,13 +63,7 @@ func (fi *FlatInstance) Validate() error {
 	if fi.Flat == nil || fi.Flat.Len() == 0 {
 		return errors.New("core: flat instance has no tree")
 	}
-	if fi.W <= 0 {
-		return fmt.Errorf("core: server capacity W must be positive, got %d", fi.W)
-	}
-	if fi.DMax <= 0 {
-		return fmt.Errorf("core: distance bound must be positive or NoDistance, got %d", fi.DMax)
-	}
-	return nil
+	return validateParams(fi.W, fi.DMax)
 }
 
 // Instance materialises the pointer-tree twin. This allocates the

@@ -60,11 +60,18 @@ func (in *Instance) Validate() error {
 	if err := in.Tree.Validate(); err != nil {
 		return err
 	}
-	if in.W <= 0 {
-		return fmt.Errorf("core: non-positive capacity W=%d", in.W)
+	return validateParams(in.W, in.DMax)
+}
+
+// validateParams is the W/DMax check both instance forms apply: a
+// positive capacity and a non-negative distance bound (0 lets every
+// client be served only locally).
+func validateParams(w, dmax int64) error {
+	if w <= 0 {
+		return fmt.Errorf("core: non-positive capacity W=%d", w)
 	}
-	if in.DMax < 0 {
-		return fmt.Errorf("core: negative distance bound dmax=%d", in.DMax)
+	if dmax < 0 {
+		return fmt.Errorf("core: negative distance bound dmax=%d", dmax)
 	}
 	return nil
 }

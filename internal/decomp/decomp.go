@@ -200,7 +200,7 @@ func solvePieces(ctx context.Context, fi *core.FlatInstance, eng solver.Engine, 
 				},
 			})
 		}
-		results, _ := solver.Batch(ctx, tasks, solver.Options{Workers: opt.Workers, WarmScratch: true})
+		results, _ := solver.Batch(ctx, tasks, solver.Options{Workers: opt.Workers})
 		for k := range results {
 			r := &results[k]
 			p := &pieces[lo+k]

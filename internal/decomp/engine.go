@@ -20,8 +20,9 @@ func init() {
 
 // newEngine wraps SolveFlat in the standard engine contract. The
 // pointer-tree request is flattened on entry; the huge-tree paths
-// (cmd/replica -stream, benchrec) skip this wrapper and call
-// SolveFlat directly so no pointer tree ever exists.
+// (cmd/replica -stream, the replicabench huge-tree workload) skip
+// this wrapper and call SolveFlat directly so no pointer tree ever
+// exists.
 //
 // Request hints: "decomp-piece-size", "decomp-rounds" and
 // "decomp-engine" override the corresponding Options fields.

@@ -217,24 +217,10 @@ func (s *Server) solveCached(ctx context.Context, eng solver.Engine, req solver.
 		return out, nil
 	}
 	begin := time.Now()
-	// Lend the engine a pooled scratch: warm-capable engines then solve
-	// on recycled session buffers instead of fresh heap, which is where
-	// a cache-miss solve spends most of its allocations. The solution a
-	// warm solve reports is scratch-owned, so it is detached with Clone
-	// before the scratch returns to the pool (engines without a warm
-	// path ignore the scratch; the extra copy of their small solution
-	// is noise next to the solve).
-	sc := solver.GetScratch()
-	req.Scratch = sc
 	rep, err := eng.Solve(ctx, req)
 	if err != nil {
-		solver.PutScratch(sc)
 		return out, err
 	}
-	if rep.Solution != nil {
-		rep.Solution = rep.Solution.Clone()
-	}
-	solver.PutScratch(sc)
 	s.metrics.Solve(name, time.Since(begin))
 	if err := core.Verify(req.Instance, rep.Policy, rep.Solution); err != nil {
 		return out, fmt.Errorf("%w: solver %s: %v", errVerification, name, err)

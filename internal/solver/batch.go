@@ -53,14 +53,6 @@ type Options struct {
 	// solve goroutine is abandoned, which is safe for this
 	// repository's budgeted, side-effect-free solvers).
 	Timeout time.Duration
-	// WarmScratch lends each task a pooled Scratch, so warm-capable
-	// engines solve on reusable session buffers instead of allocating
-	// per task — the fan-out path of the decomp engine's piece solves.
-	// Scratch-owned solutions are cloned into the Result before the
-	// scratch is pooled again, so results stay valid indefinitely.
-	// Tasks whose Request already carries a Scratch keep their own
-	// (and their results then follow the usual session-buffer rules).
-	WarmScratch bool
 }
 
 // Stats aggregates a finished batch.
@@ -169,24 +161,6 @@ func runTask(ctx context.Context, t Task, opt Options) Result {
 		res.Err = err
 		return res
 	}
-	eng, req := t.Engine, t.Request
-	var sc *Scratch
-	if opt.WarmScratch && req.Scratch == nil {
-		sc = GetScratch()
-		req.Scratch = sc
-	}
-	// settle reclaims the lent scratch after a real outcome: the
-	// scratch-owned solution is cloned first so the Result survives
-	// the scratch's next session.
-	settle := func(rep *Report) {
-		if sc == nil {
-			return
-		}
-		if rep.Solution != nil {
-			rep.Solution = rep.Solution.Clone()
-		}
-		PutScratch(sc)
-	}
 	tctx := ctx
 	if opt.Timeout > 0 {
 		var cancel context.CancelFunc
@@ -204,15 +178,14 @@ func runTask(ctx context.Context, t Task, opt Options) Result {
 		// task (go tool pprof -tags): with decomp's piece solves and
 		// auto's candidate races both funnelling through Batch, the
 		// labels are what keeps per-piece/per-engine time apart.
-		pprof.Do(tctx, pprof.Labels("batch_engine", eng.Name(), "batch_task", t.ID), func(c context.Context) {
-			rep, err := eng.Solve(c, req)
+		pprof.Do(tctx, pprof.Labels("batch_engine", t.Engine.Name(), "batch_task", t.ID), func(c context.Context) {
+			rep, err := t.Engine.Solve(c, t.Request)
 			ch <- outcome{rep, err}
 		})
 	}()
 	select {
 	case o := <-ch:
 		res.Report, res.Err = o.rep, o.err
-		settle(&res.Report)
 	case <-tctx.Done():
 		// The solve may have finished in the same instant the deadline
 		// fired; both select cases ready means a random pick, so drain
@@ -220,12 +193,8 @@ func runTask(ctx context.Context, t Task, opt Options) Result {
 		select {
 		case o := <-ch:
 			res.Report, res.Err = o.rep, o.err
-			settle(&res.Report)
 		default:
 			res.Err = tctx.Err()
-			// The abandoned solve goroutine still owns the lent scratch;
-			// it is simply never pooled again — losing one scratch is
-			// cheaper than racing its buffers.
 		}
 	}
 	res.Elapsed = time.Since(begin)

@@ -6,7 +6,6 @@ import (
 	"replicatree/internal/core"
 	"replicatree/internal/exact"
 	"replicatree/internal/hetero"
-	"replicatree/internal/lp"
 	"replicatree/internal/multiple"
 	"replicatree/internal/single"
 )
@@ -67,21 +66,19 @@ func plain(fn func(*core.Instance) (*core.Solution, error)) func(context.Context
 	}
 }
 
-// warmable pairs a cold solve function with its warm-path session
-// twin. When the request lends a Scratch and the instance ingests
-// cleanly, the solve runs on the scratch's reusable buffers — zero
-// heap allocations once warm, session-owned solution. Any ingest
-// failure (an invalid instance) falls back to the cold function,
-// which reproduces the validation error verbatim.
-func warmable(cold func(*core.Instance) (*core.Solution, error), warm func(*Scratch) (*core.Solution, error)) func(context.Context, Request) (*core.Solution, int64, error) {
-	return func(_ context.Context, req Request) (*core.Solution, int64, error) {
-		if sc := req.Scratch; sc != nil && sc.ingest(req.Instance) == nil {
-			sol, err := warm(sc)
-			return sol, 0, err
+// newSessionEngine registers a polynomial built-in by its session
+// solve: the request's instance is ingested into req.Scratch (lent by
+// the caller, or borrowed from the pool by engineCore.Solve) and
+// solved on its reusable buffers. An invalid instance fails ingestion
+// with the instance's validation error.
+func newSessionEngine(caps Capabilities, solve func(*Scratch) (*core.Solution, error)) Engine {
+	return &engineCore{caps: caps, session: true, fn: func(_ context.Context, req Request) (*core.Solution, int64, error) {
+		if err := req.Scratch.ingest(req.Instance); err != nil {
+			return nil, 0, err
 		}
-		sol, err := cold(req.Instance)
+		sol, err := solve(req.Scratch)
 		return sol, 0, err
-	}
+	}}
 }
 
 // exactFn adapts the exact branch-and-bound solvers, threading
@@ -97,12 +94,12 @@ func exactFn(fn func(*core.Instance, exact.Options) (*core.Solution, error)) fun
 
 func init() {
 	poly, expo := CostPolynomial, CostExponential
-	MustRegisterEngine(NewEngine(
+	MustRegisterEngine(newSessionEngine(
 		caps(SingleGen, core.Single, false, true, false, poly, "Algorithm 1: greedy bottom-up, (Δ+1)-approximation"),
-		warmable(single.Gen, func(sc *Scratch) (*core.Solution, error) { return sc.single.Gen() })))
-	MustRegisterEngine(NewEngine(
+		func(sc *Scratch) (*core.Solution, error) { return sc.single.Gen() }))
+	MustRegisterEngine(newSessionEngine(
 		caps(SingleNoD, core.Single, false, false, false, poly, "Algorithm 2: 2-approximation for Single without distance bound"),
-		warmable(single.NoD, func(sc *Scratch) (*core.Solution, error) { return sc.single.NoD() })))
+		func(sc *Scratch) (*core.Solution, error) { return sc.single.NoD() }))
 	MustRegisterEngine(NewEngine(
 		caps(SinglePassUp, core.Single, false, false, false, poly, "pass-up variant of Algorithm 2"),
 		plain(single.NoDPassUp)))
@@ -118,18 +115,18 @@ func init() {
 			}
 			return single.PushUp(in, sol), nil
 		})))
-	MustRegisterEngine(NewEngine(
+	MustRegisterEngine(newSessionEngine(
 		caps(MultipleBin, core.Multiple, false, true, false, poly, "Algorithm 3 (eager): optimal on binary trees with ri ≤ W"),
-		warmable(multiple.Bin, func(sc *Scratch) (*core.Solution, error) { return sc.multiple.Bin() })))
-	MustRegisterEngine(NewEngine(
+		func(sc *Scratch) (*core.Solution, error) { return sc.multiple.Bin() }))
+	MustRegisterEngine(newSessionEngine(
 		caps(MultipleLazy, core.Multiple, false, true, false, poly, "lazy variant of Algorithm 3"),
-		warmable(multiple.Lazy, func(sc *Scratch) (*core.Solution, error) { return sc.multiple.Lazy() })))
-	MustRegisterEngine(NewEngine(
+		func(sc *Scratch) (*core.Solution, error) { return sc.multiple.Lazy() }))
+	MustRegisterEngine(newSessionEngine(
 		caps(MultipleBest, core.Multiple, false, true, false, poly, "min(multiple-bin, multiple-lazy)"),
-		warmable(multiple.Best, func(sc *Scratch) (*core.Solution, error) { return sc.multiple.Best() })))
-	MustRegisterEngine(NewEngine(
+		func(sc *Scratch) (*core.Solution, error) { return sc.multiple.Best() }))
+	MustRegisterEngine(newSessionEngine(
 		caps(MultipleGreedy, core.Multiple, false, true, false, poly, "general-arity generalisation of Algorithm 3"),
-		warmable(multiple.Greedy, func(sc *Scratch) (*core.Solution, error) { return sc.multiple.Greedy() })))
+		func(sc *Scratch) (*core.Solution, error) { return sc.multiple.Greedy() }))
 	MustRegisterEngine(NewDeltaEngine(
 		caps(MultipleReplan, core.Multiple, false, true, false, poly, "adapt a previous placement with minimal churn (delta engine)"),
 		func(_ context.Context, req Request) (*core.Solution, *multiple.Churn, int64, error) {
@@ -151,17 +148,14 @@ func init() {
 	MustRegisterEngine(NewEngine(
 		sized(caps(ExactMultiple, core.Multiple, true, true, false, expo, "optimal Multiple via set enumeration with a max-flow oracle"), autoExactMaxNodes),
 		exactFn(exact.SolveMultiple)))
-	MustRegisterEngine(NewEngine(
+	MustRegisterEngine(newSessionEngine(
 		sized(caps(LPRound, core.Multiple, false, true, false, poly, "LP relaxation support rounding"), lpRoundMaxNodes),
-		func(_ context.Context, req Request) (*core.Solution, int64, error) {
-			if sc := req.Scratch; sc != nil && sc.ingest(req.Instance) == nil {
-				if s, ok := sc.lpSession(); ok {
-					sol, err := s.Placement()
-					return sol, 0, err
-				}
+		func(sc *Scratch) (*core.Solution, error) {
+			s, err := sc.lpSession()
+			if err != nil {
+				return nil, err
 			}
-			sol, err := lp.Placement(req.Instance)
-			return sol, 0, err
+			return s.Placement()
 		}))
 	MustRegisterEngine(NewEngine(
 		caps(HeteroGreedy, core.Multiple, false, true, true, poly, "heterogeneous greedy, run at uniform capacity"),

@@ -76,13 +76,14 @@ type Request struct {
 	// computation on hot paths, and the auto engine's "exact" hint
 	// ("force"/"skip") overrides its size gate for exact candidates.
 	Hints map[string]string
-	// Scratch, when non-nil, lends the engine reusable working memory
-	// for the warm solve path: the polynomial built-ins then solve on
-	// pooled session buffers with zero heap allocations once warm.
-	// The Report's Solution is owned by the scratch and valid only
-	// until its next solve — clone it before PutScratch. Engines
-	// without a warm path ignore the field. A Scratch must never be
-	// shared across concurrent requests.
+	// Scratch, when non-nil, lends the engine the working memory its
+	// session solves on, so a caller that re-solves can keep the
+	// session buffers warm: zero heap allocations once the instance is
+	// ingested. The Report's Solution is then owned by the scratch and
+	// valid only until its next solve — clone it before PutScratch.
+	// When nil, session engines borrow a pooled scratch for the solve
+	// and return a detached Solution. Other engines ignore the field.
+	// A Scratch must never be shared across concurrent requests.
 	Scratch *Scratch
 	// Previous, when non-nil, hands a delta-capable engine
 	// (Capabilities.Delta) the placement it should adapt instead of
@@ -218,6 +219,9 @@ type engineCore struct {
 	// deltaFn, set only on Delta engines, additionally returns the
 	// churn against Request.Previous for Report.Churn.
 	deltaFn func(ctx context.Context, req Request) (*core.Solution, *multiple.Churn, int64, error)
+	// session marks engines whose fn solves on req.Scratch: Solve
+	// borrows a pooled scratch when the caller lends none.
+	session bool
 }
 
 // NewEngine wraps a solve function and its capability document as a
@@ -276,6 +280,13 @@ func (e *engineCore) Solve(ctx context.Context, req Request) (Report, error) {
 			return rep, err
 		}
 	}
+	// A borrowed scratch outlives fillBound (which reads its bound
+	// tables) and is pooled again only after the solution is detached.
+	borrowed := e.session && req.Scratch == nil
+	if borrowed {
+		req.Scratch = GetScratch()
+		defer PutScratch(req.Scratch)
+	}
 	var (
 		sol   *core.Solution
 		churn *multiple.Churn
@@ -299,6 +310,9 @@ func (e *engineCore) Solve(ctx context.Context, req Request) (Report, error) {
 	rep.Solution = sol
 	rep.Proved = e.caps.Exact
 	fillBound(&rep, req)
+	if borrowed {
+		rep.Solution = sol.Clone()
+	}
 	rep.Elapsed = time.Since(begin)
 	return rep, nil
 }

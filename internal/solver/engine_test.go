@@ -3,6 +3,7 @@ package solver
 import (
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -273,5 +274,51 @@ func TestBatchReportsFlow(t *testing.T) {
 	}
 	if st.Replicas != r.Report.Solution.NumReplicas() {
 		t.Errorf("stats replicas %d, report says %d", st.Replicas, r.Report.Solution.NumReplicas())
+	}
+}
+
+// TestSessionEngineScratchOwnership pins who owns a session engine's
+// scratch: an unlent solve returns a solution detached from the pooled
+// scratch it ran on, a lent solve stays bound to the caller's scratch,
+// and PutScratch unbinds a scratch and drops its LP relaxation.
+func TestSessionEngineScratchOwnership(t *testing.T) {
+	ctx := context.Background()
+	in := nodInstance(t)
+	eng := MustLookup(LPRound)
+
+	pooled, err := eng.Solve(ctx, Request{Instance: in})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := NewScratch()
+	lent, err := eng.Solve(ctx, Request{Instance: in, Scratch: sc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := eng.Solve(ctx, Request{Instance: in, Scratch: sc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A session reuses its solution buffer, so scratch-owned solutions
+	// of one scratch share a pointer.
+	if again.Solution != lent.Solution || sc.in != in || !sc.lpBound {
+		t.Fatalf("lent solve did not run on the caller's scratch (bound %v, lp %v)", sc.in == in, sc.lpBound)
+	}
+	// The next pooled solve most likely reuses the same scratch; a
+	// detached solution survives it.
+	want := pooled.Solution.Clone()
+	if _, err := eng.Solve(ctx, Request{Instance: withDistanceInstance(t)}); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(pooled.Solution, want) {
+		t.Fatal("an unlent solve returned a scratch-owned solution")
+	}
+	if lent.LowerBound != pooled.LowerBound || lent.Solution.NumReplicas() != pooled.Solution.NumReplicas() {
+		t.Fatalf("lent %+v and pooled %+v solves differ", lent, pooled)
+	}
+
+	PutScratch(sc)
+	if sc.in != nil || !reflect.ValueOf(sc.lp).IsZero() {
+		t.Fatal("PutScratch kept the instance binding or the LP relaxation")
 	}
 }

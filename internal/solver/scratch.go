@@ -10,29 +10,30 @@ import (
 	"replicatree/internal/tree"
 )
 
-// Scratch is the reusable working memory of the warm solve path. A
-// request that lends one (Request.Scratch) lets the polynomial
-// built-in engines — single-gen, single-nod, the multiple-* family and
-// lp-round — run on pooled session buffers instead of fresh heap:
-// after the first solve has grown the buffers, a warm solve on an
-// already-ingested instance performs zero heap allocations and returns
-// the same Report the cold path would (the session parity tests in
-// internal/single, internal/multiple and internal/lp pin solution
-// equality; the TestAllocs gate pins the allocation count).
+// Scratch is the working memory of the session engines — single-gen,
+// single-nod, the multiple-* family and lp-round — which always solve
+// on a scratch's reusable session buffers. A caller that lends one
+// (Request.Scratch) keeps those buffers across solves: after the first
+// solve has grown them, a solve on an already-ingested instance
+// performs zero heap allocations (the TestAllocs gate pins the count).
+// A caller that lends none gets one borrowed from the pool for the
+// duration of the solve. Either way the answer is the reference
+// algorithm's (the session parity tests in internal/single,
+// internal/multiple and internal/lp pin solution equality).
 //
-// Ingestion is implicit: each warm-capable engine ingests the
-// request's instance on first sight, validating it once and building
-// the flat SoA twin plus the per-algorithm sessions. Re-solving the
-// same *core.Instance (same tree pointer, W and DMax) skips ingestion
+// Ingestion is implicit: each session engine ingests the request's
+// instance on first sight, validating it once and building the flat
+// SoA twin plus the per-algorithm sessions. Re-solving the same
+// *core.Instance (same tree pointer, W and DMax) skips ingestion
 // entirely — that is the hot path.
 //
 // Ownership rules:
 //   - A Scratch is NOT safe for concurrent use. Never share one
 //     across goroutines (the auto portfolio deliberately strips it
 //     from its candidate requests for this reason).
-//   - Report.Solution from a warm solve points into the scratch and
-//     is valid only until the next solve on it. Clone the solution
-//     before releasing the scratch with PutScratch.
+//   - Report.Solution from a solve on a lent scratch points into the
+//     scratch and is valid only until the next solve on it. Clone the
+//     solution before releasing the scratch with PutScratch.
 type Scratch struct {
 	// Ingest key: pointer identity of the instance and its tree plus
 	// the scalar knobs, so a mutated-in-place instance re-ingests.
@@ -47,11 +48,12 @@ type Scratch struct {
 	multiple multiple.Session
 
 	// The LP relaxation is the one ingest product that is expensive to
-	// build (it materialises the simplex problem), so it is constructed
-	// lazily on the first lp-round solve of each ingested instance.
+	// build and to keep (it materialises the dense simplex problem), so
+	// it is constructed lazily on the first lp-round solve of each
+	// ingested instance and dropped by PutScratch.
 	lp      lp.Session
-	lpBound bool // lp.Reset ran for the current instance
-	lpOK    bool // ... and succeeded
+	lpBound bool  // lp.Reset ran for the current instance
+	lpErr   error // ... and failed with this error
 }
 
 // NewScratch returns a fresh unpooled Scratch. Most callers should
@@ -67,9 +69,13 @@ func GetScratch() *Scratch { return scratchPool.Get().(*Scratch) }
 
 // PutScratch returns a Scratch to the pool. The caller must not touch
 // the scratch — including any session-owned Solution obtained from it
-// — after the call.
+// — after the call. The scratch is unbound, so its next solve
+// re-ingests, and its LP relaxation is dropped: that is megabytes at a
+// few hundred nodes, rebuilt for every new instance anyway, and kept
+// in pooled scratches it would multiply by their number.
 func PutScratch(sc *Scratch) {
 	if sc != nil {
+		sc.in, sc.lp = nil, lp.Session{}
 		scratchPool.Put(sc)
 	}
 }
@@ -95,13 +101,13 @@ func (sc *Scratch) ingest(in *core.Instance) error {
 	return nil
 }
 
-// lpSession returns the lazily-ingested LP session, or ok=false when
-// the relaxation could not be built (the caller then falls back to the
-// cold path, which reproduces the build error verbatim).
-func (sc *Scratch) lpSession() (*lp.Session, bool) {
+// lpSession returns the lazily-ingested LP session, or the error the
+// relaxation failed to build with (both lp entry points build it with
+// the same code, so the reference reports the same error).
+func (sc *Scratch) lpSession() (*lp.Session, error) {
 	if !sc.lpBound {
 		sc.lpBound = true
-		sc.lpOK = sc.lp.Reset(sc.in, &sc.flat) == nil
+		sc.lpErr = sc.lp.Reset(sc.in, &sc.flat)
 	}
-	return &sc.lp, sc.lpOK
+	return &sc.lp, sc.lpErr
 }
