@@ -484,12 +484,11 @@ func serviceSolveBody(b *testing.B) []byte {
 	return body
 }
 
-func benchServiceSolve(b *testing.B, cacheSize int) {
+func benchServiceSolve(b *testing.B, cacheSize int, body []byte) {
 	srv := service.New(service.Options{CacheSize: cacheSize})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
-	body := serviceSolveBody(b)
 
 	post := func() bool {
 		resp, err := http.Post(ts.URL+"/v2/solve", "application/json", bytes.NewReader(body))
@@ -514,15 +513,34 @@ func benchServiceSolve(b *testing.B, cacheSize int) {
 	} else if cached := post(); cached != wantCached {
 		b.Fatalf("cache state: got cached=%v, want %v", cached, wantCached)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		post()
 	}
 }
 
-func BenchmarkServiceSolveV2Cold(b *testing.B) { benchServiceSolve(b, 0) }
+func BenchmarkServiceSolveV2Cold(b *testing.B) { benchServiceSolve(b, 0, serviceSolveBody(b)) }
 func BenchmarkServiceSolveV2Warm(b *testing.B) {
-	benchServiceSolve(b, service.DefaultCacheSize)
+	benchServiceSolve(b, service.DefaultCacheSize, serviceSolveBody(b))
+}
+
+// BenchmarkSolveCacheHit times a cached POST /v2/solve, client
+// included, on binary trees of ~210 and ~2k nodes: the engines do no
+// work, so request decoding and response encoding set the cost.
+func BenchmarkSolveCacheHit(b *testing.B) {
+	for _, internals := range []int{150, 1500} {
+		rng := rand.New(rand.NewSource(29))
+		t := gen.RandomTree(rng, gen.TreeConfig{Internals: internals, MaxArity: 2, MaxDist: 4, MaxReq: 10})
+		in := &core.Instance{Tree: t, W: max(t.MaxRequests(), t.TotalRequests()/16), DMax: 2 * int64(t.Height())}
+		body, err := json.Marshal(service.SolveRequestV2{Solver: solver.SingleGen, Instance: in})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("nodes=%d", t.Len()), func(b *testing.B) {
+			benchServiceSolve(b, service.DefaultCacheSize, body)
+		})
+	}
 }
 
 func BenchmarkCanonicalHash(b *testing.B) {

@@ -3,8 +3,10 @@ package core
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 
 	"replicatree/internal/tree"
+	"replicatree/internal/wire"
 )
 
 // Wire format for instances: dmax is omitted (or null) for NoD.
@@ -25,8 +27,16 @@ func (in *Instance) MarshalJSON() ([]byte, error) {
 	return json.Marshal(j)
 }
 
-// UnmarshalJSON decodes and validates an instance.
+// UnmarshalJSON decodes and validates an instance. The canonical form
+// is scanned in one pass (ScanInstance); any other input, and any
+// input that fails validation, is decoded again by encoding/json, the
+// reference.
 func (in *Instance) UnmarshalJSON(data []byte) error {
+	s := wire.NewScanner(data)
+	if ni := ScanInstance(&s); s.End() {
+		*in = *ni
+		return nil
+	}
 	var j instanceJSON
 	if err := json.Unmarshal(data, &j); err != nil {
 		return err
@@ -40,4 +50,32 @@ func (in *Instance) UnmarshalJSON(data []byte) error {
 	}
 	*in = ni
 	return nil
+}
+
+var instanceKeys = []string{"tree", "w", "dmax"}
+
+// ScanInstance decodes and validates the instance at s's position in
+// one pass. It returns nil, with s declined, when the input is not in
+// the canonical form (see package wire) or the instance is invalid;
+// the caller then decodes the bytes with encoding/json instead.
+func ScanInstance(s *wire.Scanner) *Instance {
+	in := &Instance{DMax: NoDistance}
+	s.Object()
+	var seen uint64
+	for i := s.Field(instanceKeys, &seen); i >= 0; i = s.Field(instanceKeys, &seen) {
+		switch i {
+		case 0:
+			in.Tree = tree.Scan(s)
+		case 1:
+			in.W = s.Int(math.MinInt64, math.MaxInt64)
+		case 2:
+			in.DMax = s.Int(math.MinInt64, math.MaxInt64)
+		}
+	}
+	// tree.Scan has validated the tree; the rest of Validate is this.
+	if !s.OK() || in.Tree == nil || validateParams(in.W, in.DMax) != nil {
+		s.Decline()
+		return nil
+	}
+	return in
 }

@@ -27,11 +27,6 @@ const (
 	ProblemJobLost = "urn:replicatree:problem:job-lost"
 )
 
-// maxBodyBytes mirrors the service's request-body cap: the router
-// buffers bodies for replay across failover attempts, so it enforces
-// the same bound before any worker sees the bytes.
-const maxBodyBytes = 64 << 20
-
 // statusClientClosed mirrors the service's 499 convention.
 const statusClientClosed = 499
 
@@ -113,20 +108,6 @@ func (rec *recorder) Write(p []byte) (int, error) {
 		rec.WriteHeader(http.StatusOK)
 	}
 	return rec.body.Write(p)
-}
-
-// readBody buffers the request body under the size cap; tooLarge
-// distinguishes the cap from a plain read failure.
-func readBody(w http.ResponseWriter, r *http.Request) (body []byte, tooLarge bool, err error) {
-	body, err = io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			return nil, true, fmt.Errorf("request body exceeds %d bytes", mbe.Limit)
-		}
-		return nil, false, err
-	}
-	return body, false, nil
 }
 
 // candidates returns the workers to try for key, in ring-successor
@@ -218,9 +199,7 @@ func (rt *Router) problem(w http.ResponseWriter, endpoint, typ, title string, st
 	rt.metrics.Request(endpoint, status)
 	w.Header().Set("Content-Type", "application/problem+json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(p)
+	_ = json.NewEncoder(w).Encode(p)
 }
 
 // dispatch is the shared solve/batch path: buffer the body, extract
@@ -228,11 +207,14 @@ func (rt *Router) problem(w http.ResponseWriter, endpoint, typ, title string, st
 // fleet problem. It returns the serving worker and its response for
 // endpoint-specific bookkeeping (nil on failure).
 func (rt *Router) dispatch(w http.ResponseWriter, r *http.Request, endpoint string, key func([]byte) string) (*Worker, *recorder) {
-	body, tooLarge, err := readBody(w, r)
+	body, release, err := service.ReadBody(w, r)
+	defer release()
 	if err != nil {
 		status, typ := http.StatusBadRequest, service.ProblemBadRequest
-		if tooLarge {
+		var mbe *http.MaxBytesError
+		if errors.As(err, &mbe) {
 			status, typ = http.StatusRequestEntityTooLarge, service.ProblemTooLarge
+			err = fmt.Errorf("request body exceeds %d bytes", mbe.Limit)
 		}
 		rt.problem(w, endpoint, typ, "invalid request body", status, err)
 		return nil, nil
@@ -251,13 +233,11 @@ func (rt *Router) dispatch(w http.ResponseWriter, r *http.Request, endpoint stri
 // solveKey extracts the canonical instance hash from a solve body
 // ("" when absent or malformed — the worker then renders the error).
 func solveKey(body []byte) string {
-	var probe struct {
-		Instance *core.Instance `json:"instance"`
-	}
-	if json.Unmarshal(body, &probe) != nil || probe.Instance == nil {
+	req, err := service.DecodeSolveRequest(body)
+	if err != nil || req.Instance == nil {
 		return ""
 	}
-	return probe.Instance.CanonicalHash()
+	return req.Instance.CanonicalHash()
 }
 
 // batchKey routes a whole batch by its first task's instance: one
@@ -402,7 +382,5 @@ func (rt *Router) writeJSON(w http.ResponseWriter, endpoint string, status int, 
 	rt.metrics.Request(endpoint, status)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }

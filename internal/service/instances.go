@@ -2,6 +2,7 @@ package service
 
 import (
 	"container/list"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -53,12 +54,39 @@ type InstanceDoc struct {
 	Solver string `json:"solver"`
 	Nodes  int    `json:"nodes"`
 	W      int64  `json:"w"`
-	DMax   int64  `json:"dmax,omitempty"`
+	// DMax is the instance's distance bound, core.NoDistance for none.
+	// As in the instance codec, "dmax" is absent exactly for NoD, so a
+	// bound of 0 is written as 0.
+	DMax int64 `json:"dmax"`
 	// Solved reports whether the session holds a placement yet.
 	Solved bool `json:"solved"`
 	// TTLMS is the idle lifetime; each request against the session
 	// resets the clock.
 	TTLMS float64 `json:"ttl_ms"`
+}
+
+// MarshalJSON omits "dmax" when DMax is core.NoDistance.
+func (d InstanceDoc) MarshalJSON() ([]byte, error) {
+	type plain InstanceDoc
+	if d.DMax != core.NoDistance {
+		return json.Marshal(plain(d))
+	}
+	// The outer, nil DMax hides the embedded one.
+	return json.Marshal(struct {
+		plain
+		DMax *int64 `json:"dmax,omitempty"`
+	}{plain: plain(d)})
+}
+
+// UnmarshalJSON reads an absent "dmax" as core.NoDistance.
+func (d *InstanceDoc) UnmarshalJSON(data []byte) error {
+	type plain InstanceDoc
+	p := plain{DMax: core.NoDistance}
+	if err := json.Unmarshal(data, &p); err != nil {
+		return err
+	}
+	*d = InstanceDoc(p)
+	return nil
 }
 
 // MutateRequest is the body of POST /v2/instances/{id}/mutate: a batch
@@ -260,18 +288,15 @@ func (st *instanceStore) len() int {
 func (s *Server) instanceDoc(sess *delta.Session) InstanceDoc {
 	in := sess.Instance()
 	_, solved := sess.Report()
-	doc := InstanceDoc{
+	return InstanceDoc{
 		ID:     sess.ID(),
 		Solver: sess.Engine(),
 		Nodes:  in.Tree.Len(),
 		W:      in.W,
+		DMax:   in.DMax,
 		Solved: solved,
 		TTLMS:  durMS(s.instances.ttl),
 	}
-	if in.DMax != core.NoDistance {
-		doc.DMax = in.DMax
-	}
-	return doc
 }
 
 func (s *Server) handleInstancePut(w http.ResponseWriter, r *http.Request) {

@@ -335,3 +335,37 @@ func TestInstanceConcurrentMutators(t *testing.T) {
 		t.Fatalf("final solution: %d\n%s", resp.StatusCode, body)
 	}
 }
+
+// TestInstanceDocDMax: the session header writes "dmax" exactly when
+// the instance has a distance bound, 0 included, so that it reads back
+// the way the instance codec reads an instance.
+func TestInstanceDocDMax(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	for _, dmax := range []int64{0, 7, core.NoDistance} {
+		in := sessionInstance()
+		in.DMax = dmax
+		resp, body := doJSON(t, http.MethodPut, ts.URL+"/v2/instances/"+in.CanonicalHash(),
+			InstancePutRequest{Solver: solver.SingleGen, Instance: in})
+		if resp.StatusCode != http.StatusCreated {
+			t.Fatalf("dmax %d: PUT %d\n%s", dmax, resp.StatusCode, body)
+		}
+		var raw map[string]json.RawMessage
+		if err := json.Unmarshal(body, &raw); err != nil {
+			t.Fatal(err)
+		}
+		got, present := raw["dmax"]
+		switch {
+		case dmax == core.NoDistance && present:
+			t.Errorf("NoD session: dmax %s present", got)
+		case dmax != core.NoDistance && string(got) != fmt.Sprint(dmax):
+			t.Errorf("dmax %d: got %q", dmax, got)
+		}
+		var doc InstanceDoc
+		if err := json.Unmarshal(body, &doc); err != nil {
+			t.Fatal(err)
+		}
+		if doc.DMax != dmax {
+			t.Errorf("dmax %d: the document reads back as %d", dmax, doc.DMax)
+		}
+	}
+}

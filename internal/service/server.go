@@ -155,13 +155,19 @@ const statusClientClosed = 499
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) (int, error) {
 	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	if err := json.NewDecoder(body).Decode(v); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			return http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds %d bytes", tooLarge.Limit)
-		}
-		return http.StatusBadRequest, fmt.Errorf("invalid request: %w", err)
+		return bodyError(err)
 	}
 	return http.StatusOK, nil
+}
+
+// bodyError maps a failed body decode onto its HTTP status and the
+// error to report.
+func bodyError(err error) (int, error) {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds %d bytes", tooLarge.Limit)
+	}
+	return http.StatusBadRequest, fmt.Errorf("invalid request: %w", err)
 }
 
 // solveOutcome is the result of one cached-or-fresh solve: the full
@@ -250,9 +256,7 @@ func (s *Server) writeJSON(w http.ResponseWriter, endpoint string, status int, v
 	s.metrics.Request(endpoint, status)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v) // the status line is already out; nothing to salvage
+	_ = json.NewEncoder(w).Encode(v) // the status line is already out; nothing to salvage
 }
 
 // cachingEngine routes a batch task's Solve through the server's

@@ -260,9 +260,7 @@ func (s *Server) writeProblem(w http.ResponseWriter, endpoint string, p Problem)
 	s.metrics.Request(endpoint, p.Status)
 	w.Header().Set("Content-Type", "application/problem+json")
 	w.WriteHeader(p.Status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(p) // the status line is already out; nothing to salvage
+	_ = json.NewEncoder(w).Encode(p) // the status line is already out; nothing to salvage
 }
 
 // parseWant maps the wire policy constraint onto solver.Want.
@@ -331,8 +329,8 @@ func parseTimeout(ms int64) (time.Duration, error) {
 func (s *Server) handleSolveV2(w http.ResponseWriter, r *http.Request) {
 	const endpoint = "/v2/solve"
 	begin := time.Now()
-	var req SolveRequestV2
-	if status, err := decodeBody(w, r, &req); err != nil {
+	req, status, err := decodeSolveBody(w, r)
+	if err != nil {
 		typ := ProblemBadRequest
 		if status == http.StatusRequestEntityTooLarge {
 			typ = ProblemTooLarge

@@ -3,8 +3,12 @@ package tree
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 	"strings"
+	"sync"
+
+	"replicatree/internal/wire"
 )
 
 // This file implements serialisation of trees: a JSON wire format used
@@ -44,16 +48,112 @@ func (t *Tree) MarshalJSON() ([]byte, error) {
 }
 
 // UnmarshalJSON decodes a tree from the flat node-list format and
-// validates it.
+// validates it. The canonical form is scanned in one pass (Scan); any
+// other input, and any input that fails to build, is decoded again by
+// encoding/json, the reference.
 func (t *Tree) UnmarshalJSON(data []byte) error {
+	s := wire.NewScanner(data)
+	if nt := Scan(&s); s.End() {
+		*t = *nt
+		return nil
+	}
 	var jt jsonTree
 	if err := json.Unmarshal(data, &jt); err != nil {
 		return err
 	}
-	nodes := make([]Node, len(jt.Nodes))
-	for _, jn := range jt.Nodes {
+	nt, err := build(jt.Root, jt.Nodes)
+	if err != nil {
+		return err
+	}
+	*t = *nt
+	return nil
+}
+
+var (
+	treeKeys = []string{"root", "nodes"}
+	nodeKeys = []string{"id", "parent", "dist", "requests", "label"}
+)
+
+// maxPooledNodes bounds the staging slices kept for reuse, so one huge
+// tree does not pin its staging memory for the life of the process.
+const maxPooledNodes = 1 << 16
+
+var stagingPool = sync.Pool{New: func() any { return new([]jsonNode) }}
+
+// Scan decodes, builds and validates the tree at s's position in one
+// pass. It returns nil, with s declined, when the input is not in the
+// canonical form (see package wire) or the tree does not build; the
+// caller then decodes the bytes with encoding/json instead.
+func Scan(s *wire.Scanner) *Tree {
+	if !s.OK() {
+		return nil
+	}
+	sp := stagingPool.Get().(*[]jsonNode)
+	nodes := (*sp)[:0]
+	// json.Marshal writes at least 29 bytes per node, so a marshalled
+	// node list fits this capacity without growing.
+	if need := s.Remaining()/24 + 1; cap(nodes) < need {
+		nodes = make([]jsonNode, 0, need)
+	}
+	var root NodeID
+	s.Object()
+	var seen uint64
+	for i := s.Field(treeKeys, &seen); i >= 0; i = s.Field(treeKeys, &seen) {
+		if i == 0 {
+			root = NodeID(s.Int(math.MinInt32, math.MaxInt32))
+		} else {
+			nodes = scanNodes(s, nodes)
+		}
+	}
+	var t *Tree
+	if s.OK() {
+		var err error
+		if t, err = build(root, nodes); err != nil {
+			s.Decline()
+		}
+	}
+	if cap(nodes) <= maxPooledNodes {
+		clear(nodes) // drop the labels
+		*sp = nodes[:0]
+		stagingPool.Put(sp)
+	}
+	return t
+}
+
+// scanNodes appends the node list at s's position to nodes.
+func scanNodes(s *wire.Scanner, nodes []jsonNode) []jsonNode {
+	s.Array()
+	for first := true; s.Elem(first); first = false {
+		var n jsonNode
+		s.Object()
+		var seen uint64
+		for i := s.Field(nodeKeys, &seen); i >= 0; i = s.Field(nodeKeys, &seen) {
+			switch i {
+			case 0:
+				n.ID = NodeID(s.Int(math.MinInt32, math.MaxInt32))
+			case 1:
+				n.Parent = NodeID(s.Int(math.MinInt32, math.MaxInt32))
+			case 2:
+				n.Dist = s.Int(math.MinInt64, math.MaxInt64)
+			case 3:
+				n.Requests = s.Int(math.MinInt64, math.MaxInt64)
+			case 4:
+				n.Label = s.String()
+			}
+		}
+		nodes = append(nodes, n)
+	}
+	return nodes
+}
+
+// build is the arena builder both decode paths share, so they agree on
+// every error: it places the wire nodes by ID, links each node's
+// children in ID order and validates the tree.
+func build(root NodeID, list []jsonNode) (*Tree, error) {
+	nodes := make([]Node, len(list))
+	for _, jn := range list {
 		if jn.ID < 0 || int(jn.ID) >= len(nodes) {
-			return fmt.Errorf("tree: json node id %d out of range [0,%d)", jn.ID, len(nodes))
+			return nil, fmt.Errorf("tree: json node id %d out of range [0,%d)", jn.ID, len(nodes))
 		}
 		nodes[jn.ID] = Node{
 			Parent:   jn.Parent,
@@ -62,26 +162,41 @@ func (t *Tree) UnmarshalJSON(data []byte) error {
 			Label:    jn.Label,
 		}
 	}
-	// Rebuild children lists in node-ID order for determinism.
-	for _, jn := range jt.Nodes {
+	// Count each node's children, then carve every child list out of
+	// one shared array, capped so that no list can grow into the next.
+	counts := make([]int32, len(nodes))
+	total := 0
+	for _, jn := range list {
 		if jn.Parent != None {
 			if jn.Parent < 0 || int(jn.Parent) >= len(nodes) {
-				return fmt.Errorf("tree: json node %d has out-of-range parent %d", jn.ID, jn.Parent)
+				return nil, fmt.Errorf("tree: json node %d has out-of-range parent %d", jn.ID, jn.Parent)
 			}
-			nodes[jn.Parent].Children = append(nodes[jn.Parent].Children, jn.ID)
+			counts[jn.Parent]++
+			total++
+		}
+	}
+	children := make([]NodeID, total)
+	off := 0
+	for j, c := range counts {
+		if c > 0 {
+			nodes[j].Children = children[off : off : off+int(c)]
+			off += int(c)
+		}
+	}
+	for _, jn := range list {
+		if jn.Parent != None {
+			p := &nodes[jn.Parent]
+			p.Children = append(p.Children, jn.ID)
 		}
 	}
 	for j := range nodes {
-		sort.Slice(nodes[j].Children, func(a, b int) bool {
-			return nodes[j].Children[a] < nodes[j].Children[b]
-		})
+		slices.Sort(nodes[j].Children)
 	}
-	nt := Tree{nodes: nodes, root: jt.Root}
-	if err := nt.Validate(); err != nil {
-		return err
+	t := &Tree{nodes: nodes, root: root}
+	if err := t.Validate(); err != nil {
+		return nil, err
 	}
-	*t = nt
-	return nil
+	return t, nil
 }
 
 // DOT renders the tree in Graphviz format. Nodes listed in replicas are

@@ -121,58 +121,69 @@ func (t *Tree) Validate() error {
 		return errors.New("tree: root must be an internal node (paper: r ∈ N)")
 	}
 	seen := make([]bool, len(t.nodes))
-	var walk func(j NodeID, depth int) error
-	walk = func(j NodeID, depth int) error {
-		if !t.Valid(j) {
-			return fmt.Errorf("tree: node id %d out of range", j)
-		}
-		if seen[j] {
-			return fmt.Errorf("tree: node %d reached twice (cycle or shared child)", j)
-		}
-		if depth > len(t.nodes) {
-			return errors.New("tree: depth exceeds node count (cycle)")
-		}
-		seen[j] = true
-		n := &t.nodes[j]
-		if n.Requests < 0 {
-			return fmt.Errorf("tree: node %d has negative requests %d", j, n.Requests)
-		}
-		if j != t.root {
-			if n.Dist < 0 {
-				return fmt.Errorf("tree: node %d has negative edge length %d", j, n.Dist)
-			}
-			if n.Dist == Infinity {
-				return fmt.Errorf("tree: node %d has infinite edge length", j)
-			}
-		}
-		if len(n.Children) == 0 {
-			// Leaf: must be a client. (A request count of zero is
-			// allowed; such clients are trivially satisfied.)
-			return nil
-		}
-		if n.Requests != 0 {
-			return fmt.Errorf("tree: internal node %d has requests %d", j, n.Requests)
-		}
-		for _, c := range n.Children {
-			if !t.Valid(c) {
-				return fmt.Errorf("tree: node %d has out-of-range child %d", j, c)
-			}
-			if t.nodes[c].Parent != j {
-				return fmt.Errorf("tree: child %d of %d has parent %d", c, j, t.nodes[c].Parent)
-			}
-			if err := walk(c, depth+1); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := walk(t.root, 0); err != nil {
+	if err := t.visit(t.root, seen); err != nil {
 		return err
+	}
+	// Depth-first from the root, in child order. The walk keeps its
+	// path on the heap, not the goroutine stack: a path-shaped tree of
+	// a million nodes fits in a request body.
+	type frame struct {
+		j    NodeID
+		next int32 // index of the next child to enter
+	}
+	stack := []frame{{j: t.root}}
+	for len(stack) > 0 {
+		f := &stack[len(stack)-1]
+		j, kids := f.j, t.nodes[f.j].Children
+		if int(f.next) == len(kids) {
+			stack = stack[:len(stack)-1]
+			continue
+		}
+		c := kids[f.next]
+		f.next++
+		if !t.Valid(c) {
+			return fmt.Errorf("tree: node %d has out-of-range child %d", j, c)
+		}
+		if t.nodes[c].Parent != j {
+			return fmt.Errorf("tree: child %d of %d has parent %d", c, j, t.nodes[c].Parent)
+		}
+		if err := t.visit(c, seen); err != nil {
+			return err
+		}
+		if len(t.nodes[c].Children) > 0 {
+			stack = append(stack, frame{j: c})
+		}
 	}
 	for j := range seen {
 		if !seen[j] {
 			return fmt.Errorf("tree: node %d unreachable from root", j)
 		}
+	}
+	return nil
+}
+
+// visit checks the node-local invariants of j on its first visit.
+func (t *Tree) visit(j NodeID, seen []bool) error {
+	if seen[j] {
+		return fmt.Errorf("tree: node %d reached twice (cycle or shared child)", j)
+	}
+	seen[j] = true
+	n := &t.nodes[j]
+	if n.Requests < 0 {
+		return fmt.Errorf("tree: node %d has negative requests %d", j, n.Requests)
+	}
+	if j != t.root {
+		if n.Dist < 0 {
+			return fmt.Errorf("tree: node %d has negative edge length %d", j, n.Dist)
+		}
+		if n.Dist == Infinity {
+			return fmt.Errorf("tree: node %d has infinite edge length", j)
+		}
+	}
+	// A leaf must be a client. (A request count of zero is allowed;
+	// such clients are trivially satisfied.)
+	if len(n.Children) > 0 && n.Requests != 0 {
+		return fmt.Errorf("tree: internal node %d has requests %d", j, n.Requests)
 	}
 	return nil
 }

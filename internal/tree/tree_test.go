@@ -2,6 +2,7 @@ package tree
 
 import (
 	"encoding/json"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -255,40 +256,82 @@ func TestCloneIsDeep(t *testing.T) {
 }
 
 func TestValidateRejectsBadTrees(t *testing.T) {
-	mk := func(mut func(*Tree)) error {
-		tr := sample(t).Clone()
-		mut(tr)
-		return tr.Validate()
-	}
-	if err := mk(func(tr *Tree) {}); err != nil {
+	if err := sample(t).Validate(); err != nil {
 		t.Fatalf("sample should validate, got %v", err)
 	}
-	if err := mk(func(tr *Tree) { tr.nodes[1].Requests = 5 }); err == nil {
-		t.Error("internal node with requests should fail")
+	// Each case names the first error of the depth-first walk, in
+	// child order; the last one has two faults and must report the one
+	// the walk reaches first.
+	cases := []struct {
+		name string
+		mut  func(*Tree)
+		want string
+	}{
+		{"internal node with requests", func(tr *Tree) { tr.nodes[1].Requests = 5 }, "tree: internal node 1 has requests 5"},
+		{"negative requests", func(tr *Tree) { tr.nodes[3].Requests = -1 }, "tree: node 3 has negative requests -1"},
+		{"negative edge length", func(tr *Tree) { tr.nodes[3].Dist = -2 }, "tree: node 3 has negative edge length -2"},
+		{"infinite edge length", func(tr *Tree) { tr.nodes[3].Dist = Infinity }, "tree: node 3 has infinite edge length"},
+		{"self-parent", func(tr *Tree) { tr.nodes[1].Parent = 1 }, "tree: child 1 of 0 has parent 1"},
+		{"unreachable node", func(tr *Tree) { tr.nodes[0].Children = tr.nodes[0].Children[:1] }, "tree: node 2 unreachable from root"},
+		{"child listed twice", func(tr *Tree) { tr.nodes[1].Children = []NodeID{3, 3} }, "tree: node 3 reached twice (cycle or shared child)"},
+		{"out-of-range child", func(tr *Tree) { tr.nodes[2].Children = []NodeID{9} }, "tree: node 2 has out-of-range child 9"},
+		{"root out of range", func(tr *Tree) { tr.root = 9 }, "tree: root 9 out of range"},
+		{"root with a parent", func(tr *Tree) { tr.nodes[0].Parent = 2 }, "tree: root 0 has a parent"},
+		{"first fault in walk order", func(tr *Tree) { tr.nodes[5].Requests = -1; tr.nodes[4].Dist = -1 }, "tree: node 4 has negative edge length -1"},
 	}
-	if err := mk(func(tr *Tree) { tr.nodes[3].Requests = -1 }); err == nil {
-		t.Error("negative requests should fail")
-	}
-	if err := mk(func(tr *Tree) { tr.nodes[3].Dist = -2 }); err == nil {
-		t.Error("negative edge length should fail")
-	}
-	if err := mk(func(tr *Tree) { tr.nodes[1].Parent = 1 }); err == nil {
-		t.Error("self-parent should fail")
-	}
-	if err := mk(func(tr *Tree) { tr.nodes[0].Children = tr.nodes[0].Children[:1] }); err == nil {
-		t.Error("unreachable node should fail")
-	}
-	if err := mk(func(tr *Tree) { tr.nodes[3].Dist = Infinity }); err == nil {
-		t.Error("infinite edge length should fail")
+	for _, c := range cases {
+		tr := sample(t).Clone()
+		c.mut(tr)
+		if err := tr.Validate(); err == nil || err.Error() != c.want {
+			t.Errorf("%s: got %v, want %q", c.name, err, c.want)
+		}
 	}
 	// Empty and single-node trees.
 	empty := &Tree{}
-	if err := empty.Validate(); err == nil {
-		t.Error("empty tree should fail")
+	if err := empty.Validate(); err == nil || err.Error() != "tree: empty tree" {
+		t.Errorf("empty tree: got %v", err)
 	}
 	single := &Tree{nodes: []Node{{Parent: None, Requests: 3}}, root: 0}
-	if err := single.Validate(); err == nil {
-		t.Error("single-node tree should fail (root must be internal)")
+	if err := single.Validate(); err == nil || err.Error() != "tree: root must be an internal node (paper: r ∈ N)" {
+		t.Errorf("single-node tree: got %v", err)
+	}
+}
+
+// TestValidateDeepPath: a path-shaped tree of a million nodes, about
+// 40 MB of JSON and so under the service's body cap, validates without
+// growing the goroutine stack by its depth.
+func TestValidateDeepPath(t *testing.T) {
+	const n = 1_000_000
+	nodes := make([]Node, n)
+	kids := make([]NodeID, n-1)
+	for j := range nodes {
+		nodes[j].Parent = NodeID(j - 1)
+		nodes[j].Dist = 1
+		if j < n-1 {
+			kids[j] = NodeID(j + 1)
+			nodes[j].Children = kids[j : j+1 : j+1]
+		}
+	}
+	nodes[0].Dist = 0
+	nodes[n-1].Requests = 1
+	tr := &Tree{nodes: nodes}
+	// A fresh goroutine starts on a small stack; read StackInuse on it
+	// before Validate returns and the stack could shrink.
+	var before, after runtime.MemStats
+	var err error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		runtime.ReadMemStats(&before)
+		err = tr.Validate()
+		runtime.ReadMemStats(&after)
+	}()
+	<-done
+	if err != nil {
+		t.Fatal(err)
+	}
+	if grew := int64(after.StackInuse) - int64(before.StackInuse); grew >= 16<<20 {
+		t.Fatalf("Validate grew the stack by %d MB on a %d-node path", grew>>20, n)
 	}
 }
 
