@@ -1,10 +1,10 @@
 package replicatree_test
 
 // A distance bound of 0 (every client served locally) is a valid
-// instance in both forms: the pointer instance and the flat/chunked
-// instance apply the same parameter checks, so a dmax = 0 instance
-// streams, hashes, bounds, decomposes and certifies the same way on
-// either side.
+// instance whichever codec carries it: the JSON instance and the
+// chunked stream apply the same parameter checks, so a dmax = 0
+// instance streams, hashes, bounds, decomposes and certifies the same
+// way on either side.
 
 import (
 	"bytes"
@@ -16,7 +16,6 @@ import (
 	"replicatree/internal/decomp"
 	"replicatree/internal/gen"
 	"replicatree/internal/solver"
-	"replicatree/internal/tree"
 )
 
 func TestZeroDMaxChunkedRoundTrip(t *testing.T) {
@@ -24,11 +23,11 @@ func TestZeroDMaxChunkedRoundTrip(t *testing.T) {
 	in := gen.RandomInstance(rng, gen.TreeConfig{Internals: 40, MaxArity: 3, MaxDist: 3, MaxReq: 8}, true)
 	in.DMax = 0
 	if err := in.Validate(); err != nil {
-		t.Fatalf("pointer instance rejects dmax = 0: %v", err)
+		t.Fatalf("instance rejects dmax = 0: %v", err)
 	}
 
 	var buf bytes.Buffer
-	fi := &core.FlatInstance{Flat: tree.Flatten(in.Tree), W: in.W, DMax: in.DMax}
+	fi := &core.FlatInstance{Flat: in.Tree, W: in.W, DMax: in.DMax}
 	if err := core.WriteChunked(&buf, fi, 16); err != nil {
 		t.Fatalf("WriteChunked: %v", err)
 	}
@@ -40,10 +39,10 @@ func TestZeroDMaxChunkedRoundTrip(t *testing.T) {
 		t.Fatalf("round trip changed the parameters: W=%d dmax=%d, want W=%d dmax=0", got.W, got.DMax, in.W)
 	}
 	if h, want := got.CanonicalHash(), in.CanonicalHash(); h != want {
-		t.Fatalf("flat hash %s, pointer hash %s", h, want)
+		t.Fatalf("streamed hash %s, hash %s", h, want)
 	}
 	if lb, want := got.LowerBound(), core.LowerBound(in); lb != want {
-		t.Fatalf("flat lower bound %d, pointer lower bound %d", lb, want)
+		t.Fatalf("streamed lower bound %d, lower bound %d", lb, want)
 	}
 
 	ctx := context.Background()
@@ -54,10 +53,10 @@ func TestZeroDMaxChunkedRoundTrip(t *testing.T) {
 	flatErr := got.Verify(core.Multiple, res.Solution)
 	ptrErr := core.Verify(in, core.Multiple, res.Solution)
 	if flatErr != nil || ptrErr != nil {
-		t.Fatalf("decomp solution: flat verify %v, pointer verify %v", flatErr, ptrErr)
+		t.Fatalf("decomp solution: streamed verify %v, verify %v", flatErr, ptrErr)
 	}
 	if res.LowerBound != core.LowerBound(in) {
-		t.Fatalf("decomp lower bound %d, pointer lower bound %d", res.LowerBound, core.LowerBound(in))
+		t.Fatalf("decomp lower bound %d, lower bound %d", res.LowerBound, core.LowerBound(in))
 	}
 
 	rep, err := solver.MustLookup(solver.MultipleGreedy).Solve(ctx, solver.Request{Instance: in})
@@ -69,9 +68,9 @@ func TestZeroDMaxChunkedRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := c.VerifyAgainst(in); err != nil {
-		t.Fatalf("certificate against the pointer instance: %v", err)
+		t.Fatalf("certificate against the instance: %v", err)
 	}
-	if err := c.VerifyAgainstFlat(got); err != nil {
-		t.Fatalf("certificate against the flat instance: %v", err)
+	if err := c.VerifyAgainst(&core.Instance{Tree: got.Flat, W: got.W, DMax: got.DMax}); err != nil {
+		t.Fatalf("certificate against the streamed instance: %v", err)
 	}
 }

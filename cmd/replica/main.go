@@ -51,7 +51,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	pushup := fs.Bool("pushup", false, "apply the push-up post-pass (Single policy only)")
 	latency := fs.Bool("latency", false, "re-route assignments for minimal total distance (Multiple policy only)")
 	budget := fs.Int64("budget", 0, "work budget for exact solvers (0 = default)")
-	stream := fs.Bool("stream", false, "read the chunked streaming format (treegen -stream); with -solver decomp the tree is solved in flat form and a summary is printed")
+	stream := fs.Bool("stream", false, "read the chunked streaming format (treegen -stream); with -solver decomp the tree is solved by decomposition and a summary is printed")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the solve to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile (after the solve) to this file")
 	if err := fs.Parse(args); err != nil {
@@ -118,18 +118,14 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 			return err
 		}
 		if *name == solver.Decomp {
-			// The huge-tree path: solve in flat form — no pointer tree,
-			// no per-node output — and print a summary with the gap.
+			// The huge-tree path: no per-node output, a summary with
+			// the gap.
 			if *pushup || *latency || *format == "dot" {
 				return fmt.Errorf("-pushup/-latency/dot are unavailable on the decomp stream path")
 			}
 			return runFlat(stdout, fi, *format)
 		}
-		mat, err := fi.Instance()
-		if err != nil {
-			return err
-		}
-		in = *mat
+		in = core.Instance{Tree: fi.Flat, W: fi.W, DMax: fi.DMax}
 	} else {
 		var data []byte
 		if *inPath == "-" {
@@ -185,11 +181,11 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	}
 }
 
-// runFlat solves a flat instance through the decomposition pipeline
+// runFlat solves a streamed instance through the decomposition pipeline
 // and prints the run summary (the full placement of a million-node
 // tree is not useful terminal output; use -format json for the
 // machine-readable summary). The solution is verified against the
-// flat instance before anything is printed, like the standard path.
+// instance before anything is printed, like the standard path.
 func runFlat(stdout io.Writer, fi *core.FlatInstance, format string) error {
 	res, err := decomp.SolveFlat(context.Background(), fi, decomp.Options{Verify: true})
 	if err != nil {

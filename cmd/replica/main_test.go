@@ -142,7 +142,7 @@ func chunkedStream(t *testing.T) []byte {
 	if err := json.Unmarshal([]byte(instanceJSON(t)), &in); err != nil {
 		t.Fatal(err)
 	}
-	fi := &core.FlatInstance{Flat: tree.Flatten(in.Tree), W: in.W, DMax: in.DMax}
+	fi := &core.FlatInstance{Flat: in.Tree, W: in.W, DMax: in.DMax}
 	var buf bytes.Buffer
 	if err := core.WriteChunked(&buf, fi, 2); err != nil {
 		t.Fatal(err)
@@ -174,15 +174,16 @@ func TestRunStreamDecomp(t *testing.T) {
 			t.Errorf("json summary missing %q", key)
 		}
 	}
-	// Post-passes need the pointer tree; the flat path must refuse them.
+	// Post-passes print per-node output; the decomp stream path must
+	// refuse them.
 	if err := run([]string{"-solver", "decomp", "-stream", "-latency"},
 		bytes.NewReader(chunkedStream(t)), &out); err == nil {
 		t.Error("-latency accepted on the decomp stream path")
 	}
 }
 
-// TestRunStreamMaterializes: any other solver reads the same stream
-// by materialising the pointer tree.
+// TestRunStreamMaterializes: any other solver solves the same stream
+// like a JSON instance.
 func TestRunStreamMaterializes(t *testing.T) {
 	var out bytes.Buffer
 	if err := run([]string{"-solver", "multiple-bin", "-stream"}, bytes.NewReader(chunkedStream(t)), &out); err != nil {

@@ -17,8 +17,8 @@
 // /v2/jobs/{id}/proof/{task} response (the certificate, proof and
 // root are then unwrapped automatically; -root overrides the embedded
 // root). "-" or an absent -cert reads from stdin. -stream verifies
-// against a chunked flat instance (the million-node wire format)
-// without ever materialising a pointer tree.
+// against a chunked instance stream (the million-node wire format),
+// read one chunk at a time.
 //
 // Exit status: 0 — certificate (and proof, if given) verified;
 // 2 — verification failed (the precise reason is printed to stderr);
@@ -73,8 +73,8 @@ type proofDocument struct {
 func run(args []string, stdout io.Writer, stdin io.Reader) error {
 	fs := flag.NewFlagSet("replicaverify", flag.ContinueOnError)
 	certPath := fs.String("cert", "-", "certificate JSON: a bare certificate or a /v2 proof response (\"-\" = stdin)")
-	instPath := fs.String("instance", "", "instance JSON (pointer-tree wire format)")
-	streamPath := fs.String("stream", "", "chunked flat instance (core.WriteChunked format); alternative to -instance")
+	instPath := fs.String("instance", "", "instance JSON")
+	streamPath := fs.String("stream", "", "chunked instance stream (core.WriteChunked format); alternative to -instance")
 	proofPath := fs.String("proof", "", "inclusion proof JSON (optional; embedded proof of a proof response is used automatically)")
 	root := fs.String("root", "", "Merkle certificate root as hex (required with a proof unless embedded in the cert document)")
 	quiet := fs.Bool("q", false, "suppress the success summary")
@@ -144,7 +144,7 @@ func run(args []string, stdout io.Writer, stdin io.Reader) error {
 		if err != nil {
 			return fmt.Errorf("parsing %s: %w", *streamPath, err)
 		}
-		if err := c.VerifyAgainstFlat(fi); err != nil {
+		if err := c.VerifyAgainst(&core.Instance{Tree: fi.Flat, W: fi.W, DMax: fi.DMax}); err != nil {
 			return err
 		}
 	}

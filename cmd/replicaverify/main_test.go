@@ -15,7 +15,6 @@ import (
 	"replicatree/internal/cert"
 	"replicatree/internal/core"
 	"replicatree/internal/solver"
-	"replicatree/internal/tree"
 )
 
 // The test file imports internal/solver to mint real certificates;
@@ -115,12 +114,12 @@ func TestVerifyStdinQuiet(t *testing.T) {
 	}
 }
 
-// TestVerifyStream: verification against the chunked flat wire format
-// — the huge-tree path that never materialises a pointer tree.
+// TestVerifyStream: verification against the chunked wire format —
+// the huge-tree path, read one chunk at a time.
 func TestVerifyStream(t *testing.T) {
 	in, _ := corpusInstance(t, "binary_dist_2.json")
 	dir := t.TempDir()
-	fi := &core.FlatInstance{Flat: tree.Flatten(in.Tree), W: in.W, DMax: in.DMax}
+	fi := &core.FlatInstance{Flat: in.Tree, W: in.W, DMax: in.DMax}
 	streamPath := filepath.Join(dir, "instance.chunked")
 	f, err := os.Create(streamPath)
 	if err != nil {

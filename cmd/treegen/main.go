@@ -11,7 +11,7 @@
 //	treegen -kind i6 -m 3 -seed 1           # 2-Partition-Equal gadget
 //
 // Huge trees: -nodes generates a random instance of ~that many total
-// nodes directly in flat form (no pointer tree), and -stream emits
+// nodes in one streaming pass, and -stream emits
 // the chunked wire format (core.WriteChunked) that cmd/replica
 // ingests with -stream — a million-node instance never exists as one
 // JSON blob on either side:
@@ -30,7 +30,6 @@ import (
 
 	"replicatree/internal/core"
 	"replicatree/internal/gen"
-	"replicatree/internal/tree"
 )
 
 func main() {
@@ -54,7 +53,7 @@ func run(args []string, stdout io.Writer) error {
 	b := fs.Int64("b", 16, "gadget parameter B (i2)")
 	delta := fs.Int("delta", 2, "gadget parameter Δ (im)")
 	k := fs.Int("k", 4, "gadget parameter K (fig4)")
-	nodes := fs.Int("nodes", 0, "generate ~this many total nodes in flat form (overrides -kind; use with -stream for huge trees)")
+	nodes := fs.Int("nodes", 0, "generate ~this many total nodes in one streaming pass (overrides -kind; use with -stream for huge trees)")
 	stream := fs.Bool("stream", false, "emit the streaming chunked format instead of one JSON document")
 	chunk := fs.Int("chunk", 0, "nodes per chunk with -stream (0 = default)")
 	if err := fs.Parse(args); err != nil {
@@ -129,7 +128,7 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	if *stream {
-		fi := &core.FlatInstance{Flat: tree.Flatten(in.Tree), W: in.W, DMax: in.DMax}
+		fi := &core.FlatInstance{Flat: in.Tree, W: in.W, DMax: in.DMax}
 		return emitFlat(stdout, fi, true, *chunk)
 	}
 	enc := json.NewEncoder(stdout)
@@ -137,7 +136,7 @@ func run(args []string, stdout io.Writer) error {
 	return enc.Encode(in)
 }
 
-// emitFlat writes a flat instance either chunked (buffered — a
+// emitFlat writes an instance either chunked (buffered — a
 // million-node stream is tens of MB of small writes) or as the
 // classic single-document instance JSON.
 func emitFlat(stdout io.Writer, fi *core.FlatInstance, stream bool, chunk int) error {
@@ -148,11 +147,7 @@ func emitFlat(stdout io.Writer, fi *core.FlatInstance, stream bool, chunk int) e
 		}
 		return bw.Flush()
 	}
-	in, err := fi.Instance()
-	if err != nil {
-		return err
-	}
 	enc := json.NewEncoder(stdout)
 	enc.SetIndent("", "  ")
-	return enc.Encode(in)
+	return enc.Encode(&core.Instance{Tree: fi.Flat, W: fi.W, DMax: fi.DMax})
 }

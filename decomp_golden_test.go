@@ -16,7 +16,6 @@ import (
 
 	"replicatree/internal/core"
 	"replicatree/internal/decomp"
-	"replicatree/internal/tree"
 )
 
 func TestDecompGoldenParity(t *testing.T) {
@@ -44,7 +43,7 @@ func TestDecompGoldenParity(t *testing.T) {
 			// territory, matching their missing decomp manifest rows.
 			continue
 		}
-		fi := &core.FlatInstance{Flat: tree.Flatten(in.Tree), W: in.W, DMax: in.DMax}
+		fi := &core.FlatInstance{Flat: in.Tree, W: in.W, DMax: in.DMax}
 		for _, target := range []int{4, 16} {
 			res, err := decomp.SolveFlat(ctx, fi, decomp.Options{TargetPieceSize: target, Verify: true})
 			if err != nil {

@@ -2,7 +2,7 @@
 // independently checkable receipts for solved replica placement
 // instances. A Certificate commits to the canonical instance hash and
 // carries a feasibility witness (the placement itself, replayable
-// through the allocation-free core.Scratch.Verify twin), a lower-bound
+// through the allocation-free core.Scratch.Verify), a lower-bound
 // attestation (the subtree-sum bound, recomputable from the instance
 // in O(tree)), the engine/policy/work provenance and — when an exact
 // peer proved optimality — an optimality attestation.
@@ -33,8 +33,8 @@ import (
 const Version = 1
 
 // BoundKindSubtreeSum is the only lower-bound attestation kind today:
-// the distance-aware subtree-sum bound of core.LowerBound (identical
-// to the flat-form core.Scratch.LowerBound the decomp path reports).
+// the distance-aware subtree-sum bound of core.LowerBound, which the
+// decomp path reports too.
 const BoundKindSubtreeSum = "subtree-sum"
 
 // Sentinel verification errors. Verification wraps them with context;

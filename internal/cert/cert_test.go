@@ -1,6 +1,7 @@
 package cert_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"os"
@@ -10,7 +11,6 @@ import (
 	"replicatree/internal/cert"
 	"replicatree/internal/core"
 	"replicatree/internal/solver"
-	"replicatree/internal/tree"
 )
 
 // The test package imports internal/solver to produce real solve
@@ -51,9 +51,9 @@ func solvedCert(t testing.TB, in *core.Instance, engine string) *cert.Certificat
 }
 
 // TestCertificateRoundTrip: every corpus instance × a spread of
-// engines produces a certificate that verifies offline — against both
-// the pointer instance and its flat twin — and survives a JSON round
-// trip (the wire form) unchanged.
+// engines produces a certificate that verifies offline — against the
+// instance and against its chunked-stream round trip — and survives a
+// JSON round trip (the wire form) unchanged.
 func TestCertificateRoundTrip(t *testing.T) {
 	instances := []string{
 		"binary_nod_1.json", "binary_dist_1.json", "gadget_fig4.json",
@@ -68,9 +68,16 @@ func TestCertificateRoundTrip(t *testing.T) {
 				if err := c.VerifyAgainst(in); err != nil {
 					t.Fatalf("fresh certificate rejected: %v", err)
 				}
-				fi := &core.FlatInstance{Flat: tree.Flatten(in.Tree), W: in.W, DMax: in.DMax}
-				if err := c.VerifyAgainstFlat(fi); err != nil {
-					t.Fatalf("flat-twin verification rejected: %v", err)
+				var stream bytes.Buffer
+				if err := core.WriteChunked(&stream, &core.FlatInstance{Flat: in.Tree, W: in.W, DMax: in.DMax}, 0); err != nil {
+					t.Fatal(err)
+				}
+				fi, err := core.ReadChunked(&stream)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := c.VerifyAgainst(&core.Instance{Tree: fi.Flat, W: fi.W, DMax: fi.DMax}); err != nil {
+					t.Fatalf("verification against the streamed instance rejected: %v", err)
 				}
 
 				wire, err := json.Marshal(c)

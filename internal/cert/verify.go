@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"replicatree/internal/core"
-	"replicatree/internal/tree"
 )
 
 // Offline certificate verification. The verifier holds the instance
@@ -14,7 +13,7 @@ import (
 //  2. the instance commitment — CanonicalHash(instance) must equal
 //     the certificate's InstanceHash,
 //  3. the feasibility witness — the placement re-verified through the
-//     allocation-free core.Scratch.Verify twin,
+//     allocation-free core.Scratch.Verify,
 //  4. the lower-bound attestation — the subtree-sum bound recomputed
 //     with core.Scratch.LowerBound must equal the attested value
 //     (catching both inflated and deflated bounds),
@@ -23,10 +22,11 @@ import (
 // Total cost is O(tree): hashing, one verify sweep and one bound
 // sweep. No solver is consulted — which is the point.
 
-// VerifyAgainst fully verifies the certificate against a pointer-tree
-// instance. A nil error means: the witness is a feasible placement of
-// exactly Replicas replicas for this instance under Policy, and the
-// optimum cannot be below Bound.Value.
+// VerifyAgainst fully verifies the certificate against an instance,
+// however it was read (JSON or the chunked stream). A nil error means:
+// the witness is a feasible placement of exactly Replicas replicas for
+// this instance under Policy, and the optimum cannot be below
+// Bound.Value.
 func (c *Certificate) VerifyAgainst(in *core.Instance) error {
 	if err := c.Validate(); err != nil {
 		return err
@@ -38,41 +38,15 @@ func (c *Certificate) VerifyAgainst(in *core.Instance) error {
 		return fmt.Errorf("%w: certificate commits to %s, presented instance hashes to %s",
 			ErrInstanceHash, c.InstanceHash, got)
 	}
-	return c.verifyFlat(tree.Flatten(in.Tree), in)
-}
-
-// VerifyAgainstFlat fully verifies the certificate against a flat
-// (SoA) instance — the huge-tree path: a streamed million-node
-// instance verifies without ever materialising a pointer tree.
-func (c *Certificate) VerifyAgainstFlat(fi *core.FlatInstance) error {
-	if err := c.Validate(); err != nil {
-		return err
-	}
-	if err := fi.Validate(); err != nil {
-		return fmt.Errorf("%w: presented instance invalid: %v", ErrMalformed, err)
-	}
-	if got := fi.CanonicalHash(); got != c.InstanceHash {
-		return fmt.Errorf("%w: certificate commits to %s, presented instance hashes to %s",
-			ErrInstanceHash, c.InstanceHash, got)
-	}
-	// Scratch.LowerBound/Verify read only W and DMax off the instance
-	// parameter; the tree arrives as the Flat.
-	params := &core.Instance{W: fi.W, DMax: fi.DMax}
-	return c.verifyFlat(fi.Flat, params)
-}
-
-// verifyFlat is the shared witness + bound replay over the flat twin.
-// params supplies W and DMax (its Tree field is not consulted).
-func (c *Certificate) verifyFlat(f *tree.Flat, params *core.Instance) error {
 	pol, err := policyNumber(c.Policy)
 	if err != nil {
 		return err
 	}
 	var sc core.Scratch
-	if err := sc.Verify(f, params, pol, c.Witness); err != nil {
+	if err := sc.Verify(in, pol, c.Witness); err != nil {
 		return fmt.Errorf("%w: %v", ErrWitness, err)
 	}
-	if got := sc.LowerBound(f, params); got != c.Bound.Value {
+	if got := sc.LowerBound(in); got != c.Bound.Value {
 		return fmt.Errorf("%w: attested %d, recomputed %d", ErrBound, c.Bound.Value, got)
 	}
 	return nil

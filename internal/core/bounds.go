@@ -1,64 +1,15 @@
 package core
 
-import (
-	"replicatree/internal/tree"
-)
-
 // CeilDiv returns ⌈a/b⌉ for a ≥ 0, b > 0.
 func CeilDiv(a, b int64) int64 {
 	return (a + b - 1) / b
 }
 
 // LowerBound returns a lower bound on the optimal number of replicas
-// valid for both policies. It combines the volume bound ⌈Σri / W⌉ with
-// a distance-aware recursive bound: requests of a client that cannot
-// travel above node j (because of dmax) must be served by replicas
-// inside subtree(j), and replica sets of disjoint subtrees are
-// disjoint. The bound is computed in O(|T|·depth).
+// valid for both policies: Scratch.LowerBound on a fresh scratch.
 func LowerBound(in *Instance) int {
-	t := in.Tree
-	// capped[h] = Σ of requests of clients whose highest eligible
-	// server (the farthest ancestor within dmax) is h: those requests
-	// can never be served outside subtree(h).
-	capped := make([]int64, t.Len())
-	for _, i := range t.Clients() {
-		r := t.Requests(i)
-		if r == 0 {
-			continue
-		}
-		var d int64
-		h := i
-		for h != t.Root() {
-			nd := tree.SatAdd(d, t.Dist(h))
-			if nd > in.DMax {
-				break
-			}
-			d = nd
-			h = t.Parent(h)
-		}
-		capped[h] += r
-	}
-	// inside[j] = requests that must be served inside subtree(j);
-	// need[j] = lower bound on replicas inside subtree(j): at least
-	// ⌈inside/W⌉, and at least the sum over children (disjoint
-	// replica sets).
-	inside := make([]int64, t.Len())
-	need := make([]int64, t.Len())
-	t.PostOrder(func(j tree.NodeID) {
-		sum := capped[j]
-		var childNeed int64
-		for _, c := range t.Children(j) {
-			sum += inside[c]
-			childNeed += need[c]
-		}
-		inside[j] = sum
-		n := CeilDiv(sum, in.W)
-		if childNeed > n {
-			n = childNeed
-		}
-		need[j] = n
-	})
-	return int(need[t.Root()])
+	var sc Scratch
+	return sc.LowerBound(in)
 }
 
 // VolumeLowerBound returns the plain bin-packing bound ⌈Σri / W⌉.

@@ -1,15 +1,13 @@
 package core
 
 // This file implements the chunked instance representation: a
-// streaming wire format plus a flat in-memory instance so a
-// million-node tree is ingested piece-by-piece off an io.Reader
-// instead of one json.Unmarshal of a full-tree blob. Peak memory on
-// the read side is the Flat's parallel arrays plus one chunk of
-// decoded node records; there is never a second full-tree copy
-// (pointer nodes, raw JSON) resident. cmd/treegen emits the format
+// streaming wire format, so a million-node tree is ingested
+// piece-by-piece off an io.Reader instead of one json.Unmarshal of a
+// full-tree blob. Peak memory on the read side is the tree's arrays
+// plus one chunk of decoded node records; there is never a second
+// full-tree copy (raw JSON) resident. cmd/treegen emits the format
 // with -stream, cmd/replica consumes it with -stream, and the decomp
-// engine solves the resulting FlatInstance without ever building a
-// pointer Tree.
+// engine solves the resulting FlatInstance.
 //
 // Wire layout: a header value followed by any number of chunk values,
 // concatenated back-to-back (the natural json.Decoder stream shape):
@@ -21,7 +19,7 @@ package core
 // "dmax" is omitted for NoD instances, mirroring the Instance codec.
 // Node records must arrive in dense increasing ID order with every
 // parent before its child (the root is ID 0 with parent -1) — exactly
-// what preorder emission produces and what tree.FlatBuilder ingests.
+// what preorder emission produces and what tree.Builder ingests.
 
 import (
 	"encoding/json"
@@ -42,11 +40,11 @@ const ChunkedVersion = 1
 // value on the write side.
 const DefaultChunkNodes = 8192
 
-// FlatInstance is an Instance whose tree lives in SoA form: the
-// substrate of the huge-tree path. It is what ReadChunked produces
-// and what decomp.SolveFlat consumes.
+// FlatInstance is the instance form of the huge-tree path: ReadChunked
+// produces it and decomp.SolveFlat consumes it. It holds the same tree
+// an Instance does.
 type FlatInstance struct {
-	Flat *tree.Flat
+	Flat *tree.Tree
 	// W is the per-server capacity, DMax the distance bound
 	// (NoDistance for NoD instances), with the same semantics as the
 	// Instance fields.
@@ -57,45 +55,29 @@ type FlatInstance struct {
 // NoD reports whether the instance ignores distances.
 func (fi *FlatInstance) NoD() bool { return fi.DMax == NoDistance }
 
-// Validate checks the parameter invariants (the Flat itself is
+// Validate checks the parameter invariants (the tree itself is
 // validated at build time).
 func (fi *FlatInstance) Validate() error {
 	if fi.Flat == nil || fi.Flat.Len() == 0 {
-		return errors.New("core: flat instance has no tree")
+		return errors.New("core: instance has no tree")
 	}
 	return validateParams(fi.W, fi.DMax)
 }
 
-// Instance materialises the pointer-tree twin. This allocates the
-// full pointer tree; the huge-tree paths avoid it and work on the
-// Flat directly.
-func (fi *FlatInstance) Instance() (*Instance, error) {
-	t, err := fi.Flat.Tree()
-	if err != nil {
-		return nil, err
-	}
-	return &Instance{Tree: t, W: fi.W, DMax: fi.DMax}, nil
-}
-
-// params adapts the flat instance to the Instance-shaped parameter
-// views that Scratch.LowerBound/Verify read (they only touch W and
-// DMax; the tree comes in separately as the Flat).
-func (fi *FlatInstance) params() *Instance {
-	return &Instance{W: fi.W, DMax: fi.DMax}
-}
-
-// LowerBound computes the subtree-sum lower bound directly on the
-// Flat (same value as LowerBound on the pointer twin).
+// LowerBound is LowerBound of the instance.
 func (fi *FlatInstance) LowerBound() int {
-	var sc Scratch
-	return sc.LowerBound(fi.Flat, fi.params())
+	return LowerBound(&Instance{Tree: fi.Flat, W: fi.W, DMax: fi.DMax})
 }
 
-// Verify checks sol against the flat instance under pol, with the
-// same sentinel errors as the package-level Verify.
+// Verify is Scratch.Verify of the instance on a fresh scratch: the
+// tree was validated when it was built.
 func (fi *FlatInstance) Verify(pol Policy, sol *Solution) error {
-	var sc Scratch
-	return sc.Verify(fi.Flat, fi.params(), pol, sol)
+	return new(Scratch).Verify(&Instance{Tree: fi.Flat, W: fi.W, DMax: fi.DMax}, pol, sol)
+}
+
+// CanonicalHash is the CanonicalHash of the instance.
+func (fi *FlatInstance) CanonicalHash() string {
+	return (&Instance{Tree: fi.Flat, W: fi.W, DMax: fi.DMax}).CanonicalHash()
 }
 
 // chunkedHeader is the first JSON value of a chunked stream.
@@ -124,7 +106,7 @@ type chunkedChunk struct {
 
 // WriteChunked emits fi on w in the chunked wire format,
 // chunkNodes records per chunk (0 means DefaultChunkNodes). The
-// Flat's IDs must be topological (root 0, every parent before its
+// tree's IDs must be topological (root 0, every parent before its
 // child) so a streaming reader can rebuild it in one pass.
 func WriteChunked(w io.Writer, fi *FlatInstance, chunkNodes int) error {
 	if err := fi.Validate(); err != nil {
@@ -180,8 +162,10 @@ func WriteChunked(w io.Writer, fi *FlatInstance, chunkNodes int) error {
 }
 
 // ReadChunked ingests a chunked stream from r and returns the rebuilt
-// flat instance. Decoding is incremental: one chunk of node records
-// is resident at a time, feeding a tree.FlatBuilder.
+// instance. Decoding is incremental: one chunk of node records is
+// resident at a time, feeding a tree.Builder. The header's node count
+// is a claim, not a size: the builder reserves at most one chunk's
+// worth for it, and a stream that ends short is truncated.
 func ReadChunked(r io.Reader) (*FlatInstance, error) {
 	dec := json.NewDecoder(r)
 	var h chunkedHeader
@@ -197,10 +181,15 @@ func ReadChunked(r io.Reader) (*FlatInstance, error) {
 	if h.Nodes <= 0 {
 		return nil, fmt.Errorf("core: chunked header declares %d nodes", h.Nodes)
 	}
-	fb := tree.NewFlatBuilder(h.Nodes)
+	fb := tree.NewBuilder()
+	fb.Grow(h.Nodes)
 	var ch chunkedChunk
 	for fb.Len() < h.Nodes {
-		ch.Nodes = ch.Nodes[:0] // reuse the chunk buffer across decodes
+		// Reuse the chunk buffer across decodes, zeroed: encoding/json
+		// decodes into the elements it finds, so a record that omits a
+		// field would keep the value of the record decoded there before.
+		clear(ch.Nodes[:cap(ch.Nodes)])
+		ch.Nodes = ch.Nodes[:0]
 		if err := dec.Decode(&ch); err != nil {
 			if err == io.EOF {
 				return nil, fmt.Errorf("core: chunked stream truncated: got %d of %d nodes", fb.Len(), h.Nodes)

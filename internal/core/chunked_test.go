@@ -1,17 +1,17 @@
 package core_test
 
-// Tests for the chunked streaming codec and the flat-instance bound
-// and verify paths, pinned against the pointer-tree implementations.
+// Tests for the chunked streaming codec and the FlatInstance bound
+// and verify calls, pinned against the reference implementations.
 
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
 	"replicatree/internal/core"
 	"replicatree/internal/gen"
-	"replicatree/internal/tree"
 )
 
 func chunkedCorpus(t *testing.T) map[string]*core.Instance {
@@ -27,7 +27,7 @@ func chunkedCorpus(t *testing.T) map[string]*core.Instance {
 
 func TestChunkedRoundTrip(t *testing.T) {
 	for name, in := range chunkedCorpus(t) {
-		fi := &core.FlatInstance{Flat: tree.Flatten(in.Tree), W: in.W, DMax: in.DMax}
+		fi := &core.FlatInstance{Flat: in.Tree, W: in.W, DMax: in.DMax}
 		for _, chunk := range []int{0, 1, 7, 1 << 16} {
 			var buf bytes.Buffer
 			if err := core.WriteChunked(&buf, fi, chunk); err != nil {
@@ -40,11 +40,10 @@ func TestChunkedRoundTrip(t *testing.T) {
 			if got.W != fi.W || got.DMax != fi.DMax {
 				t.Fatalf("%s chunk %d: parameters drifted: got W=%d dmax=%d", name, chunk, got.W, got.DMax)
 			}
-			rt, err := got.Instance()
-			if err != nil {
-				t.Fatalf("%s chunk %d: materialise: %v", name, chunk, err)
+			if !reflect.DeepEqual(got.Flat, in.Tree) {
+				t.Fatalf("%s chunk %d: the tree changed through the chunked codec", name, chunk)
 			}
-			if rt.CanonicalHash() != in.CanonicalHash() {
+			if got.CanonicalHash() != in.CanonicalHash() {
 				t.Fatalf("%s chunk %d: canonical hash drifted through the chunked codec", name, chunk)
 			}
 		}
@@ -67,6 +66,22 @@ func TestChunkedHeaderRejects(t *testing.T) {
 	}
 }
 
+// TestChunkedHugeHeaderIsTruncated: the header's node count is a
+// claim. A 72-byte header that claims four trillion nodes must come
+// back as a truncated stream, not reserve memory for the claim.
+func TestChunkedHugeHeaderIsTruncated(t *testing.T) {
+	const header = `{"format":"replicatree-chunked","version":1,"w":9,"nodes":4000000000000}`
+	for _, stream := range []string{
+		header,
+		header + "\n" + `{"nodes":[{"id":0,"parent":-1},{"id":1,"parent":0,"requests":1}]}`,
+	} {
+		_, err := core.ReadChunked(strings.NewReader(stream))
+		if err == nil || !strings.Contains(err.Error(), "truncated") {
+			t.Errorf("got %v, want a truncated stream", err)
+		}
+	}
+}
+
 func TestWriteChunkedRejectsNonTopologicalIDs(t *testing.T) {
 	// A tree whose root is not ID 0 is valid as a Tree but cannot be
 	// streamed (the reader rebuilds parents-first).
@@ -75,21 +90,21 @@ func TestWriteChunkedRejectsNonTopologicalIDs(t *testing.T) {
 	if err := in.UnmarshalJSON([]byte(blob)); err != nil {
 		t.Fatalf("fixture does not parse: %v", err)
 	}
-	fi := &core.FlatInstance{Flat: tree.Flatten(in.Tree), W: in.W, DMax: in.DMax}
+	fi := &core.FlatInstance{Flat: in.Tree, W: in.W, DMax: in.DMax}
 	var buf bytes.Buffer
 	if err := core.WriteChunked(&buf, fi, 0); err == nil {
 		t.Fatal("non-topological flat accepted")
 	}
 }
 
-// TestFlatInstanceBoundAndVerify pins the flat-side lower bound and
-// verifier against the pointer-tree implementations on solved
+// TestFlatInstanceBoundAndVerify pins the FlatInstance lower bound
+// and verifier against the reference implementations on solved
 // instances.
 func TestFlatInstanceBoundAndVerify(t *testing.T) {
 	for name, in := range chunkedCorpus(t) {
-		fi := &core.FlatInstance{Flat: tree.Flatten(in.Tree), W: in.W, DMax: in.DMax}
-		if got, want := fi.LowerBound(), core.LowerBound(in); got != want {
-			t.Fatalf("%s: flat lower bound %d, pointer %d", name, got, want)
+		fi := &core.FlatInstance{Flat: in.Tree, W: in.W, DMax: in.DMax}
+		if got, want := fi.LowerBound(), referenceLowerBound(in); got != want {
+			t.Fatalf("%s: flat lower bound %d, reference %d", name, got, want)
 		}
 		// An everywhere-replica solution is always feasible: each
 		// client serves itself (W >= max requests by construction).
@@ -102,14 +117,30 @@ func TestFlatInstanceBoundAndVerify(t *testing.T) {
 		if err := fi.Verify(core.Multiple, sol); err != nil {
 			t.Fatalf("%s: flat verify rejected a feasible solution: %v", name, err)
 		}
-		if err := core.Verify(in, core.Multiple, sol); err != nil {
-			t.Fatalf("%s: pointer verify rejected the same solution: %v", name, err)
+		if err := referenceVerify(in, core.Multiple, sol); err != nil {
+			t.Fatalf("%s: reference verify rejected the same solution: %v", name, err)
 		}
 		// Corrupt it: overload one server beyond W.
 		bad := sol.Clone()
 		bad.Assignments[0].Amount += in.W
-		if fi.Verify(core.Multiple, bad) == nil {
-			t.Fatalf("%s: flat verify accepted an overloaded server", name)
+		if fi.Verify(core.Multiple, bad) == nil || referenceVerify(in, core.Multiple, bad) == nil {
+			t.Fatalf("%s: verify accepted an overloaded server", name)
 		}
+	}
+}
+
+// TestChunkedRecordsStartFromZero: a record that omits a field, as
+// WriteChunked does for a zero one, must read as zero, not as the
+// field of the record at the same position in the previous chunk.
+func TestChunkedRecordsStartFromZero(t *testing.T) {
+	const stream = `{"format":"replicatree-chunked","version":1,"w":5,"nodes":4}
+{"nodes":[{"id":0,"parent":-1},{"id":1,"parent":0,"dist":3,"requests":4,"label":"a"}]}
+{"nodes":[{"id":2,"parent":0,"dist":1,"requests":2},{"id":3,"parent":0}]}`
+	fi, err := core.ReadChunked(strings.NewReader(stream))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f := fi.Flat; f.EdgeLens[3] != 0 || f.Reqs[3] != 0 || f.Labels[3] != "" {
+		t.Fatalf("node 3 read as dist %d, requests %d, label %q; want all zero", f.EdgeLens[3], f.Reqs[3], f.Labels[3])
 	}
 }

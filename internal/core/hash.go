@@ -14,7 +14,7 @@ import (
 // instances with equal hashes are guaranteed to admit exactly the same
 // solutions, so a cached placement can be replayed for either.
 //
-// The serialisation covers W, dmax and the tree arena (per node:
+// The serialisation covers W, dmax and the tree (per node, in ID order:
 // parent, edge length, request rate). It deliberately excludes node
 // labels: labels are presentation-only and never consulted by a
 // solver, so instances differing only in labels share a hash and a
@@ -29,47 +29,10 @@ const hashVersion = 1
 // CanonicalHash returns the canonical SHA-256 of the instance as a
 // lowercase hex string. It is deterministic across processes and
 // platforms, and defined (as a hash of what is present) even for
-// instances that fail Validate.
+// instances that fail Validate. The root's edge length is written as
+// 0 whatever the tree stores: Dist reports Infinity for the root, and
+// no solve reads the stored value.
 func (in *Instance) CanonicalHash() string {
-	sum := in.canonicalSum()
-	return hex.EncodeToString(sum[:])
-}
-
-// CanonicalHash returns the canonical SHA-256 of the flat instance,
-// byte-identical to the hash of its pointer-tree twin (pinned by
-// TestFlatCanonicalHashMatchesPointer): the serialisation reads the
-// same per-node fields (parent, edge length, requests) off the SoA
-// arrays, so a streamed million-node instance and its materialised
-// twin share a hash — and therefore a cache line and a certificate
-// commitment — without ever building the pointer tree.
-func (fi *FlatInstance) CanonicalHash() string {
-	h := sha256.New()
-	var buf [8]byte
-	put := func(v int64) {
-		binary.BigEndian.PutUint64(buf[:], uint64(v))
-		h.Write(buf[:])
-	}
-	put(hashVersion)
-	put(fi.W)
-	put(fi.DMax)
-	if f := fi.Flat; f != nil {
-		put(int64(f.Root()))
-		put(int64(f.Len()))
-		for j := 0; j < f.Len(); j++ {
-			put(int64(f.Parents[j]))
-			put(f.EdgeLens[j]) // 0 for the root, matching the arena convention
-			put(f.Reqs[j])
-		}
-	} else {
-		put(int64(tree.None))
-		put(0)
-	}
-	var sum [sha256.Size]byte
-	h.Sum(sum[:0])
-	return hex.EncodeToString(sum[:])
-}
-
-func (in *Instance) canonicalSum() [sha256.Size]byte {
 	h := sha256.New()
 	var buf [8]byte
 	put := func(v int64) {
@@ -82,15 +45,14 @@ func (in *Instance) canonicalSum() [sha256.Size]byte {
 	if t := in.Tree; t != nil {
 		put(int64(t.Root()))
 		put(int64(t.Len()))
-		for j := 0; j < t.Len(); j++ {
-			id := tree.NodeID(j)
-			put(int64(t.Parent(id)))
-			if id == t.Root() {
-				put(0) // Dist() reports Infinity for the root; the arena stores 0
+		for j, p := range t.Parents {
+			put(int64(p))
+			if tree.NodeID(j) == t.Root() {
+				put(0)
 			} else {
-				put(t.Dist(id))
+				put(t.EdgeLens[j])
 			}
-			put(t.Requests(id))
+			put(t.Reqs[j])
 		}
 	} else {
 		put(int64(tree.None))
@@ -98,5 +60,5 @@ func (in *Instance) canonicalSum() [sha256.Size]byte {
 	}
 	var sum [sha256.Size]byte
 	h.Sum(sum[:0])
-	return sum
+	return hex.EncodeToString(sum[:])
 }

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
+	"strings"
 	"testing"
 
 	"replicatree/internal/tree"
@@ -88,15 +91,63 @@ func TestCanonicalHashSurvivesJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFlatCanonicalHashMatchesPointer: the flat instance's hash must
-// be byte-identical to its pointer twin's — certificates commit to
-// one hash regardless of which representation solved the instance.
+// TestFlatCanonicalHashMatchesPointer: an instance streamed through
+// the chunked codec hashes like the instance it was written from —
+// certificates commit to one hash whichever codec carried the
+// instance.
 func TestFlatCanonicalHashMatchesPointer(t *testing.T) {
 	for _, dmax := range []int64{5, NoDistance} {
 		in := inst(t, 9, dmax)
-		fi := &FlatInstance{Flat: tree.Flatten(in.Tree), W: in.W, DMax: in.DMax}
+		var buf bytes.Buffer
+		if err := WriteChunked(&buf, &FlatInstance{Flat: in.Tree, W: in.W, DMax: in.DMax}, 2); err != nil {
+			t.Fatal(err)
+		}
+		fi, err := ReadChunked(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if got, want := fi.CanonicalHash(), in.CanonicalHash(); got != want {
-			t.Errorf("dmax=%d: flat hash %s != pointer hash %s", dmax, got, want)
+			t.Errorf("dmax=%d: streamed hash %s != hash %s", dmax, got, want)
+		}
+	}
+}
+
+// TestCanonicalHashIgnoresRootDist: the root has no parent edge, so
+// the "dist" its JSON record carries is written back by MarshalJSON but
+// never hashed — directly, as a FlatInstance, or after the chunked
+// codec, which writes the root's dist as 0.
+func TestCanonicalHashIgnoresRootDist(t *testing.T) {
+	const body = `{"tree":{"root":0,"nodes":[{"id":0,"parent":-1,"dist":%d},` +
+		`{"id":1,"parent":0,"dist":2},{"id":2,"parent":1,"dist":1,"requests":3},{"id":3,"parent":0,"dist":4,"requests":5}]},"w":6,"dmax":5}`
+	var hashes []string
+	for _, dist := range []int{0, 7} {
+		var in Instance
+		data := fmt.Sprintf(body, dist)
+		if err := json.Unmarshal([]byte(data), &in); err != nil {
+			t.Fatal(err)
+		}
+		out, err := json.Marshal(in.Tree)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := fmt.Sprintf(`{"id":0,"parent":-1,"dist":%d}`, dist); !strings.Contains(string(out), want) {
+			t.Errorf("MarshalJSON dropped the root's dist %d: %s", dist, out)
+		}
+		fi := &FlatInstance{Flat: in.Tree, W: in.W, DMax: in.DMax}
+		var buf bytes.Buffer
+		if err := WriteChunked(&buf, fi, 0); err != nil {
+			t.Fatal(err)
+		}
+		streamed, err := ReadChunked(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hashes = append(hashes, in.CanonicalHash(), fi.CanonicalHash(), streamed.CanonicalHash())
+	}
+	for i, h := range hashes {
+		if h != hashes[0] {
+			t.Fatalf("hash %d of [dist 0: direct, flat, streamed; dist 7: direct, flat, streamed] is %s, want %s",
+				i, h, hashes[0])
 		}
 	}
 }

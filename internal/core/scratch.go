@@ -6,12 +6,13 @@ import (
 	"replicatree/internal/tree"
 )
 
-// Scratch owns the working arrays of the allocation-free variants of
-// the core helpers (LowerBound, Verify). It operates on the Flat (SoA)
-// twin of an instance's tree: every per-node table is a dense slice
-// indexed by NodeID, grown once and reused across solves. A Scratch is
-// not safe for concurrent use; the solver seam pools whole sessions,
-// each owning one Scratch.
+// Scratch owns the working arrays of the lower bound and the verifier:
+// every per-node table is a dense slice indexed by NodeID, grown once
+// and reused across solves, so a Scratch that has grown to an
+// instance's size computes both without heap allocations. The package
+// functions LowerBound and Verify run on a fresh one. A Scratch is not
+// safe for concurrent use; the solver seam pools whole sessions, each
+// owning one Scratch.
 type Scratch struct {
 	capped, inside, need []int64 // LowerBound tables
 	served, loads        []int64 // Verify tables
@@ -19,10 +20,13 @@ type Scratch struct {
 	firstServer          []tree.NodeID
 }
 
-func (sc *Scratch) grow(n int) {
+func (sc *Scratch) growBound(n int) {
 	sc.capped = grow64(sc.capped, n)
 	sc.inside = grow64(sc.inside, n)
 	sc.need = grow64(sc.need, n)
+}
+
+func (sc *Scratch) growVerify(n int) {
 	sc.served = grow64(sc.served, n)
 	sc.loads = grow64(sc.loads, n)
 	if cap(sc.isReplica) < n {
@@ -42,12 +46,20 @@ func grow64(s []int64, n int) []int64 {
 	return s[:n]
 }
 
-// LowerBound computes exactly LowerBound(in) against f, the flat twin
-// of in.Tree, without heap allocations once the scratch has grown to
-// the instance size.
-func (sc *Scratch) LowerBound(f *tree.Flat, in *Instance) int {
+// LowerBound returns a lower bound on the optimal number of replicas
+// valid for both policies. It combines the volume bound ⌈Σri / W⌉ with
+// a distance-aware bound: requests of a client that cannot travel
+// above node j (because of dmax) must be served by replicas inside
+// subtree(j), and replica sets of disjoint subtrees are disjoint. The
+// bound is computed in O(|T|·depth), bottom-up over the stored
+// postorder.
+func (sc *Scratch) LowerBound(in *Instance) int {
+	f := in.Tree
 	n := f.Len()
-	sc.grow(n)
+	sc.growBound(n)
+	// capped[h] = Σ of requests of clients whose highest eligible
+	// server (the farthest ancestor within dmax) is h: those requests
+	// can never be served outside subtree(h).
 	capped := sc.capped
 	clear(capped)
 	root := f.Root()
@@ -72,11 +84,15 @@ func (sc *Scratch) LowerBound(f *tree.Flat, in *Instance) int {
 		}
 		capped[h] += r
 	}
+	// inside[j] = requests that must be served inside subtree(j);
+	// need[j] = lower bound on replicas inside subtree(j): at least
+	// ⌈inside/W⌉, and at least the sum over children (disjoint
+	// replica sets).
 	inside, need := sc.inside, sc.need
 	for _, j := range f.Post {
 		sum := capped[j]
 		var childNeed int64
-		for c := f.FirstChild[j]; c != tree.None; c = f.NextSibling[c] {
+		for _, c := range f.Children(j) {
 			sum += inside[c]
 			childNeed += need[c]
 		}
@@ -90,16 +106,16 @@ func (sc *Scratch) LowerBound(f *tree.Flat, in *Instance) int {
 	return int(need[root])
 }
 
-// Verify checks feasibility of sol like Verify, against f, the flat
-// twin of in.Tree. Unlike the package-level Verify it does not
-// re-validate the instance — the caller guarantees a validated
-// instance (the session validates once at ingest) — and it performs no
-// heap allocations when the solution is feasible. Errors wrap the same
+// Verify checks feasibility of sol like Verify, but does not
+// re-validate the instance: the caller guarantees a validated instance
+// (the session validates once at ingest). It performs no heap
+// allocations when the solution is feasible; errors wrap the same
 // sentinels as Verify (errors only occur on infeasible solutions,
 // where allocating the message is fine).
-func (sc *Scratch) Verify(f *tree.Flat, in *Instance, pol Policy, sol *Solution) error {
+func (sc *Scratch) Verify(in *Instance, pol Policy, sol *Solution) error {
+	f := in.Tree
 	n := f.Len()
-	sc.grow(n)
+	sc.growVerify(n)
 	isReplica := sc.isReplica
 	clear(isReplica)
 	for _, r := range sol.Replicas {

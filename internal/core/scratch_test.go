@@ -25,11 +25,12 @@ func TestScratchLowerBoundMatchesCold(t *testing.T) {
 	var sc core.Scratch
 	for i := 0; i < 200; i++ {
 		in := randInstance(rng)
-		f := tree.Flatten(in.Tree)
-		want := core.LowerBound(in)
-		got := sc.LowerBound(f, in)
-		if got != want {
-			t.Fatalf("instance %d: scratch bound %d != cold bound %d", i, got, want)
+		want := referenceLowerBound(in)
+		if got := sc.LowerBound(in); got != want {
+			t.Fatalf("instance %d: scratch bound %d != reference bound %d", i, got, want)
+		}
+		if got := core.LowerBound(in); got != want {
+			t.Fatalf("instance %d: bound %d != reference bound %d", i, got, want)
 		}
 	}
 }
@@ -39,16 +40,15 @@ func TestScratchVerifyMatchesCold(t *testing.T) {
 	var sc core.Scratch
 	for i := 0; i < 100; i++ {
 		in := randInstance(rng)
-		f := tree.Flatten(in.Tree)
 		sol := core.Trivial(in)
 		if sol == nil {
 			continue
 		}
 		for _, pol := range []core.Policy{core.Single, core.Multiple} {
-			cold := core.Verify(in, pol, sol)
-			warm := sc.Verify(f, in, pol, sol)
-			if (cold == nil) != (warm == nil) {
-				t.Fatalf("instance %d pol %v: cold=%v warm=%v", i, pol, cold, warm)
+			ref := referenceVerify(in, pol, sol)
+			warm := sc.Verify(in, pol, sol)
+			if (ref == nil) != (warm == nil) {
+				t.Fatalf("instance %d pol %v: reference=%v scratch=%v", i, pol, ref, warm)
 			}
 		}
 	}
@@ -62,7 +62,6 @@ func TestScratchVerifyRejections(t *testing.T) {
 	c2 := b.Client(n1, 3, 4, "")
 	tr := b.MustBuild()
 	in := &core.Instance{Tree: tr, W: 10, DMax: 3}
-	f := tree.Flatten(tr)
 	var sc core.Scratch
 
 	cases := []struct {
@@ -97,13 +96,12 @@ func TestScratchVerifyRejections(t *testing.T) {
 	}
 	for _, tc := range cases {
 		sol := tc.sol
-		err := sc.Verify(f, in, tc.pol, &sol)
+		err := sc.Verify(in, tc.pol, &sol)
 		if !errors.Is(err, tc.want) {
 			t.Errorf("%s: got %v, want %v", tc.name, err, tc.want)
 		}
-		cold := core.Verify(in, tc.pol, &sol)
-		if !errors.Is(cold, tc.want) {
-			t.Errorf("%s: cold verify got %v, want %v", tc.name, cold, tc.want)
+		if ref := referenceVerify(in, tc.pol, &sol); ref == nil || ref.Error() != err.Error() {
+			t.Errorf("%s: reference verify got %v, scratch %v", tc.name, ref, err)
 		}
 	}
 }
@@ -116,13 +114,12 @@ func TestScratchVerifyCapacity(t *testing.T) {
 	c2 := b.Client(n1, 3, 4, "")
 	tr := b.MustBuild()
 	in := &core.Instance{Tree: tr, W: 8, DMax: 3}
-	f := tree.Flatten(tr)
 	var sc core.Scratch
 	sol := &core.Solution{
 		Replicas:    []tree.NodeID{n1},
 		Assignments: []core.Assignment{{Client: c1, Server: n1, Amount: 5}, {Client: c2, Server: n1, Amount: 4}},
 	}
-	if err := sc.Verify(f, in, core.Multiple, sol); !errors.Is(err, core.ErrCapacity) {
+	if err := sc.Verify(in, core.Multiple, sol); !errors.Is(err, core.ErrCapacity) {
 		t.Fatalf("got %v, want ErrCapacity", err)
 	}
 }
@@ -130,19 +127,18 @@ func TestScratchVerifyCapacity(t *testing.T) {
 func TestScratchAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	in := gen.RandomInstance(rng, gen.TreeConfig{Internals: 40, MaxArity: 3}, true)
-	f := tree.Flatten(in.Tree)
 	sol := core.Trivial(in)
 	if sol == nil {
 		t.Skip("instance does not fit locally")
 	}
 	var sc core.Scratch
-	sc.LowerBound(f, in)
-	if err := sc.Verify(f, in, core.Multiple, sol); err != nil {
+	sc.LowerBound(in)
+	if err := sc.Verify(in, core.Multiple, sol); err != nil {
 		t.Fatal(err)
 	}
 	avg := testing.AllocsPerRun(50, func() {
-		sc.LowerBound(f, in)
-		if err := sc.Verify(f, in, core.Multiple, sol); err != nil {
+		sc.LowerBound(in)
+		if err := sc.Verify(in, core.Multiple, sol); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"errors"
-	"fmt"
-)
+import "errors"
 
 // Sentinel verification errors; Verify wraps them with context, so use
 // errors.Is to classify a failure.
@@ -31,63 +28,6 @@ func Verify(in *Instance, pol Policy, sol *Solution) error {
 	if err := in.Validate(); err != nil {
 		return err
 	}
-	t := in.Tree
-	rset := make(map[int32]bool, len(sol.Replicas))
-	for _, r := range sol.Replicas {
-		if !t.Valid(r) {
-			return fmt.Errorf("%w: replica node %d out of range", ErrStructure, r)
-		}
-		if rset[int32(r)] {
-			return fmt.Errorf("%w: duplicate replica %d", ErrStructure, r)
-		}
-		rset[int32(r)] = true
-	}
-
-	served := make(map[int32]int64)
-	loads := make(map[int32]int64)
-	servers := make(map[int32]int32) // client -> first server seen (Single check)
-	for _, a := range sol.Assignments {
-		if !t.Valid(a.Client) || !t.Valid(a.Server) {
-			return fmt.Errorf("%w: assignment %+v references invalid node", ErrStructure, a)
-		}
-		if !t.IsClient(a.Client) {
-			return fmt.Errorf("%w: assignment source %d is not a client", ErrStructure, a.Client)
-		}
-		if a.Amount <= 0 {
-			return fmt.Errorf("%w: non-positive amount in %+v", ErrStructure, a)
-		}
-		if !rset[int32(a.Server)] {
-			return fmt.Errorf("%w: assignment to non-replica node %d", ErrStructure, a.Server)
-		}
-		if !t.IsAncestor(a.Server, a.Client) {
-			return fmt.Errorf("%w: server %d is not on the path of client %d", ErrDistance, a.Server, a.Client)
-		}
-		if d := t.DistanceUp(a.Client, a.Server); d > in.DMax {
-			return fmt.Errorf("%w: client %d served by %d at distance %d > dmax %d",
-				ErrDistance, a.Client, a.Server, d, in.DMax)
-		}
-		served[int32(a.Client)] += a.Amount
-		loads[int32(a.Server)] += a.Amount
-		if pol == Single {
-			if prev, ok := servers[int32(a.Client)]; ok && prev != int32(a.Server) {
-				return fmt.Errorf("%w: client %d served by both %d and %d under Single",
-					ErrPolicy, a.Client, prev, a.Server)
-			}
-			servers[int32(a.Client)] = int32(a.Server)
-		}
-	}
-
-	for _, i := range t.Clients() {
-		want := t.Requests(i)
-		got := served[int32(i)]
-		if got != want {
-			return fmt.Errorf("%w: client %d served %d of %d requests", ErrCoverage, i, got, want)
-		}
-	}
-	for srv, load := range loads {
-		if load > in.W {
-			return fmt.Errorf("%w: server %d load %d > W %d", ErrCapacity, srv, load, in.W)
-		}
-	}
-	return nil
+	var sc Scratch
+	return sc.Verify(in, pol, sol)
 }

@@ -84,7 +84,7 @@ func coordinate(fi *core.FlatInstance, pieces []tree.Piece, sol *core.Solution, 
 
 type coord struct {
 	fi        *core.FlatInstance
-	f         *tree.Flat
+	f         *tree.Tree
 	pieces    []tree.Piece
 	pieceOf   []int32
 	rootPiece int32

@@ -2,12 +2,14 @@
 // path that solves trees orders of magnitude larger than any
 // whole-tree engine handles. The pipeline is
 //
-//  1. partition — tree.PartitionFlat splits the Flat at articulation
-//     subtrees into balanced pieces (target size configurable), each a
-//     self-contained instance plus a boundary record;
-//  2. solve — pieces run in parallel through solver.Batch in bounded
-//     waves, each worker on a pooled solver.Scratch, so peak memory is
-//     one wave of piece trees, never the whole pointer forest;
+//  1. partition — tree.PartitionPoints and tree.BuildPieces split the
+//     tree at articulation subtrees into balanced pieces (target size
+//     configurable), each a self-contained instance plus a boundary
+//     record;
+//  2. solve — tree.PieceTree builds each piece's tree, and pieces run
+//     in parallel through solver.Batch in bounded waves, each worker on
+//     a pooled solver.Scratch, so peak memory is the tree plus one wave
+//     of piece trees;
 //  3. stitch — piece placements remap from local to global IDs (piece
 //     local ID i is Piece.Nodes[i]) into one solution, merging back
 //     any piece whose isolated instance was infeasible;
@@ -17,8 +19,8 @@
 //     to ancestor replicas above their cut, and retire. Rounds repeat
 //     until no replica can be retired or the round budget is spent.
 //
-// The result reports Gap against the subtree-sum lower bound computed
-// directly on the Flat, so a caller knows how far the decomposition
+// The result reports Gap against the subtree-sum lower bound of the
+// whole tree, so a caller knows how far the decomposition
 // is from the global optimum without any engine able to certify it at
 // this scale.
 package decomp
@@ -59,8 +61,8 @@ type Options struct {
 	Rounds int
 	// Workers bounds the piece-solve worker pool (0 = GOMAXPROCS).
 	Workers int
-	// Verify re-checks the stitched solution against the flat
-	// instance before returning.
+	// Verify re-checks the stitched solution against the instance
+	// before returning.
 	Verify bool
 }
 
@@ -107,7 +109,7 @@ type Result struct {
 	Elapsed time.Duration
 }
 
-// SolveFlat runs the decomposition pipeline on a flat instance. The
+// SolveFlat runs the decomposition pipeline on an instance. The
 // returned solution follows the Multiple access policy (piece
 // placements may be single-assignment, but coordination splits flows
 // across cut edges).
@@ -169,7 +171,7 @@ func SolveFlat(ctx context.Context, fi *core.FlatInstance, opt Options) (*Result
 
 // solvePieces solves every piece through solver.Batch in bounded
 // waves, remapping each piece solution into sol as it lands. Only one
-// wave of piece instances (pointer trees) is resident at a time, so
+// wave of piece instances is resident at a time, so
 // peak memory stays bounded by workers, not by tree size. It returns
 // the piece roots whose isolated solves failed (merge candidates); a
 // failure with nothing left to merge is a hard error.
@@ -194,7 +196,7 @@ func solvePieces(ctx context.Context, fi *core.FlatInstance, eng solver.Engine, 
 				Request: solver.Request{
 					Instance: &core.Instance{Tree: pt, W: fi.W, DMax: fi.DMax},
 					Deadline: time.Time{},
-					// The global bound is computed once on the Flat;
+					// The global bound is computed once on the tree;
 					// per-piece bounds would only burn time.
 					Hints: map[string]string{"no-lower-bound": "1"},
 				},

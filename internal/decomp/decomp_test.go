@@ -11,16 +11,15 @@ import (
 	"replicatree/internal/core"
 	"replicatree/internal/gen"
 	"replicatree/internal/solver"
-	"replicatree/internal/tree"
 )
 
 func flatOf(in *core.Instance) *core.FlatInstance {
-	return &core.FlatInstance{Flat: tree.Flatten(in.Tree), W: in.W, DMax: in.DMax}
+	return &core.FlatInstance{Flat: in.Tree, W: in.W, DMax: in.DMax}
 }
 
 // TestSolveFlatFeasibleSweep: over random instances of both distance
 // regimes and a spread of piece sizes, the stitched solution must
-// verify, the bound must match the pointer-tree bound, and the
+// verify, the bound must match core.LowerBound, and the
 // reported gap must tie out replicas vs bound.
 func TestSolveFlatFeasibleSweep(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
@@ -34,7 +33,7 @@ func TestSolveFlatFeasibleSweep(t *testing.T) {
 					t.Fatalf("seed %d withD=%v target %d: %v", seed, withD, target, err)
 				}
 				if err := core.Verify(in, core.Multiple, res.Solution); err != nil {
-					t.Fatalf("seed %d withD=%v target %d: pointer verify: %v", seed, withD, target, err)
+					t.Fatalf("seed %d withD=%v target %d: core.Verify: %v", seed, withD, target, err)
 				}
 				if want := core.LowerBound(in); res.LowerBound != want {
 					t.Fatalf("seed %d target %d: lower bound %d, want %d", seed, target, res.LowerBound, want)

@@ -6,7 +6,6 @@ import (
 
 	"replicatree/internal/core"
 	"replicatree/internal/solver"
-	"replicatree/internal/tree"
 )
 
 // Engine registration. decomp imports solver, so the registry cannot
@@ -18,11 +17,10 @@ func init() {
 	solver.MustRegisterEngine(newEngine())
 }
 
-// newEngine wraps SolveFlat in the standard engine contract. The
-// pointer-tree request is flattened on entry; the huge-tree paths
-// (cmd/replica -stream, the replicabench huge-tree workload) skip
-// this wrapper and call SolveFlat directly so no pointer tree ever
-// exists.
+// newEngine wraps SolveFlat in the standard engine contract; the
+// request's tree is used as it is. The huge-tree paths (cmd/replica
+// -stream, the replicabench huge-tree workload) call SolveFlat
+// directly.
 //
 // Request hints: "decomp-piece-size", "decomp-rounds" and
 // "decomp-engine" override the corresponding Options fields.
@@ -54,7 +52,7 @@ func newEngine() solver.Engine {
 			opt.Engine = v
 		}
 		fi := &core.FlatInstance{
-			Flat: tree.Flatten(req.Instance.Tree),
+			Flat: req.Instance.Tree,
 			W:    req.Instance.W,
 			DMax: req.Instance.DMax,
 		}

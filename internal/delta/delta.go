@@ -217,7 +217,7 @@ func (s *Session) apply(m *Mutation) error {
 		if !s.engine.Capabilities().Delta {
 			return fmt.Errorf("engine %s cannot honour failed servers (delta engines only)", s.engine.Name())
 		}
-		if !s.ed.Tree().Valid(m.Node) {
+		if m.Node < 0 || int(m.Node) >= s.ed.Len() {
 			return fmt.Errorf("unknown node %d", m.Node)
 		}
 		if _, ok := slices.BinarySearch(s.failed, m.Node); !ok {

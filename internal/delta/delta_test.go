@@ -8,6 +8,7 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"replicatree/internal/core"
 	"replicatree/internal/gen"
@@ -469,5 +470,59 @@ func TestSessionIdentity(t *testing.T) {
 	}
 	if s.Engine() != solver.SingleGen {
 		t.Fatalf("engine name %q", s.Engine())
+	}
+}
+
+// TestApplyManyAddClients: one mutate batch of 10⁵ add_client ops
+// stays linear. Each AddLeaf only appends; the child index and the
+// visit orders are rebuilt once, at the next resolve. The answer after
+// the batch is the cold solve's.
+func TestApplyManyAddClients(t *testing.T) {
+	const ops = 100_000
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(97))
+	in := gen.RandomInstance(rng, gen.TreeConfig{Internals: 2000, MaxArity: 3, MaxDist: 4, MaxReq: 9}, true)
+	internals := in.Tree.Internals()
+	for _, engine := range []string{solver.SingleGen, solver.MultipleGreedy, solver.MultipleReplan} {
+		t.Run(engine, func(t *testing.T) {
+			s, err := New(in, engine)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			muts := make([]Mutation, ops)
+			for i := range muts {
+				muts[i] = Mutation{Op: OpAddClient, Parent: internals[i%len(internals)], Dist: int64(1 + i%3), Requests: int64(1 + i%5)}
+			}
+			added := ops
+			if engine == solver.MultipleReplan {
+				// A failure halfway, naming the leaf added just before.
+				muts[ops/2] = Mutation{Op: OpFailServer, Node: tree.NodeID(in.Tree.Len() + ops/2 - 1)}
+				added--
+			}
+			begin := time.Now()
+			if err := s.Apply(muts); err != nil {
+				t.Fatal(err)
+			}
+			if el := time.Since(begin); el > 2*time.Second {
+				t.Fatalf("%d add_client ops took %v", ops, el)
+			}
+			snap := s.Instance()
+			if snap.Tree.Len() != in.Tree.Len()+added || snap.Tree.Validate() != nil {
+				t.Fatalf("snapshot has %d nodes (valid: %v)", snap.Tree.Len(), snap.Tree.Validate())
+			}
+			if engine == solver.MultipleReplan {
+				return // replanning a tree this size is the slow part, not the batch
+			}
+			got, err := s.Resolve(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := solver.MustLookup(engine).Solve(ctx, solver.Request{Instance: snap})
+			if err != nil {
+				t.Fatal(err)
+			}
+			reportsEqual(t, engine, got, want)
+		})
 	}
 }

@@ -68,7 +68,7 @@ type placeRec struct {
 
 // genInc is the incremental Algorithm 1 state for one session.
 type genInc struct {
-	f       tree.Flat
+	f       tree.Tree // private copy of the session's tree, mutated in step
 	w, dmax int64
 
 	// chainNext[c] links client c to the next client of the same
@@ -101,7 +101,7 @@ type genInc struct {
 	postPos []int32
 
 	// Dirty tracking between resolves. mark/dirty use dirtyEpoch;
-	// structural forces reflatten + full rebuild, fullDirty a full
+	// structural forces a fresh copy + full rebuild, fullDirty a full
 	// re-visit without rebuild.
 	dirtyEpoch uint32
 	mark       []uint32
@@ -178,8 +178,8 @@ func (g *genInc) anchorOf(c tree.NodeID) tree.NodeID {
 	return h
 }
 
-// setRequest applies a request-rate change to the flat twin and the
-// bound state, dirtying the client's root path.
+// setRequest applies a request-rate change to the private tree copy
+// and the bound state, dirtying the client's root path.
 func (g *genInc) setRequest(c tree.NodeID, r int64) {
 	if g.pendingRebuild() {
 		return
@@ -209,7 +209,7 @@ func (g *genInc) setEdgeLen(j tree.NodeID, d int64) {
 			g.capped[g.anchor[n]] += g.f.Reqs[n]
 			continue
 		}
-		for c := g.f.FirstChild[n]; c != tree.None; c = g.f.NextSibling[c] {
+		for _, c := range g.f.Children(n) {
 			st = append(st, c)
 		}
 	}
@@ -305,7 +305,7 @@ func (g *genInc) resolve(t *tree.Tree) error {
 
 func (g *genInc) postPosOf(j tree.NodeID) int32 { return g.postPos[j] }
 
-// rebuild reflattens t and resets every per-node table, keeping the
+// rebuild copies t and resets every per-node table, keeping the
 // old assignment state just long enough for the churn pass: the
 // retract-all of the following fullDirty visit snapshots it.
 func (g *genInc) rebuild(t *tree.Tree) {
@@ -382,7 +382,7 @@ func (g *genInc) retractNode(j tree.NodeID) {
 func (g *genInc) visit(j tree.NodeID) {
 	f := &g.f
 	pt := g.ptmp[:0]
-	for c := f.FirstChild[j]; c != tree.None; c = f.NextSibling[c] {
+	for _, c := range f.Children(j) {
 		var p genPending
 		if f.IsClient(c) {
 			p = genPending{head: tree.None, tail: tree.None, total: f.Reqs[c], dist: g.dmax}
@@ -396,7 +396,7 @@ func (g *genInc) visit(j tree.NodeID) {
 	}
 	var sum int64
 	ci := 0
-	for c := f.FirstChild[j]; c != tree.None; c = f.NextSibling[c] {
+	for _, c := range f.Children(j) {
 		p := &pt[ci]
 		// Step 1: requests that cannot travel the edge (c → j) are
 		// served at c itself.
@@ -414,7 +414,7 @@ func (g *genInc) visit(j tree.NodeID) {
 		// Step 2: too much to carry; a server on every child that
 		// still has pending requests.
 		ci = 0
-		for c := f.FirstChild[j]; c != tree.None; c = f.NextSibling[c] {
+		for _, c := range f.Children(j) {
 			if pt[ci].total > 0 {
 				g.place(j, c, &pt[ci])
 			}
@@ -563,7 +563,7 @@ func (g *genInc) lowerBound() int {
 	for _, j := range f.Post {
 		sum := g.capped[j]
 		var childNeed int64
-		for c := f.FirstChild[j]; c != tree.None; c = f.NextSibling[c] {
+		for _, c := range f.Children(j) {
 			sum += g.inside[c]
 			childNeed += g.need[c]
 		}

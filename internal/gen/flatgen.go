@@ -9,11 +9,11 @@ import (
 )
 
 // RandomFlatInstance generates a random instance of approximately
-// nodes total tree nodes directly in flat (SoA) form via
-// tree.FlatBuilder — no pointer tree and no JSON blob ever exist, so
-// generating a million-node instance costs just the Flat's parallel
-// arrays plus O(nodes) generator state. It is the huge-tree twin of
-// RandomInstance and uses the same attachment process (random
+// nodes total tree nodes, added in topological order to a
+// tree.Builder — no JSON blob ever exists, so generating a
+// million-node instance costs just the tree's arrays plus O(nodes)
+// generator state. It is the huge-tree form of RandomInstance and
+// uses the same attachment process (random
 // open-internal skeleton, clients on childless internals, fill with
 // extra clients) and the same W/dmax draw, so small outputs look like
 // RandomInstance outputs. cfg.Internals and cfg.ExtraClients are
@@ -34,7 +34,8 @@ func RandomFlatInstance(rng *rand.Rand, nodes int, cfg TreeConfig, withDistance 
 	// clients.
 	internals := (nodes - 1) / 2
 
-	fb := tree.NewFlatBuilder(nodes)
+	fb := tree.NewBuilder()
+	fb.Grow(nodes)
 	root, err := fb.Add(tree.None, 0, 0, "")
 	if err != nil {
 		return nil, err

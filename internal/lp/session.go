@@ -28,8 +28,7 @@ import (
 // valid until the next solve. A Session is not safe for concurrent
 // use.
 type Session struct {
-	in   *core.Instance
-	flat *tree.Flat
+	in *core.Instance
 
 	// Ingest products.
 	prob      *Problem
@@ -67,13 +66,13 @@ type sessArc struct {
 // eligibility CSR. Unlike the per-solve path it may allocate. The
 // instance must be valid (buildPlacement re-validates, matching the
 // cold path's error).
-func (s *Session) Reset(in *core.Instance, f *tree.Flat) error {
+func (s *Session) Reset(in *core.Instance) error {
 	p, servers, nx, err := buildPlacement(in)
 	if err != nil {
 		return err
 	}
 	s.in = in
-	s.flat = f
+	f := in.Tree
 	s.prob = p
 	s.servers = servers
 	s.nx = nx

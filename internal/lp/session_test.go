@@ -7,7 +7,6 @@ import (
 
 	"replicatree/internal/core"
 	"replicatree/internal/gen"
-	"replicatree/internal/tree"
 )
 
 func sessionSolEqual(a, b *core.Solution) bool {
@@ -49,7 +48,6 @@ func TestWorkspaceSolveMatchesSolve(t *testing.T) {
 func TestLPSessionMatchesCold(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	var s Session
-	var f tree.Flat
 	for i := 0; i < 40; i++ {
 		in := gen.RandomInstance(rng, gen.TreeConfig{
 			Internals:    1 + rng.Intn(8),
@@ -58,8 +56,7 @@ func TestLPSessionMatchesCold(t *testing.T) {
 			MaxReq:       6,
 			ExtraClients: rng.Intn(3),
 		}, rng.Intn(2) == 0)
-		tree.FlattenInto(&f, in.Tree)
-		if err := s.Reset(in, &f); err != nil {
+		if err := s.Reset(in); err != nil {
 			t.Fatalf("instance %d: ingest: %v", i, err)
 		}
 		for round := 0; round < 2; round++ {
@@ -80,9 +77,8 @@ func TestLPSessionMatchesCold(t *testing.T) {
 func TestLPSessionAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
 	in := gen.RandomInstance(rng, gen.TreeConfig{Internals: 10, MaxArity: 3}, true)
-	f := tree.Flatten(in.Tree)
 	var s Session
-	if err := s.Reset(in, f); err != nil {
+	if err := s.Reset(in); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Placement(); err != nil {

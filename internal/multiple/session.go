@@ -35,7 +35,6 @@ import (
 // the next solve. A Session is not safe for concurrent use.
 type Session struct {
 	in   *core.Instance
-	flat *tree.Flat
 	sc   core.Scratch
 	solA core.Solution
 	solB core.Solution // second buffer so Best can hold both variants
@@ -51,39 +50,38 @@ type Session struct {
 	part list // serve-inside rest/partition arena
 }
 
-// Reset binds the session to an instance and its flat twin. The caller
-// must have validated the instance; Reset itself does not allocate.
-func (s *Session) Reset(in *core.Instance, f *tree.Flat) {
+// Reset binds the session to an instance. The caller must have
+// validated the instance; Reset itself does not allocate.
+func (s *Session) Reset(in *core.Instance) {
 	s.in = in
-	s.flat = f
 }
 
 // Bin is the warm-path Bin (Algorithm 3; binary trees, ri ≤ W).
 func (s *Session) Bin() (*core.Solution, error) {
-	if !s.flat.IsBinary() {
+	if !s.in.Tree.IsBinary() {
 		return nil, fmt.Errorf("multiple: Bin requires a binary tree (arity %d)", s.in.Tree.Arity())
 	}
-	if s.flat.MaxRequests() > s.in.W {
+	if s.in.Tree.MaxRequests() > s.in.W {
 		return nil, fmt.Errorf("multiple: Bin requires ri ≤ W for all clients (max r=%d, W=%d)",
-			s.flat.MaxRequests(), s.in.W)
+			s.in.Tree.MaxRequests(), s.in.W)
 	}
 	return s.run(false, &s.solA)
 }
 
 // Greedy is the warm-path Greedy (eager variant, arbitrary arity).
 func (s *Session) Greedy() (*core.Solution, error) {
-	if s.flat.MaxRequests() > s.in.W {
+	if s.in.Tree.MaxRequests() > s.in.W {
 		return nil, fmt.Errorf("multiple: Greedy requires ri ≤ W for all clients (max r=%d, W=%d)",
-			s.flat.MaxRequests(), s.in.W)
+			s.in.Tree.MaxRequests(), s.in.W)
 	}
 	return s.run(false, &s.solA)
 }
 
 // Lazy is the warm-path Lazy (delayed-placement variant).
 func (s *Session) Lazy() (*core.Solution, error) {
-	if s.flat.MaxRequests() > s.in.W {
+	if s.in.Tree.MaxRequests() > s.in.W {
 		return nil, fmt.Errorf("multiple: Lazy requires ri ≤ W for all clients (max r=%d, W=%d)",
-			s.flat.MaxRequests(), s.in.W)
+			s.in.Tree.MaxRequests(), s.in.W)
 	}
 	return s.run(true, &s.solA)
 }
@@ -91,9 +89,9 @@ func (s *Session) Lazy() (*core.Solution, error) {
 // Best runs the eager and lazy variants and returns the better one,
 // exactly like the package-level Best.
 func (s *Session) Best() (*core.Solution, error) {
-	if s.flat.MaxRequests() > s.in.W {
+	if s.in.Tree.MaxRequests() > s.in.W {
 		return nil, fmt.Errorf("multiple: Greedy requires ri ≤ W for all clients (max r=%d, W=%d)",
-			s.flat.MaxRequests(), s.in.W)
+			s.in.Tree.MaxRequests(), s.in.W)
 	}
 	eager, err := s.run(false, &s.solA)
 	if err != nil {
@@ -110,7 +108,7 @@ func (s *Session) Best() (*core.Solution, error) {
 }
 
 func (s *Session) run(lazy bool, sol *core.Solution) (*core.Solution, error) {
-	f := s.flat
+	f := s.in.Tree
 	n := f.Len()
 	if cap(s.req) < n {
 		s.req = make([]list, n)
@@ -143,18 +141,18 @@ func (s *Session) run(lazy bool, sol *core.Solution) (*core.Solution, error) {
 		}
 	}
 	sol.Normalize()
-	if err := s.sc.Verify(f, s.in, core.Multiple, sol); err != nil {
+	if err := s.sc.Verify(s.in, core.Multiple, sol); err != nil {
 		return nil, fmt.Errorf("multiple: algorithm produced infeasible solution: %w", err)
 	}
 	return sol, nil
 }
 
-// visit mirrors state.visit on the flat tree. The merge buffer vtmp is
+// visit mirrors state.visit on the session's tree. The merge buffer vtmp is
 // shared across levels: a level's use ends (content copied into
 // req/proc) before it returns to its parent, and the child recursion
 // happens before the parent touches vtmp.
 func (s *Session) visit(j tree.NodeID) {
-	f := s.flat
+	f := s.in.Tree
 	dmax := s.in.DMax
 
 	if f.IsClient(j) {
@@ -171,14 +169,14 @@ func (s *Session) visit(j tree.NodeID) {
 		return
 	}
 
-	for c := f.FirstChild[j]; c != tree.None; c = f.NextSibling[c] {
+	for _, c := range f.Children(j) {
 		s.visit(c)
 	}
 	// temp := mergeAll(addDist parts): concatenate in child order, then
 	// stable-sort by non-increasing d (equal to the fold of left-biased
 	// stable merges).
 	tmp := s.vtmp[:0]
-	for c := f.FirstChild[j]; c != tree.None; c = f.NextSibling[c] {
+	for _, c := range f.Children(j) {
 		dc := f.Dist(c)
 		for _, u := range s.req[c] {
 			tmp = append(tmp, triple{d: tree.SatAdd(u.d, dc), w: u.w, client: u.client})
@@ -249,9 +247,9 @@ func splitPoint(l list, w int64) (i int, splitW int64) {
 // returning, so indices — not slice headers — address the segments
 // across recursive calls.
 func (s *Session) extraServer(j tree.NodeID) {
-	f := s.flat
+	f := s.in.Tree
 	kidsBase := len(s.kids)
-	for c := f.FirstChild[j]; c != tree.None; c = f.NextSibling[c] {
+	for _, c := range f.Children(j) {
 		s.kids = append(s.kids, c)
 	}
 	seg := s.kids[kidsBase:]
@@ -344,7 +342,7 @@ func (s *Session) serveInside(c tree.NodeID, base, end int) {
 	if end == base {
 		return
 	}
-	f := s.flat
+	f := s.in.Tree
 	if !s.inR[c] {
 		i, splitW := splitPoint(s.part[base:end], s.in.W)
 		s.inR[c] = true
@@ -367,7 +365,7 @@ func (s *Session) serveInside(c tree.NodeID, base, end int) {
 	// Partition the remainder by the child each unit came through,
 	// preserving the list order inside each part (one filtering scan
 	// per child, in child order — same parts as the cold map build).
-	for gc := f.FirstChild[c]; gc != tree.None; gc = f.NextSibling[gc] {
+	for _, gc := range f.Children(c) {
 		partBase := len(s.part)
 		dgc := f.Dist(gc)
 		for i := base; i < end; i++ {
@@ -387,7 +385,7 @@ func (s *Session) serveInside(c tree.NodeID, base, end int) {
 // childToward returns the child of c on the path from c down to
 // client i.
 func (s *Session) childToward(c, i tree.NodeID) tree.NodeID {
-	f := s.flat
+	f := s.in.Tree
 	for f.Parents[i] != c {
 		i = f.Parents[i]
 		if i == f.Root() {

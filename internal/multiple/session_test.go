@@ -39,12 +39,10 @@ func sessionInstance(rng *rand.Rand, binary bool) *core.Instance {
 func TestMultipleSessionMatchesCold(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	var s Session
-	var f tree.Flat
 	for i := 0; i < 200; i++ {
 		binary := i%2 == 0
 		in := sessionInstance(rng, binary)
-		tree.FlattenInto(&f, in.Tree)
-		s.Reset(in, &f)
+		s.Reset(in)
 		type variant struct {
 			name string
 			cold func(*core.Instance) (*core.Solution, error)
@@ -82,9 +80,8 @@ func TestMultipleSessionPreconditions(t *testing.T) {
 	b.Client(n1, 1, 2, "")
 	b.Client(r, 1, 3, "")
 	in := &core.Instance{Tree: b.MustBuild(), W: 5, DMax: core.NoDistance}
-	f := tree.Flatten(in.Tree)
 	var s Session
-	s.Reset(in, f)
+	s.Reset(in)
 	if _, err := s.Greedy(); err == nil {
 		t.Fatal("warm Greedy accepted r > W")
 	}
@@ -99,8 +96,7 @@ func TestMultipleSessionPreconditions(t *testing.T) {
 	b2.Client(r2, 1, 2, "")
 	b2.Client(r2, 1, 2, "")
 	in2 := &core.Instance{Tree: b2.MustBuild(), W: 5, DMax: core.NoDistance}
-	f2 := tree.Flatten(in2.Tree)
-	s.Reset(in2, f2)
+	s.Reset(in2)
 	if _, err := s.Bin(); err == nil {
 		t.Fatal("warm Bin accepted a ternary tree")
 	}
@@ -117,9 +113,8 @@ func TestMultipleSessionAllocFree(t *testing.T) {
 	if in.W < in.Tree.MaxRequests() {
 		in.W = in.Tree.MaxRequests()
 	}
-	f := tree.Flatten(in.Tree)
 	var s Session
-	s.Reset(in, f)
+	s.Reset(in)
 	for name, warm := range map[string]func() (*core.Solution, error){
 		"bin": s.Bin, "greedy": s.Greedy, "lazy": s.Lazy, "best": s.Best,
 	} {

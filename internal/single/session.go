@@ -24,7 +24,6 @@ import (
 // A Session is not safe for concurrent use.
 type Session struct {
 	in      *core.Instance
-	flat    *tree.Flat
 	relaxed core.Instance // NoD verifies against the DMax-free twin
 	sc      core.Scratch
 	sol     core.Solution
@@ -57,12 +56,11 @@ type nentry struct {
 	head, tail int32
 }
 
-// Reset binds the session to an instance and its flat twin. The caller
-// must have validated the instance (the solver seam validates once at
-// ingest); Reset itself does not allocate.
-func (s *Session) Reset(in *core.Instance, f *tree.Flat) {
+// Reset binds the session to an instance. The caller must have
+// validated the instance (the solver seam validates once at ingest);
+// Reset itself does not allocate.
+func (s *Session) Reset(in *core.Instance) {
 	s.in = in
-	s.flat = f
 	s.relaxed = core.Instance{Tree: in.Tree, W: in.W, DMax: core.NoDistance}
 }
 
@@ -77,22 +75,22 @@ func (s *Session) newCNode(c tree.NodeID, r int64) int32 {
 	return int32(len(s.arena) - 1)
 }
 
-// feasibleSingle is Instance.Feasible(core.Single) computed on the
-// flat twin without allocating: a Single instance is feasible iff
-// every client has ri ≤ W, i.e. max ri ≤ W.
-func feasibleSingle(f *tree.Flat, w int64) bool {
+// feasibleSingle is Instance.Feasible(core.Single) computed without
+// allocating: a Single instance is feasible iff every client has
+// ri ≤ W, i.e. max ri ≤ W.
+func feasibleSingle(f *tree.Tree, w int64) bool {
 	return f.MaxRequests() <= w
 }
 
 // Gen is the warm-path Algorithm 1. It produces the same normalized
 // solution as the package-level Gen: the recursion is replaced by a
-// value stack over the flat postorder — when an internal node is
+// value stack over the stored postorder — when an internal node is
 // reached, its children's pending couples are exactly the top
 // NumChildren stack entries in child order — and the placement
 // decisions depend only on the (total, dist) values, never on event
 // order, so the normalized result is identical.
 func (s *Session) Gen() (*core.Solution, error) {
-	in, f := s.in, s.flat
+	in, f := s.in, s.in.Tree
 	if !feasibleSingle(f, in.W) {
 		return nil, fmt.Errorf("single: some client exceeds W=%d; Single has no solution", in.W)
 	}
@@ -113,7 +111,7 @@ func (s *Session) Gen() (*core.Solution, error) {
 		base := len(st) - k
 		var sum int64
 		ci := 0
-		for c := f.FirstChild[j]; c != tree.None; c = f.NextSibling[c] {
+		for _, c := range f.Children(j) {
 			p := &st[base+ci]
 			// Step 1: requests that cannot travel the edge (c → j) are
 			// served at c itself.
@@ -131,7 +129,7 @@ func (s *Session) Gen() (*core.Solution, error) {
 			// Step 2: too much to carry; a server on every child that
 			// still has pending requests.
 			ci = 0
-			for c := f.FirstChild[j]; c != tree.None; c = f.NextSibling[c] {
+			for _, c := range f.Children(j) {
 				if st[base+ci].total > 0 {
 					s.place(c, &st[base+ci])
 				}
@@ -175,7 +173,7 @@ func (s *Session) Gen() (*core.Solution, error) {
 		panic("single: gen left unassigned requests at the root")
 	}
 	s.sol.Normalize()
-	if err := s.sc.Verify(f, in, core.Single, &s.sol); err != nil {
+	if err := s.sc.Verify(in, core.Single, &s.sol); err != nil {
 		return nil, fmt.Errorf("single: gen produced infeasible solution: %w", err)
 	}
 	return &s.sol, nil
@@ -199,7 +197,7 @@ func (s *Session) place(x tree.NodeID, p *genPending) {
 // tie-breaking, and recursion reproduces it verbatim. Method recursion
 // does not heap-allocate.
 func (s *Session) NoD() (*core.Solution, error) {
-	in, f := s.in, s.flat
+	in, f := s.in, s.in.Tree
 	if !feasibleSingle(f, in.W) {
 		return nil, fmt.Errorf("single: some client exceeds W=%d; Single has no solution", in.W)
 	}
@@ -217,18 +215,18 @@ func (s *Session) NoD() (*core.Solution, error) {
 		panic("single: nod left unassigned requests at the root")
 	}
 	s.sol.Normalize()
-	if err := s.sc.Verify(f, &s.relaxed, core.Single, &s.sol); err != nil {
+	if err := s.sc.Verify(&s.relaxed, core.Single, &s.sol); err != nil {
 		return nil, fmt.Errorf("single: nod produced infeasible solution: %w", err)
 	}
 	return &s.sol, nil
 }
 
 func (s *Session) nodVisit(j tree.NodeID) int64 {
-	f := s.flat
+	f := s.in.Tree
 	if f.IsClient(j) {
 		return f.Reqs[j]
 	}
-	for c := f.FirstChild[j]; c != tree.None; c = f.NextSibling[c] {
+	for _, c := range f.Children(j) {
 		req := s.nodVisit(c)
 		if req != 0 {
 			e := nentry{node: c, total: req, head: -1, tail: -1}

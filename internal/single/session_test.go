@@ -31,11 +31,9 @@ func sessionInstance(rng *rand.Rand) *core.Instance {
 func TestSessionMatchesCold(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	var s Session
-	var f tree.Flat
 	for i := 0; i < 200; i++ {
 		in := sessionInstance(rng)
-		tree.FlattenInto(&f, in.Tree)
-		s.Reset(in, &f)
+		s.Reset(in)
 		for round := 0; round < 2; round++ {
 			cold, coldErr := Gen(in)
 			warm, warmErr := s.Gen()
@@ -64,9 +62,8 @@ func TestSessionInfeasible(t *testing.T) {
 	b.Client(r, 1, 10, "")
 	b.Client(r, 1, 2, "")
 	in := &core.Instance{Tree: b.MustBuild(), W: 5, DMax: core.NoDistance}
-	f := tree.Flatten(in.Tree)
 	var s Session
-	s.Reset(in, f)
+	s.Reset(in)
 	if _, err := s.Gen(); err == nil {
 		t.Fatal("warm gen accepted an infeasible instance")
 	}
@@ -80,9 +77,8 @@ func TestSessionInfeasible(t *testing.T) {
 func TestSessionAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	in := gen.RandomInstance(rng, gen.TreeConfig{Internals: 60, MaxArity: 3, ExtraClients: 20}, true)
-	f := tree.Flatten(in.Tree)
 	var s Session
-	s.Reset(in, f)
+	s.Reset(in)
 	if _, err := s.Gen(); err != nil {
 		t.Fatal(err)
 	}

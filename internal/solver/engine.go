@@ -319,15 +319,13 @@ func (e *engineCore) Solve(ctx context.Context, req Request) (Report, error) {
 
 // fillBound computes the uniform lower-bound/gap block of a successful
 // report, unless the request's "no-lower-bound" hint suppresses it.
-// When the request's scratch is bound to the instance it uses the
-// scratch's flat-tree tables (same value, zero allocations); the
-// equality is pinned by TestScratchLowerBoundMatchesCold.
+// A lent scratch's bound tables make it allocation-free.
 func fillBound(rep *Report, req Request) {
 	if rep.Solution == nil || req.Hint("no-lower-bound") != "" {
 		return
 	}
-	if sc := req.Scratch; sc != nil && sc.in == req.Instance {
-		rep.LowerBound = sc.bound.LowerBound(&sc.flat, req.Instance)
+	if sc := req.Scratch; sc != nil {
+		rep.LowerBound = sc.bound.LowerBound(req.Instance)
 	} else {
 		rep.LowerBound = core.LowerBound(req.Instance)
 	}

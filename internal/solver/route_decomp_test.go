@@ -22,7 +22,7 @@ func smallInstance(t *testing.T) *core.Instance {
 	return gen.RandomInstance(rng, gen.TreeConfig{Internals: 30, MaxArity: 3, ExtraClients: 20}, false)
 }
 
-// hugeInstance materialises a generated flat instance above the
+// hugeInstance generates an instance above the
 // routing threshold.
 func hugeInstance(t *testing.T) *core.Instance {
 	t.Helper()
@@ -31,10 +31,7 @@ func hugeInstance(t *testing.T) *core.Instance {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in, err := fi.Instance()
-	if err != nil {
-		t.Fatal(err)
-	}
+	in := &core.Instance{Tree: fi.Flat, W: fi.W, DMax: fi.DMax}
 	if in.Tree.Len() < 32768 {
 		t.Fatalf("fixture too small for the routing threshold: %d nodes", in.Tree.Len())
 	}

@@ -22,10 +22,10 @@ import (
 // internal/multiple and internal/lp pin solution equality).
 //
 // Ingestion is implicit: each session engine ingests the request's
-// instance on first sight, validating it once and building the flat
-// SoA twin plus the per-algorithm sessions. Re-solving the same
-// *core.Instance (same tree pointer, W and DMax) skips ingestion
-// entirely — that is the hot path.
+// instance on first sight, validating it once and binding the
+// per-algorithm sessions to it; the sessions read the instance's tree
+// in place. Re-solving the same *core.Instance (same tree pointer, W
+// and DMax) skips ingestion entirely — that is the hot path.
 //
 // Ownership rules:
 //   - A Scratch is NOT safe for concurrent use. Never share one
@@ -42,7 +42,6 @@ type Scratch struct {
 	w    int64
 	dmax int64
 
-	flat     tree.Flat
 	bound    core.Scratch // fillBound's alloc-free LowerBound tables
 	single   single.Session
 	multiple multiple.Session
@@ -81,7 +80,7 @@ func PutScratch(sc *Scratch) {
 }
 
 // ingest binds the scratch to the instance, validating it and
-// (re)building the flat twin and the sessions. Re-ingesting the
+// (re)binding the sessions. Re-ingesting the
 // instance the scratch is already bound to is free. Ingestion may
 // allocate (buffer growth, LP matrices); only the subsequent solves
 // are allocation-free.
@@ -93,9 +92,8 @@ func (sc *Scratch) ingest(in *core.Instance) error {
 	if err := in.Validate(); err != nil {
 		return err
 	}
-	tree.FlattenInto(&sc.flat, in.Tree)
-	sc.single.Reset(in, &sc.flat)
-	sc.multiple.Reset(in, &sc.flat)
+	sc.single.Reset(in)
+	sc.multiple.Reset(in)
 	sc.lpBound = false
 	sc.in, sc.tr, sc.w, sc.dmax = in, in.Tree, in.W, in.DMax
 	return nil
@@ -107,7 +105,7 @@ func (sc *Scratch) ingest(in *core.Instance) error {
 func (sc *Scratch) lpSession() (*lp.Session, error) {
 	if !sc.lpBound {
 		sc.lpBound = true
-		sc.lpErr = sc.lp.Reset(sc.in, &sc.flat)
+		sc.lpErr = sc.lp.Reset(sc.in)
 	}
 	return &sc.lp, sc.lpErr
 }

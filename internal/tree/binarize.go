@@ -48,7 +48,7 @@ func Binarize(t *Tree) *Binarized {
 	var build func(orig NodeID, parent NodeID, dist int64)
 	record := func(id NodeID, orig NodeID, virtual bool) {
 		// Builder assigns dense increasing IDs, so appending stays in
-		// sync with the arena.
+		// sync with the tree.
 		if int(id) != len(b.Orig) {
 			panic("tree: binarize bookkeeping out of sync")
 		}
@@ -62,12 +62,12 @@ func Binarize(t *Tree) *Binarized {
 		case 0:
 			return
 		case 1:
-			build(children[0], parent, t.nodes[children[0]].Dist)
+			build(children[0], parent, t.EdgeLens[children[0]])
 		case 2:
-			build(children[0], parent, t.nodes[children[0]].Dist)
-			build(children[1], parent, t.nodes[children[1]].Dist)
+			build(children[0], parent, t.EdgeLens[children[0]])
+			build(children[1], parent, t.EdgeLens[children[1]])
 		default:
-			build(children[0], parent, t.nodes[children[0]].Dist)
+			build(children[0], parent, t.EdgeLens[children[0]])
 			v := nb.Internal(parent, 0, "")
 			record(v, orig, true)
 			attach(children[1:], v, orig)
@@ -75,20 +75,19 @@ func Binarize(t *Tree) *Binarized {
 	}
 
 	build = func(orig NodeID, parent NodeID, dist int64) {
-		n := &t.nodes[orig]
-		if len(n.Children) == 0 {
-			id := nb.Client(parent, dist, n.Requests, n.Label)
+		if t.IsClient(orig) {
+			id := nb.Client(parent, dist, t.Reqs[orig], t.Labels[orig])
 			record(id, orig, false)
 			return
 		}
-		id := nb.Internal(parent, dist, n.Label)
+		id := nb.Internal(parent, dist, t.Labels[orig])
 		record(id, orig, false)
-		attach(n.Children, id, orig)
+		attach(t.Children(orig), id, orig)
 	}
 
-	rootID := nb.Root(t.nodes[t.root].Label)
+	rootID := nb.Root(t.Labels[t.root])
 	record(rootID, t.root, false)
-	attach(t.nodes[t.root].Children, rootID, t.root)
+	attach(t.Children(t.root), rootID, t.root)
 
 	b.Tree = nb.MustBuild()
 	return b

@@ -1,11 +1,11 @@
 package tree
 
 import (
-	"errors"
 	"fmt"
+	"slices"
 )
 
-// Builder constructs a Tree incrementally. Typical use:
+// Builder constructs a Tree one node at a time. Typical use:
 //
 //	b := tree.NewBuilder()
 //	r := b.Root("root")
@@ -13,76 +13,103 @@ import (
 //	b.Client(n, 2, 10, "c1")
 //	t, err := b.Build()
 //
-// The Builder panics on structurally impossible operations (adding a
-// child to an unknown node, two roots) because those are programming
-// errors; Build returns an error for semantic validation failures.
+// Nodes arrive in topological ID order: the root first, as ID 0, then
+// every node after its parent. IDs are assigned densely in arrival
+// order, and a node's children keep their arrival order, so a
+// streamed tree (the chunked wire format, a generator) is built with
+// no second copy of it resident.
+//
+// Root, Internal and Client panic on structurally impossible
+// operations (two roots, an unknown parent), because from trusted
+// code those are programming errors; Add reports them as errors for
+// untrusted input. Build returns an error for every semantic fault.
 type Builder struct {
-	nodes   []Node
-	root    NodeID
-	hasRoot bool
+	t Tree
 }
+
+// maxPrealloc caps the capacity a size hint reserves: one chunk of the
+// chunked wire format. A hint is what the input claims, not what has
+// arrived, so past the cap the arrays grow by append as nodes come in.
+const maxPrealloc = 8192
+
+// maxNodes bounds the node count; IDs and child offsets are int32.
+const maxNodes = 1 << 30
 
 // NewBuilder returns an empty Builder.
-func NewBuilder() *Builder {
-	return &Builder{root: None}
+func NewBuilder() *Builder { return &Builder{} }
+
+// Grow reserves room for n more nodes, at most maxPrealloc of them.
+func (b *Builder) Grow(n int) {
+	n = min(n, maxPrealloc)
+	t := &b.t
+	t.Parents = slices.Grow(t.Parents, n)
+	t.EdgeLens = slices.Grow(t.EdgeLens, n)
+	t.Reqs = slices.Grow(t.Reqs, n)
+	t.Labels = slices.Grow(t.Labels, n)
 }
 
-// Len returns the number of nodes added so far.
-func (b *Builder) Len() int { return len(b.nodes) }
+// Len returns the number of nodes added so far, which is also the ID
+// the next node gets.
+func (b *Builder) Len() int { return len(b.t.Parents) }
+
+// Add appends one node and returns its ID. The first node must be the
+// root (parent None); every later one must name an already-added
+// parent. dist is the length of the edge to the parent (0 for the
+// root). requests must be 0 for a node that later gets children;
+// Build checks this and every other per-node invariant.
+func (b *Builder) Add(parent NodeID, dist, requests int64, label string) (NodeID, error) {
+	t := &b.t
+	id := NodeID(len(t.Parents))
+	switch {
+	case id >= maxNodes:
+		return None, fmt.Errorf("tree: more than %d nodes", maxNodes)
+	case parent == None && id != 0:
+		return None, fmt.Errorf("tree: node %d has no parent; only the first node may be the root", id)
+	case parent != None && (parent < 0 || parent >= id):
+		return None, fmt.Errorf("tree: node %d has parent %d, want an already-added node (topological ID order)", id, parent)
+	}
+	t.Parents = append(t.Parents, parent)
+	t.EdgeLens = append(t.EdgeLens, dist)
+	t.Reqs = append(t.Reqs, requests)
+	t.Labels = append(t.Labels, label)
+	return id, nil
+}
+
+func (b *Builder) mustAdd(parent NodeID, dist, requests int64, label string) NodeID {
+	id, err := b.Add(parent, dist, requests, label)
+	if err != nil {
+		panic(err)
+	}
+	return id
+}
 
 // Root creates the root node. It must be called exactly once, before
 // any other node is added. The optional label names the node.
-func (b *Builder) Root(label string) NodeID {
-	if b.hasRoot {
-		panic("tree: Builder.Root called twice")
-	}
-	b.hasRoot = true
-	b.root = b.push(Node{Parent: None, Label: label})
-	return b.root
-}
+func (b *Builder) Root(label string) NodeID { return b.mustAdd(None, 0, 0, label) }
 
 // Internal adds an internal node under parent with edge length dist.
 func (b *Builder) Internal(parent NodeID, dist int64, label string) NodeID {
-	b.checkParent(parent)
-	id := b.push(Node{Parent: parent, Dist: dist, Label: label})
-	b.nodes[parent].Children = append(b.nodes[parent].Children, id)
-	return id
+	if parent == None {
+		panic("tree: Internal under no parent")
+	}
+	return b.mustAdd(parent, dist, 0, label)
 }
 
 // Client adds a client (leaf) node with the given request rate under
 // parent with edge length dist.
 func (b *Builder) Client(parent NodeID, dist, requests int64, label string) NodeID {
-	b.checkParent(parent)
-	id := b.push(Node{Parent: parent, Dist: dist, Requests: requests, Label: label})
-	b.nodes[parent].Children = append(b.nodes[parent].Children, id)
-	return id
+	if parent == None {
+		panic("tree: Client under no parent")
+	}
+	return b.mustAdd(parent, dist, requests, label)
 }
 
-func (b *Builder) push(n Node) NodeID {
-	if len(b.nodes) >= 1<<30 {
-		panic("tree: too many nodes")
-	}
-	b.nodes = append(b.nodes, n)
-	return NodeID(len(b.nodes) - 1)
-}
-
-func (b *Builder) checkParent(parent NodeID) {
-	if !b.hasRoot {
-		panic("tree: Builder used before Root")
-	}
-	if parent < 0 || int(parent) >= len(b.nodes) {
-		panic(fmt.Sprintf("tree: unknown parent %d", parent))
-	}
-}
-
-// Build finalises the tree and validates it. The Builder must not be
-// reused afterwards.
+// Build indexes and validates the tree and hands it over; the Builder
+// is empty afterwards.
 func (b *Builder) Build() (*Tree, error) {
-	if !b.hasRoot {
-		return nil, errors.New("tree: Build without a root")
-	}
-	t := &Tree{nodes: b.nodes, root: b.root}
-	if err := t.Validate(); err != nil {
+	t := new(Tree)
+	*t, b.t = b.t, Tree{}
+	if err := t.link(); err != nil {
 		return nil, err
 	}
 	return t, nil
@@ -96,4 +123,59 @@ func (b *Builder) MustBuild() *Tree {
 		panic(err)
 	}
 	return t
+}
+
+// link builds the child index from Parents, then validates the tree
+// and records its visit orders. Children come out in ascending ID
+// order, since the counting pass places them in ID order.
+func (t *Tree) link() error {
+	n := len(t.Parents)
+	t.index(n, func(i int) (NodeID, NodeID) { return NodeID(i), t.Parents[i] })
+	return t.order()
+}
+
+// index fills the child index from m child links, link(i) returning
+// the i-th as (child, parent); a parent of None is no link, and every
+// other parent must be in range. It counts the children per parent,
+// places them in link order, and sorts a child list only if its links
+// arrived out of ID order. Array capacity is reused.
+func (t *Tree) index(m int, link func(i int) (c, p NodeID)) {
+	n := len(t.Parents)
+	start := slices.Grow(t.ChildStart[:0], n+1)[:n+1]
+	clear(start)
+	for i := 0; i < m; i++ {
+		if _, p := link(i); p != None {
+			start[p+1]++
+		}
+	}
+	for j := 0; j < n; j++ {
+		start[j+1] += start[j]
+	}
+	list := slices.Grow(t.ChildList[:0], int(start[n]))[:start[n]]
+	// Place each child at its parent's next free slot, found by
+	// counting down from the end of the parent's range.
+	for i := m - 1; i >= 0; i-- {
+		if c, p := link(i); p != None {
+			start[p+1]--
+			list[start[p+1]] = c
+		}
+	}
+	// start[j+1] now holds the start of j's range; shift it down.
+	copy(start, start[1:])
+	start[n] = int32(len(list))
+	for j := 0; j < n; j++ {
+		if kids := list[start[j]:start[j+1]]; !slices.IsSorted(kids) {
+			slices.Sort(kids)
+		}
+	}
+	t.ChildStart, t.ChildList = start, list
+}
+
+// order sizes Pre and Post, then validates the tree while recording
+// its visit orders in them.
+func (t *Tree) order() error {
+	n := len(t.Parents)
+	t.Pre = slices.Grow(t.Pre[:0], n)[:n]
+	t.Post = slices.Grow(t.Post[:0], n)[:n]
+	return t.walk(true)
 }

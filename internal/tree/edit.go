@@ -5,8 +5,7 @@ import "fmt"
 // Editor mutates a private clone of a Tree in place. Trees are
 // documented immutable — every consumer may hold aliases into one —
 // so mutation is only safe on a copy with a single owner; Editor
-// enforces that ownership by cloning at construction and never
-// handing the clone out for further cloning-free sharing.
+// enforces that ownership by cloning at construction.
 //
 // The supported mutations are exactly the ones that keep node IDs
 // dense and stable: new leaves are appended (IDs only grow), request
@@ -17,20 +16,42 @@ import "fmt"
 //
 // Every mutation validates its local invariant (the ones
 // Tree.Validate checks globally), so the edited tree is valid after
-// every successful call — there is no deferred "commit" step.
+// every successful call. Appended leaves enter the child index and
+// the visit orders at the next Tree call, in one pass for however
+// many were added: AddLeaf itself is amortised O(1).
 type Editor struct {
 	t *Tree
+	// indexed is the node count the child index and orders cover;
+	// nodes from indexed on are leaves added since.
+	indexed int
 }
 
 // NewEditor returns an Editor over a private clone of t.
 func NewEditor(t *Tree) *Editor {
-	return &Editor{t: t.Clone()}
+	c := t.Clone()
+	return &Editor{t: c, indexed: c.Len()}
 }
 
-// Tree returns the edited tree. The pointer is stable across
-// mutations (mutations happen in place); callers that key caches on
-// tree identity must account for that.
-func (e *Editor) Tree() *Tree { return e.t }
+// Len returns the node count of the edited tree.
+func (e *Editor) Len() int { return e.t.Len() }
+
+// Tree returns the edited tree, with its child index and visit orders
+// brought up to date. The pointer is stable across mutations
+// (mutations happen in place), but a tree held across AddLeaf is
+// indexed again only by the next Tree call; callers that key caches
+// on tree identity must account for that.
+func (e *Editor) Tree() *Tree {
+	if e.indexed < e.t.Len() {
+		if err := e.t.link(); err != nil {
+			panic("tree: edit broke the tree: " + err.Error())
+		}
+		e.indexed = e.t.Len()
+	}
+	return e.t
+}
+
+// isClient is Tree.IsClient, including leaves not indexed yet.
+func (e *Editor) isClient(j NodeID) bool { return int(j) >= e.indexed || e.t.IsClient(j) }
 
 // AddLeaf appends a new client with the given rate under parent,
 // returning its ID (always the previous Len). The parent must be an
@@ -41,7 +62,7 @@ func (e *Editor) AddLeaf(parent NodeID, dist, requests int64, label string) (Nod
 	if !t.Valid(parent) {
 		return None, fmt.Errorf("tree: edit: unknown parent %d", parent)
 	}
-	if t.IsClient(parent) {
+	if e.isClient(parent) {
 		return None, fmt.Errorf("tree: edit: parent %d is a client; leaves attach to internal nodes only", parent)
 	}
 	if dist < 0 || dist == Infinity {
@@ -50,12 +71,14 @@ func (e *Editor) AddLeaf(parent NodeID, dist, requests int64, label string) (Nod
 	if requests < 0 {
 		return None, fmt.Errorf("tree: edit: negative requests %d", requests)
 	}
-	if len(t.nodes) >= 1<<30 {
+	if t.Len() >= maxNodes {
 		return None, fmt.Errorf("tree: edit: too many nodes")
 	}
-	id := NodeID(len(t.nodes))
-	t.nodes = append(t.nodes, Node{Parent: parent, Dist: dist, Requests: requests, Label: label})
-	t.nodes[parent].Children = append(t.nodes[parent].Children, id)
+	id := NodeID(t.Len())
+	t.Parents = append(t.Parents, parent)
+	t.EdgeLens = append(t.EdgeLens, dist)
+	t.Reqs = append(t.Reqs, requests)
+	t.Labels = append(t.Labels, label)
 	return id, nil
 }
 
@@ -67,13 +90,13 @@ func (e *Editor) SetRequests(j NodeID, requests int64) error {
 	if !t.Valid(j) {
 		return fmt.Errorf("tree: edit: unknown node %d", j)
 	}
-	if !t.IsClient(j) {
+	if !e.isClient(j) {
 		return fmt.Errorf("tree: edit: node %d is internal; only clients carry requests", j)
 	}
 	if requests < 0 {
 		return fmt.Errorf("tree: edit: negative requests %d", requests)
 	}
-	t.nodes[j].Requests = requests
+	t.Reqs[j] = requests
 	return nil
 }
 
@@ -90,6 +113,6 @@ func (e *Editor) SetEdgeLen(j NodeID, dist int64) error {
 	if dist < 0 || dist == Infinity {
 		return fmt.Errorf("tree: edit: invalid edge length %d", dist)
 	}
-	t.nodes[j].Dist = dist
+	t.EdgeLens[j] = dist
 	return nil
 }

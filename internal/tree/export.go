@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"slices"
 	"strings"
 	"sync"
 
@@ -16,7 +15,7 @@ import (
 // instances and placements.
 
 // jsonNode is the wire representation of a node. The tree is encoded
-// as a flat node list plus the root ID, which round-trips the arena
+// as a flat node list plus the root ID, which round-trips the tree
 // exactly.
 type jsonNode struct {
 	ID       NodeID `json:"id"`
@@ -33,15 +32,14 @@ type jsonTree struct {
 
 // MarshalJSON encodes the tree as a flat node list.
 func (t *Tree) MarshalJSON() ([]byte, error) {
-	jt := jsonTree{Root: t.root, Nodes: make([]jsonNode, len(t.nodes))}
-	for j := range t.nodes {
-		n := &t.nodes[j]
+	jt := jsonTree{Root: t.root, Nodes: make([]jsonNode, t.Len())}
+	for j := range jt.Nodes {
 		jt.Nodes[j] = jsonNode{
 			ID:       NodeID(j),
-			Parent:   n.Parent,
-			Dist:     n.Dist,
-			Requests: n.Requests,
-			Label:    n.Label,
+			Parent:   t.Parents[j],
+			Dist:     t.EdgeLens[j],
+			Requests: t.Reqs[j],
+			Label:    t.Labels[j],
 		}
 	}
 	return json.Marshal(jt)
@@ -146,54 +144,38 @@ func scanNodes(s *wire.Scanner, nodes []jsonNode) []jsonNode {
 	return nodes
 }
 
-// build is the arena builder both decode paths share, so they agree on
-// every error: it places the wire nodes by ID, links each node's
-// children in ID order and validates the tree.
+// build is the tree builder both decode paths share, so they agree on
+// every error: it places the wire nodes by ID, indexes each node's
+// children in ID order and validates the tree. The child index is
+// built from the list, not from the placed arrays: a duplicated ID
+// must show up as a child twice, and the ID it displaced, whose slot
+// still holds zeros, as a child nowhere, for Validate to name the
+// fault instead of accepting a client of node 0.
 func build(root NodeID, list []jsonNode) (*Tree, error) {
-	nodes := make([]Node, len(list))
-	for _, jn := range list {
-		if jn.ID < 0 || int(jn.ID) >= len(nodes) {
-			return nil, fmt.Errorf("tree: json node id %d out of range [0,%d)", jn.ID, len(nodes))
-		}
-		nodes[jn.ID] = Node{
-			Parent:   jn.Parent,
-			Dist:     jn.Dist,
-			Requests: jn.Requests,
-			Label:    jn.Label,
-		}
-	}
-	// Count each node's children, then carve every child list out of
-	// one shared array, capped so that no list can grow into the next.
-	counts := make([]int32, len(nodes))
-	total := 0
-	for _, jn := range list {
-		if jn.Parent != None {
-			if jn.Parent < 0 || int(jn.Parent) >= len(nodes) {
-				return nil, fmt.Errorf("tree: json node %d has out-of-range parent %d", jn.ID, jn.Parent)
-			}
-			counts[jn.Parent]++
-			total++
-		}
-	}
-	children := make([]NodeID, total)
-	off := 0
-	for j, c := range counts {
-		if c > 0 {
-			nodes[j].Children = children[off : off : off+int(c)]
-			off += int(c)
-		}
+	n := len(list)
+	t := &Tree{
+		Parents:  make([]NodeID, n),
+		EdgeLens: make([]int64, n),
+		Reqs:     make([]int64, n),
+		Labels:   make([]string, n),
+		root:     root,
 	}
 	for _, jn := range list {
-		if jn.Parent != None {
-			p := &nodes[jn.Parent]
-			p.Children = append(p.Children, jn.ID)
+		if jn.ID < 0 || int(jn.ID) >= n {
+			return nil, fmt.Errorf("tree: json node id %d out of range [0,%d)", jn.ID, n)
+		}
+		t.Parents[jn.ID] = jn.Parent
+		t.EdgeLens[jn.ID] = jn.Dist
+		t.Reqs[jn.ID] = jn.Requests
+		t.Labels[jn.ID] = jn.Label
+	}
+	for _, jn := range list {
+		if jn.Parent != None && (jn.Parent < 0 || int(jn.Parent) >= n) {
+			return nil, fmt.Errorf("tree: json node %d has out-of-range parent %d", jn.ID, jn.Parent)
 		}
 	}
-	for j := range nodes {
-		slices.Sort(nodes[j].Children)
-	}
-	t := &Tree{nodes: nodes, root: root}
-	if err := t.Validate(); err != nil {
+	t.index(n, func(i int) (NodeID, NodeID) { return list[i].ID, list[i].Parent })
+	if err := t.order(); err != nil {
 		return nil, err
 	}
 	return t, nil
@@ -204,13 +186,13 @@ func build(root NodeID, list []jsonNode) (*Tree, error) {
 func (t *Tree) DOT(replicas map[NodeID]bool) string {
 	var b strings.Builder
 	b.WriteString("digraph tree {\n  rankdir=BT;\n")
-	for j := range t.nodes {
+	for j := range t.Parents {
 		id := NodeID(j)
 		shape := "ellipse"
 		label := t.Name(id)
 		if t.IsClient(id) {
 			shape = "box"
-			label = fmt.Sprintf("%s\\nr=%d", label, t.nodes[j].Requests)
+			label = fmt.Sprintf("%s\\nr=%d", label, t.Reqs[j])
 		}
 		attrs := fmt.Sprintf("shape=%s,label=\"%s\"", shape, label)
 		if replicas[id] {
@@ -218,9 +200,9 @@ func (t *Tree) DOT(replicas map[NodeID]bool) string {
 		}
 		fmt.Fprintf(&b, "  n%d [%s];\n", j, attrs)
 	}
-	for j := range t.nodes {
-		if p := t.nodes[j].Parent; p != None {
-			fmt.Fprintf(&b, "  n%d -> n%d [label=\"%d\"];\n", j, p, t.nodes[j].Dist)
+	for j, p := range t.Parents {
+		if p != None {
+			fmt.Fprintf(&b, "  n%d -> n%d [label=\"%d\"];\n", j, p, t.EdgeLens[j])
 		}
 	}
 	b.WriteString("}\n")

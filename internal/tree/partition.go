@@ -7,7 +7,7 @@ import (
 
 // This file implements the subtree partitioner behind the decomp
 // engine (internal/decomp): a bottom-up accumulate-and-cut pass that
-// splits a Flat at subtree roots into balanced pieces. Every cut is
+// splits a Tree at subtree roots into balanced pieces. Every cut is
 // at an articulation subtree — the piece hanging below a cut node is
 // a complete subtree minus its own descendant pieces — so each piece
 // is itself a valid rooted tree and couples to the rest of the
@@ -47,7 +47,7 @@ type Piece struct {
 
 // PartitionFlat splits f into pieces of roughly target nodes each.
 // It is shorthand for BuildPieces(f, PartitionPoints(f, target)).
-func PartitionFlat(f *Flat, target int) []Piece {
+func PartitionFlat(f *Tree, target int) []Piece {
 	return BuildPieces(f, PartitionPoints(f, target))
 }
 
@@ -59,7 +59,7 @@ func PartitionFlat(f *Flat, target int) []Piece {
 // becomes a cut. Pieces therefore have between target and roughly
 // 1 + maxArity·(target-1) nodes, except the root piece which may be
 // smaller. An empty slice (single piece = whole tree) is valid.
-func PartitionPoints(f *Flat, target int) []NodeID {
+func PartitionPoints(f *Tree, target int) []NodeID {
 	if target < 2 {
 		target = 2
 	}
@@ -72,7 +72,7 @@ func PartitionPoints(f *Flat, target int) []NodeID {
 	var cuts []NodeID
 	for _, j := range f.Post {
 		sz := int64(1)
-		for c := f.FirstChild[j]; c != None; c = f.NextSibling[c] {
+		for _, c := range f.Children(j) {
 			sz += acc[c]
 		}
 		// A cut needs sz >= target >= 2, which implies at least one
@@ -109,7 +109,7 @@ func PartitionPoints(f *Flat, target int) []NodeID {
 // nodes (each must be an internal non-root node). Pieces are returned
 // in preorder of their roots, so the piece containing the global root
 // is always first. Every node of f lands in exactly one piece.
-func BuildPieces(f *Flat, cuts []NodeID) []Piece {
+func BuildPieces(f *Tree, cuts []NodeID) []Piece {
 	n := f.Len()
 	isCut := make([]bool, n)
 	for _, c := range cuts {
@@ -123,7 +123,7 @@ func BuildPieces(f *Flat, cuts []NodeID) []Piece {
 	sub := make([]int64, n)
 	for _, j := range f.Post {
 		s := f.Reqs[j]
-		for c := f.FirstChild[j]; c != None; c = f.NextSibling[c] {
+		for _, c := range f.Children(j) {
 			s += sub[c]
 		}
 		sub[j] = s
@@ -163,38 +163,33 @@ func BuildPieces(f *Flat, cuts []NodeID) []Piece {
 	return pieces
 }
 
-// PieceTree materialises piece p as a standalone pointer Tree with
-// dense local IDs: local ID i is global ID p.Nodes[i] (in particular
-// the local root 0 is the piece root), which is also how callers map
-// a piece solution back to global IDs. Internal nodes whose children
-// were all cut away become zero-request leaf clients — valid per
-// Tree.Validate, and harmless: they demand nothing.
-func PieceTree(f *Flat, p Piece) (*Tree, error) {
+// PieceTree materialises piece p as a standalone Tree with dense local
+// IDs: local ID i is global ID p.Nodes[i] (in particular the local root
+// 0 is the piece root), which is also how callers map a piece solution
+// back to global IDs. Internal nodes whose children were all cut away
+// become zero-request leaf clients — valid per Tree.Validate, and
+// harmless: they demand nothing.
+func PieceTree(f *Tree, p Piece) (*Tree, error) {
 	if len(p.Nodes) == 0 || p.Nodes[0] != p.Boundary.Root {
 		return nil, fmt.Errorf("tree: malformed piece (root %d)", p.Boundary.Root)
 	}
 	local := make(map[NodeID]NodeID, len(p.Nodes))
-	// A node is internal inside the piece iff some piece node names it
-	// as parent.
-	hasChild := make(map[NodeID]bool, len(p.Nodes))
-	for _, g := range p.Nodes[1:] {
-		hasChild[f.Parents[g]] = true
-	}
-	b := NewBuilder()
+	var b Builder
+	b.Grow(len(p.Nodes))
 	for i, g := range p.Nodes {
-		if i == 0 {
-			local[g] = b.Root(f.Labels[g])
-			continue
+		parent, dist := None, int64(0)
+		if i > 0 {
+			lp, ok := local[f.Parents[g]]
+			if !ok {
+				return nil, fmt.Errorf("tree: piece node %d appears before its parent", g)
+			}
+			parent, dist = lp, f.EdgeLens[g]
 		}
-		lp, ok := local[f.Parents[g]]
-		if !ok {
-			return nil, fmt.Errorf("tree: piece node %d appears before its parent", g)
+		id, err := b.Add(parent, dist, f.Reqs[g], f.Labels[g])
+		if err != nil {
+			return nil, err
 		}
-		if hasChild[g] {
-			local[g] = b.Internal(lp, f.EdgeLens[g], f.Labels[g])
-		} else {
-			local[g] = b.Client(lp, f.EdgeLens[g], f.Reqs[g], f.Labels[g])
-		}
+		local[g] = id
 	}
 	return b.Build()
 }

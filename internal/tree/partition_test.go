@@ -26,7 +26,7 @@ func partitionShapes(t *testing.T) map[string]*tree.Tree {
 
 func TestPartitionFlatProperties(t *testing.T) {
 	for name, tr := range partitionShapes(t) {
-		f := tree.Flatten(tr)
+		f := tr
 		for _, target := range []int{2, 8, 32, 1 << 20} {
 			pieces := tree.PartitionFlat(f, target)
 			if len(pieces) == 0 {
@@ -95,7 +95,7 @@ func TestPartitionFlatProperties(t *testing.T) {
 
 func TestPieceTreeRoundTrip(t *testing.T) {
 	for name, tr := range partitionShapes(t) {
-		f := tree.Flatten(tr)
+		f := tr
 		for _, target := range []int{2, 8, 32} {
 			pieces := tree.PartitionFlat(f, target)
 			for _, p := range pieces {
@@ -144,7 +144,7 @@ func TestPieceTreeRoundTrip(t *testing.T) {
 func TestPartitionPointsPieceSizes(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	tr := gen.RandomTree(rng, gen.TreeConfig{Internals: 400, MaxArity: 3, ExtraClients: 300})
-	f := tree.Flatten(tr)
+	f := tr
 	target := 16
 	pieces := tree.PartitionFlat(f, target)
 	if len(pieces) < 2 {

@@ -6,9 +6,9 @@ package tree
 
 // Clients returns the client (leaf) nodes in increasing ID order.
 func (t *Tree) Clients() []NodeID {
-	out := make([]NodeID, 0, len(t.nodes))
-	for j := range t.nodes {
-		if len(t.nodes[j].Children) == 0 {
+	out := make([]NodeID, 0, t.Len())
+	for j := range t.Parents {
+		if t.IsClient(NodeID(j)) {
 			out = append(out, NodeID(j))
 		}
 	}
@@ -17,9 +17,9 @@ func (t *Tree) Clients() []NodeID {
 
 // Internals returns the internal nodes in increasing ID order.
 func (t *Tree) Internals() []NodeID {
-	out := make([]NodeID, 0, len(t.nodes))
-	for j := range t.nodes {
-		if len(t.nodes[j].Children) > 0 {
+	out := make([]NodeID, 0, t.Len())
+	for j := range t.Parents {
+		if !t.IsClient(NodeID(j)) {
 			out = append(out, NodeID(j))
 		}
 	}
@@ -29,8 +29,8 @@ func (t *Tree) Internals() []NodeID {
 // NumClients returns |C|.
 func (t *Tree) NumClients() int {
 	n := 0
-	for j := range t.nodes {
-		if len(t.nodes[j].Children) == 0 {
+	for j := range t.Parents {
+		if t.IsClient(NodeID(j)) {
 			n++
 		}
 	}
@@ -40,10 +40,8 @@ func (t *Tree) NumClients() int {
 // Arity returns Δ, the maximum number of children of any node.
 func (t *Tree) Arity() int {
 	a := 0
-	for j := range t.nodes {
-		if len(t.nodes[j].Children) > a {
-			a = len(t.nodes[j].Children)
-		}
+	for j := range t.Parents {
+		a = max(a, t.NumChildren(NodeID(j)))
 	}
 	return a
 }
@@ -54,8 +52,8 @@ func (t *Tree) IsBinary() bool { return t.Arity() <= 2 }
 // TotalRequests returns Σ ri over all clients.
 func (t *Tree) TotalRequests() int64 {
 	var sum int64
-	for j := range t.nodes {
-		sum += t.nodes[j].Requests
+	for _, r := range t.Reqs {
+		sum += r
 	}
 	return sum
 }
@@ -64,10 +62,8 @@ func (t *Tree) TotalRequests() int64 {
 // hence invalid, tree).
 func (t *Tree) MaxRequests() int64 {
 	var m int64
-	for j := range t.nodes {
-		if t.nodes[j].Requests > m {
-			m = t.nodes[j].Requests
-		}
+	for _, r := range t.Reqs {
+		m = max(m, r)
 	}
 	return m
 }
@@ -76,7 +72,7 @@ func (t *Tree) MaxRequests() int64 {
 func (t *Tree) Depth(j NodeID) int {
 	d := 0
 	for j != t.root {
-		j = t.nodes[j].Parent
+		j = t.Parents[j]
 		d++
 	}
 	return d
@@ -84,13 +80,15 @@ func (t *Tree) Depth(j NodeID) int {
 
 // Height returns the maximum depth over all nodes.
 func (t *Tree) Height() int {
-	h := 0
-	for j := range t.nodes {
-		if d := t.Depth(NodeID(j)); d > h {
-			h = d
+	depth := make([]int32, t.Len())
+	var h int32
+	for _, j := range t.Pre {
+		if j != t.root {
+			depth[j] = depth[t.Parents[j]] + 1
+			h = max(h, depth[j])
 		}
 	}
-	return h
+	return int(h)
 }
 
 // PathToRoot returns the node path i = i1 → i2 → … → ik = root.
@@ -101,7 +99,7 @@ func (t *Tree) PathToRoot(i NodeID) []NodeID {
 		if i == t.root {
 			return path
 		}
-		i = t.nodes[i].Parent
+		i = t.Parents[i]
 	}
 }
 
@@ -114,7 +112,7 @@ func (t *Tree) IsAncestor(a, j NodeID) bool {
 		if j == t.root {
 			return false
 		}
-		j = t.nodes[j].Parent
+		j = t.Parents[j]
 	}
 }
 
@@ -127,8 +125,8 @@ func (t *Tree) DistanceUp(i, a NodeID) int64 {
 		if i == t.root {
 			panic("tree: DistanceUp target is not an ancestor")
 		}
-		d = satAdd(d, t.nodes[i].Dist)
-		i = t.nodes[i].Parent
+		d = satAdd(d, t.EdgeLens[i])
+		i = t.Parents[i]
 	}
 	return d
 }
@@ -150,68 +148,60 @@ func SatAdd(a, b int64) int64 { return satAdd(a, b) }
 // parents), which is the traversal order of all bottom-up algorithms
 // in this repository.
 func (t *Tree) PostOrder(fn func(j NodeID)) {
-	var rec func(j NodeID)
-	rec = func(j NodeID) {
-		for _, c := range t.nodes[j].Children {
-			rec(c)
-		}
+	for _, j := range t.Post {
 		fn(j)
 	}
-	rec(t.root)
 }
 
 // PreOrder calls fn on every node in pre-order (parents before
 // children).
 func (t *Tree) PreOrder(fn func(j NodeID)) {
-	var rec func(j NodeID)
-	rec = func(j NodeID) {
+	for _, j := range t.Pre {
 		fn(j)
-		for _, c := range t.nodes[j].Children {
-			rec(c)
-		}
 	}
-	rec(t.root)
 }
 
 // Subtree returns all nodes of subtree(j), including j, in pre-order.
 func (t *Tree) Subtree(j NodeID) []NodeID {
 	var out []NodeID
-	var rec func(j NodeID)
-	rec = func(j NodeID) {
-		out = append(out, j)
-		for _, c := range t.nodes[j].Children {
-			rec(c)
-		}
-	}
-	rec(j)
+	t.subtree(j, func(k NodeID) { out = append(out, k) })
 	return out
 }
 
 // SubtreeRequests returns Σ ri over clients in subtree(j).
 func (t *Tree) SubtreeRequests(j NodeID) int64 {
 	var sum int64
-	var rec func(j NodeID)
-	rec = func(j NodeID) {
-		sum += t.nodes[j].Requests
-		for _, c := range t.nodes[j].Children {
-			rec(c)
+	t.subtree(j, func(k NodeID) { sum += t.Reqs[k] })
+	return sum
+}
+
+// subtree calls fn on the nodes of subtree(j) in pre-order, keeping
+// its path on the heap: a child's range of ChildList is pushed in
+// reverse, so the first child pops first.
+func (t *Tree) subtree(j NodeID, fn func(k NodeID)) {
+	stack := []NodeID{j}
+	for len(stack) > 0 {
+		k := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		fn(k)
+		kids := t.Children(k)
+		for i := len(kids) - 1; i >= 0; i-- {
+			stack = append(stack, kids[i])
 		}
 	}
-	rec(j)
-	return sum
 }
 
 // SubtreeRequestsAll returns, for every node j, Σ ri over clients in
 // subtree(j), computed in a single post-order pass.
 func (t *Tree) SubtreeRequestsAll() []int64 {
-	sums := make([]int64, len(t.nodes))
-	t.PostOrder(func(j NodeID) {
-		s := t.nodes[j].Requests
-		for _, c := range t.nodes[j].Children {
+	sums := make([]int64, t.Len())
+	for _, j := range t.Post {
+		s := t.Reqs[j]
+		for _, c := range t.Children(j) {
 			s += sums[c]
 		}
 		sums[j] = s
-	})
+	}
 	return sums
 }
 
@@ -232,8 +222,8 @@ func (t *Tree) EligibleServers(i NodeID, dmax int64) []NodeID {
 		if j == t.root {
 			break
 		}
-		d = satAdd(d, t.nodes[j].Dist)
-		j = t.nodes[j].Parent
+		d = satAdd(d, t.EdgeLens[j])
+		j = t.Parents[j]
 	}
 	return out
 }

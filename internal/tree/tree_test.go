@@ -2,7 +2,6 @@ package tree
 
 import (
 	"encoding/json"
-	"runtime"
 	"strings"
 	"testing"
 )
@@ -247,37 +246,50 @@ func TestCloneIsDeep(t *testing.T) {
 	if cl.Len() != tr.Len() || cl.Root() != tr.Root() {
 		t.Fatal("clone differs structurally")
 	}
-	// Mutating the clone's children slice must not affect the
-	// original.
-	cl.nodes[cl.root].Children[0] = 99
-	if tr.nodes[tr.root].Children[0] == 99 {
-		t.Fatal("Clone shares children slices with original")
+	// Mutating the clone's child list must not affect the original.
+	cl.ChildList[0] = 99
+	if tr.ChildList[0] == 99 {
+		t.Fatal("Clone shares the child list with the original")
 	}
 }
 
+// TestValidateRejectsBadTrees edits the arrays of a built tree. The
+// faults a JSON body can carry are pinned by TestJSONValidationErrors;
+// these cover the rest, which no constructor produces but a Tree
+// value can hold.
 func TestValidateRejectsBadTrees(t *testing.T) {
 	if err := sample(t).Validate(); err != nil {
 		t.Fatalf("sample should validate, got %v", err)
 	}
+	// sample's child index: 0 → [1 2], 1 → [3 4], 2 → [5].
 	// Each case names the first error of the depth-first walk, in
-	// child order; the last one has two faults and must report the one
-	// the walk reaches first.
+	// child order; a case with two faults must report the one the
+	// walk reaches first.
 	cases := []struct {
 		name string
 		mut  func(*Tree)
 		want string
 	}{
-		{"internal node with requests", func(tr *Tree) { tr.nodes[1].Requests = 5 }, "tree: internal node 1 has requests 5"},
-		{"negative requests", func(tr *Tree) { tr.nodes[3].Requests = -1 }, "tree: node 3 has negative requests -1"},
-		{"negative edge length", func(tr *Tree) { tr.nodes[3].Dist = -2 }, "tree: node 3 has negative edge length -2"},
-		{"infinite edge length", func(tr *Tree) { tr.nodes[3].Dist = Infinity }, "tree: node 3 has infinite edge length"},
-		{"self-parent", func(tr *Tree) { tr.nodes[1].Parent = 1 }, "tree: child 1 of 0 has parent 1"},
-		{"unreachable node", func(tr *Tree) { tr.nodes[0].Children = tr.nodes[0].Children[:1] }, "tree: node 2 unreachable from root"},
-		{"child listed twice", func(tr *Tree) { tr.nodes[1].Children = []NodeID{3, 3} }, "tree: node 3 reached twice (cycle or shared child)"},
-		{"out-of-range child", func(tr *Tree) { tr.nodes[2].Children = []NodeID{9} }, "tree: node 2 has out-of-range child 9"},
+		{"internal node with requests", func(tr *Tree) { tr.Reqs[1] = 5 }, "tree: internal node 1 has requests 5"},
+		{"negative requests", func(tr *Tree) { tr.Reqs[3] = -1 }, "tree: node 3 has negative requests -1"},
+		{"negative edge length", func(tr *Tree) { tr.EdgeLens[3] = -2 }, "tree: node 3 has negative edge length -2"},
+		{"infinite edge length", func(tr *Tree) { tr.EdgeLens[3] = Infinity }, "tree: node 3 has infinite edge length"},
+		{"self-parent", func(tr *Tree) { tr.Parents[1] = 1 }, "tree: child 1 of 0 has parent 1"},
+		{"unreachable node", func(tr *Tree) {
+			tr.ChildList = []NodeID{1, 3, 4, 5}
+			tr.ChildStart = []int32{0, 1, 3, 4, 4, 4, 4}
+		}, "tree: node 2 unreachable from root"},
+		{"child listed twice", func(tr *Tree) { tr.ChildList[3] = 3 }, "tree: node 3 reached twice (cycle or shared child)"},
+		{"out-of-range child", func(tr *Tree) { tr.ChildList[4] = 9 }, "tree: node 2 has out-of-range child 9"},
 		{"root out of range", func(tr *Tree) { tr.root = 9 }, "tree: root 9 out of range"},
-		{"root with a parent", func(tr *Tree) { tr.nodes[0].Parent = 2 }, "tree: root 0 has a parent"},
-		{"first fault in walk order", func(tr *Tree) { tr.nodes[5].Requests = -1; tr.nodes[4].Dist = -1 }, "tree: node 4 has negative edge length -1"},
+		{"root with a parent", func(tr *Tree) { tr.Parents[0] = 2 }, "tree: root 0 has a parent"},
+		{"first fault in walk order", func(tr *Tree) { tr.Reqs[5] = -1; tr.EdgeLens[4] = -1 }, "tree: node 4 has negative edge length -1"},
+		{"short array", func(tr *Tree) { tr.Reqs = tr.Reqs[:5] }, "tree: node arrays disagree in length"},
+		{"child index short of the list", func(tr *Tree) { tr.ChildStart[6] = 4 }, "tree: child index does not span the child list"},
+		{"child index backwards", func(tr *Tree) { tr.ChildStart[2] = 1 }, "tree: child index of node 1 runs backwards"},
+		{"stored preorder", func(tr *Tree) { tr.Pre[2], tr.Pre[3] = tr.Pre[3], tr.Pre[2] }, "tree: stored preorder has node 4 at 2, the walk has 3"},
+		{"stored postorder", func(tr *Tree) { tr.Post[0], tr.Post[5] = tr.Post[5], tr.Post[0] }, "tree: stored postorder has node 0 at 0, the walk has 3"},
+		{"bad order behind a structural fault", func(tr *Tree) { tr.Pre[1] = 5; tr.Reqs[4] = -1 }, "tree: node 4 has negative requests -1"},
 	}
 	for _, c := range cases {
 		tr := sample(t).Clone()
@@ -291,47 +303,10 @@ func TestValidateRejectsBadTrees(t *testing.T) {
 	if err := empty.Validate(); err == nil || err.Error() != "tree: empty tree" {
 		t.Errorf("empty tree: got %v", err)
 	}
-	single := &Tree{nodes: []Node{{Parent: None, Requests: 3}}, root: 0}
+	single := &Tree{Parents: []NodeID{None}, EdgeLens: []int64{0}, Reqs: []int64{3}, Labels: []string{""},
+		ChildStart: []int32{0, 0}, Pre: []NodeID{0}, Post: []NodeID{0}}
 	if err := single.Validate(); err == nil || err.Error() != "tree: root must be an internal node (paper: r ∈ N)" {
 		t.Errorf("single-node tree: got %v", err)
-	}
-}
-
-// TestValidateDeepPath: a path-shaped tree of a million nodes, about
-// 40 MB of JSON and so under the service's body cap, validates without
-// growing the goroutine stack by its depth.
-func TestValidateDeepPath(t *testing.T) {
-	const n = 1_000_000
-	nodes := make([]Node, n)
-	kids := make([]NodeID, n-1)
-	for j := range nodes {
-		nodes[j].Parent = NodeID(j - 1)
-		nodes[j].Dist = 1
-		if j < n-1 {
-			kids[j] = NodeID(j + 1)
-			nodes[j].Children = kids[j : j+1 : j+1]
-		}
-	}
-	nodes[0].Dist = 0
-	nodes[n-1].Requests = 1
-	tr := &Tree{nodes: nodes}
-	// A fresh goroutine starts on a small stack; read StackInuse on it
-	// before Validate returns and the stack could shrink.
-	var before, after runtime.MemStats
-	var err error
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		runtime.ReadMemStats(&before)
-		err = tr.Validate()
-		runtime.ReadMemStats(&after)
-	}()
-	<-done
-	if err != nil {
-		t.Fatal(err)
-	}
-	if grew := int64(after.StackInuse) - int64(before.StackInuse); grew >= 16<<20 {
-		t.Fatalf("Validate grew the stack by %d MB on a %d-node path", grew>>20, n)
 	}
 }
 
