@@ -17,7 +17,6 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"flag"
@@ -113,7 +112,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 			defer f.Close()
 			r = f
 		}
-		fi, err := core.ReadChunked(bufio.NewReaderSize(r, 1<<20))
+		fi, err := core.ReadChunked(r)
 		if err != nil {
 			return err
 		}

@@ -4,8 +4,9 @@ package core
 // streaming wire format, so a million-node tree is ingested
 // piece-by-piece off an io.Reader instead of one json.Unmarshal of a
 // full-tree blob. Peak memory on the read side is the tree's arrays
-// plus one chunk of decoded node records; there is never a second
-// full-tree copy (raw JSON) resident. cmd/treegen emits the format
+// plus one chunk of node records and a window of raw bytes at most
+// about twice a chunk's length; there is never a second full-tree copy (raw JSON)
+// resident. cmd/treegen emits the format
 // with -stream, cmd/replica consumes it with -stream, and the decomp
 // engine solves the resulting FlatInstance.
 //
@@ -26,8 +27,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	"replicatree/internal/tree"
+	"replicatree/internal/wire"
 )
 
 // ChunkedFormat is the format tag in the stream header.
@@ -89,8 +92,9 @@ type chunkedHeader struct {
 	Nodes   int    `json:"nodes"`
 }
 
-// chunkedNode is one node record; the shape matches the jsonNode used
-// by the Tree codec so the two formats describe nodes identically.
+// chunkedNode is one node record as WriteChunked writes it: the fields
+// of tree.NodeRecord, so the two formats describe nodes identically,
+// but with a zero dist omitted too. ReadChunked reads tree.NodeRecord.
 type chunkedNode struct {
 	ID       tree.NodeID `json:"id"`
 	Parent   tree.NodeID `json:"parent"`
@@ -99,7 +103,8 @@ type chunkedNode struct {
 	Label    string      `json:"label,omitempty"`
 }
 
-// chunkedChunk is one chunk value carrying a run of node records.
+// chunkedChunk is one chunk value carrying a run of node records, as
+// WriteChunked writes it.
 type chunkedChunk struct {
 	Nodes []chunkedNode `json:"nodes"`
 }
@@ -162,14 +167,18 @@ func WriteChunked(w io.Writer, fi *FlatInstance, chunkNodes int) error {
 }
 
 // ReadChunked ingests a chunked stream from r and returns the rebuilt
-// instance. Decoding is incremental: one chunk of node records is
-// resident at a time, feeding a tree.Builder. The header's node count
-// is a claim, not a size: the builder reserves at most one chunk's
-// worth for it, and a stream that ends short is truncated.
+// instance. Decoding is incremental: one window over r and one chunk
+// of node records are resident at a time, the records feeding a
+// tree.Builder. Canonical values are framed and scanned in one pass
+// (package wire); from the first value that is not, encoding/json, the
+// reference, decodes the rest of the stream, that value included. The
+// header's node count is a claim, not a size: the builder reserves at
+// most one chunk's worth for it. The chunks must carry exactly that
+// many nodes, and only whitespace may follow the last of them.
 func ReadChunked(r io.Reader) (*FlatInstance, error) {
-	dec := json.NewDecoder(r)
-	var h chunkedHeader
-	if err := dec.Decode(&h); err != nil {
+	src := chunkSource{st: wire.NewStream(r)}
+	h, err := src.header()
+	if err != nil {
 		return nil, fmt.Errorf("core: chunked header: %w", err)
 	}
 	if h.Format != ChunkedFormat {
@@ -183,20 +192,18 @@ func ReadChunked(r io.Reader) (*FlatInstance, error) {
 	}
 	fb := tree.NewBuilder()
 	fb.Grow(h.Nodes)
-	var ch chunkedChunk
 	for fb.Len() < h.Nodes {
-		// Reuse the chunk buffer across decodes, zeroed: encoding/json
-		// decodes into the elements it finds, so a record that omits a
-		// field would keep the value of the record decoded there before.
-		clear(ch.Nodes[:cap(ch.Nodes)])
-		ch.Nodes = ch.Nodes[:0]
-		if err := dec.Decode(&ch); err != nil {
-			if err == io.EOF {
-				return nil, fmt.Errorf("core: chunked stream truncated: got %d of %d nodes", fb.Len(), h.Nodes)
-			}
+		nodes, err := src.chunk()
+		if err == io.EOF {
+			return nil, fmt.Errorf("core: chunked stream truncated: got %d of %d nodes", fb.Len(), h.Nodes)
+		}
+		if err != nil {
 			return nil, fmt.Errorf("core: chunked stream: %w", err)
 		}
-		for _, nd := range ch.Nodes {
+		if len(nodes) > h.Nodes-fb.Len() {
+			return nil, fmt.Errorf("core: chunked stream: more than the %d nodes the header declares", h.Nodes)
+		}
+		for _, nd := range nodes {
 			if nd.ID != tree.NodeID(fb.Len()) {
 				return nil, fmt.Errorf("core: chunked stream: node ID %d out of order (want %d)", nd.ID, fb.Len())
 			}
@@ -204,6 +211,9 @@ func ReadChunked(r io.Reader) (*FlatInstance, error) {
 				return nil, err
 			}
 		}
+	}
+	if err := src.end(); err != nil {
+		return nil, fmt.Errorf("core: chunked stream: %w", err)
 	}
 	f, err := fb.Build()
 	if err != nil {
@@ -217,4 +227,104 @@ func ReadChunked(r io.Reader) (*FlatInstance, error) {
 		return nil, err
 	}
 	return fi, nil
+}
+
+// chunkSource yields the values of a chunked stream to ReadChunked,
+// scanned in one pass until the first decline and decoded by dec, the
+// reference, from then on.
+type chunkSource struct {
+	st    *wire.Stream
+	dec   *json.Decoder
+	nodes []tree.NodeRecord // the scanned chunk's records, reused
+}
+
+// scan frames the next value and scans it with fn. It reports false
+// once the stream belongs to the reference: from the first value that
+// framing or fn declines, that value included.
+func (src *chunkSource) scan(fn func(*wire.Scanner)) bool {
+	if src.dec == nil {
+		if v := src.st.Next(); v != nil {
+			s := wire.NewScanner(v)
+			if fn(&s); s.End() {
+				return true
+			}
+		}
+		src.dec = json.NewDecoder(src.st.Rest())
+	}
+	return false
+}
+
+var headerKeys = []string{"format", "version", "w", "dmax", "nodes"}
+
+// header reads the stream header.
+func (src *chunkSource) header() (h chunkedHeader, err error) {
+	if src.scan(func(s *wire.Scanner) { h = scanHeader(s) }) {
+		return h, nil
+	}
+	h = chunkedHeader{}
+	return h, src.dec.Decode(&h)
+}
+
+func scanHeader(s *wire.Scanner) (h chunkedHeader) {
+	s.Object()
+	var seen uint64
+	for i := s.Field(headerKeys, &seen); i >= 0; i = s.Field(headerKeys, &seen) {
+		switch i {
+		case 0:
+			h.Format = s.String()
+		case 1:
+			h.Version = int(s.Int(math.MinInt, math.MaxInt))
+		case 2:
+			h.W = s.Int(math.MinInt64, math.MaxInt64)
+		case 3:
+			d := s.Int(math.MinInt64, math.MaxInt64)
+			h.DMax = &d
+		case 4:
+			h.Nodes = int(s.Int(math.MinInt, math.MaxInt))
+		}
+	}
+	return h
+}
+
+var chunkKeys = []string{"nodes"}
+
+// chunk reads the next chunk's node records, which are valid until the
+// next call. It returns io.EOF at the end of the stream.
+func (src *chunkSource) chunk() ([]tree.NodeRecord, error) {
+	if src.scan(func(s *wire.Scanner) {
+		src.nodes = src.nodes[:0]
+		s.Object()
+		var seen uint64
+		for s.Field(chunkKeys, &seen) >= 0 {
+			src.nodes = tree.ScanNodes(s, src.nodes)
+		}
+	}) {
+		return src.nodes, nil
+	}
+	// Decode into fresh records: encoding/json decodes into the
+	// elements it finds, so a record that omits a field would keep the
+	// value of the record decoded there before.
+	var ch struct {
+		Nodes []tree.NodeRecord `json:"nodes"`
+	}
+	err := src.dec.Decode(&ch)
+	return ch.Nodes, err
+}
+
+// end reports an error unless the stream ends after the last chunk.
+func (src *chunkSource) end() error {
+	if src.dec == nil {
+		if src.st.End() {
+			return nil
+		}
+		src.dec = json.NewDecoder(src.st.Rest())
+	}
+	switch _, err := src.dec.Token(); err {
+	case io.EOF:
+		return nil
+	case nil:
+		return errors.New("data after the last node")
+	default:
+		return err
+	}
 }

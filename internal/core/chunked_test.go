@@ -12,6 +12,7 @@ import (
 
 	"replicatree/internal/core"
 	"replicatree/internal/gen"
+	"replicatree/internal/wire"
 )
 
 func chunkedCorpus(t *testing.T) map[string]*core.Instance {
@@ -63,6 +64,42 @@ func TestChunkedHeaderRejects(t *testing.T) {
 		if _, err := core.ReadChunked(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
+	}
+}
+
+// TestChunkedNodeCountMustMatch: the chunks carry exactly the nodes
+// the header declares, and nothing but whitespace follows the last
+// one, on the one-pass path and on the reference alike.
+func TestChunkedNodeCountMustMatch(t *testing.T) {
+	header := func(nodes string) string {
+		return `{"format":"replicatree-chunked","version":1,"w":5,"nodes":` + nodes + "}\n"
+	}
+	const (
+		two     = `{"nodes":[{"id":0,"parent":-1},{"id":1,"parent":0,"requests":1}]}`
+		three   = `{"nodes":[{"id":0,"parent":-1},{"id":1,"parent":0,"requests":1},{"id":2,"parent":0,"requests":1}]}`
+		twoMore = `{"nodes":[{"id":2,"parent":0,"requests":1},{"id":3,"parent":0,"requests":1}]}`
+	)
+	cases := map[string]string{
+		"more nodes than declared":        header("2") + three,
+		"more nodes in a later chunk":     header("3") + two + twoMore,
+		"a chunk after the last node":     header("3") + three + "\n" + `{"nodes":[]}`,
+		"garbage after the last node":     header("3") + three + " x",
+		"a bracket after the last node":   header("3") + three + "]",
+		"a number after the last node":    header("3") + three + "\n7\n",
+		"an escaped value after the last": header("3") + three + `"\u0041"`,
+	}
+	for name, in := range cases {
+		for _, ref := range []bool{false, true} {
+			prev := wire.SetReferenceOnly(ref)
+			_, err := core.ReadChunked(strings.NewReader(in))
+			wire.SetReferenceOnly(prev)
+			if err == nil || !strings.HasPrefix(err.Error(), "core: chunked stream: ") {
+				t.Errorf("%s (reference only %v): got %v, want a chunked stream error", name, ref, err)
+			}
+		}
+	}
+	if _, err := core.ReadChunked(strings.NewReader(header("3") + three + " \n\t\r\n")); err != nil {
+		t.Errorf("trailing whitespace: %v", err)
 	}
 }
 
@@ -142,5 +179,36 @@ func TestChunkedRecordsStartFromZero(t *testing.T) {
 	}
 	if f := fi.Flat; f.EdgeLens[3] != 0 || f.Reqs[3] != 0 || f.Labels[3] != "" {
 		t.Fatalf("node 3 read as dist %d, requests %d, label %q; want all zero", f.EdgeLens[3], f.Reqs[3], f.Labels[3])
+	}
+}
+
+// BenchmarkReadChunked streams a 50,000-node instance in 4,096-node
+// chunks through ReadChunked, on the one-pass path and on the
+// encoding/json reference alone.
+func BenchmarkReadChunked(b *testing.B) {
+	fi, err := gen.RandomFlatInstance(rand.New(rand.NewSource(1)), 50_000, gen.TreeConfig{}, false)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := core.WriteChunked(&buf, fi, 4096); err != nil {
+		b.Fatal(err)
+	}
+	stream := buf.Bytes()
+	for _, ref := range []bool{false, true} {
+		name := "scanner"
+		if ref {
+			name = "reference"
+		}
+		b.Run(name, func(b *testing.B) {
+			defer wire.SetReferenceOnly(wire.SetReferenceOnly(ref))
+			b.SetBytes(int64(len(stream)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := core.ReadChunked(bytes.NewReader(stream)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

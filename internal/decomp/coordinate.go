@@ -1,9 +1,10 @@
 package decomp
 
 import (
+	"cmp"
 	"context"
 	"runtime/pprof"
-	"sort"
+	"slices"
 	"strconv"
 
 	"replicatree/internal/core"
@@ -113,11 +114,11 @@ func (c *coord) round() int {
 	// Sort assignments by server so each replica's flow is one
 	// contiguous group; groups index the pre-round prefix, which stays
 	// valid because committed moves only append.
-	sort.Slice(sol.Assignments, func(i, j int) bool {
-		if sol.Assignments[i].Server != sol.Assignments[j].Server {
-			return sol.Assignments[i].Server < sol.Assignments[j].Server
+	slices.SortFunc(sol.Assignments, func(a, b core.Assignment) int {
+		if a.Server != b.Server {
+			return int(a.Server) - int(b.Server)
 		}
-		return sol.Assignments[i].Client < sol.Assignments[j].Client
+		return int(a.Client) - int(b.Client)
 	})
 	groups := make(map[tree.NodeID][2]int, len(sol.Replicas))
 	for i := 0; i < len(sol.Assignments); {
@@ -137,11 +138,11 @@ func (c *coord) round() int {
 			cands = append(cands, r)
 		}
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		if c.loads[cands[i]] != c.loads[cands[j]] {
-			return c.loads[cands[i]] < c.loads[cands[j]]
+	slices.SortFunc(cands, func(a, b tree.NodeID) int {
+		if la, lb := c.loads[a], c.loads[b]; la != lb {
+			return cmp.Compare(la, lb)
 		}
-		return cands[i] < cands[j]
+		return int(a) - int(b)
 	})
 
 	c.upCache = make(map[int32][]upServer, len(c.pieces))

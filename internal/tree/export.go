@@ -14,10 +14,10 @@ import (
 // by the CLI tools, and Graphviz DOT export for visual inspection of
 // instances and placements.
 
-// jsonNode is the wire representation of a node. The tree is encoded
-// as a flat node list plus the root ID, which round-trips the tree
-// exactly.
-type jsonNode struct {
+// NodeRecord is the wire representation of a node, in a tree's node
+// list and in a chunked stream's chunks. The tree is encoded as a flat
+// node list plus the root ID, which round-trips the tree exactly.
+type NodeRecord struct {
 	ID       NodeID `json:"id"`
 	Parent   NodeID `json:"parent"` // -1 for the root
 	Dist     int64  `json:"dist"`
@@ -26,15 +26,15 @@ type jsonNode struct {
 }
 
 type jsonTree struct {
-	Root  NodeID     `json:"root"`
-	Nodes []jsonNode `json:"nodes"`
+	Root  NodeID       `json:"root"`
+	Nodes []NodeRecord `json:"nodes"`
 }
 
 // MarshalJSON encodes the tree as a flat node list.
 func (t *Tree) MarshalJSON() ([]byte, error) {
-	jt := jsonTree{Root: t.root, Nodes: make([]jsonNode, t.Len())}
+	jt := jsonTree{Root: t.root, Nodes: make([]NodeRecord, t.Len())}
 	for j := range jt.Nodes {
-		jt.Nodes[j] = jsonNode{
+		jt.Nodes[j] = NodeRecord{
 			ID:       NodeID(j),
 			Parent:   t.Parents[j],
 			Dist:     t.EdgeLens[j],
@@ -76,7 +76,7 @@ var (
 // tree does not pin its staging memory for the life of the process.
 const maxPooledNodes = 1 << 16
 
-var stagingPool = sync.Pool{New: func() any { return new([]jsonNode) }}
+var stagingPool = sync.Pool{New: func() any { return new([]NodeRecord) }}
 
 // Scan decodes, builds and validates the tree at s's position in one
 // pass. It returns nil, with s declined, when the input is not in the
@@ -86,12 +86,12 @@ func Scan(s *wire.Scanner) *Tree {
 	if !s.OK() {
 		return nil
 	}
-	sp := stagingPool.Get().(*[]jsonNode)
+	sp := stagingPool.Get().(*[]NodeRecord)
 	nodes := (*sp)[:0]
 	// json.Marshal writes at least 29 bytes per node, so a marshalled
 	// node list fits this capacity without growing.
 	if need := s.Remaining()/24 + 1; cap(nodes) < need {
-		nodes = make([]jsonNode, 0, need)
+		nodes = make([]NodeRecord, 0, need)
 	}
 	var root NodeID
 	s.Object()
@@ -100,7 +100,7 @@ func Scan(s *wire.Scanner) *Tree {
 		if i == 0 {
 			root = NodeID(s.Int(math.MinInt32, math.MaxInt32))
 		} else {
-			nodes = scanNodes(s, nodes)
+			nodes = ScanNodes(s, nodes)
 		}
 	}
 	var t *Tree
@@ -118,11 +118,12 @@ func Scan(s *wire.Scanner) *Tree {
 	return t
 }
 
-// scanNodes appends the node list at s's position to nodes.
-func scanNodes(s *wire.Scanner, nodes []jsonNode) []jsonNode {
+// ScanNodes appends the node list at s's position to nodes. Records
+// start from zero, so a field a record omits reads as zero.
+func ScanNodes(s *wire.Scanner, nodes []NodeRecord) []NodeRecord {
 	s.Array()
 	for first := true; s.Elem(first); first = false {
-		var n jsonNode
+		var n NodeRecord
 		s.Object()
 		var seen uint64
 		for i := s.Field(nodeKeys, &seen); i >= 0; i = s.Field(nodeKeys, &seen) {
@@ -151,7 +152,7 @@ func scanNodes(s *wire.Scanner, nodes []jsonNode) []jsonNode {
 // must show up as a child twice, and the ID it displaced, whose slot
 // still holds zeros, as a child nowhere, for Validate to name the
 // fault instead of accepting a client of node 0.
-func build(root NodeID, list []jsonNode) (*Tree, error) {
+func build(root NodeID, list []NodeRecord) (*Tree, error) {
 	n := len(list)
 	t := &Tree{
 		Parents:  make([]NodeID, n),

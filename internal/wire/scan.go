@@ -19,6 +19,9 @@
 // Failure is sticky, in the style of an on-demand JSON parser: once a
 // Scanner has declined, every method returns a zero value at once, so
 // callers scan a whole value and check OK or End once at the end.
+//
+// Stream frames the values of a stream of concatenated objects off an
+// io.Reader, one at a time, for a Scanner to read.
 package wire
 
 import "sync/atomic"
