@@ -34,10 +34,17 @@ const hashVersion = 1
 // no solve reads the stored value.
 func (in *Instance) CanonicalHash() string {
 	h := sha256.New()
-	var buf [8]byte
+	// Fields collect in a block that goes to the hash whole: one Write
+	// per 8-byte field would cost more than the hashing.
+	var buf [4096]byte
+	n := 0
 	put := func(v int64) {
-		binary.BigEndian.PutUint64(buf[:], uint64(v))
-		h.Write(buf[:])
+		if n == len(buf) {
+			h.Write(buf[:])
+			n = 0
+		}
+		binary.BigEndian.PutUint64(buf[n:], uint64(v))
+		n += 8
 	}
 	put(hashVersion)
 	put(in.W)
@@ -58,6 +65,7 @@ func (in *Instance) CanonicalHash() string {
 		put(int64(tree.None))
 		put(0)
 	}
+	h.Write(buf[:n])
 	var sum [sha256.Size]byte
 	h.Sum(sum[:0])
 	return hex.EncodeToString(sum[:])

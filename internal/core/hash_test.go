@@ -163,3 +163,40 @@ func TestCanonicalHashNilTree(t *testing.T) {
 		t.Fatal("nil-tree hash unstable")
 	}
 }
+
+// TestCanonicalHashBlocks pins the hash of heap-shaped trees whose
+// serialisations end just before, exactly at and well past a block
+// boundary of the hash's write buffer: the header takes 40 bytes and
+// each node 24, so 169 nodes fill 4,096 bytes exactly.
+func TestCanonicalHashBlocks(t *testing.T) {
+	for _, tc := range []struct {
+		nodes int
+		want  string
+	}{
+		{168, "96e9030861f514addb6e08d49c0d5674d67fb6e3f12891dff5d7d6bf1d9441bf"},
+		{169, "18bb83ca1b0a8dec5009ea170e8c4150959ca43f3ff96a061b4580ade0c897dc"},
+		{170, "b0f53b4e92fe132eaaf5f42cff3d1044e9b8f052cd79ca22d3882a954c777b99"},
+		{1000, "e2cecdac644f88fea476a4bc9916973dfcc24b26175fa537ce8d616889dd4724"},
+	} {
+		b := tree.NewBuilder()
+		for i := 0; i < tc.nodes; i++ {
+			parent, reqs := tree.NodeID((i-1)/2), int64(0)
+			if i == 0 {
+				parent = tree.None
+			}
+			if 2*i+1 >= tc.nodes {
+				reqs = int64(i%5 + 1)
+			}
+			if _, err := b.Add(parent, int64(i%7+1), reqs, ""); err != nil {
+				t.Fatal(err)
+			}
+		}
+		f, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := (&Instance{Tree: f, W: 9, DMax: 11}).CanonicalHash(); got != tc.want {
+			t.Errorf("%d nodes: hash %s, want %s", tc.nodes, got, tc.want)
+		}
+	}
+}

@@ -65,6 +65,7 @@ func coordinate(fi *core.FlatInstance, pieces []tree.Piece, sol *core.Solution, 
 		}(),
 		loads: make([]int64, n),
 		isRep: make([]bool, n),
+		count: make([]int32, n+1),
 	}
 	c.rootPiece = c.pieceOf[f.Root()]
 	for r := 1; r <= maxRounds; r++ {
@@ -80,6 +81,8 @@ func coordinate(fi *core.FlatInstance, pieces []tree.Piece, sol *core.Solution, 
 			break
 		}
 	}
+	// Hand Normalize its input in its own order.
+	c.sortBy(sol.Assignments, false)
 	return rounds, moved
 }
 
@@ -95,6 +98,54 @@ type coord struct {
 	// upCache caches, per piece and per round, the ancestor replicas
 	// above the piece root within the distance budget, nearest first.
 	upCache map[int32][]upServer
+	// count and tmp are the counting sort's buffers, allocated once
+	// and reused every round. After a sort by server, count[s] ends
+	// server s's group (see group).
+	count []int32
+	tmp   []core.Assignment
+}
+
+// sortBy sorts asg by (server, client) if byServer, else by (client,
+// server), with two stable counting passes over node IDs: by the minor
+// key into tmp, then by the major key back. Equal pairs keep their
+// order.
+func (c *coord) sortBy(asg []core.Assignment, byServer bool) {
+	c.tmp = slices.Grow(c.tmp[:0], len(asg))[:len(asg)]
+	c.pass(c.tmp, asg, !byServer)
+	c.pass(asg, c.tmp, byServer)
+}
+
+// pass stably scatters src into dst by server or by client.
+func (c *coord) pass(dst, src []core.Assignment, byServer bool) {
+	key := func(a core.Assignment) tree.NodeID {
+		if byServer {
+			return a.Server
+		}
+		return a.Client
+	}
+	count := c.count
+	clear(count)
+	for _, a := range src {
+		count[key(a)+1]++
+	}
+	for k := 1; k < len(count); k++ {
+		count[k] += count[k-1]
+	}
+	for _, a := range src {
+		k := key(a)
+		dst[count[k]] = a
+		count[k]++
+	}
+}
+
+// group returns the range of server s's assignments after a sort by
+// server: the scatter left count[s] at the end of s's group, which is
+// where s+1's starts.
+func (c *coord) group(s tree.NodeID) (lo, hi int) {
+	if s > 0 {
+		lo = int(c.count[s-1])
+	}
+	return lo, int(c.count[s])
 }
 
 // round runs one coordination round and returns the number of
@@ -114,21 +165,7 @@ func (c *coord) round() int {
 	// Sort assignments by server so each replica's flow is one
 	// contiguous group; groups index the pre-round prefix, which stays
 	// valid because committed moves only append.
-	slices.SortFunc(sol.Assignments, func(a, b core.Assignment) int {
-		if a.Server != b.Server {
-			return int(a.Server) - int(b.Server)
-		}
-		return int(a.Client) - int(b.Client)
-	})
-	groups := make(map[tree.NodeID][2]int, len(sol.Replicas))
-	for i := 0; i < len(sol.Assignments); {
-		j := i + 1
-		for j < len(sol.Assignments) && sol.Assignments[j].Server == sol.Assignments[i].Server {
-			j++
-		}
-		groups[sol.Assignments[i].Server] = [2]int{i, j}
-		i = j
-	}
+	c.sortBy(sol.Assignments, true)
 
 	// Export candidates: replicas below a cut, cheapest (least loaded)
 	// first, IDs breaking ties for determinism.
@@ -157,8 +194,8 @@ func (c *coord) round() int {
 		if targeted[s] || !c.isRep[s] {
 			continue
 		}
-		g, ok := groups[s]
-		if !ok {
+		lo, hi := c.group(s)
+		if lo == hi {
 			// A replica serving nothing retires for free.
 			c.isRep[s] = false
 			retired++
@@ -172,7 +209,7 @@ func (c *coord) round() int {
 		// its distance budget, or s stays.
 		plan = plan[:0]
 		feasible := true
-		for i := g[0]; i < g[1] && feasible; i++ {
+		for i := lo; i < hi && feasible; i++ {
 			a := sol.Assignments[i]
 			d0 := c.distToPieceRoot(a.Client, c.pieceOf[s])
 			remaining := a.Amount
@@ -216,7 +253,7 @@ func (c *coord) round() int {
 			targeted[m.to] = true
 			sol.Assignments = append(sol.Assignments, core.Assignment{Client: m.client, Server: m.to, Amount: m.amt})
 		}
-		for i := g[0]; i < g[1]; i++ {
+		for i := lo; i < hi; i++ {
 			sol.Assignments[i].Amount = 0 // tombstone, compacted below
 		}
 		c.isRep[s] = false

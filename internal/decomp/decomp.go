@@ -40,8 +40,8 @@ const (
 	// DefaultPieceSize is the target piece size of the partitioner.
 	DefaultPieceSize = 4096
 	// DefaultRounds bounds the boundary coordination loop. Rounds are
-	// cheap relative to the piece solves (one sort plus one sweep of
-	// the assignment list) and the loop stops early at quiescence, so
+	// cheap relative to the piece solves (a counting sort plus one
+	// sweep of the assignment list) and the loop stops early at quiescence, so
 	// the default is generous.
 	DefaultRounds = 8
 	// DefaultEngine solves the individual pieces.

@@ -39,10 +39,13 @@ type PieceBoundary struct {
 
 // Piece is one element of a partition: a boundary record plus the
 // piece's node set in global preorder (Nodes[0] == Boundary.Root,
-// every other node's parent precedes it in the slice).
+// every other node's parent precedes it in the slice). Parents[i] is
+// the parent of Nodes[i] as a local ID, an index into Nodes (None for
+// the piece root).
 type Piece struct {
 	Boundary PieceBoundary
 	Nodes    []NodeID
+	Parents  []NodeID
 }
 
 // PartitionFlat splits f into pieces of roughly target nodes each.
@@ -129,8 +132,12 @@ func BuildPieces(f *Tree, cuts []NodeID) []Piece {
 		sub[j] = s
 	}
 
+	// First pass, in preorder: each node's piece and its local ID (its
+	// index in the piece's Nodes), plus the boundary records.
 	pieces := make([]Piece, 0, len(cuts)+1)
+	var sizes []NodeID
 	pieceOf := make([]int32, n)
+	local := make([]NodeID, n)
 	var depth int64 // root-distance of the node being visited
 	dist := make([]int64, n)
 	for _, j := range f.Pre {
@@ -153,12 +160,32 @@ func BuildPieces(f *Tree, cuts []NodeID) []Piece {
 			}
 			pieceOf[j] = int32(len(pieces))
 			pieces = append(pieces, Piece{Boundary: pb})
+			sizes = append(sizes, 0)
 		} else {
 			pieceOf[j] = pieceOf[f.Parents[j]]
 		}
 		k := pieceOf[j]
-		pieces[k].Nodes = append(pieces[k].Nodes, j)
+		local[j] = sizes[k]
+		sizes[k]++
 		pieces[k].Boundary.Demand += f.Reqs[j]
+	}
+
+	// Second pass: every piece's Nodes and Parents, cut at their exact
+	// sizes from one array each.
+	nodes, parents := make([]NodeID, n), make([]NodeID, n)
+	for k, off := 0, NodeID(0); k < len(pieces); k++ {
+		end := off + sizes[k]
+		pieces[k].Nodes, pieces[k].Parents = nodes[off:end:end], parents[off:end:end]
+		off = end
+	}
+	for j := range n {
+		p := &pieces[pieceOf[j]]
+		i := local[j]
+		p.Nodes[i] = NodeID(j)
+		p.Parents[i] = None
+		if !isCut[j] {
+			p.Parents[i] = local[f.Parents[j]]
+		}
 	}
 	return pieces
 }
@@ -170,26 +197,19 @@ func BuildPieces(f *Tree, cuts []NodeID) []Piece {
 // become zero-request leaf clients — valid per Tree.Validate, and
 // harmless: they demand nothing.
 func PieceTree(f *Tree, p Piece) (*Tree, error) {
-	if len(p.Nodes) == 0 || p.Nodes[0] != p.Boundary.Root {
+	if len(p.Nodes) == 0 || p.Nodes[0] != p.Boundary.Root || len(p.Parents) != len(p.Nodes) {
 		return nil, fmt.Errorf("tree: malformed piece (root %d)", p.Boundary.Root)
 	}
-	local := make(map[NodeID]NodeID, len(p.Nodes))
 	var b Builder
 	b.Grow(len(p.Nodes))
 	for i, g := range p.Nodes {
-		parent, dist := None, int64(0)
+		dist := int64(0)
 		if i > 0 {
-			lp, ok := local[f.Parents[g]]
-			if !ok {
-				return nil, fmt.Errorf("tree: piece node %d appears before its parent", g)
-			}
-			parent, dist = lp, f.EdgeLens[g]
+			dist = f.EdgeLens[g]
 		}
-		id, err := b.Add(parent, dist, f.Reqs[g], f.Labels[g])
-		if err != nil {
+		if _, err := b.Add(p.Parents[i], dist, f.Reqs[g], f.Labels[g]); err != nil {
 			return nil, err
 		}
-		local[g] = id
 	}
 	return b.Build()
 }

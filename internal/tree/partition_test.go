@@ -141,6 +141,32 @@ func TestPieceTreeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPieceTreeMalformed: PieceTree builds from the piece's own
+// local parents, so a piece whose lists disagree, or whose parents are
+// not topological, is refused rather than built wrong.
+func TestPieceTreeMalformed(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	f := gen.RandomTree(rng, gen.TreeConfig{Internals: 40, MaxArity: 3, ExtraClients: 20})
+	pieces := tree.PartitionFlat(f, 8)
+	if len(pieces) < 2 {
+		t.Fatal("expected several pieces")
+	}
+	p := pieces[1]
+	bad := map[string]tree.Piece{
+		"no nodes":         {Boundary: p.Boundary},
+		"root mismatch":    {Boundary: p.Boundary, Nodes: p.Nodes[1:], Parents: p.Parents[1:]},
+		"short parents":    {Boundary: p.Boundary, Nodes: p.Nodes, Parents: p.Parents[:len(p.Parents)-1]},
+		"no parents":       {Boundary: p.Boundary, Nodes: p.Nodes},
+		"parent not first": {Boundary: p.Boundary, Nodes: p.Nodes, Parents: append([]tree.NodeID{tree.None, 1}, p.Parents[2:]...)},
+		"second root":      {Boundary: p.Boundary, Nodes: p.Nodes, Parents: append([]tree.NodeID{tree.None, tree.None}, p.Parents[2:]...)},
+	}
+	for name, bp := range bad {
+		if _, err := tree.PieceTree(f, bp); err == nil {
+			t.Errorf("%s: PieceTree accepted the piece", name)
+		}
+	}
+}
+
 func TestPartitionPointsPieceSizes(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	tr := gen.RandomTree(rng, gen.TreeConfig{Internals: 400, MaxArity: 3, ExtraClients: 300})

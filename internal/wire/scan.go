@@ -24,7 +24,10 @@
 // io.Reader, one at a time, for a Scanner to read.
 package wire
 
-import "sync/atomic"
+import (
+	"math/bits"
+	"sync/atomic"
+)
 
 // Scanner reads one JSON value from a byte slice.
 type Scanner struct {
@@ -119,7 +122,18 @@ func (s *Scanner) Key(first bool) (key []byte, more bool) {
 // has declined. seen holds one bit per key already scanned, zero
 // before the first member; a key outside keys, or seen before,
 // declines.
+//
+// Field first tries the key json.Marshal writes next: the lowest index
+// not yet seen, as the exact bytes "key": right at the scanner's
+// position, after a ',' unless it is the first member. Any other bytes,
+// whitespace included, take the general path below. Keys are plain
+// ASCII, so the general path would read the same bytes as the same key
+// and index; the fast path accepts nothing it would decline.
 func (s *Scanner) Field(keys []string, seen *uint64) int {
+	if i := bits.TrailingZeros64(^*seen); i < len(keys) && !s.bad && s.nextKey(keys[i], *seen == 0) {
+		*seen |= 1 << i
+		return i
+	}
 	key, more := s.Key(*seen == 0)
 	if !more {
 		return -1
@@ -132,6 +146,24 @@ func (s *Scanner) Field(keys []string, seen *uint64) int {
 	}
 	s.bad = true
 	return -1
+}
+
+// nextKey consumes ,"k": (or "k": when first) if those exact bytes
+// come next.
+func (s *Scanner) nextKey(k string, first bool) bool {
+	p := s.pos
+	if !first {
+		if p >= len(s.buf) || s.buf[p] != ',' {
+			return false
+		}
+		p++
+	}
+	end := p + len(k) + 3
+	if end > len(s.buf) || s.buf[p] != '"' || string(s.buf[p+1:end-2]) != k || s.buf[end-2] != '"' || s.buf[end-1] != ':' {
+		return false
+	}
+	s.pos = end
+	return true
 }
 
 // Array consumes the '[' that opens an array.
