@@ -17,12 +17,12 @@ func almost(a, b float64) bool { return math.Abs(a-b) < 1e-6 }
 func TestSimplexBasicLE(t *testing.T) {
 	// max x+y s.t. x+2y ≤ 4, 3x+y ≤ 6  → min −x−y; optimum at
 	// (8/5, 6/5), objective 14/5.
-	p := &Problem{
+	p := fromDense(&denseProblem{
 		C:    []float64{-1, -1},
 		A:    [][]float64{{1, 2}, {3, 1}},
 		B:    []float64{4, 6},
 		Kind: []RowKind{LE, LE},
-	}
+	})
 	x, obj, err := Solve(p)
 	if err != nil {
 		t.Fatal(err)
@@ -37,12 +37,12 @@ func TestSimplexBasicLE(t *testing.T) {
 
 func TestSimplexEquality(t *testing.T) {
 	// min x+y s.t. x+y = 3, x ≤ 2 → obj 3.
-	p := &Problem{
+	p := fromDense(&denseProblem{
 		C:    []float64{1, 1},
 		A:    [][]float64{{1, 1}, {1, 0}},
 		B:    []float64{3, 2},
 		Kind: []RowKind{EQ, LE},
-	}
+	})
 	_, obj, err := Solve(p)
 	if err != nil {
 		t.Fatal(err)
@@ -54,12 +54,12 @@ func TestSimplexEquality(t *testing.T) {
 
 func TestSimplexGE(t *testing.T) {
 	// min 2x+3y s.t. x+y ≥ 4, x ≤ 3 → y ≥ 1; optimum x=3, y=1, obj 9.
-	p := &Problem{
+	p := fromDense(&denseProblem{
 		C:    []float64{2, 3},
 		A:    [][]float64{{1, 1}, {1, 0}},
 		B:    []float64{4, 3},
 		Kind: []RowKind{GE, LE},
-	}
+	})
 	x, obj, err := Solve(p)
 	if err != nil {
 		t.Fatal(err)
@@ -71,12 +71,12 @@ func TestSimplexGE(t *testing.T) {
 
 func TestSimplexNegativeB(t *testing.T) {
 	// min x s.t. −x ≤ −2 (i.e. x ≥ 2) → obj 2.
-	p := &Problem{
+	p := fromDense(&denseProblem{
 		C:    []float64{1},
 		A:    [][]float64{{-1}},
 		B:    []float64{-2},
 		Kind: []RowKind{LE},
-	}
+	})
 	_, obj, err := Solve(p)
 	if err != nil {
 		t.Fatal(err)
@@ -88,12 +88,12 @@ func TestSimplexNegativeB(t *testing.T) {
 
 func TestSimplexInfeasible(t *testing.T) {
 	// x ≤ 1 and x ≥ 2.
-	p := &Problem{
+	p := fromDense(&denseProblem{
 		C:    []float64{1},
 		A:    [][]float64{{1}, {1}},
 		B:    []float64{1, 2},
 		Kind: []RowKind{LE, GE},
-	}
+	})
 	if _, _, err := Solve(p); !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("want ErrInfeasible, got %v", err)
 	}
@@ -101,23 +101,23 @@ func TestSimplexInfeasible(t *testing.T) {
 
 func TestSimplexUnbounded(t *testing.T) {
 	// min −x with x free upward: −x → −∞.
-	p := &Problem{
+	p := fromDense(&denseProblem{
 		C:    []float64{-1},
 		A:    [][]float64{{0}},
 		B:    []float64{1},
 		Kind: []RowKind{LE},
-	}
+	})
 	if _, _, err := Solve(p); !errors.Is(err, ErrUnbounded) {
 		t.Fatalf("want ErrUnbounded, got %v", err)
 	}
 }
 
 func TestSimplexDimensionErrors(t *testing.T) {
-	p := &Problem{C: []float64{1}, A: [][]float64{{1, 2}}, B: []float64{1}, Kind: []RowKind{LE}}
+	p := &Problem{C: []float64{1}, Start: []int{0, 2}, Col: []int{0, 1}, Val: []float64{1, 2}, B: []float64{1}, Kind: []RowKind{LE}}
 	if _, _, err := Solve(p); err == nil {
 		t.Fatal("row width mismatch should fail")
 	}
-	p2 := &Problem{C: []float64{1}, A: [][]float64{{1}}, B: []float64{1, 2}, Kind: []RowKind{LE}}
+	p2 := &Problem{C: []float64{1}, Start: []int{0, 1}, Col: []int{0}, Val: []float64{1}, B: []float64{1, 2}, Kind: []RowKind{LE}}
 	if _, _, err := Solve(p2); err == nil {
 		t.Fatal("b length mismatch should fail")
 	}

@@ -62,56 +62,58 @@ func buildPlacement(in *core.Instance) (p *Problem, servers []tree.NodeID, nx in
 		return nil, nil, 0, nil
 	}
 
-	// Variable layout: x arcs first, then y per server.
-	type arc struct {
-		ci, si int
-	}
-	var arcs []arc
-	arcOf := make(map[[2]int]int)
-	for ci, c := range clients {
+	// Variable layout: x arcs first, then y per server. Client ci's
+	// arcs are consecutive, in the order of elig[c]; srvArcs lists each
+	// server's arcs in increasing order.
+	srvArcs := make([][]int, len(servers))
+	for _, c := range clients {
 		for _, s := range elig[c] {
-			a := arc{ci, serverIdx[s]}
-			arcOf[[2]int{a.ci, a.si}] = len(arcs)
-			arcs = append(arcs, a)
+			si := serverIdx[s]
+			srvArcs[si] = append(srvArcs[si], nx)
+			nx++
 		}
 	}
-	nx = len(arcs)
 	ny := len(servers)
 	n := nx + ny
 
-	p = &Problem{C: make([]float64, n)}
+	m := len(clients) + 2*ny
+	nnz := 2*nx + 2*ny
+	p = &Problem{
+		C:     make([]float64, n),
+		Start: append(make([]int, 0, m+1), 0),
+		Col:   make([]int, 0, nnz),
+		Val:   make([]float64, 0, nnz),
+		B:     make([]float64, 0, m),
+		Kind:  make([]RowKind, 0, m),
+	}
 	for k := 0; k < ny; k++ {
 		p.C[nx+k] = 1
 	}
-	addRow := func(row []float64, b float64, k RowKind) {
-		p.A = append(p.A, row)
-		p.B = append(p.B, b)
-		p.Kind = append(p.Kind, k)
-	}
 	// Coverage rows.
-	for ci, c := range clients {
-		row := make([]float64, n)
-		for _, s := range elig[c] {
-			row[arcOf[[2]int{ci, serverIdx[s]}]] = 1
+	k := 0
+	for _, c := range clients {
+		for range elig[c] {
+			p.Col = append(p.Col, k)
+			p.Val = append(p.Val, 1)
+			k++
 		}
-		addRow(row, float64(t.Requests(c)), EQ)
+		p.endRow(float64(t.Requests(c)), EQ)
 	}
 	// Capacity rows.
-	for si := range servers {
-		row := make([]float64, n)
-		for k, a := range arcs {
-			if a.si == si {
-				row[k] = 1
-			}
+	for si, arcs := range srvArcs {
+		for _, k := range arcs {
+			p.Col = append(p.Col, k)
+			p.Val = append(p.Val, 1)
 		}
-		row[nx+si] = -float64(in.W)
-		addRow(row, 0, LE)
+		p.Col = append(p.Col, nx+si)
+		p.Val = append(p.Val, -float64(in.W))
+		p.endRow(0, LE)
 	}
 	// y ≤ 1 rows.
 	for si := range servers {
-		row := make([]float64, n)
-		row[nx+si] = 1
-		addRow(row, 1, LE)
+		p.Col = append(p.Col, nx+si)
+		p.Val = append(p.Val, 1)
+		p.endRow(1, LE)
 	}
 	return p, servers, nx, nil
 }

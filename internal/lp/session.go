@@ -3,6 +3,7 @@ package lp
 import (
 	"fmt"
 	"slices"
+	"sync"
 
 	"replicatree/internal/core"
 	"replicatree/internal/flow"
@@ -13,7 +14,8 @@ import (
 // Reset ingests an instance once — building the placement relaxation
 // and the client/eligible-server CSR is allowed to allocate there —
 // and Placement then re-solves with zero heap allocations: the simplex
-// runs in a Workspace, the support/prune buffers are reused, and the
+// runs in a Workspace borrowed from the package's pool until Release,
+// the support/prune buffers are reused, and the
 // max-flow feasibility oracle rebuilds its network inside a recycled
 // flow.Network.
 //
@@ -40,8 +42,9 @@ type Session struct {
 	eligStart []int32       // CSR over clients into eligSrv
 	eligSrv   []tree.NodeID // eligible servers, path order (client first)
 
-	// Per-solve working memory.
-	ws         Workspace
+	// Per-solve working memory. The simplex workspace is borrowed from
+	// workspacePool on the first solve and kept until Release.
+	ws         *Workspace
 	support    []frac
 	R, trial   []tree.NodeID
 	serverNode []int32 // node-indexed flow node of a server, -1 absent
@@ -60,6 +63,36 @@ type frac struct {
 type sessArc struct {
 	client, server tree.NodeID
 	arc            int
+}
+
+// workspacePool holds the simplex workspaces of released sessions, so
+// idle sessions (a pooled solver scratch, say) keep no tableau: there
+// is at most one per session between its first solve and Release.
+var workspacePool = sync.Pool{New: func() any { return new(Workspace) }}
+
+// maxPooledTableau caps the tableau bytes a pooled workspace may keep.
+// A larger one is dropped instead of pooled, so one big solve cannot
+// pin its tableau in the pool (the solve-cold relaxation of ~210 nodes
+// takes about 4.8 MB).
+const maxPooledTableau = 16 << 20
+
+func getWorkspace() *Workspace { return workspacePool.Get().(*Workspace) }
+
+func putWorkspace(w *Workspace) {
+	if cap(w.tabBuf)*8 > maxPooledTableau {
+		return
+	}
+	workspacePool.Put(w)
+}
+
+// Release returns the session's simplex workspace to the package
+// pool. The session stays usable; its next solve borrows again. A
+// session dropped without Release leaves its workspace to the GC.
+func (s *Session) Release() {
+	if s.ws != nil {
+		putWorkspace(s.ws)
+		s.ws = nil
+	}
 }
 
 // Reset ingests the instance: it builds the LP relaxation and the
@@ -125,6 +158,9 @@ func (s *Session) Placement() (*core.Solution, error) {
 	if s.empty {
 		s.sol.Normalize()
 		return &s.sol, nil
+	}
+	if s.ws == nil {
+		s.ws = getWorkspace()
 	}
 	x, _, err := s.ws.Solve(s.prob)
 	if err != nil {

@@ -93,3 +93,34 @@ func TestLPSessionAllocFree(t *testing.T) {
 		t.Fatalf("warm Placement allocated %.1f times per run", avg)
 	}
 }
+
+// BenchmarkLPRound is the lp-round engine's work on a solve-cold
+// request: Reset, Placement and Release on a fresh session each op, as
+// the pooled engine runs it, cycling through the solve-cold-shaped set.
+func BenchmarkLPRound(b *testing.B) {
+	ins := coldSet()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var s Session
+		if err := s.Reset(ins[i%len(ins)]); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := s.Placement(); err != nil {
+			b.Fatal(err)
+		}
+		s.Release()
+	}
+}
+
+// TestWorkspacePoolCap pins that a workspace whose tableau exceeds
+// maxPooledTableau is dropped instead of pooled.
+func TestWorkspacePoolCap(t *testing.T) {
+	big := &Workspace{tabBuf: make([]float64, 0, maxPooledTableau/8+1)}
+	putWorkspace(big)
+	for i := 0; i < 4; i++ {
+		if getWorkspace() == big {
+			t.Fatal("an oversized workspace was pooled")
+		}
+	}
+}

@@ -1,5 +1,6 @@
-// Package lp implements a small dense two-phase simplex solver and,
-// on top of it, the fractional relaxation of the replica placement
+// Package lp implements a small two-phase simplex solver — a dense
+// tableau written from sparse rows, pivoted on nonzeros only — and, on
+// top of it, the fractional relaxation of the replica placement
 // problem. The LP optimum rounds up to a lower bound on the integer
 // optimum that is often stronger than the volume bound and
 // incomparable with the combinatorial bound — experiment E11 measures
@@ -21,13 +22,27 @@ const (
 	EQ                // a·x = b
 )
 
-// Problem is min C·x subject to the rows (A[i]·x <kind[i]> B[i]),
-// x ≥ 0.
+// Problem is min C·x subject to the rows (A_i·x <Kind[i]> B[i]),
+// x ≥ 0. The constraint matrix A is stored by rows in compressed
+// sparse form: row i's coefficients are Val[Start[i]:Start[i+1]], in
+// the columns Col[Start[i]:Start[i+1]]. Start has one entry per row
+// plus a final one, and starts at 0. A column listed twice in a row
+// adds its values.
 type Problem struct {
-	C    []float64
-	A    [][]float64
-	B    []float64
-	Kind []RowKind
+	C     []float64
+	Start []int
+	Col   []int
+	Val   []float64
+	B     []float64
+	Kind  []RowKind
+}
+
+// endRow closes the row whose coefficients were appended to Col and
+// Val since the previous row. Start must already hold its leading 0.
+func (p *Problem) endRow(b float64, k RowKind) {
+	p.Start = append(p.Start, len(p.Col))
+	p.B = append(p.B, b)
+	p.Kind = append(p.Kind, k)
 }
 
 // ErrInfeasible is returned when no feasible point exists.
@@ -38,20 +53,18 @@ var ErrUnbounded = errors.New("lp: unbounded")
 
 const eps = 1e-9
 
-// Workspace owns the dense working memory of the simplex: the
-// normalized row copies, the tableau (one flat backing array), the
-// basis and the result vector. A zero Workspace is ready to use;
-// re-solving a same-shape problem on a warmed Workspace performs zero
-// heap allocations. The solution slice returned by Workspace.Solve is
-// owned by the workspace and valid until its next Solve. A Workspace
-// is not safe for concurrent use.
+// Workspace owns the working memory of the simplex: the dense tableau
+// (one flat backing array), the basis, the pivot row's nonzero columns
+// and the result vector. A zero Workspace is ready to use; re-solving
+// a same-shape problem on a warmed Workspace performs zero heap
+// allocations. The solution slice returned by Workspace.Solve is owned
+// by the workspace and valid until its next Solve. A Workspace is not
+// safe for concurrent use.
 type Workspace struct {
-	a      []float64 // normalized rows, flat m×n
-	b      []float64
-	kind   []RowKind
 	tabBuf []float64   // (m+1)×(total+1) tableau backing
 	tab    [][]float64 // row headers into tabBuf
 	basis  []int
+	nz     []int // the current pivot row's nonzero columns
 	x      []float64
 }
 
@@ -64,65 +77,66 @@ func Solve(p *Problem) ([]float64, float64, error) {
 	return w.Solve(p)
 }
 
+// normKind is the kind of a row after it is negated to make b ≥ 0.
+func normKind(k RowKind, b float64) RowKind {
+	if b < 0 {
+		switch k {
+		case LE:
+			return GE
+		case GE:
+			return LE
+		}
+	}
+	return k
+}
+
 // Solve is the warm entry point: identical arithmetic to the
 // package-level Solve (bit-for-bit — the operations run in the same
 // order on the same values), reusing the workspace's buffers.
+//
+// The pivot sequence is the one a dense simplex takes: Bland's rule,
+// the ratio test with its eps tie-break, the same row order. Only
+// work on zero entries is skipped — a pivot updates just the pivot
+// row's nonzero columns — which can change the sign of a zero entry
+// and nothing else: no comparison, ratio, division or nonzero value
+// depends on that sign.
 func (w *Workspace) Solve(p *Problem) ([]float64, float64, error) {
 	n := len(p.C)
-	m := len(p.A)
-	if len(p.B) != m || len(p.Kind) != m {
+	m := len(p.B)
+	if len(p.Kind) != m || len(p.Start) != m+1 || p.Start[0] != 0 ||
+		p.Start[m] != len(p.Col) || len(p.Val) != len(p.Col) {
 		return nil, 0, fmt.Errorf("lp: inconsistent problem dimensions")
 	}
-	for i := range p.A {
-		if len(p.A[i]) != n {
-			return nil, 0, fmt.Errorf("lp: row %d has %d coefficients, want %d", i, len(p.A[i]), n)
+	for i := 0; i < m; i++ {
+		if p.Start[i] > p.Start[i+1] {
+			return nil, 0, fmt.Errorf("lp: row %d ends before it starts", i)
 		}
 	}
-
-	// Normalise to b ≥ 0.
-	w.a = growFloats(w.a, m*n)
-	w.b = growFloats(w.b, m)
-	if cap(w.kind) < m {
-		w.kind = make([]RowKind, m)
-	}
-	w.kind = w.kind[:m]
-	b, kind := w.b, w.kind
-	for i := 0; i < m; i++ {
-		row := w.a[i*n : (i+1)*n]
-		copy(row, p.A[i])
-		b[i] = p.B[i]
-		kind[i] = p.Kind[i]
-		if b[i] < 0 {
-			for j := range row {
-				row[j] = -row[j]
-			}
-			b[i] = -b[i]
-			switch kind[i] {
-			case LE:
-				kind[i] = GE
-			case GE:
-				kind[i] = LE
-			}
+	for _, j := range p.Col {
+		if j < 0 || j >= n {
+			return nil, 0, fmt.Errorf("lp: column %d out of range, want < %d", j, n)
 		}
 	}
 
 	// Column layout: n structural | slacks/surplus | artificials.
-	extra := 0
+	extra, art := 0, 0
 	for i := 0; i < m; i++ {
-		if kind[i] != EQ {
+		k := normKind(p.Kind[i], p.B[i])
+		if k != EQ {
 			extra++
 		}
-	}
-	art := 0
-	for i := 0; i < m; i++ {
-		if kind[i] != LE {
+		if k != LE {
 			art++
 		}
 	}
 	total := n + extra + art
 	stride := total + 1
-	w.tabBuf = growFloats(w.tabBuf, (m+1)*stride)
-	clear(w.tabBuf)
+	if size := (m + 1) * stride; cap(w.tabBuf) < size {
+		w.tabBuf = make([]float64, size)
+	} else {
+		w.tabBuf = w.tabBuf[:size]
+		clear(w.tabBuf)
+	}
 	if cap(w.tab) < m+1 {
 		w.tab = make([][]float64, m+1)
 	}
@@ -136,23 +150,36 @@ func (w *Workspace) Solve(p *Problem) ([]float64, float64, error) {
 	}
 	w.basis = w.basis[:m]
 	basis := w.basis
+	// Write each row normalised to b ≥ 0: a row with b < 0 is negated
+	// as it is written.
 	se, ai := n, n+extra
 	for i := 0; i < m; i++ {
-		copy(tab[i], w.a[i*n:(i+1)*n])
-		tab[i][total] = b[i]
-		switch kind[i] {
+		row := tab[i]
+		b := p.B[i]
+		if b < 0 {
+			for k := p.Start[i]; k < p.Start[i+1]; k++ {
+				row[p.Col[k]] -= p.Val[k]
+			}
+			b = -b
+		} else {
+			for k := p.Start[i]; k < p.Start[i+1]; k++ {
+				row[p.Col[k]] += p.Val[k]
+			}
+		}
+		row[total] = b
+		switch normKind(p.Kind[i], p.B[i]) {
 		case LE:
-			tab[i][se] = 1
+			row[se] = 1
 			basis[i] = se
 			se++
 		case GE:
-			tab[i][se] = -1
+			row[se] = -1
 			se++
-			tab[i][ai] = 1
+			row[ai] = 1
 			basis[i] = ai
 			ai++
 		case EQ:
-			tab[i][ai] = 1
+			row[ai] = 1
 			basis[i] = ai
 			ai++
 		}
@@ -172,7 +199,7 @@ func (w *Workspace) Solve(p *Problem) ([]float64, float64, error) {
 				}
 			}
 		}
-		if err := iterate(tab, basis, total); err != nil {
+		if err := w.iterate(total); err != nil {
 			return nil, 0, err
 		}
 		if tab[m][total] < -eps {
@@ -185,7 +212,7 @@ func (w *Workspace) Solve(p *Problem) ([]float64, float64, error) {
 			}
 			for j := 0; j < n+extra; j++ {
 				if math.Abs(tab[i][j]) > eps {
-					pivot(tab, basis, i, j, total)
+					w.pivot(i, j, total)
 					break
 				}
 			}
@@ -216,7 +243,7 @@ func (w *Workspace) Solve(p *Problem) ([]float64, float64, error) {
 			}
 		}
 	}
-	if err := iterate(tab, basis, total); err != nil {
+	if err := w.iterate(total); err != nil {
 		return nil, 0, err
 	}
 
@@ -239,7 +266,8 @@ func growFloats(s []float64, n int) []float64 {
 }
 
 // iterate runs simplex pivots (Bland's rule) until optimal.
-func iterate(tab [][]float64, basis []int, total int) error {
+func (w *Workspace) iterate(total int) error {
+	tab, basis := w.tab, w.basis
 	m := len(tab) - 1
 	for iter := 0; iter < 50000; iter++ {
 		// Entering column: smallest index with negative reduced cost.
@@ -268,28 +296,36 @@ func iterate(tab [][]float64, basis []int, total int) error {
 		if row < 0 {
 			return ErrUnbounded
 		}
-		pivot(tab, basis, row, col, total)
+		w.pivot(row, col, total)
 	}
 	return errors.New("lp: iteration limit exceeded")
 }
 
-func pivot(tab [][]float64, basis []int, row, col, total int) {
-	pr := tab[row]
+// pivot makes col basic in row. It divides the pivot row and records
+// its nonzero columns in one pass; every other row with a coefficient
+// above eps in col is then updated on those columns only.
+func (w *Workspace) pivot(row, col, total int) {
+	pr := w.tab[row]
 	pv := pr[col]
+	nz := w.nz[:0]
 	for j := 0; j <= total; j++ {
-		pr[j] /= pv
+		if pr[j] != 0 {
+			pr[j] /= pv
+			nz = append(nz, j)
+		}
 	}
-	for i := range tab {
+	w.nz = nz
+	for i, ti := range w.tab {
 		if i == row {
 			continue
 		}
-		f := tab[i][col]
+		f := ti[col]
 		if math.Abs(f) <= eps {
 			continue
 		}
-		for j := 0; j <= total; j++ {
-			tab[i][j] -= f * pr[j]
+		for _, j := range nz {
+			ti[j] -= f * pr[j]
 		}
 	}
-	basis[row] = col
+	w.basis[row] = col
 }

@@ -14,6 +14,7 @@ import (
 
 	"replicatree/internal/core"
 	"replicatree/internal/solver"
+	"replicatree/internal/tree"
 )
 
 // goldenInstance loads one instance of the checked-in corpus.
@@ -239,6 +240,26 @@ func TestSolveNoDGatedSolver(t *testing.T) {
 	}
 	if p := problemFrom(t, resp, body); p.Type != ProblemUnsupported {
 		t.Errorf("problem type %q, want %q", p.Type, ProblemUnsupported)
+	}
+}
+
+// TestSolveAboveEngineCeiling: lp-round on an instance above its
+// declared MaxNodes is refused before the engine builds anything → a
+// quick 422 instead of a tableau of gigabytes.
+func TestSolveAboveEngineCeiling(t *testing.T) {
+	b := tree.NewBuilder()
+	root := b.Root("root")
+	for i := 0; i < 4100; i++ {
+		b.Client(b.Internal(root, 1, ""), 1, 1+int64(i%7), "")
+	}
+	in := &core.Instance{Tree: b.MustBuild(), W: 64, DMax: 4}
+	_, ts := newTestServer(t, Options{})
+	resp, body := postJSON(t, ts.URL+"/v2/solve", SolveRequestV2{Solver: solver.LPRound, Instance: in})
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("status %d, want 422; body %s", resp.StatusCode, body)
+	}
+	if p := problemFrom(t, resp, body); p.Type != ProblemUnsupported || !strings.Contains(p.Detail, "8201 nodes") {
+		t.Errorf("problem %+v, want %q naming the node count", p, ProblemUnsupported)
 	}
 }
 

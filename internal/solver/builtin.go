@@ -37,9 +37,10 @@ const (
 	Decomp = "decomp"
 )
 
-// lpRoundMaxNodes caps lp-round in portfolios: the simplex tableau is
-// quadratic in the tree, so on huge instances it is the memory hog
-// the decomp route exists to avoid.
+// lpRoundMaxNodes caps lp-round: portfolios drop it above this size
+// and a direct request is refused. The simplex tableau is quadratic in
+// the tree, so on huge instances it is the memory hog the decomp route
+// exists to avoid.
 const lpRoundMaxNodes = 4096
 
 // caps is a terse Capabilities constructor for the built-in table.

@@ -198,8 +198,11 @@ type Capabilities struct {
 	Delta bool
 	// MaxNodes is the largest instance (total tree nodes) the engine
 	// is sized for; portfolios drop it from the candidate set above
-	// that. 0 means unbounded — notably the decomp engine, which
-	// exists precisely for instances everything else is too small for.
+	// that, and a non-exponential engine refuses a direct request
+	// above it with ErrPolicyUnsupported (exponential engines are
+	// bounded by their budget instead). 0 means unbounded — notably
+	// the decomp engine, which exists precisely for instances
+	// everything else is too small for.
 	MaxNodes int
 	// Description is a one-line human summary for catalogues.
 	Description string
@@ -207,9 +210,9 @@ type Capabilities struct {
 
 // engineCore is the shared implementation behind every built-in
 // engine: it validates the request, enforces the capability gates
-// (policy constraint, distance support), threads budget and deadline,
-// classifies failures onto the sentinel errors and fills the uniform
-// Report fields around the wrapped solve function.
+// (policy constraint, distance support, size ceiling), threads budget
+// and deadline, classifies failures onto the sentinel errors and fills
+// the uniform Report fields around the wrapped solve function.
 type engineCore struct {
 	caps Capabilities
 	// fn returns the solution plus the elementary work performed
@@ -268,6 +271,15 @@ func (e *engineCore) Solve(ctx context.Context, req Request) (Report, error) {
 		// "feasible" placement on a failed node; fail typed instead.
 		return rep, tag(fmt.Errorf("solver %s: cannot honour excluded servers (delta engines only)",
 			e.caps.Name), ErrPolicyUnsupported)
+	}
+	if e.caps.Cost != CostExponential && e.caps.MaxNodes > 0 && req.Instance.Tree != nil &&
+		req.Instance.Tree.Len() > e.caps.MaxNodes {
+		// Checked before ingest: lp-round's tableau grows with the
+		// square of the tree, so an oversized direct request would
+		// allocate gigabytes before failing. Exponential engines keep
+		// their budget instead.
+		return rep, tag(fmt.Errorf("solver %s: instance has %d nodes, above the engine's ceiling of %d",
+			e.caps.Name, req.Instance.Tree.Len(), e.caps.MaxNodes), ErrPolicyUnsupported)
 	}
 	if !req.Deadline.IsZero() {
 		var cancel context.CancelFunc

@@ -322,3 +322,30 @@ func TestSessionEngineScratchOwnership(t *testing.T) {
 		t.Fatal("PutScratch kept the instance binding or the LP relaxation")
 	}
 }
+
+// TestSizeCeilingRefusesDirectRequest pins that a polynomial engine
+// with a declared MaxNodes refuses a larger instance before ingesting
+// it, while the portfolio simply leaves it out.
+func TestSizeCeilingRefusesDirectRequest(t *testing.T) {
+	b := tree.NewBuilder()
+	root := b.Root("root")
+	for i := 0; i < lpRoundMaxNodes; i++ {
+		b.Client(root, 1, 1, "")
+	}
+	in := &core.Instance{Tree: b.MustBuild(), W: 64, DMax: core.NoDistance}
+	sc := NewScratch()
+	_, err := MustLookup(LPRound).Solve(context.Background(), Request{Instance: in, Scratch: sc})
+	if !errors.Is(err, ErrPolicyUnsupported) {
+		t.Fatalf("lp-round on %d nodes: err %v, want ErrPolicyUnsupported", in.Tree.Len(), err)
+	}
+	if sc.in != nil {
+		t.Fatal("the refused instance was ingested")
+	}
+	rep, err := MustLookup(Auto).Solve(context.Background(), Request{Instance: in, Hints: map[string]string{"no-lower-bound": "1"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Engine == LPRound {
+		t.Fatal("auto raced lp-round above its ceiling")
+	}
+}

@@ -46,10 +46,12 @@ type Scratch struct {
 	single   single.Session
 	multiple multiple.Session
 
-	// The LP relaxation is the one ingest product that is expensive to
-	// build and to keep (it materialises the dense simplex problem), so
-	// it is constructed lazily on the first lp-round solve of each
-	// ingested instance and dropped by PutScratch.
+	// The LP relaxation is built lazily on the first lp-round solve of
+	// each ingested instance and dropped by PutScratch. It keeps only
+	// the sparse constraint rows; the simplex tableau (megabytes at a
+	// few hundred nodes) is borrowed from internal/lp's own pool and
+	// released by PutScratch, so the pool holds one per concurrent LP
+	// solve rather than one per pooled scratch.
 	lp      lp.Session
 	lpBound bool  // lp.Reset ran for the current instance
 	lpErr   error // ... and failed with this error
@@ -69,11 +71,12 @@ func GetScratch() *Scratch { return scratchPool.Get().(*Scratch) }
 // PutScratch returns a Scratch to the pool. The caller must not touch
 // the scratch — including any session-owned Solution obtained from it
 // — after the call. The scratch is unbound, so its next solve
-// re-ingests, and its LP relaxation is dropped: that is megabytes at a
-// few hundred nodes, rebuilt for every new instance anyway, and kept
-// in pooled scratches it would multiply by their number.
+// re-ingests, its simplex workspace goes back to internal/lp's pool,
+// and its LP relaxation is dropped: it is rebuilt for every new
+// instance anyway, and kept it would pin the instance.
 func PutScratch(sc *Scratch) {
 	if sc != nil {
+		sc.lp.Release()
 		sc.in, sc.lp = nil, lp.Session{}
 		scratchPool.Put(sc)
 	}
