@@ -53,7 +53,9 @@ func pinSet() []*core.Instance {
 
 // Digests of the relaxation's answers over pinSet, computed with the
 // dense simplex this package first shipped. A faster simplex must
-// leave every rounded placement and every LP objective bit unchanged.
+// leave every rounded placement and every LP objective bit unchanged;
+// TestPlacementDigestPinned hashes Session.Placement, the path the
+// lp-round engine runs, on a fresh session per instance.
 const (
 	pinPlacementDigest  = "cb63ef4a43f680968a736f6425493a57eea886ad86af642ca63df9c4af27225b"
 	pinFractionalDigest = "e6b5756f6730cee6637330b3f710e5e51f5b1e6924e44e3d415202b35f07c1d0"
@@ -62,7 +64,13 @@ const (
 func TestPlacementDigestPinned(t *testing.T) {
 	place, frac := sha256.New(), sha256.New()
 	for i, in := range pinSet() {
-		sol, err := Placement(in)
+		var s Session
+		var sol *core.Solution
+		err := s.Reset(in)
+		if err == nil {
+			sol, err = s.Placement()
+		}
+		s.Release()
 		if err != nil {
 			fmt.Fprintf(place, "%d error %v\n", i, err)
 		} else {

@@ -4,12 +4,18 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sort"
+
+	"replicatree/internal/core"
+	"replicatree/internal/exact"
+	"replicatree/internal/tree"
 )
 
-// This file keeps the package's first simplex as the test oracle for
-// Workspace.Solve, which is what the package runs. The oracle reads a
-// dense row-major problem, copies and normalises every row, and sweeps
-// whole tableau rows in every pivot; the package's simplex writes the
+// This file keeps the package's first simplex and its first LP
+// rounding as test oracles for Workspace.Solve and Session.Placement,
+// which are what the package runs. The oracle simplex reads a dense
+// row-major problem, copies and normalises every row, and sweeps whole
+// tableau rows in every pivot; the package's simplex writes the
 // tableau from sparse rows and updates only the pivot row's nonzero
 // columns. Both pivot the same way, so their answers agree bit for bit
 // up to the sign of zero entries.
@@ -289,4 +295,73 @@ func refPivot(tab [][]float64, basis []int, row, col, total int) {
 		}
 	}
 	basis[row] = col
+}
+
+// referencePlacement is the first LP-rounding body, the oracle for
+// Session.Placement: it solves the relaxation with the dense oracle
+// simplex, sorts the fractional support with the unstable sort.Slice,
+// and prunes and assigns through the allocating exact.MultipleFeasible
+// and exact.MultipleAssignment instead of the session's recycled flow
+// network.
+func referencePlacement(in *core.Instance) (*core.Solution, error) {
+	const eps = 1e-7
+	p, servers, nx, err := buildPlacement(in)
+	if err != nil {
+		return nil, err
+	}
+	if p == nil { // no requests: the empty solution is optimal
+		sol := &core.Solution{}
+		sol.Normalize()
+		return sol, nil
+	}
+	x, _, err := referenceSolve(toDense(p))
+	if err != nil {
+		return nil, fmt.Errorf("lp: placement relaxation: %w", err)
+	}
+
+	type frac struct {
+		s tree.NodeID
+		y float64
+	}
+	var support []frac
+	for si, s := range servers {
+		if x[nx+si] > eps {
+			support = append(support, frac{s, x[nx+si]})
+		}
+	}
+	// Prune least-fractional replicas first: a server the LP barely
+	// opened is the one integral capacities most likely cover.
+	sort.Slice(support, func(a, b int) bool {
+		if support[a].y != support[b].y {
+			return support[a].y < support[b].y
+		}
+		return support[a].s < support[b].s
+	})
+	R := make([]tree.NodeID, len(support))
+	for i, f := range support {
+		R[i] = f.s
+	}
+	if !exact.MultipleFeasible(in, R) {
+		// Numerically truncated support (y_s ≤ eps dropped): fall back
+		// to every candidate server and let pruning shrink it.
+		R = append([]tree.NodeID{}, servers...)
+		if !exact.MultipleFeasible(in, R) {
+			return nil, fmt.Errorf("lp: instance infeasible under the Multiple policy")
+		}
+	}
+	for i := 0; i < len(R); {
+		trial := make([]tree.NodeID, 0, len(R)-1)
+		trial = append(trial, R[:i]...)
+		trial = append(trial, R[i+1:]...)
+		if exact.MultipleFeasible(in, trial) {
+			R = trial
+		} else {
+			i++
+		}
+	}
+	sol, err := exact.MultipleAssignment(in, R)
+	if err != nil {
+		return nil, fmt.Errorf("lp: assignment on rounded support: %w", err)
+	}
+	return sol, nil
 }

@@ -10,19 +10,18 @@ import (
 	"replicatree/internal/tree"
 )
 
-// Session is the reusable warm-path state of the LP-rounding solver.
-// Reset ingests an instance once — building the placement relaxation
-// and the client/eligible-server CSR is allowed to allocate there —
-// and Placement then re-solves with zero heap allocations: the simplex
+// Session is the package's LP-rounding solver. Reset ingests an
+// instance once — building the placement relaxation and the
+// client/eligible-server CSR is allowed to allocate there — and
+// Placement then re-solves with zero heap allocations: the simplex
 // runs in a Workspace borrowed from the package's pool until Release,
-// the support/prune buffers are reused, and the
-// max-flow feasibility oracle rebuilds its network inside a recycled
-// flow.Network.
+// the support/prune buffers are reused, and the max-flow feasibility
+// oracle rebuilds its network inside a recycled flow.Network.
 //
-// Warm Placement returns exactly the solution of the package-level
-// Placement. The two non-obvious equivalences: the support sort uses
-// the strict total order (y, server), so the unstable cold sort and
-// the warm sort agree; and the flow network rebuild lays out each
+// The rounding oracle in reference_test.go pins Placement's answers.
+// The two non-obvious equivalences with it: the support sort uses the
+// strict total order (y, server), so the oracle's unstable sort and
+// the session's sort agree; and the flow network rebuild lays out each
 // node's adjacency exactly as exact.buildFlow does (per server, the
 // sink arc is pushed last and therefore scanned first), while BFS
 // levels are insertion-order independent, so Dinic routes identical
@@ -97,8 +96,8 @@ func (s *Session) Release() {
 
 // Reset ingests the instance: it builds the LP relaxation and the
 // eligibility CSR. Unlike the per-solve path it may allocate. The
-// instance must be valid (buildPlacement re-validates, matching the
-// cold path's error).
+// instance must be valid (buildPlacement re-validates and returns the
+// validation error).
 func (s *Session) Reset(in *core.Instance) error {
 	p, servers, nx, err := buildPlacement(in)
 	if err != nil {
@@ -150,7 +149,17 @@ func (s *Session) Reset(in *core.Instance) error {
 	return nil
 }
 
-// Placement is the warm-path Placement.
+// Placement rounds the LP relaxation into a feasible Multiple-policy
+// solution: solve the relaxation, open every server in the fractional
+// support (y_s > eps), prune replicas greedily — least fractional
+// first — while the set stays feasible, then recover an integral
+// assignment by max-flow (flow integrality guarantees one exists
+// whenever the fractional assignment does, because pruning re-checks
+// feasibility at the full capacity W).
+//
+// This is the swappable relaxation-based solver motivated by the
+// ℓp-Box ADMM line of work: exact and LP-guided solvers answer the
+// same contract, so consumers can trade optimality for speed by name.
 func (s *Session) Placement() (*core.Solution, error) {
 	const eps = 1e-7
 	s.sol.Replicas = s.sol.Replicas[:0]
@@ -173,7 +182,7 @@ func (s *Session) Placement() (*core.Solution, error) {
 		}
 	}
 	// Prune least-fractional replicas first; (y, server) is a strict
-	// total order, so this agrees with the cold path's unstable sort.
+	// total order, so any correct sort yields the same order.
 	slices.SortFunc(s.support, func(a, b frac) int {
 		switch {
 		case a.y < b.y:

@@ -31,72 +31,3 @@ func (l list) total() int64 {
 	}
 	return s
 }
-
-// addDist returns a copy of the list with dist added to every d
-// (saturating), preserving order (adding a constant preserves the
-// non-increasing order).
-func (l list) addDist(dist int64) list {
-	out := make(list, len(l))
-	for i := range l {
-		out[i] = triple{d: tree.SatAdd(l[i].d, dist), w: l[i].w, client: l[i].client}
-	}
-	return out
-}
-
-// merge merges two lists sorted by non-increasing d into one.
-func merge(a, b list) list {
-	out := make(list, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if a[i].d >= b[j].d {
-			out = append(out, a[i])
-			i++
-		} else {
-			out = append(out, b[j])
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
-}
-
-// mergeAll merges k sorted lists (k-way, pairwise fold; k is the tree
-// arity, small in practice).
-func mergeAll(ls []list) list {
-	switch len(ls) {
-	case 0:
-		return nil
-	case 1:
-		return ls[0]
-	}
-	out := ls[0]
-	for _, l := range ls[1:] {
-		out = merge(out, l)
-	}
-	return out
-}
-
-// take splits the list into a prefix of exactly at most w requests
-// (splitting a triple if necessary — allowed under the Multiple
-// policy) and the remainder.
-func (l list) take(w int64) (head, rest list) {
-	var got int64
-	for i := range l {
-		if got == w {
-			return l[:i:i], l[i:]
-		}
-		if got+l[i].w <= w {
-			got += l[i].w
-			continue
-		}
-		// Split triple i.
-		keep := w - got
-		head = append(list{}, l[:i]...)
-		head = append(head, triple{d: l[i].d, w: keep, client: l[i].client})
-		rest = append(list{}, triple{d: l[i].d, w: l[i].w - keep, client: l[i].client})
-		rest = append(rest, l[i+1:]...)
-		return head, rest
-	}
-	return l, nil
-}

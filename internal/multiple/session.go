@@ -8,11 +8,12 @@ import (
 	"replicatree/internal/tree"
 )
 
-// Session is the reusable warm-path state for the Multiple-policy
-// algorithms. Bind it to a validated instance with Reset, then call
+// Session is the package's implementation of Algorithm 3 and its
+// variants. Bind it to a validated instance with Reset, then call
 // Bin/Greedy/Lazy/Best repeatedly: once the buffers have grown, warm
-// solves perform zero heap allocations and return exactly the
-// normalized solution of the package-level functions.
+// solves perform zero heap allocations. The recursive oracle in
+// reference_test.go, which merges, splits and partitions lists into
+// fresh slices as the paper's pseudocode reads, pins its answers.
 //
 // Layout: the per-node req/proc lists of Algorithm 3 are per-node
 // slices reused across solves (each node owns its backing array, so
@@ -22,14 +23,14 @@ import (
 // in grow-only arenas addressed by [base, end) index pairs so that
 // recursion levels stack without aliasing.
 //
-// Equivalences relied on (vs. the allocating cold path):
-//   - mergeAll(addDist parts) is a left-biased fold of stable merges,
-//     which equals a stable sort by non-increasing d of the parts
-//     concatenated in child order;
+// Equivalences relied on (vs. the oracle):
+//   - the oracle's temp list, a left-biased fold of stable merges of
+//     the children's lists, equals a stable sort by non-increasing d
+//     of those lists concatenated in child order;
 //   - proc/keep lists are only ever read as multisets (run feeds them
 //     through Solution.Normalize), so their internal order is free —
-//     only req lists, which later takes split by prefix, must keep the
-//     exact cold order.
+//     only req lists, which are later split by prefix, must keep the
+//     oracle's exact order.
 //
 // The returned *core.Solution is owned by the session and valid until
 // the next solve. A Session is not safe for concurrent use.
@@ -56,7 +57,7 @@ func (s *Session) Reset(in *core.Instance) {
 	s.in = in
 }
 
-// Bin is the warm-path Bin (Algorithm 3; binary trees, ri ≤ W).
+// Bin runs Algorithm 3 (binary trees, ri ≤ W).
 func (s *Session) Bin() (*core.Solution, error) {
 	if !s.in.Tree.IsBinary() {
 		return nil, fmt.Errorf("multiple: Bin requires a binary tree (arity %d)", s.in.Tree.Arity())
@@ -68,7 +69,7 @@ func (s *Session) Bin() (*core.Solution, error) {
 	return s.run(false, &s.solA)
 }
 
-// Greedy is the warm-path Greedy (eager variant, arbitrary arity).
+// Greedy runs the eager variant (arbitrary arity, ri ≤ W).
 func (s *Session) Greedy() (*core.Solution, error) {
 	if s.in.Tree.MaxRequests() > s.in.W {
 		return nil, fmt.Errorf("multiple: Greedy requires ri ≤ W for all clients (max r=%d, W=%d)",
@@ -77,7 +78,7 @@ func (s *Session) Greedy() (*core.Solution, error) {
 	return s.run(false, &s.solA)
 }
 
-// Lazy is the warm-path Lazy (delayed-placement variant).
+// Lazy runs the delayed-placement variant (ri ≤ W).
 func (s *Session) Lazy() (*core.Solution, error) {
 	if s.in.Tree.MaxRequests() > s.in.W {
 		return nil, fmt.Errorf("multiple: Lazy requires ri ≤ W for all clients (max r=%d, W=%d)",
@@ -86,8 +87,8 @@ func (s *Session) Lazy() (*core.Solution, error) {
 	return s.run(true, &s.solA)
 }
 
-// Best runs the eager and lazy variants and returns the better one,
-// exactly like the package-level Best.
+// Best runs the eager and lazy variants and returns the one with
+// fewer replicas (the eager one on a tie).
 func (s *Session) Best() (*core.Solution, error) {
 	if s.in.Tree.MaxRequests() > s.in.W {
 		return nil, fmt.Errorf("multiple: Greedy requires ri ≤ W for all clients (max r=%d, W=%d)",
@@ -147,10 +148,11 @@ func (s *Session) run(lazy bool, sol *core.Solution) (*core.Solution, error) {
 	return sol, nil
 }
 
-// visit mirrors state.visit on the session's tree. The merge buffer vtmp is
-// shared across levels: a level's use ends (content copied into
-// req/proc) before it returns to its parent, and the child recursion
-// happens before the parent touches vtmp.
+// visit is the procedure multiple-bin(j) of Algorithm 3, written for
+// arbitrary arity. The merge buffer vtmp is shared across levels: a
+// level's use ends (content copied into req/proc) before it returns to
+// its parent, and the child recursion happens before the parent
+// touches vtmp.
 func (s *Session) visit(j tree.NodeID) {
 	f := s.in.Tree
 	dmax := s.in.DMax
@@ -172,9 +174,9 @@ func (s *Session) visit(j tree.NodeID) {
 	for _, c := range f.Children(j) {
 		s.visit(c)
 	}
-	// temp := mergeAll(addDist parts): concatenate in child order, then
-	// stable-sort by non-increasing d (equal to the fold of left-biased
-	// stable merges).
+	// temp: the children's lists, shifted by their edge lengths and
+	// concatenated in child order, then stable-sorted by non-increasing
+	// d (equal to the fold of left-biased stable merges).
 	tmp := s.vtmp[:0]
 	for _, c := range f.Children(j) {
 		dc := f.Dist(c)
@@ -222,7 +224,7 @@ func (s *Session) visit(j tree.NodeID) {
 	}
 }
 
-// splitPoint computes the cold take(w) split: the prefix l[:i] fits
+// splitPoint splits l at w requests: the prefix l[:i] fits
 // whole, and splitW (0 if none) of l[i] is additionally kept to reach
 // exactly w.
 func splitPoint(l list, w int64) (i int, splitW int64) {
@@ -240,7 +242,12 @@ func splitPoint(l list, w int64) (i int, splitW int64) {
 	return len(l), 0
 }
 
-// extraServer mirrors state.extraServer. Children and pending segments
+// extraServer implements (and generalises) the extra-server(j)
+// procedure of Algorithm 3: the requests that flowed through server j
+// are all re-served inside subtree(j). j keeps whole child lists,
+// smallest first, up to W; a free child's list may be split, the rest
+// served inside the child's subtree; a saturated child re-covers its
+// own subtree by recursion. Children and pending segments
 // live in the kids/pend arenas, the keep list in the keep arena; the
 // recursion (extraServer of a saturated child, serveInside splits)
 // appends beyond this level's segments and truncates back before
@@ -335,7 +342,9 @@ func (s *Session) extraServer(j tree.NodeID) {
 	s.keep = s.keep[:keepBase]
 }
 
-// serveInside mirrors state.serveInside; the input list is the part
+// serveInside serves a list that flowed up through c inside
+// subtree(c): c, if free, takes up to W units, and the remainder
+// descends towards its origin clients. The input list is the part
 // arena segment [base, end), and the per-child partitions are appended
 // after it (each recursion truncates back to its own base on return).
 func (s *Session) serveInside(c tree.NodeID, base, end int) {
@@ -364,7 +373,7 @@ func (s *Session) serveInside(c tree.NodeID, base, end int) {
 	}
 	// Partition the remainder by the child each unit came through,
 	// preserving the list order inside each part (one filtering scan
-	// per child, in child order — same parts as the cold map build).
+	// per child, in child order).
 	for _, gc := range f.Children(c) {
 		partBase := len(s.part)
 		dgc := f.Dist(gc)

@@ -1,7 +1,11 @@
 package multiple
 
 import (
+	"encoding/json"
+	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"slices"
 	"testing"
 
@@ -34,44 +38,131 @@ func sessionInstance(rng *rand.Rand, binary bool) *core.Instance {
 	return in
 }
 
-// TestMultipleSessionMatchesCold pins the warm-path contract for all
-// four variants against the package-level functions.
+// namedInstance is one row of a parity test.
+type namedInstance struct {
+	name string
+	in   *core.Instance
+}
+
+// corpus loads every instance of the frozen testdata corpus.
+func corpus(t *testing.T) []namedInstance {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join("..", "..", "testdata", "*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []namedInstance
+	for _, file := range files {
+		if filepath.Base(file) == "manifest.json" {
+			continue
+		}
+		raw, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := new(core.Instance)
+		if err := json.Unmarshal(raw, in); err != nil {
+			t.Fatalf("%s: %v", file, err)
+		}
+		out = append(out, namedInstance{filepath.Base(file), in})
+	}
+	if len(out) < 8 {
+		t.Fatalf("corpus has only %d instances", len(out))
+	}
+	return out
+}
+
+// sameOutcome requires got to equal the oracle's outcome: the same
+// error text, or the same normalized solution.
+func sameOutcome(t *testing.T, label string, want *core.Solution, wantErr error, got *core.Solution, gotErr error) {
+	t.Helper()
+	if (wantErr == nil) != (gotErr == nil) {
+		t.Fatalf("%s: oracle err %v, got err %v", label, wantErr, gotErr)
+	}
+	if wantErr != nil {
+		if wantErr.Error() != gotErr.Error() {
+			t.Fatalf("%s: oracle err %q, got err %q", label, wantErr, gotErr)
+		}
+		return
+	}
+	if !sessionSolEqual(want, got) {
+		t.Fatalf("%s:\n oracle %v\n got    %v", label, want, got)
+	}
+}
+
+// rejectedInstances are instances every variant must refuse with the
+// oracle's error: an invalid W, a client above W, and (for Bin) a
+// ternary tree.
+func rejectedInstances() []namedInstance {
+	b := tree.NewBuilder()
+	r := b.Root("")
+	n1 := b.Internal(r, 1, "")
+	b.Client(n1, 1, 9, "")
+	b.Client(n1, 1, 2, "")
+	b.Client(r, 1, 3, "")
+	narrow := b.MustBuild()
+	wide := tree.NewBuilder()
+	wr := wide.Root("")
+	for i := 0; i < 3; i++ {
+		wide.Client(wr, 1, 2, "")
+	}
+	return []namedInstance{
+		{"W = 0", &core.Instance{Tree: narrow, W: 0, DMax: core.NoDistance}},
+		{"r > W", &core.Instance{Tree: narrow, W: 5, DMax: core.NoDistance}},
+		{"ternary", &core.Instance{Tree: wide.MustBuild(), W: 5, DMax: 1}},
+	}
+}
+
+// TestMultipleSessionMatchesCold pins the package's one implementation
+// of all four variants against the reference oracles: on 200 random
+// instances, the whole testdata corpus and rejectedInstances, every
+// package function returns the oracle's solution or error text, and a
+// session re-solving the same instance returns the oracle's solution
+// every time.
 func TestMultipleSessionMatchesCold(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	var s Session
+	var rows []namedInstance
 	for i := 0; i < 200; i++ {
-		binary := i%2 == 0
-		in := sessionInstance(rng, binary)
-		s.Reset(in)
-		type variant struct {
-			name string
-			cold func(*core.Instance) (*core.Solution, error)
-			warm func() (*core.Solution, error)
-		}
-		variants := []variant{
-			{"greedy", Greedy, s.Greedy},
-			{"lazy", Lazy, s.Lazy},
-			{"best", Best, s.Best},
-		}
-		if binary {
-			variants = append(variants, variant{"bin", Bin, s.Bin})
+		rows = append(rows, namedInstance{fmt.Sprintf("random %d", i), sessionInstance(rng, i%2 == 0)})
+	}
+	rows = append(rows, corpus(t)...)
+	rows = append(rows, rejectedInstances()...)
+	variants := []struct {
+		name    string
+		oracle  func(*core.Instance) (*core.Solution, error)
+		wrapper func(*core.Instance) (*core.Solution, error)
+		warm    func(*Session) (*core.Solution, error)
+	}{
+		{"greedy", referenceGreedy, Greedy, (*Session).Greedy},
+		{"lazy", referenceLazy, Lazy, (*Session).Lazy},
+		{"best", referenceBest, Best, (*Session).Best},
+		{"bin", referenceBin, Bin, (*Session).Bin},
+	}
+	var s Session
+	for _, row := range rows {
+		in := row.in
+		valid := in.Validate() == nil
+		if valid {
+			s.Reset(in)
 		}
 		for round := 0; round < 2; round++ {
 			for _, v := range variants {
-				cold, coldErr := v.cold(in)
-				warm, warmErr := v.warm()
-				if (coldErr == nil) != (warmErr == nil) {
-					t.Fatalf("instance %d %s: cold err %v, warm err %v", i, v.name, coldErr, warmErr)
+				want, wantErr := v.oracle(in)
+				if round == 0 {
+					got, gotErr := v.wrapper(in)
+					sameOutcome(t, row.name+" "+v.name, want, wantErr, got, gotErr)
 				}
-				if coldErr == nil && !sessionSolEqual(cold, warm) {
-					t.Fatalf("instance %d %s:\n cold %v\n warm %v", i, v.name, cold, warm)
+				if valid {
+					got, gotErr := v.warm(&s)
+					sameOutcome(t, fmt.Sprintf("%s %s session round %d", row.name, v.name, round), want, wantErr, got, gotErr)
 				}
 			}
 		}
 	}
 }
 
-// TestMultipleSessionPreconditions mirrors the cold errors.
+// TestMultipleSessionPreconditions pins which variants refuse r > W
+// and a ternary tree.
 func TestMultipleSessionPreconditions(t *testing.T) {
 	b := tree.NewBuilder()
 	r := b.Root("")

@@ -390,6 +390,11 @@ func (s *Server) handleInstanceMutate(w http.ResponseWriter, r *http.Request) {
 		s.writeProblem(w, endpoint, problem(typ, "invalid request body", status, err))
 		return
 	}
+	if len(req.Mutations) > maxMutations {
+		s.writeProblem(w, endpoint, problem(ProblemTooLarge, "mutation list too large", http.StatusRequestEntityTooLarge,
+			fmt.Errorf("%d mutations exceed the limit of %d (split into multiple requests)", len(req.Mutations), maxMutations)))
+		return
+	}
 	sess, ok := s.lookupInstance(w, endpoint, r.PathValue("id"))
 	if !ok {
 		return

@@ -221,6 +221,59 @@ func TestInstanceMutateValidation(t *testing.T) {
 	}
 }
 
+// TestInstanceMutateCap pins the per-request mutation cap: a list of
+// exactly maxMutations ops is applied, one more is refused with a 413
+// problem before any op touches the session.
+func TestInstanceMutateCap(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	in := sessionInstance()
+	base := ts.URL + "/v2/instances/" + in.CanonicalHash()
+	if resp, body := doJSON(t, http.MethodPut, base, InstancePutRequest{Solver: solver.SingleGen, Instance: in}); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("PUT: %d\n%s", resp.StatusCode, body)
+	}
+	ops := func(n int, w int64) MutateRequest {
+		m := make([]delta.Mutation, n)
+		for i := range m {
+			m[i] = delta.Mutation{Op: delta.OpSetCapacity, W: w}
+		}
+		return MutateRequest{Mutations: m}
+	}
+
+	resp, body := doJSON(t, http.MethodPost, base+"/mutate", ops(maxMutations, 9))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("cap: status %d\n%s", resp.StatusCode, body)
+	}
+	var accepted InstanceSolveResponse
+	if err := json.Unmarshal(body, &accepted); err != nil {
+		t.Fatal(err)
+	}
+	if accepted.Instance.W != 9 {
+		t.Fatalf("cap: W = %d after the mutations, want 9", accepted.Instance.W)
+	}
+
+	resp, body = doJSON(t, http.MethodPost, base+"/mutate", ops(maxMutations+1, 11))
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("cap+1: status %d\n%s", resp.StatusCode, body)
+	}
+	if p := decodeProblem(t, body); p.Type != ProblemTooLarge {
+		t.Fatalf("cap+1: problem %+v", p)
+	}
+
+	resp, body = doJSON(t, http.MethodGet, base+"/solution", nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("solution: status %d\n%s", resp.StatusCode, body)
+	}
+	var after InstanceSolveResponse
+	if err := json.Unmarshal(body, &after); err != nil {
+		t.Fatal(err)
+	}
+	if after.Instance.W != 9 || !slices.Equal(after.Solution.Replicas, accepted.Solution.Replicas) ||
+		!slices.Equal(after.Solution.Assignments, accepted.Solution.Assignments) {
+		t.Fatalf("the refused list changed the session: W %d, solution %v, want W 9, solution %v",
+			after.Instance.W, after.Solution, accepted.Solution)
+	}
+}
+
 func TestInstanceReplanFailServer(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	in := sessionInstance()

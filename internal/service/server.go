@@ -145,6 +145,11 @@ const maxBodyBytes = 64 << 20
 // polling, so an unbounded batch would pin unbounded memory.
 const maxBatchTasks = 4096
 
+// maxMutations caps one mutate request's op list: the ops are applied
+// under the session's lock, so an unbounded list would hold the
+// session for unbounded time.
+const maxMutations = 4096
+
 // statusClientClosed is nginx's conventional code for "client closed
 // request"; /metrics buckets it separately so aborted solves do not
 // masquerade as malformed requests.

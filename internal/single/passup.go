@@ -61,6 +61,22 @@ func NoDBest(in *core.Instance) (*core.Solution, error) {
 	return a, nil
 }
 
+// clientReq is a whole-client request bundle: under the Single policy
+// a bundle is never split, so it travels and is assigned as a unit.
+type clientReq struct {
+	client tree.NodeID
+	r      int64
+}
+
+// entry is an element of a pending list: a node (the client a bundle
+// started at, or a node that carried it) together with the
+// whole-client request bundles it carries.
+type entry struct {
+	node    tree.NodeID
+	total   int64
+	clients []clientReq
+}
+
 type passUpState struct {
 	in    *core.Instance
 	sol   *core.Solution

@@ -8,12 +8,12 @@ import (
 	"replicatree/internal/tree"
 )
 
-// Session is the reusable warm-path state for the Single-policy
-// algorithms. Bind it to a validated instance with Reset, then call
-// Gen/NoD repeatedly: after the first solve has grown the buffers,
-// further solves on the same (or a same-shape) instance perform zero
-// heap allocations and return exactly the solution the package-level
-// Gen/NoD would.
+// Session is the package's implementation of Algorithms 1 and 2.
+// Bind it to a validated instance with Reset, then call Gen/NoD
+// repeatedly: after the first solve has grown the buffers, further
+// solves on the same (or a same-shape) instance perform zero heap
+// allocations. The recursive oracles in reference_test.go pin its
+// answers.
 //
 // All working memory lives in the session: client bundles are nodes of
 // an arena linked list (so merging bundles is O(1) pointer splicing
@@ -41,15 +41,16 @@ type cnode struct {
 	next   int32
 }
 
-// genPending mirrors pending with the clients slice replaced by an
-// arena list [head, tail].
+// genPending is one pending couple (req, dist) of Algorithm 1, its
+// client bundles kept as an arena list [head, tail].
 type genPending struct {
 	head, tail  int32
 	total, dist int64
 }
 
-// nentry mirrors entry with the clients slice replaced by an arena
-// list [head, tail].
+// nentry is one element of a sorted pending list Lj of Algorithm 2:
+// a node together with the client bundles it carries, kept as an
+// arena list [head, tail].
 type nentry struct {
 	node       tree.NodeID
 	total      int64
@@ -82,9 +83,9 @@ func feasibleSingle(f *tree.Tree, w int64) bool {
 	return f.MaxRequests() <= w
 }
 
-// Gen is the warm-path Algorithm 1. It produces the same normalized
-// solution as the package-level Gen: the recursion is replaced by a
-// value stack over the stored postorder — when an internal node is
+// Gen runs Algorithm 1. It produces the same normalized solution as
+// the recursive procedure single-gen(j): the recursion is replaced by
+// a value stack over the stored postorder — when an internal node is
 // reached, its children's pending couples are exactly the top
 // NumChildren stack entries in child order — and the placement
 // decisions depend only on the (total, dist) values, never on event
@@ -190,11 +191,11 @@ func (s *Session) place(x tree.NodeID, p *genPending) {
 	p.dist = s.in.DMax
 }
 
-// NoD is the warm-path Algorithm 2. Unlike Gen it keeps the cold
-// path's method recursion: the sorted insert into Lj places a new
+// NoD runs Algorithm 2. Unlike Gen it keeps the paper's recursion
+// over single-nod(j): the sorted insert into Lj places a new
 // entry before existing entries of equal total, so the exact
 // interleaving of re-attach and forward insertions matters for
-// tie-breaking, and recursion reproduces it verbatim. Method recursion
+// tie-breaking, and recursion reproduces it. Method recursion
 // does not heap-allocate.
 func (s *Session) NoD() (*core.Solution, error) {
 	in, f := s.in, s.in.Tree
@@ -301,7 +302,7 @@ func (s *Session) nodVisit(j tree.NodeID) int64 {
 }
 
 // nodInsert adds e into the sorted list of node j (non-decreasing
-// total; equal totals keep the cold path's insert-before-equals rule).
+// total; a new entry goes before existing entries of equal total).
 func (s *Session) nodInsert(j tree.NodeID, e nentry) {
 	l := s.lists[j]
 	k := sort.Search(len(l), func(i int) bool { return l[i].total >= e.total })

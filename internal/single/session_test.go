@@ -1,7 +1,11 @@
 package single
 
 import (
+	"encoding/json"
+	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"slices"
 	"testing"
 
@@ -24,38 +28,108 @@ func sessionInstance(rng *rand.Rand) *core.Instance {
 	}, rng.Intn(2) == 0)
 }
 
-// TestSessionMatchesCold pins the warm-path contract: a Session solve
-// returns exactly the normalized solution of the package-level
-// functions, on many random instances and repeatedly on the same
-// session.
+// namedInstance is one row of a parity test.
+type namedInstance struct {
+	name string
+	in   *core.Instance
+}
+
+// corpus loads every instance of the frozen testdata corpus.
+func corpus(t *testing.T) []namedInstance {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join("..", "..", "testdata", "*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []namedInstance
+	for _, file := range files {
+		if filepath.Base(file) == "manifest.json" {
+			continue
+		}
+		raw, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := new(core.Instance)
+		if err := json.Unmarshal(raw, in); err != nil {
+			t.Fatalf("%s: %v", file, err)
+		}
+		out = append(out, namedInstance{filepath.Base(file), in})
+	}
+	if len(out) < 8 {
+		t.Fatalf("corpus has only %d instances", len(out))
+	}
+	return out
+}
+
+// sameOutcome requires got to equal the oracle's outcome: the same
+// error text, or the same normalized solution.
+func sameOutcome(t *testing.T, label string, want *core.Solution, wantErr error, got *core.Solution, gotErr error) {
+	t.Helper()
+	if (wantErr == nil) != (gotErr == nil) {
+		t.Fatalf("%s: oracle err %v, got err %v", label, wantErr, gotErr)
+	}
+	if wantErr != nil {
+		if wantErr.Error() != gotErr.Error() {
+			t.Fatalf("%s: oracle err %q, got err %q", label, wantErr, gotErr)
+		}
+		return
+	}
+	if !solutionsEqual(want, got) {
+		t.Fatalf("%s:\n oracle %v\n got    %v", label, want, got)
+	}
+}
+
+// TestSessionMatchesCold pins the package's one implementation against
+// the reference oracles: on 200 random instances, the whole testdata
+// corpus and instances the algorithms must refuse (W = 0, some rᵢ > W),
+// Gen and NoD return the oracle's solution or error text, and a
+// session re-solving the same instance returns the oracle's solution
+// every time.
 func TestSessionMatchesCold(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	var s Session
+	var rows []namedInstance
 	for i := 0; i < 200; i++ {
-		in := sessionInstance(rng)
-		s.Reset(in)
+		rows = append(rows, namedInstance{fmt.Sprintf("random %d", i), sessionInstance(rng)})
+	}
+	rows = append(rows, corpus(t)...)
+	rows = append(rows,
+		namedInstance{"W = 0", buildPaper(0, core.NoDistance)},
+		namedInstance{"r > W", buildPaper(6, 2)},
+	)
+	algs := []struct {
+		name    string
+		oracle  func(*core.Instance) (*core.Solution, error)
+		wrapper func(*core.Instance) (*core.Solution, error)
+		warm    func(*Session) (*core.Solution, error)
+	}{
+		{"gen", referenceGen, Gen, (*Session).Gen},
+		{"nod", referenceNoD, NoD, (*Session).NoD},
+	}
+	var s Session
+	for _, row := range rows {
+		in := row.in
+		valid := in.Validate() == nil
+		if valid {
+			s.Reset(in)
+		}
 		for round := 0; round < 2; round++ {
-			cold, coldErr := Gen(in)
-			warm, warmErr := s.Gen()
-			if (coldErr == nil) != (warmErr == nil) {
-				t.Fatalf("instance %d: gen cold err %v, warm err %v", i, coldErr, warmErr)
-			}
-			if coldErr == nil && !solutionsEqual(cold, warm) {
-				t.Fatalf("instance %d: gen cold %v != warm %v", i, cold, warm)
-			}
-			coldN, coldErrN := NoD(in)
-			warmN, warmErrN := s.NoD()
-			if (coldErrN == nil) != (warmErrN == nil) {
-				t.Fatalf("instance %d: nod cold err %v, warm err %v", i, coldErrN, warmErrN)
-			}
-			if coldErrN == nil && !solutionsEqual(coldN, warmN) {
-				t.Fatalf("instance %d: nod cold %v != warm %v", i, coldN, warmN)
+			for _, a := range algs {
+				want, wantErr := a.oracle(in)
+				if round == 0 {
+					got, gotErr := a.wrapper(in)
+					sameOutcome(t, row.name+" "+a.name, want, wantErr, got, gotErr)
+				}
+				if valid {
+					got, gotErr := a.warm(&s)
+					sameOutcome(t, fmt.Sprintf("%s %s session round %d", row.name, a.name, round), want, wantErr, got, gotErr)
+				}
 			}
 		}
 	}
 }
 
-// TestSessionInfeasible mirrors the cold error when a client exceeds W.
+// TestSessionInfeasible pins the session refusing a client above W.
 func TestSessionInfeasible(t *testing.T) {
 	b := tree.NewBuilder()
 	r := b.Root("")

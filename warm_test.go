@@ -1,8 +1,7 @@
 package replicatree_test
 
 // Session-path gates: the zero-allocation guarantee of the scratch-based
-// solve path and its behavioural equality with the reference
-// implementations.
+// solve path and the equality of a reused scratch with a fresh one.
 //
 // TestAllocs is the CI tripwire for the tentpole invariant: an
 // Engine.Solve on a lent scratch with the instance already ingested
@@ -14,11 +13,13 @@ package replicatree_test
 // (-race and -msan builds skip automatically: their instrumentation
 // allocates).
 //
-// TestWarmMatchesColdCorpus is the metamorphic twin: over the full
-// frozen testdata/ corpus, every session engine must reproduce its
-// reference implementation — the allocating package function — with
-// the same solution, error text and report metadata, on a lent scratch
-// (first solve and warm re-solve) and on a pooled one.
+// TestReusedScratchMatchesFresh is the scratch seam's metamorphic
+// check: over the full frozen testdata/ corpus, every session engine
+// solving on a reused scratch — lent (first solve and warm re-solve)
+// or pooled — must return what the same engine returns on a fresh
+// solver.NewScratch(): the same solution, error text and report
+// metadata. Each algorithm's answers themselves are pinned against
+// its reference oracle inside its own package (single, multiple, lp).
 
 import (
 	"context"
@@ -35,25 +36,19 @@ import (
 
 	"replicatree/internal/core"
 	"replicatree/internal/gen"
-	"replicatree/internal/lp"
-	"replicatree/internal/multiple"
-	"replicatree/internal/single"
 	"replicatree/internal/solver"
 )
 
-// warmEngines are the session engines with their reference
-// implementations; every other engine ignores Request.Scratch.
-var warmEngines = []struct {
-	name string
-	ref  func(*core.Instance) (*core.Solution, error)
-}{
-	{solver.SingleGen, single.Gen},
-	{solver.SingleNoD, single.NoD},
-	{solver.MultipleBin, multiple.Bin},
-	{solver.MultipleLazy, multiple.Lazy},
-	{solver.MultipleBest, multiple.Best},
-	{solver.MultipleGreedy, multiple.Greedy},
-	{solver.LPRound, lp.Placement},
+// warmEngines are the session engines; every other engine ignores
+// Request.Scratch.
+var warmEngines = []string{
+	solver.SingleGen,
+	solver.SingleNoD,
+	solver.MultipleBin,
+	solver.MultipleLazy,
+	solver.MultipleBest,
+	solver.MultipleGreedy,
+	solver.LPRound,
 }
 
 // allocInstance builds the ~200-node binary instance the allocation
@@ -88,8 +83,7 @@ func TestAllocs(t *testing.T) {
 	nod := allocInstance(73, false)
 	ctx := context.Background()
 	sc := solver.NewScratch()
-	for _, we := range warmEngines {
-		name := we.name
+	for _, name := range warmEngines {
 		eng := solver.MustLookup(name)
 		in := dist
 		if !eng.Capabilities().SupportsDMax {
@@ -116,41 +110,56 @@ func TestAllocs(t *testing.T) {
 	}
 }
 
-// checkReference requires a session engine's outcome to equal its
-// reference implementation's: same error text, or same solution and
-// the report metadata the engine derives from it.
-func checkReference(t *testing.T, label string, eng solver.Engine, in *core.Instance, ref *core.Solution, refErr error, got solver.Report, gotErr error) {
+// solveFresh solves in with eng on a fresh scratch, the reference the
+// reuse tests compare against. A successful report must carry the
+// metadata the engine derives from its solution.
+func solveFresh(t *testing.T, eng solver.Engine, in *core.Instance) (solver.Report, error) {
 	t.Helper()
-	if (refErr == nil) != (gotErr == nil) {
-		t.Fatalf("%s: reference err %v, engine err %v", label, refErr, gotErr)
-	}
-	if refErr != nil {
-		if refErr.Error() != gotErr.Error() {
-			t.Errorf("%s: reference err %q, engine err %q", label, refErr, gotErr)
-		}
-		return
-	}
-	if !slices.Equal(ref.Replicas, got.Solution.Replicas) ||
-		!slices.Equal(ref.Assignments, got.Solution.Assignments) {
-		t.Errorf("%s: solutions differ\n reference %v\n engine    %v", label, ref, got.Solution)
+	rep, err := eng.Solve(context.Background(), solver.Request{Instance: in, Scratch: solver.NewScratch()})
+	if err != nil {
+		return rep, err
 	}
 	lb := core.LowerBound(in)
 	gap := 0.0
 	if lb > 0 {
-		gap = float64(ref.NumReplicas()-lb) / float64(lb)
+		gap = float64(rep.Solution.NumReplicas()-lb) / float64(lb)
 	}
-	if got.Policy != eng.Capabilities().Policy || got.LowerBound != lb || got.Gap != gap ||
-		got.Proved || got.Engine != eng.Name() {
-		t.Errorf("%s: report metadata %+v, want policy %v, bound %d, gap %v, unproved, engine %s",
-			label, got, eng.Capabilities().Policy, lb, gap, eng.Name())
+	if rep.Policy != eng.Capabilities().Policy || rep.LowerBound != lb || rep.Gap != gap ||
+		rep.Proved || rep.Engine != eng.Name() {
+		t.Fatalf("%s: fresh report metadata %+v, want policy %v, bound %d, gap %v, unproved, engine %s",
+			eng.Name(), rep, eng.Capabilities().Policy, lb, gap, eng.Name())
+	}
+	return rep, nil
+}
+
+// checkFresh requires a solve on a reused scratch to equal the fresh
+// one: same error text, or same solution and report metadata.
+func checkFresh(t *testing.T, label string, want solver.Report, wantErr error, got solver.Report, gotErr error) {
+	t.Helper()
+	if (wantErr == nil) != (gotErr == nil) {
+		t.Fatalf("%s: fresh err %v, reused err %v", label, wantErr, gotErr)
+	}
+	if wantErr != nil {
+		if wantErr.Error() != gotErr.Error() {
+			t.Errorf("%s: fresh err %q, reused err %q", label, wantErr, gotErr)
+		}
+		return
+	}
+	if !slices.Equal(want.Solution.Replicas, got.Solution.Replicas) ||
+		!slices.Equal(want.Solution.Assignments, got.Solution.Assignments) {
+		t.Errorf("%s: solutions differ\n fresh  %v\n reused %v", label, want.Solution, got.Solution)
+	}
+	if got.Policy != want.Policy || got.LowerBound != want.LowerBound || got.Gap != want.Gap ||
+		got.Proved != want.Proved || got.Engine != want.Engine || got.Work != want.Work {
+		t.Errorf("%s: report metadata %+v, want %+v", label, got, want)
 	}
 }
 
-// TestWarmMatchesColdCorpus solves every corpus instance with each
-// session engine — on a lent scratch twice (ingest, then warm re-solve)
-// and once on a pooled scratch — and requires the reference
-// implementation's outcome every time.
-func TestWarmMatchesColdCorpus(t *testing.T) {
+// TestReusedScratchMatchesFresh solves every corpus instance with each
+// session engine — on a lent scratch twice (ingest, then warm
+// re-solve) and once on a pooled scratch — and requires the fresh
+// scratch's outcome every time.
+func TestReusedScratchMatchesFresh(t *testing.T) {
 	files, err := filepath.Glob(filepath.Join("testdata", "*.json"))
 	if err != nil {
 		t.Fatal(err)
@@ -171,18 +180,18 @@ func TestWarmMatchesColdCorpus(t *testing.T) {
 			t.Fatalf("%s: %v", file, err)
 		}
 		n++
-		for _, we := range warmEngines {
-			eng := solver.MustLookup(we.name)
+		for _, name := range warmEngines {
+			eng := solver.MustLookup(name)
 			if !eng.Capabilities().SupportsDMax && !in.NoD() {
 				continue // the engine's NoD gate answers, not the algorithm
 			}
-			ref, refErr := we.ref(&in)
+			ref, refErr := solveFresh(t, eng, &in)
 			for round := 1; round <= 2; round++ {
 				rep, err := eng.Solve(ctx, solver.Request{Instance: &in, Scratch: sc})
-				checkReference(t, fmt.Sprintf("%s %s lent round %d", file, we.name, round), eng, &in, ref, refErr, rep, err)
+				checkFresh(t, fmt.Sprintf("%s %s lent round %d", file, name, round), ref, refErr, rep, err)
 			}
 			rep, err := eng.Solve(ctx, solver.Request{Instance: &in})
-			checkReference(t, fmt.Sprintf("%s %s pooled", file, we.name), eng, &in, ref, refErr, rep, err)
+			checkFresh(t, fmt.Sprintf("%s %s pooled", file, name), ref, refErr, rep, err)
 		}
 	}
 	if n < 8 {
@@ -192,7 +201,7 @@ func TestWarmMatchesColdCorpus(t *testing.T) {
 
 // TestScratchPool pins the pooling contract: a pooled scratch is
 // reusable across distinct instances, and an invalid instance fails
-// ingestion with the reference implementation's validation error.
+// ingestion with the instance's validation error.
 func TestScratchPool(t *testing.T) {
 	ctx := context.Background()
 	eng := solver.MustLookup(solver.SingleGen)
@@ -201,19 +210,19 @@ func TestScratchPool(t *testing.T) {
 	rng := rand.New(rand.NewSource(79))
 	for i := 0; i < 5; i++ {
 		in := gen.RandomInstance(rng, gen.TreeConfig{Internals: 10}, true)
-		ref, refErr := single.Gen(in)
+		ref, refErr := solveFresh(t, eng, in)
 		rep, err := eng.Solve(ctx, solver.Request{Instance: in, Scratch: sc})
-		checkReference(t, fmt.Sprintf("instance %d", i), eng, in, ref, refErr, rep, err)
+		checkFresh(t, fmt.Sprintf("instance %d", i), ref, refErr, rep, err)
 	}
 
-	// An invalid instance must produce the reference validation error.
+	// An invalid instance must produce its validation error.
 	bad := &core.Instance{Tree: gen.RandomTree(rng, gen.TreeConfig{Internals: 4}), W: 0, DMax: core.NoDistance}
-	ref, refErr := single.Gen(bad)
-	if refErr == nil {
-		t.Fatal("the reference accepted an invalid instance")
+	ref, refErr := solveFresh(t, eng, bad)
+	if refErr == nil || refErr.Error() != bad.Validate().Error() {
+		t.Fatalf("fresh solve of an invalid instance: err %v, want %v", refErr, bad.Validate())
 	}
 	rep, err := eng.Solve(ctx, solver.Request{Instance: bad, Scratch: sc})
-	checkReference(t, "invalid instance", eng, bad, ref, refErr, rep, err)
+	checkFresh(t, "invalid instance", ref, refErr, rep, err)
 }
 
 // settleEngine runs its engine's solve to completion even after
@@ -231,20 +240,19 @@ func (e settleEngine) Solve(ctx context.Context, req solver.Request) (solver.Rep
 
 // TestAbandonedSolveLeavesCleanPool times out a batch of large session
 // solves, lets the abandoned solves finish and return their pooled
-// scratches, and then requires fresh solves — on scratches drawn from
-// the same pool — to reproduce the reference implementations: a
-// pooled scratch never leaks one solve's state into the next.
+// scratches, and then requires solves on scratches drawn from the same
+// pool to reproduce a fresh scratch: a pooled scratch never leaks one
+// solve's state into the next.
 func TestAbandonedSolveLeavesCleanPool(t *testing.T) {
 	ctx := context.Background()
 	cases := []struct {
 		name string
-		ref  func(*core.Instance) (*core.Solution, error)
 		big  *core.Instance
 	}{
 		// lp-round's dense tableau makes a 2k-node relaxation cost
 		// seconds and a gigabyte; ~600 nodes keep it sub-second.
-		{solver.LPRound, lp.Placement, binaryInstance(101, 450, true)},
-		{solver.MultipleBest, multiple.Best, binaryInstance(103, 1500, true)},
+		{solver.LPRound, binaryInstance(101, 450, true)},
+		{solver.MultipleBest, binaryInstance(103, 1500, true)},
 	}
 	var done sync.WaitGroup
 	var tasks []solver.Task
@@ -272,13 +280,13 @@ func TestAbandonedSolveLeavesCleanPool(t *testing.T) {
 	for _, c := range cases {
 		eng := solver.MustLookup(c.name)
 		for _, in := range []*core.Instance{binaryInstance(107, 120, true), c.big} {
-			ref, refErr := c.ref(in)
+			ref, refErr := solveFresh(t, eng, in)
 			sc := solver.GetScratch()
 			rep, err := eng.Solve(ctx, solver.Request{Instance: in, Scratch: sc})
-			checkReference(t, c.name+" lent", eng, in, ref, refErr, rep, err)
+			checkFresh(t, c.name+" lent", ref, refErr, rep, err)
 			solver.PutScratch(sc)
 			rep, err = eng.Solve(ctx, solver.Request{Instance: in})
-			checkReference(t, c.name+" pooled", eng, in, ref, refErr, rep, err)
+			checkFresh(t, c.name+" pooled", ref, refErr, rep, err)
 		}
 	}
 }
