@@ -69,7 +69,30 @@ func (g *Network) Flow(arc int, origCap int64) int64 {
 	return origCap - g.cap[arc]
 }
 
-// MaxFlow computes the maximum s→t flow.
+// SetFlow gives the arc returned by AddEdge a new capacity with flow
+// units already routed on it (0 ≤ flow ≤ capacity); SetFlow(arc, 0, 0)
+// takes the edge out of the network. Together with Flow it lets a
+// caller edit a routed flow and then resume MaxFlow from it: MaxFlow
+// augments whatever flow the residual capacities describe.
+func (g *Network) SetFlow(arc int, capacity, flow int64) {
+	g.cap[arc] = capacity - flow
+	g.cap[arc^1] = flow
+}
+
+// SaveResiduals copies every arc's residual capacity into dst, reusing
+// its array, and returns it.
+func (g *Network) SaveResiduals(dst []int64) []int64 {
+	return append(dst[:0], g.cap...)
+}
+
+// RestoreResiduals puts back the residual capacities SaveResiduals
+// copied from this network since its arcs were last added.
+func (g *Network) RestoreResiduals(src []int64) {
+	copy(g.cap, src)
+}
+
+// MaxFlow computes the maximum s→t flow. On a network that already
+// carries flow it returns the flow it adds.
 func (g *Network) MaxFlow(s, t int) int64 {
 	if s == t {
 		return 0

@@ -144,3 +144,37 @@ func TestFlowConservationRandom(t *testing.T) {
 		}
 	}
 }
+
+// TestResumeAfterEdit edits a routed flow — one edge taken out, its
+// flow handed back to the source arc — and resumes MaxFlow from it,
+// then puts the saved residuals back.
+func TestResumeAfterEdit(t *testing.T) {
+	// 0→2→1 and 0→3→1, with 2→3 as a detour and room on 3→1.
+	g := NewNetwork(4)
+	src := g.AddEdge(0, 2, 5)
+	a := g.AddEdge(2, 1, 5)
+	g.AddEdge(0, 3, 5)
+	g.AddEdge(3, 1, 10)
+	g.AddEdge(2, 3, 5)
+	if got := g.MaxFlow(0, 1); got != 10 {
+		t.Fatalf("MaxFlow = %d, want 10", got)
+	}
+	saved := g.SaveResiduals(nil)
+	lost := g.Flow(a, 5)
+	if lost != 5 {
+		t.Fatalf("2→1 carried %d, want 5", lost)
+	}
+	g.SetFlow(src, 5, g.Flow(src, 5)-lost)
+	g.SetFlow(a, 0, 0)
+	// The detour 2→3→1 takes back all that 2→1 carried.
+	if got := g.MaxFlow(0, 1); got != lost {
+		t.Fatalf("resumed MaxFlow = %d, want %d", got, lost)
+	}
+	g.RestoreResiduals(saved)
+	if got := g.Flow(a, 5); got != lost {
+		t.Fatalf("restored flow on 2→1 = %d, want %d", got, lost)
+	}
+	if got := g.MaxFlow(0, 1); got != 0 {
+		t.Fatalf("MaxFlow after restore = %d, want 0", got)
+	}
+}

@@ -10,7 +10,9 @@ import (
 	"testing"
 
 	"replicatree/internal/core"
+	"replicatree/internal/exact"
 	"replicatree/internal/gen"
+	"replicatree/internal/tree"
 )
 
 func sessionSolEqual(a, b *core.Solution) bool {
@@ -189,4 +191,112 @@ func TestWorkspacePoolCap(t *testing.T) {
 			t.Fatal("an oversized workspace was pooled")
 		}
 	}
+}
+
+// TestPruneMatchesFresh pins the incremental prune against a fresh
+// feasibility test: on random instances and the solve-cold set, from
+// the relaxation's support and from every candidate server, each drop
+// verdict equals exact.MultipleFeasible on the set without that
+// server.
+func TestPruneMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(2001))
+	var ins []*core.Instance
+	for i := 0; i < 60; i++ {
+		ins = append(ins, gen.RandomInstance(rng, gen.TreeConfig{
+			Internals:    1 + rng.Intn(10),
+			MaxArity:     2 + rng.Intn(2),
+			MaxDist:      3,
+			MaxReq:       8,
+			ExtraClients: rng.Intn(3),
+		}, rng.Intn(2) == 0))
+	}
+	ins = append(ins, coldSet()[:8]...)
+	var s Session
+	defer s.Release()
+	steps, kept := 0, 0
+	for n, in := range ins {
+		if err := s.Reset(in); err != nil || s.empty {
+			continue
+		}
+		if err := s.relax(); err != nil {
+			t.Fatalf("instance %d: %v", n, err)
+		}
+		support := slices.Clone(s.R)
+		for _, start := range [][]tree.NodeID{support, s.servers} {
+			R := slices.Clone(start)
+			if got, want := s.route(R), exact.MultipleFeasible(in, R); got != want {
+				t.Fatalf("instance %d: route(%v) = %v, fresh %v", n, R, got, want)
+			} else if !got {
+				continue
+			}
+			for i := 0; i < len(R); {
+				trial := slices.Delete(slices.Clone(R), i, i+1)
+				want := exact.MultipleFeasible(in, trial)
+				if got := s.drop(R[i]); got != want {
+					t.Fatalf("instance %d: drop %d from %v = %v, fresh %v", n, R[i], R, got, want)
+				}
+				steps++
+				if want {
+					R = trial
+				} else {
+					kept++
+					i++
+				}
+			}
+			s.clearServerNodes()
+		}
+	}
+	if steps < 1000 || kept == 0 || kept == steps {
+		t.Fatalf("only %d prune steps (%d kept): the test lost its coverage", steps, kept)
+	}
+}
+
+// FuzzPlacement compares Session.Placement with the reference rounding
+// on fuzzer-built instances: the same solution or the same error text.
+// The bytes are read as: the internal node count, per internal node
+// after the root its parent and edge length, the client count, per
+// client its parent, edge length and requests, then W and dmax (a
+// first byte below 64 means no distance bound). Missing bytes read as
+// zero.
+func FuzzPlacement(f *testing.F) {
+	f.Add([]byte{3, 0, 1, 0, 2, 4, 1, 1, 3, 2, 2, 5, 0, 1, 2, 1, 3, 1, 6, 200, 4})
+	f.Add([]byte{1, 3, 0, 1, 9, 0, 1, 9, 0, 2, 4, 5, 10})
+	f.Add([]byte{5, 0, 1, 1, 1, 2, 2, 0, 3, 9, 4, 1, 7, 3, 2, 2, 0, 1, 1, 1, 3, 6, 2, 1, 5, 4, 2, 8, 0, 4, 6, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := int(data[0])
+			data = data[1:]
+			return b
+		}
+		b := tree.NewBuilder()
+		internals := []tree.NodeID{b.Root("")}
+		for k := 1 + next()%8; len(internals) < k; {
+			p := internals[next()%len(internals)]
+			internals = append(internals, b.Internal(p, int64(1+next()%4), ""))
+		}
+		for c := 1 + next()%14; c > 0; c-- {
+			p := internals[next()%len(internals)]
+			b.Client(p, int64(1+next()%4), int64(next()%10), "")
+		}
+		tr, err := b.Build()
+		if err != nil {
+			return
+		}
+		in := &core.Instance{Tree: tr, W: int64(next() % 16), DMax: core.NoDistance}
+		if v := next(); v >= 64 {
+			in.DMax = int64(next() % 12)
+		}
+		want, wantErr := referencePlacement(in)
+		var s Session
+		defer s.Release()
+		if err := s.Reset(in); err != nil {
+			sameOutcome(t, "ingest", want, wantErr, nil, err)
+			return
+		}
+		got, gotErr := s.Placement()
+		sameOutcome(t, "placement", want, wantErr, got, gotErr)
+	})
 }

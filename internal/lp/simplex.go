@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // RowKind classifies a constraint row.
@@ -54,18 +55,32 @@ var ErrUnbounded = errors.New("lp: unbounded")
 const eps = 1e-9
 
 // Workspace owns the working memory of the simplex: the dense tableau
-// (one flat backing array), the basis, the pivot row's nonzero columns
-// and the result vector. A zero Workspace is ready to use; re-solving
-// a same-shape problem on a warmed Workspace performs zero heap
-// allocations. The solution slice returned by Workspace.Solve is owned
-// by the workspace and valid until its next Solve. A Workspace is not
-// safe for concurrent use.
+// (one flat backing array), its nonzero index, the basis, the pivot
+// row's nonzero columns and the result vector. A zero Workspace is
+// ready to use; re-solving a same-shape problem on a warmed Workspace
+// performs zero heap allocations. The solution slice returned by
+// Workspace.Solve is owned by the workspace and valid until its next
+// Solve. A Workspace is not safe for concurrent use.
+//
+// The nonzero index is a superset of the tableau's nonzero entries
+// below the objective row, kept two ways: rowBits holds a bitset of
+// columns (the right-hand side included) per row, colBits a bitset of
+// rows per column. Writing a row seeds it, and a pivot ORs the pivot
+// row's bits into every row it updates. m and stride are the shape of
+// the tableau last written: the next Solve zeroes only the entries the
+// index marks, plus the objective row, instead of the whole buffer.
 type Workspace struct {
-	tabBuf []float64   // (m+1)×(total+1) tableau backing
-	tab    [][]float64 // row headers into tabBuf
-	basis  []int
-	nz     []int // the current pivot row's nonzero columns
-	x      []float64
+	tabBuf  []float64   // (m+1)×stride tableau backing
+	tab     [][]float64 // row headers into tabBuf
+	rowBits []uint64    // m×rw: row i's possibly-nonzero columns
+	colBits []uint64    // stride×cw: column j's possibly-nonzero rows
+	rw, cw  int         // words per row bitset, per column bitset
+	m       int         // rows below the objective of the last tableau
+	stride  int         // its row length, right-hand side included
+	neg     []uint64    // rw words: objective columns with reduced cost < −eps
+	basis   []int
+	nz      []int // the current pivot row's nonzero columns
+	x       []float64
 }
 
 // Solve runs two-phase simplex with Bland's rule and returns an
@@ -96,10 +111,11 @@ func normKind(k RowKind, b float64) RowKind {
 //
 // The pivot sequence is the one a dense simplex takes: Bland's rule,
 // the ratio test with its eps tie-break, the same row order. Only
-// work on zero entries is skipped — a pivot updates just the pivot
-// row's nonzero columns — which can change the sign of a zero entry
-// and nothing else: no comparison, ratio, division or nonzero value
-// depends on that sign.
+// work on zero entries is skipped — the ratio test and a pivot visit
+// just the rows the entering column's index marks, and a pivot
+// updates just the pivot row's nonzero columns — which can change the
+// sign of a zero entry and nothing else: no comparison, ratio,
+// division or nonzero value depends on that sign.
 func (w *Workspace) Solve(p *Problem) ([]float64, float64, error) {
 	n := len(p.C)
 	m := len(p.B)
@@ -131,25 +147,8 @@ func (w *Workspace) Solve(p *Problem) ([]float64, float64, error) {
 	}
 	total := n + extra + art
 	stride := total + 1
-	if size := (m + 1) * stride; cap(w.tabBuf) < size {
-		w.tabBuf = make([]float64, size)
-	} else {
-		w.tabBuf = w.tabBuf[:size]
-		clear(w.tabBuf)
-	}
-	if cap(w.tab) < m+1 {
-		w.tab = make([][]float64, m+1)
-	}
-	w.tab = w.tab[:m+1]
-	tab := w.tab
-	for i := range tab {
-		tab[i] = w.tabBuf[i*stride : (i+1)*stride]
-	}
-	if cap(w.basis) < m {
-		w.basis = make([]int, m)
-	}
-	w.basis = w.basis[:m]
-	basis := w.basis
+	w.reset(m, stride)
+	tab, basis := w.tab, w.basis
 	// Write each row normalised to b ≥ 0: a row with b < 0 is negated
 	// as it is written.
 	se, ai := n, n+extra
@@ -159,27 +158,34 @@ func (w *Workspace) Solve(p *Problem) ([]float64, float64, error) {
 		if b < 0 {
 			for k := p.Start[i]; k < p.Start[i+1]; k++ {
 				row[p.Col[k]] -= p.Val[k]
+				w.mark(i, p.Col[k])
 			}
 			b = -b
 		} else {
 			for k := p.Start[i]; k < p.Start[i+1]; k++ {
 				row[p.Col[k]] += p.Val[k]
+				w.mark(i, p.Col[k])
 			}
 		}
 		row[total] = b
+		w.mark(i, total)
 		switch normKind(p.Kind[i], p.B[i]) {
 		case LE:
 			row[se] = 1
+			w.mark(i, se)
 			basis[i] = se
 			se++
 		case GE:
 			row[se] = -1
+			w.mark(i, se)
 			se++
 			row[ai] = 1
+			w.mark(i, ai)
 			basis[i] = ai
 			ai++
 		case EQ:
 			row[ai] = 1
+			w.mark(i, ai)
 			basis[i] = ai
 			ai++
 		}
@@ -194,8 +200,12 @@ func (w *Workspace) Solve(p *Problem) ([]float64, float64, error) {
 		// Price out the artificial basis.
 		for i := 0; i < m; i++ {
 			if basis[i] >= n+extra {
-				for j := 0; j <= total; j++ {
-					obj[j] -= tab[i][j]
+				ti := tab[i]
+				for k, word := range w.rowBits[i*w.rw : (i+1)*w.rw] {
+					for ; word != 0; word &= word - 1 {
+						j := k<<6 | bits.TrailingZeros64(word)
+						obj[j] -= ti[j]
+					}
 				}
 			}
 		}
@@ -205,16 +215,14 @@ func (w *Workspace) Solve(p *Problem) ([]float64, float64, error) {
 		if tab[m][total] < -eps {
 			return nil, 0, ErrInfeasible
 		}
-		// Drive artificials out of the basis where possible.
+		// Drive artificials out of the basis where possible: pivot on
+		// the row's first column below n+extra that exceeds eps.
 		for i := 0; i < m; i++ {
 			if basis[i] < n+extra {
 				continue
 			}
-			for j := 0; j < n+extra; j++ {
-				if math.Abs(tab[i][j]) > eps {
-					w.pivot(i, j, total)
-					break
-				}
+			if j := w.firstAbove(i, n+extra); j >= 0 {
+				w.pivot(i, j, total)
 			}
 		}
 	}
@@ -228,18 +236,26 @@ func (w *Workspace) Solve(p *Problem) ([]float64, float64, error) {
 		obj[j] = p.C[j]
 	}
 	// Block artificial columns.
-	for i := 0; i < m; i++ {
-		for j := n + extra; j < total; j++ {
-			tab[i][j] = 0
+	for j := n + extra; j < total; j++ {
+		cb := w.colBits[j*w.cw : (j+1)*w.cw]
+		for k, word := range cb {
+			for ; word != 0; word &= word - 1 {
+				tab[k<<6|bits.TrailingZeros64(word)][j] = 0
+			}
 		}
+		clear(cb)
 	}
 	// Price out the basis.
 	for i := 0; i < m; i++ {
 		bj := basis[i]
 		if bj < len(obj)-1 && math.Abs(obj[bj]) > eps {
 			f := obj[bj]
-			for j := 0; j <= total; j++ {
-				obj[j] -= f * tab[i][j]
+			ti := tab[i]
+			for k, word := range w.rowBits[i*w.rw : (i+1)*w.rw] {
+				for ; word != 0; word &= word - 1 {
+					j := k<<6 | bits.TrailingZeros64(word)
+					obj[j] -= f * ti[j]
+				}
 			}
 		}
 	}
@@ -258,6 +274,54 @@ func (w *Workspace) Solve(p *Problem) ([]float64, float64, error) {
 	return x, -tab[m][total], nil
 }
 
+// reset readies a zero m×stride tableau (plus its objective row), an
+// empty nonzero index and the basis. A buffer that is reused is zeroed
+// only where the previous tableau's index marks an entry and in its
+// objective row: every entry outside those is still zero.
+func (w *Workspace) reset(m, stride int) {
+	size := (m + 1) * stride
+	if cap(w.tabBuf) < size {
+		w.tabBuf = make([]float64, size)
+	} else {
+		for i := 0; i < w.m; i++ {
+			row := w.tabBuf[i*w.stride:]
+			for k, word := range w.rowBits[i*w.rw : (i+1)*w.rw] {
+				for ; word != 0; word &= word - 1 {
+					row[k<<6|bits.TrailingZeros64(word)] = 0
+				}
+			}
+		}
+		clear(w.tabBuf[w.m*w.stride : (w.m+1)*w.stride])
+		w.tabBuf = w.tabBuf[:size]
+	}
+	w.m, w.stride = m, stride
+	w.rw, w.cw = (stride+63)/64, (m+63)/64
+	w.rowBits = growWords(w.rowBits, m*w.rw)
+	w.colBits = growWords(w.colBits, stride*w.cw)
+	w.neg = growWords(w.neg, w.rw)
+	if cap(w.tab) < m+1 {
+		w.tab = make([][]float64, m+1)
+	}
+	w.tab = w.tab[:m+1]
+	for i := range w.tab {
+		w.tab[i] = w.tabBuf[i*stride : (i+1)*stride]
+	}
+	if cap(w.basis) < m {
+		w.basis = make([]int, m)
+	}
+	w.basis = w.basis[:m]
+}
+
+// growWords returns a zeroed slice of n words, reusing s's array.
+func growWords(s []uint64, n int) []uint64 {
+	if cap(s) < n {
+		return make([]uint64, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
 func growFloats(s []float64, n int) []float64 {
 	if cap(s) < n {
 		return make([]float64, n)
@@ -265,31 +329,73 @@ func growFloats(s []float64, n int) []float64 {
 	return s[:n]
 }
 
+// mark records that entry (i, j) below the objective row may be
+// nonzero.
+func (w *Workspace) mark(i, j int) {
+	w.rowBits[i*w.rw+j>>6] |= 1 << (j & 63)
+	w.colBits[j*w.cw+i>>6] |= 1 << (i & 63)
+}
+
+// firstAbove returns row i's first column below end whose entry
+// exceeds eps in absolute value, or -1.
+func (w *Workspace) firstAbove(i, end int) int {
+	ti := w.tab[i]
+	for k, word := range w.rowBits[i*w.rw : (i+1)*w.rw] {
+		for ; word != 0; word &= word - 1 {
+			j := k<<6 | bits.TrailingZeros64(word)
+			if j >= end {
+				return -1
+			}
+			if math.Abs(ti[j]) > eps {
+				return j
+			}
+		}
+	}
+	return -1
+}
+
 // iterate runs simplex pivots (Bland's rule) until optimal.
 func (w *Workspace) iterate(total int) error {
 	tab, basis := w.tab, w.basis
 	m := len(tab) - 1
+	obj := tab[m]
+	clear(w.neg)
+	for j := 0; j < total; j++ {
+		if obj[j] < -eps {
+			w.neg[j>>6] |= 1 << (j & 63)
+		}
+	}
 	for iter := 0; iter < 50000; iter++ {
 		// Entering column: smallest index with negative reduced cost.
 		col := -1
-		for j := 0; j < total; j++ {
-			if tab[m][j] < -eps {
-				col = j
+		for k, word := range w.neg {
+			if word != 0 {
+				col = k<<6 | bits.TrailingZeros64(word)
 				break
 			}
 		}
-		if col < 0 {
+		if col < 0 || col >= total {
 			return nil
 		}
-		// Leaving row: min ratio, ties by smallest basis index.
+		// Leaving row: min ratio, ties by smallest basis index, over
+		// the rows the column's index marks, in increasing order. An
+		// entry found zero is dropped from the index.
 		row := -1
 		best := math.Inf(1)
-		for i := 0; i < m; i++ {
-			if tab[i][col] > eps {
-				r := tab[i][total] / tab[i][col]
-				if r < best-eps || (r < best+eps && (row < 0 || basis[i] < basis[row])) {
-					best = r
-					row = i
+		cb := w.colBits[col*w.cw : (col+1)*w.cw]
+		for k, word := range cb {
+			for ; word != 0; word &= word - 1 {
+				t := bits.TrailingZeros64(word)
+				i := k<<6 | t
+				v := tab[i][col]
+				if v > eps {
+					r := tab[i][total] / v
+					if r < best-eps || (r < best+eps && (row < 0 || basis[i] < basis[row])) {
+						best = r
+						row = i
+					}
+				} else if v == 0 {
+					cb[k] &^= 1 << t
 				}
 			}
 		}
@@ -302,29 +408,61 @@ func (w *Workspace) iterate(total int) error {
 }
 
 // pivot makes col basic in row. It divides the pivot row and records
-// its nonzero columns in one pass; every other row with a coefficient
-// above eps in col is then updated on those columns only.
+// its nonzero columns in one pass over the row's index; every other
+// row the column's index marks, then the objective row, is updated on
+// those columns only if its coefficient in col exceeds eps. The
+// objective's updated columns are re-priced into neg.
 func (w *Workspace) pivot(row, col, total int) {
 	pr := w.tab[row]
 	pv := pr[col]
 	nz := w.nz[:0]
-	for j := 0; j <= total; j++ {
-		if pr[j] != 0 {
-			pr[j] /= pv
-			nz = append(nz, j)
+	rb := w.rowBits[row*w.rw : (row+1)*w.rw]
+	for k, word := range rb {
+		keep := uint64(0)
+		for ; word != 0; word &= word - 1 {
+			t := bits.TrailingZeros64(word)
+			j := k<<6 | t
+			if pr[j] != 0 {
+				pr[j] /= pv
+				nz = append(nz, j)
+				keep |= 1 << t
+			}
 		}
+		rb[k] = keep
 	}
 	w.nz = nz
-	for i, ti := range w.tab {
-		if i == row {
-			continue
+	cw := w.cw
+	for k, word := range w.colBits[col*cw : (col+1)*cw] {
+		for ; word != 0; word &= word - 1 {
+			t := bits.TrailingZeros64(word)
+			i := k<<6 | t
+			if i == row {
+				continue
+			}
+			ti := w.tab[i]
+			f := ti[col]
+			if math.Abs(f) <= eps {
+				continue
+			}
+			bit := uint64(1) << t
+			for _, j := range nz {
+				ti[j] -= f * pr[j]
+				w.colBits[j*cw+k] |= bit
+			}
+			for x, b := range rb {
+				w.rowBits[i*w.rw+x] |= b
+			}
 		}
-		f := ti[col]
-		if math.Abs(f) <= eps {
-			continue
-		}
+	}
+	obj := w.tab[len(w.tab)-1]
+	if f := obj[col]; math.Abs(f) > eps {
 		for _, j := range nz {
-			ti[j] -= f * pr[j]
+			obj[j] -= f * pr[j]
+			if obj[j] < -eps {
+				w.neg[j>>6] |= 1 << (j & 63)
+			} else {
+				w.neg[j>>6] &^= 1 << (j & 63)
+			}
 		}
 	}
 	w.basis[row] = col

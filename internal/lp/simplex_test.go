@@ -3,8 +3,10 @@ package lp
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"replicatree/internal/core"
 	"replicatree/internal/gen"
 )
 
@@ -134,4 +136,62 @@ func FuzzSimplex(f *testing.F) {
 		var w Workspace
 		sameAsReference(t, &w, p, "fuzzed problem")
 	})
+}
+
+// TestWorkspaceReuseAcrossShapes runs one workspace through large,
+// small, infeasible, unbounded and large problems again, in that
+// order, and pins every answer to the reference. A reused tableau is
+// zeroed only where the previous solve's nonzero index marks it, and
+// the infeasible and unbounded solves leave it mid-pivot, so a stale
+// entry would show in the next answer.
+func TestWorkspaceReuseAcrossShapes(t *testing.T) {
+	cold := coldSet()
+	placement := func(in *core.Instance) *Problem {
+		p, _, _, err := buildPlacement(in)
+		if err != nil || p == nil {
+			t.Fatalf("placement: %v", err)
+		}
+		return p
+	}
+	large, large2 := placement(cold[0]), placement(cold[1])
+	small := placement(cold[2])
+	small.B = slices.Clone(small.B)
+	small.Start, small.B, small.Kind = small.Start[:31], small.B[:30], small.Kind[:30]
+	small.Col, small.Val = small.Col[:small.Start[30]], small.Val[:small.Start[30]]
+
+	// No server may open (every y ≤ 0): the coverage rows fail.
+	_, servers, _, _ := buildPlacement(cold[3])
+	infeasible := placement(cold[3])
+	infeasible.B = slices.Clone(infeasible.B)
+	for k := len(infeasible.B) - len(servers); k < len(infeasible.B); k++ {
+		infeasible.B[k] = 0
+	}
+	// The first server's y ≤ 1 becomes y ≥ 1 at cost −1.
+	_, servers, nx, _ := buildPlacement(cold[4])
+	unbounded := placement(cold[4])
+	unbounded.C = slices.Clone(unbounded.C)
+	unbounded.Kind = slices.Clone(unbounded.Kind)
+	unbounded.C[nx] = -1
+	unbounded.Kind[len(unbounded.Kind)-len(servers)] = GE
+
+	var w Workspace
+	for _, step := range []struct {
+		name string
+		p    *Problem
+		err  error
+	}{
+		{"large", large, nil},
+		{"small", small, nil},
+		{"infeasible", infeasible, ErrInfeasible},
+		{"unbounded", unbounded, ErrUnbounded},
+		{"large again", large2, nil},
+		{"small again", small, nil},
+		{"unbounded again", unbounded, ErrUnbounded},
+		{"large once more", large, nil},
+	} {
+		if _, _, err := Solve(step.p); err != step.err {
+			t.Fatalf("%s: fresh solve error %v, want %v", step.name, err, step.err)
+		}
+		sameAsReference(t, &w, step.p, step.name)
+	}
 }

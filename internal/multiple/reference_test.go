@@ -59,6 +59,13 @@ func referenceLazy(in *core.Instance) (*core.Solution, error) {
 // referenceBest returns the better of referenceGreedy and
 // referenceLazy, as Best does.
 func referenceBest(in *core.Instance) (*core.Solution, error) {
+	if err := in.Validate(); err != nil {
+		return nil, err
+	}
+	if !in.FitsLocally() {
+		return nil, fmt.Errorf("multiple: Best requires ri ≤ W for all clients (max r=%d, W=%d)",
+			in.Tree.MaxRequests(), in.W)
+	}
 	eager, err := referenceGreedy(in)
 	if err != nil {
 		return nil, err

@@ -91,7 +91,7 @@ func (s *Session) Lazy() (*core.Solution, error) {
 // fewer replicas (the eager one on a tie).
 func (s *Session) Best() (*core.Solution, error) {
 	if s.in.Tree.MaxRequests() > s.in.W {
-		return nil, fmt.Errorf("multiple: Greedy requires ri ≤ W for all clients (max r=%d, W=%d)",
+		return nil, fmt.Errorf("multiple: Best requires ri ≤ W for all clients (max r=%d, W=%d)",
 			s.in.Tree.MaxRequests(), s.in.W)
 	}
 	eager, err := s.run(false, &s.solA)
@@ -135,8 +135,10 @@ func (s *Session) run(lazy bool, sol *core.Solution) (*core.Solution, error) {
 		if !s.inR[j] {
 			continue
 		}
+		// Each node is visited once, so no replica repeats: append
+		// without AddReplica's scan.
 		id := tree.NodeID(j)
-		sol.AddReplica(id)
+		sol.Replicas = append(sol.Replicas, id)
 		for _, tr := range s.proc[j] {
 			sol.Assign(tr.client, id, tr.w)
 		}

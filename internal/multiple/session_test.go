@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"replicatree/internal/core"
@@ -178,6 +179,9 @@ func TestMultipleSessionPreconditions(t *testing.T) {
 	}
 	if _, err := s.Bin(); err == nil {
 		t.Fatal("warm Bin accepted r > W")
+	}
+	if _, err := s.Best(); err == nil || !strings.HasPrefix(err.Error(), "multiple: Best requires ri ≤ W") {
+		t.Fatalf("warm Best on r > W: error %v, want one naming Best", err)
 	}
 
 	// Ternary root: Bin must refuse, Greedy must accept.

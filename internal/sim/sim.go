@@ -10,8 +10,10 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"replicatree/internal/core"
 	"replicatree/internal/tree"
@@ -81,17 +83,22 @@ func Run(in *core.Instance, pol core.Policy, sol *core.Solution, cfg Config) (*M
 	cfg = cfg.norm()
 	t := in.Tree
 
-	plans := make(map[tree.NodeID]*route)
+	byClient := make(map[tree.NodeID]*route)
+	var plans []*route
 	for _, a := range sol.Assignments {
-		p := plans[a.Client]
+		p := byClient[a.Client]
 		if p == nil {
 			p = &route{client: a.Client, rate: t.Requests(a.Client)}
-			plans[a.Client] = p
+			byClient[a.Client] = p
+			plans = append(plans, p)
 		}
 		p.servers = append(p.servers, a.Server)
 		p.amounts = append(p.amounts, a.Amount)
 		p.dists = append(p.dists, t.DistanceUp(a.Client, a.Server))
 	}
+	// Clients draw their demand noise in ID order, so a seed fixes
+	// the run.
+	slices.SortFunc(plans, func(a, b *route) int { return cmp.Compare(a.client, b.client) })
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	m := &Metrics{Steps: cfg.Steps, PeakLoad: make(map[tree.NodeID]int64, len(sol.Replicas))}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"replicatree/internal/core"
@@ -145,6 +146,29 @@ func TestSimAgreesWithVerifierOnRandom(t *testing.T) {
 		}
 		if m.MaxLatency > in.DMax {
 			t.Fatalf("trial %d: latency above dmax", trial)
+		}
+	}
+}
+
+// TestRunSeedFixesMetrics: the same Config.Seed gives equal Metrics,
+// on an instance with enough clients that the order in which they
+// draw their demand noise decides the totals.
+func TestRunSeedFixesMetrics(t *testing.T) {
+	rng := rand.New(rand.NewSource(56))
+	in := gen.RandomInstance(rng, gen.TreeConfig{Internals: 40, MaxArity: 3, MaxReq: 9}, true)
+	sol := enginePlacement(t, solver.MultipleGreedy, in)
+	cfg := Config{Steps: 50, Jitter: 0.3, Seed: 7}
+	want, err := Run(in, core.Multiple, sol, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for run := 0; run < 4; run++ {
+		got, err := Run(in, core.Multiple, sol, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("run %d: metrics %+v, first run %+v", run, got, want)
 		}
 	}
 }
