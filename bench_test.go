@@ -664,11 +664,12 @@ func BenchmarkWarmLPRoundCold(b *testing.B)        { benchWarmSolve(b, solver.LP
 func BenchmarkWarmLPRoundWarm(b *testing.B)        { benchWarmSolve(b, solver.LPRound, true) }
 
 // benchDeltaMutate measures one mutate-and-re-solve cycle at three
-// service levels: "cold" re-solves the mutated instance from scratch
-// (fresh allocations), "warm" re-solves on pooled scratch buffers, and
-// "delta" drives a delta.Session whose incremental core recomputes
-// only the dirtied root paths. The ≥10× delta-vs-cold separation on
-// the 2k-node tree is an acceptance bar recorded in BENCH_008.json.
+// service levels: "cold" re-solves the mutated instance through
+// Engine.Solve on a borrowed pooled scratch, "warm" on a lent scratch,
+// and "delta" drives a delta.Session, which skips the re-ingest and
+// its Validate. All three run the same memoized single.Session.Gen,
+// which re-visits only the dirtied root paths whenever the scratch's
+// memo was left by a same-shape instance.
 func benchDeltaMutate(b *testing.B, internals int, mode string) {
 	rng := rand.New(rand.NewSource(97))
 	in := gen.RandomInstance(rng, gen.TreeConfig{

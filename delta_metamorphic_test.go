@@ -109,7 +109,7 @@ func TestDeltaMetamorphicCorpus(t *testing.T) {
 					got.Policy != want.Policy || got.Engine != want.Engine || got.Proved != want.Proved {
 					t.Fatalf("step %d: report metadata diverged: %+v vs %+v", step, got, want)
 				}
-				wantChurn := multiple.PlanDelta(snap.Tree, prev, got.Solution)
+				wantChurn := multiple.PlanDelta(prev, got.Solution)
 				if got.Churn == nil ||
 					!slices.Equal(got.Churn.Added, wantChurn.Added) ||
 					!slices.Equal(got.Churn.Removed, wantChurn.Removed) ||

@@ -49,7 +49,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	freshChurn := multiple.PlanDelta(after.Tree, plan, fresh)
+	freshChurn := multiple.PlanDelta(plan, fresh)
 	fmt.Printf("  fresh re-optimisation: %d replicas, churn: +%d −%d replicas, %d req/s moved\n",
 		fresh.NumReplicas(), len(freshChurn.Added), len(freshChurn.Removed), freshChurn.MovedRequests)
 

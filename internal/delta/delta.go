@@ -1,25 +1,28 @@
 // Package delta implements stateful instance sessions with
 // mutate-and-resolve: a Session owns a mutable copy of one instance,
-// its last solution and pooled solver working memory, and re-solves
-// after typed mutations instead of solving from scratch.
+// its last solution and solver working memory, and re-solves after
+// typed mutations instead of solving from scratch.
 //
 // Three re-solve strategies, picked by the session's engine:
 //
-//   - single-gen runs the truly incremental Algorithm 1 (geninc.go):
-//     mutations dirty only the touched root paths, the re-solve
-//     recomputes just those, and the result is pinned equal to a cold
-//     solve of the mutated instance.
+//   - single-gen sessions keep one single.Session bound to the edited
+//     tree and call its Gen directly. Gen memoizes Algorithm 1 per node
+//     and re-visits only the root paths whose inputs changed since its
+//     last solve, so a small mutation costs a small re-solve plus the
+//     full verifier and lower bound. Calling it directly skips the
+//     engine seam's re-ingest, whose Validate pass would repeat what
+//     every mutation already checked.
 //   - delta-capable engines (multiple-replan) receive the previous
 //     solution via Request.Previous and the failed-server set via
 //     Request.Exclude; the engine minimises churn itself.
 //   - every other engine falls back to a full warm solve on the
-//     session's pooled scratch; the session derives the churn with
-//     multiple.PlanDelta.
+//     session's pooled scratch.
 //
 // In all three cases Resolve reports the churn against the previous
-// resolve in Report.Churn, and the solution/churn returned are owned
-// by the caller (cloned out of session state). A Session is safe for
-// concurrent use.
+// resolve in Report.Churn, as multiple.PlanDelta computes it (the
+// delta engine calls it itself), and the solution/churn returned are
+// owned by the caller (cloned out of session state). A Session is
+// safe for concurrent use.
 package delta
 
 import (
@@ -32,6 +35,7 @@ import (
 
 	"replicatree/internal/core"
 	"replicatree/internal/multiple"
+	"replicatree/internal/single"
 	"replicatree/internal/solver"
 	"replicatree/internal/tree"
 )
@@ -82,11 +86,15 @@ type Session struct {
 	id     string // canonical hash of the instance at creation
 	engine solver.Engine
 	ed     *tree.Editor
-	w      int64
-	dmax   int64
+	in     core.Instance // the current W and DMax; Tree is ed's, refreshed per resolve
 
+	// single-gen sessions solve on gen, bound to in, and compute the
+	// bound on their own tables; the others solve on the pooled sc.
+	gen    *single.Session
+	bound  core.Scratch
 	sc     *solver.Scratch
-	inc    *genInc        // non-nil only for single-gen sessions
+	closed bool
+
 	prev   *core.Solution // last solution (session-owned clone); nil before first resolve
 	last   solver.Report  // last successful report (solution/churn are caller clones)
 	solved bool
@@ -111,12 +119,12 @@ func New(in *core.Instance, engineName string) (*Session, error) {
 		id:     in.CanonicalHash(),
 		engine: eng,
 		ed:     tree.NewEditor(in.Tree),
-		w:      in.W,
-		dmax:   in.DMax,
-		sc:     solver.GetScratch(),
+		in:     core.Instance{W: in.W, DMax: in.DMax},
 	}
-	if engineName == solver.SingleGen {
-		s.inc = &genInc{w: in.W, dmax: in.DMax}
+	if eng.Name() == solver.SingleGen {
+		s.gen = new(single.Session)
+	} else {
+		s.sc = solver.GetScratch()
 	}
 	return s, nil
 }
@@ -134,7 +142,15 @@ func (s *Session) Engine() string { return s.engine.Name() }
 func (s *Session) Instance() *core.Instance {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return &core.Instance{Tree: s.ed.Tree().Clone(), W: s.w, DMax: s.dmax}
+	return &core.Instance{Tree: s.ed.Tree().Clone(), W: s.in.W, DMax: s.in.DMax}
+}
+
+// Shape returns the current node count, W and DMax without copying
+// the tree.
+func (s *Session) Shape() (nodes int, w, dmax int64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.ed.Len(), s.in.W, s.in.DMax
 }
 
 // Failed returns the current failed-server set.
@@ -151,19 +167,19 @@ func (s *Session) Report() (solver.Report, bool) {
 	return s.last, s.solved
 }
 
-// Close releases the pooled solver scratch. The session must not be
-// used afterwards.
+// Close releases the session's solver working memory. The session
+// must not be used afterwards.
 func (s *Session) Close() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	solver.PutScratch(s.sc)
-	s.sc = nil
+	s.sc, s.gen, s.closed = nil, nil, true
 }
 
 // Apply applies mutations in order. The first invalid mutation aborts
 // the batch with an error; mutations before it remain applied (each
-// leaves the instance valid, so the session stays consistent — dirty
-// state simply accumulates until the next Resolve).
+// leaves the instance valid, so the session stays consistent and the
+// next Resolve solves the instance as edited so far).
 func (s *Session) Apply(muts []Mutation) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -181,38 +197,23 @@ func (s *Session) apply(m *Mutation) error {
 		if _, err := s.ed.AddLeaf(m.Parent, m.Dist, m.Requests, m.Label); err != nil {
 			return err
 		}
-		if s.inc != nil {
-			s.inc.invalidate()
-		}
 	case OpRemoveClient:
 		if err := s.ed.SetRequests(m.Node, 0); err != nil {
 			return err
-		}
-		if s.inc != nil {
-			s.inc.setRequest(m.Node, 0)
 		}
 	case OpSetRequest:
 		if err := s.ed.SetRequests(m.Node, m.Requests); err != nil {
 			return err
 		}
-		if s.inc != nil {
-			s.inc.setRequest(m.Node, m.Requests)
-		}
 	case OpSetEdgeLength:
 		if err := s.ed.SetEdgeLen(m.Node, m.Dist); err != nil {
 			return err
-		}
-		if s.inc != nil {
-			s.inc.setEdgeLen(m.Node, m.Dist)
 		}
 	case OpSetCapacity:
 		if m.W <= 0 {
 			return fmt.Errorf("non-positive capacity W=%d", m.W)
 		}
-		s.w = m.W
-		if s.inc != nil {
-			s.inc.setCapacity(m.W)
-		}
+		s.in.W = m.W
 	case OpFailServer:
 		if !s.engine.Capabilities().Delta {
 			return fmt.Errorf("engine %s cannot honour failed servers (delta engines only)", s.engine.Name())
@@ -254,12 +255,12 @@ func (s *Session) SetFailed(failed []tree.NodeID) error {
 // Resolve re-solves the current instance. The returned report's
 // Solution and Churn are caller-owned; Churn always compares against
 // the previous successful resolve (all-added on the first). A failed
-// resolve leaves the previous solution and the accumulated dirty
-// state untouched, so a later mutation can repair the instance.
+// resolve leaves the previous solution untouched, so a later mutation
+// can repair the instance.
 func (s *Session) Resolve(ctx context.Context) (solver.Report, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.sc == nil {
+	if s.closed {
 		return solver.Report{}, errors.New("delta: session is closed")
 	}
 	var (
@@ -267,8 +268,8 @@ func (s *Session) Resolve(ctx context.Context) (solver.Report, error) {
 		err error
 	)
 	switch {
-	case s.inc != nil:
-		rep, err = s.resolveInc(ctx)
+	case s.gen != nil:
+		rep, err = s.resolveGen(ctx)
 	case s.engine.Capabilities().Delta:
 		rep, err = s.resolveDelta(ctx)
 	default:
@@ -277,56 +278,48 @@ func (s *Session) Resolve(ctx context.Context) (solver.Report, error) {
 	if err != nil {
 		return rep, err
 	}
+	if rep.Churn == nil { // only the delta engines report their own
+		ch := multiple.PlanDelta(s.prev, rep.Solution)
+		rep.Churn = &ch
+	}
+	s.prev = rep.Solution.Clone()
 	s.last = rep
 	s.solved = true
 	return rep, nil
 }
 
-// resolveInc runs the incremental Algorithm 1.
-func (s *Session) resolveInc(ctx context.Context) (solver.Report, error) {
+// resolveGen runs Algorithm 1 on the session's own single.Session and
+// fills the report as the engine seam would: lower bound, gap and the
+// infeasibility sentinel.
+func (s *Session) resolveGen(ctx context.Context) (solver.Report, error) {
 	begin := time.Now()
 	rep := solver.Report{Engine: solver.SingleGen, Policy: core.Single}
 	if err := ctx.Err(); err != nil {
 		return rep, err
 	}
-	g := s.inc
-	if err := g.resolve(s.ed.Tree()); err != nil {
+	s.in.Tree = s.ed.Tree()
+	s.gen.Reset(&s.in)
+	sol, err := s.gen.Gen()
+	if err != nil {
 		rep.Elapsed = time.Since(begin)
-		if !instanceFeasibleSingle(g) {
+		if s.in.Tree.MaxRequests() > s.in.W {
 			err = solver.MarkInfeasible(err)
 		}
 		return rep, err
 	}
-	rep.Solution = g.sol.Clone()
-	rep.LowerBound = g.lb
+	rep.Solution = sol.Clone()
+	rep.LowerBound = s.bound.LowerBound(&s.in)
 	if rep.LowerBound > 0 {
 		rep.Gap = float64(rep.Solution.NumReplicas()-rep.LowerBound) / float64(rep.LowerBound)
 	}
-	rep.Churn = &multiple.Churn{
-		Added:         slices.Clone(g.added),
-		Removed:       slices.Clone(g.removed),
-		MovedRequests: g.moved,
-	}
 	rep.Elapsed = time.Since(begin)
-	s.prev = rep.Solution.Clone()
 	return rep, nil
 }
 
-// instanceFeasibleSingle mirrors engineCore's infeasibility
-// classification for the incremental path without re-walking the tree.
-func instanceFeasibleSingle(g *genInc) bool {
-	for _, r := range g.f.Reqs {
-		if r > g.w {
-			return false
-		}
-	}
-	return true
-}
-
 // resolveDelta hands the previous solution and failure set to a
-// delta-capable engine.
+// delta-capable engine, which reports the churn itself.
 func (s *Session) resolveDelta(ctx context.Context) (solver.Report, error) {
-	wrap := &core.Instance{Tree: s.ed.Tree(), W: s.w, DMax: s.dmax}
+	wrap := &core.Instance{Tree: s.ed.Tree(), W: s.in.W, DMax: s.in.DMax}
 	rep, err := s.engine.Solve(ctx, solver.Request{
 		Instance: wrap,
 		Previous: s.prev,
@@ -337,29 +330,20 @@ func (s *Session) resolveDelta(ctx context.Context) (solver.Report, error) {
 		return rep, err
 	}
 	rep.Solution = rep.Solution.Clone()
-	s.prev = rep.Solution.Clone()
 	return rep, nil
 }
 
 // resolveWarm is the full warm solve fallback for engines without a
-// delta path: re-solve on the pooled scratch, derive churn afterwards.
+// delta path: re-solve on the pooled scratch.
 func (s *Session) resolveWarm(ctx context.Context) (solver.Report, error) {
 	// A fresh instance wrapper forces scratch re-ingestion: the tree
 	// was mutated in place, and the scratch's ingest key is pointer
 	// identity.
-	wrap := &core.Instance{Tree: s.ed.Tree(), W: s.w, DMax: s.dmax}
+	wrap := &core.Instance{Tree: s.ed.Tree(), W: s.in.W, DMax: s.in.DMax}
 	rep, err := s.engine.Solve(ctx, solver.Request{Instance: wrap, Scratch: s.sc})
 	if err != nil {
 		return rep, err
 	}
-	sol := rep.Solution.Clone() // the warm solution is scratch-owned
-	prev := s.prev
-	if prev == nil {
-		prev = &core.Solution{}
-	}
-	ch := multiple.PlanDelta(s.ed.Tree(), prev, sol)
-	rep.Solution = sol
-	rep.Churn = &ch
-	s.prev = sol.Clone()
+	rep.Solution = rep.Solution.Clone() // the warm solution is scratch-owned
 	return rep, nil
 }

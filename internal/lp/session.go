@@ -94,14 +94,17 @@ func putWorkspace(w *Workspace) {
 	workspacePool.Put(w)
 }
 
-// Release returns the session's simplex workspace to the package
-// pool. The session stays usable; its next solve borrows again. A
-// session dropped without Release leaves its workspace to the GC.
+// Release returns the session's simplex workspace to the package pool
+// and drops the instance and its relaxation, so a kept session pins
+// neither. Its grow-only buffers stay for the next instance, which
+// must be bound with Reset first. A session dropped without Release
+// leaves its workspace to the GC.
 func (s *Session) Release() {
 	if s.ws != nil {
 		putWorkspace(s.ws)
 		s.ws = nil
 	}
+	s.in, s.prob = nil, nil
 }
 
 // Reset ingests the instance: it builds the LP relaxation and the

@@ -384,3 +384,44 @@ func (l list) take(w int64) (head, rest list) {
 	}
 	return l, nil
 }
+
+// referencePlanDelta is the first PlanDelta, which counted churn with
+// a replica set per solution and a map of old (client, server)
+// amounts. It is the oracle for the linear merge; a nil solution is
+// empty here too.
+func referencePlanDelta(old, new *core.Solution) Churn {
+	if old == nil {
+		old = &core.Solution{}
+	}
+	if new == nil {
+		new = &core.Solution{}
+	}
+	var ch Churn
+	oldSet, newSet := old.ReplicaSet(), new.ReplicaSet()
+	for _, r := range new.Replicas {
+		if !oldSet[r] {
+			ch.Added = append(ch.Added, r)
+		}
+	}
+	for _, r := range old.Replicas {
+		if !newSet[r] {
+			ch.Removed = append(ch.Removed, r)
+		}
+	}
+	type key struct{ c, s tree.NodeID }
+	oldAmt := make(map[key]int64)
+	for _, a := range old.Assignments {
+		oldAmt[key{a.Client, a.Server}] += a.Amount
+	}
+	for _, a := range new.Assignments {
+		k := key{a.Client, a.Server}
+		kept := oldAmt[k]
+		if kept >= a.Amount {
+			oldAmt[k] = kept - a.Amount
+			continue
+		}
+		ch.MovedRequests += a.Amount - kept
+		oldAmt[k] = 0
+	}
+	return ch
+}

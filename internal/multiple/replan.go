@@ -21,34 +21,44 @@ type Churn struct {
 	MovedRequests int64
 }
 
-// PlanDelta computes the churn from old to new on the same tree.
-func PlanDelta(t *tree.Tree, old, new *core.Solution) Churn {
+// PlanDelta computes the churn from old to new, two normalized
+// solutions on the same tree (a nil solution counts as empty). It
+// merges the sorted replica lists and the (client, server)-sorted
+// assignment lists in one linear pass; Added and Removed stay nil when
+// empty.
+func PlanDelta(old, new *core.Solution) Churn {
 	var ch Churn
-	oldSet, newSet := old.ReplicaSet(), new.ReplicaSet()
-	for _, r := range new.Replicas {
-		if !oldSet[r] {
-			ch.Added = append(ch.Added, r)
+	if old == nil {
+		old = &core.Solution{}
+	}
+	if new == nil {
+		new = &core.Solution{}
+	}
+	or, nr := old.Replicas, new.Replicas
+	for len(or) > 0 || len(nr) > 0 {
+		switch {
+		case len(nr) == 0 || len(or) > 0 && or[0] < nr[0]:
+			ch.Removed = append(ch.Removed, or[0])
+			or = or[1:]
+		case len(or) == 0 || nr[0] < or[0]:
+			ch.Added = append(ch.Added, nr[0])
+			nr = nr[1:]
+		default:
+			or, nr = or[1:], nr[1:]
 		}
 	}
-	for _, r := range old.Replicas {
-		if !newSet[r] {
-			ch.Removed = append(ch.Removed, r)
-		}
-	}
-	type key struct{ c, s tree.NodeID }
-	oldAmt := make(map[key]int64)
-	for _, a := range old.Assignments {
-		oldAmt[key{a.Client, a.Server}] += a.Amount
-	}
+	oa := old.Assignments
 	for _, a := range new.Assignments {
-		k := key{a.Client, a.Server}
-		kept := oldAmt[k]
-		if kept >= a.Amount {
-			oldAmt[k] = kept - a.Amount
-			continue
+		for len(oa) > 0 && (oa[0].Client < a.Client || oa[0].Client == a.Client && oa[0].Server < a.Server) {
+			oa = oa[1:]
 		}
-		ch.MovedRequests += a.Amount - kept
-		oldAmt[k] = 0
+		var kept int64
+		if len(oa) > 0 && oa[0].Client == a.Client && oa[0].Server == a.Server {
+			kept = oa[0].Amount
+		}
+		if a.Amount > kept {
+			ch.MovedRequests += a.Amount - kept
+		}
 	}
 	return ch
 }
@@ -163,5 +173,7 @@ func ReplanExcluding(in *core.Instance, old *core.Solution, excluded []tree.Node
 	if err := core.Verify(in, core.Multiple, sol); err != nil {
 		return nil, Churn{}, fmt.Errorf("multiple: replan produced infeasible solution: %w", err)
 	}
-	return sol, PlanDelta(t, old, sol), nil
+	prev := old.Clone()
+	prev.Normalize()
+	return sol, PlanDelta(prev, sol), nil
 }

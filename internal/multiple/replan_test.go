@@ -2,10 +2,12 @@ package multiple
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"replicatree/internal/core"
 	"replicatree/internal/gen"
+	"replicatree/internal/single"
 	"replicatree/internal/tree"
 )
 
@@ -36,7 +38,7 @@ func TestPlanDelta(t *testing.T) {
 	hub := b.Internal(root, 1, "hub")
 	c1 := b.Client(hub, 1, 5, "c1")
 	c2 := b.Client(hub, 1, 5, "c2")
-	tr := b.MustBuild()
+	b.MustBuild()
 
 	old := &core.Solution{}
 	old.AddReplica(hub)
@@ -51,7 +53,7 @@ func TestPlanDelta(t *testing.T) {
 	nw.Assign(c2, root, 5)
 	nw.Normalize()
 
-	ch := PlanDelta(tr, old, nw)
+	ch := PlanDelta(old, nw)
 	if len(ch.Added) != 1 || ch.Added[0] != root {
 		t.Fatalf("Added = %v", ch.Added)
 	}
@@ -62,9 +64,75 @@ func TestPlanDelta(t *testing.T) {
 		t.Fatalf("MovedRequests = %d, want 5 (c2 moved)", ch.MovedRequests)
 	}
 	// Identical plans: zero churn.
-	zero := PlanDelta(tr, nw, nw)
+	zero := PlanDelta(nw, nw)
 	if len(zero.Added)+len(zero.Removed) != 0 || zero.MovedRequests != 0 {
 		t.Fatalf("self delta non-zero: %+v", zero)
+	}
+}
+
+// TestPlanDeltaMatchesReference pins the linear merge to the map
+// oracle on random normalized pairs (sharing replicas and
+// (client, server) pairs often), on nil and empty solutions, and on
+// the consecutive answers of a Single placement whose requests keep
+// changing, the churn an instance session reports.
+func TestPlanDeltaMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(59))
+	random := func() *core.Solution {
+		s := &core.Solution{}
+		n := 1 + rng.Intn(12)
+		for k := rng.Intn(6); k > 0; k-- {
+			s.Replicas = append(s.Replicas, tree.NodeID(rng.Intn(n)))
+		}
+		for k := rng.Intn(10); k > 0 && len(s.Replicas) > 0; k-- {
+			s.Assignments = append(s.Assignments, core.Assignment{
+				Client: tree.NodeID(rng.Intn(n)),
+				Server: s.Replicas[rng.Intn(len(s.Replicas))],
+				Amount: rng.Int63n(4),
+			})
+		}
+		s.Normalize()
+		return s
+	}
+	var sols []*core.Solution
+	for i := 0; i < 300; i++ {
+		sols = append(sols, random())
+	}
+	sols = append(sols, nil, &core.Solution{}, &core.Solution{Replicas: []tree.NodeID{}, Assignments: []core.Assignment{}})
+
+	// Consecutive Single answers under request edits, edited in place
+	// as an instance session edits its tree.
+	in := gen.RandomInstance(rng, gen.TreeConfig{Internals: 10, MaxArity: 3, MaxDist: 4, MaxReq: 9}, true)
+	clients := in.Tree.Clients()
+	var sess single.Session
+	sess.Reset(in)
+	var steps []*core.Solution
+	for step := 0; step < 30; step++ {
+		in.Tree.Reqs[clients[rng.Intn(len(clients))]] = rng.Int63n(in.W + 1)
+		sol, err := sess.Gen()
+		if err != nil {
+			t.Fatal(err)
+		}
+		steps = append(steps, sol.Clone())
+	}
+
+	check := func(old, new *core.Solution) {
+		t.Helper()
+		got, want := PlanDelta(old, new), referencePlanDelta(old, new)
+		if !slices.Equal(got.Added, want.Added) || !slices.Equal(got.Removed, want.Removed) ||
+			(got.Added == nil) != (want.Added == nil) || (got.Removed == nil) != (want.Removed == nil) ||
+			got.MovedRequests != want.MovedRequests {
+			t.Fatalf("PlanDelta(%v, %v) = %+v, oracle %+v", old, new, got, want)
+		}
+	}
+	for i := range sols {
+		check(sols[i], sols[(i+1)%len(sols)])
+		check(sols[i], sols[i])
+		check(nil, sols[i])
+		check(sols[i], nil)
+	}
+	check(nil, steps[0])
+	for i := 1; i < len(steps); i++ {
+		check(steps[i-1], steps[i])
 	}
 }
 

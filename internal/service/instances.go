@@ -286,14 +286,14 @@ func (st *instanceStore) len() int {
 }
 
 func (s *Server) instanceDoc(sess *delta.Session) InstanceDoc {
-	in := sess.Instance()
+	nodes, w, dmax := sess.Shape()
 	_, solved := sess.Report()
 	return InstanceDoc{
 		ID:     sess.ID(),
 		Solver: sess.Engine(),
-		Nodes:  in.Tree.Len(),
-		W:      in.W,
-		DMax:   in.DMax,
+		Nodes:  nodes,
+		W:      w,
+		DMax:   dmax,
 		Solved: solved,
 		TTLMS:  durMS(s.instances.ttl),
 	}

@@ -15,22 +15,25 @@ import (
 // allocations. The recursive oracles in reference_test.go pin its
 // answers.
 //
-// All working memory lives in the session: client bundles are nodes of
-// an arena linked list (so merging bundles is O(1) pointer splicing
-// instead of slice appends), the Algorithm 1 pending couples live on an
-// explicit postorder value stack, and the Algorithm 2 sorted lists Lj
-// are per-node slices reused across solves. The returned *core.Solution
-// is owned by the session and valid only until the next solve on it.
-// A Session is not safe for concurrent use.
+// All working memory lives in the session. Algorithm 1 keeps a
+// per-node memo across solves and re-visits only the root paths whose
+// inputs changed since its last solve (gen.go), so a session re-solving
+// a slightly edited instance does work proportional to the edit plus
+// one verification. Algorithm 2's client bundles are nodes of an arena
+// linked list (so merging bundles is O(1) pointer splicing instead of
+// slice appends), and its sorted lists Lj are per-node slices reused
+// across solves. The returned *core.Solution is owned by the session
+// and valid only until the next solve on it. A Session is not safe for
+// concurrent use.
 type Session struct {
 	in      *core.Instance
 	relaxed core.Instance // NoD verifies against the DMax-free twin
 	sc      core.Scratch
 	sol     core.Solution
 
-	arena  []cnode      // client bundles, reset every solve
-	pstack []genPending // Algorithm 1 postorder stack
-	lists  [][]nentry   // Algorithm 2: Lj, sorted by non-decreasing total
+	gen   genMemo    // Algorithm 1
+	arena []cnode    // Algorithm 2 client bundles, reset every solve
+	lists [][]nentry // Algorithm 2: Lj, sorted by non-decreasing total
 }
 
 // cnode is one client bundle in the arena: a (client, r) pair plus the
@@ -39,13 +42,6 @@ type cnode struct {
 	client tree.NodeID
 	r      int64
 	next   int32
-}
-
-// genPending is one pending couple (req, dist) of Algorithm 1, its
-// client bundles kept as an arena list [head, tail].
-type genPending struct {
-	head, tail  int32
-	total, dist int64
 }
 
 // nentry is one element of a sorted pending list Lj of Algorithm 2:
@@ -59,7 +55,8 @@ type nentry struct {
 
 // Reset binds the session to an instance. The caller must have
 // validated the instance (the solver seam validates once at ingest);
-// Reset itself does not allocate.
+// Reset itself does not allocate. Algorithm 1's memo survives Reset:
+// Gen checks it against the newly bound instance.
 func (s *Session) Reset(in *core.Instance) {
 	s.in = in
 	s.relaxed = core.Instance{Tree: in.Tree, W: in.W, DMax: core.NoDistance}
@@ -81,114 +78,6 @@ func (s *Session) newCNode(c tree.NodeID, r int64) int32 {
 // ri ≤ W, i.e. max ri ≤ W.
 func feasibleSingle(f *tree.Tree, w int64) bool {
 	return f.MaxRequests() <= w
-}
-
-// Gen runs Algorithm 1. It produces the same normalized solution as
-// the recursive procedure single-gen(j): the recursion is replaced by
-// a value stack over the stored postorder — when an internal node is
-// reached, its children's pending couples are exactly the top
-// NumChildren stack entries in child order — and the placement
-// decisions depend only on the (total, dist) values, never on event
-// order, so the normalized result is identical.
-func (s *Session) Gen() (*core.Solution, error) {
-	in, f := s.in, s.in.Tree
-	if !feasibleSingle(f, in.W) {
-		return nil, fmt.Errorf("single: some client exceeds W=%d; Single has no solution", in.W)
-	}
-	s.resetSolve()
-	st := s.pstack[:0]
-	root := f.Root()
-	for _, j := range f.Post {
-		if f.IsClient(j) {
-			p := genPending{head: -1, tail: -1, total: f.Reqs[j], dist: in.DMax}
-			if p.total > 0 {
-				idx := s.newCNode(j, p.total)
-				p.head, p.tail = idx, idx
-			}
-			st = append(st, p)
-			continue
-		}
-		k := f.NumChildren(j)
-		base := len(st) - k
-		var sum int64
-		ci := 0
-		for _, c := range f.Children(j) {
-			p := &st[base+ci]
-			// Step 1: requests that cannot travel the edge (c → j) are
-			// served at c itself.
-			if f.Dist(c) > p.dist && p.total > 0 {
-				s.place(c, p)
-			} else {
-				p.dist -= f.Dist(c)
-			}
-			sum += p.total
-			ci++
-		}
-		out := genPending{head: -1, tail: -1, dist: in.DMax}
-		switch {
-		case sum > in.W:
-			// Step 2: too much to carry; a server on every child that
-			// still has pending requests.
-			ci = 0
-			for _, c := range f.Children(j) {
-				if st[base+ci].total > 0 {
-					s.place(c, &st[base+ci])
-				}
-				ci++
-			}
-		case j == root:
-			// Step 3a: the root absorbs whatever remains.
-			if sum > 0 {
-				s.sol.AddReplica(j)
-				for i := 0; i < k; i++ {
-					for x := st[base+i].head; x != -1; x = s.arena[x].next {
-						s.sol.Assign(s.arena[x].client, j, s.arena[x].r)
-					}
-				}
-			}
-		default:
-			// Step 3b: forward the merged pending set upwards; the
-			// distance budget is the minimum over contributing children.
-			for i := 0; i < k; i++ {
-				p := &st[base+i]
-				if p.total == 0 {
-					continue
-				}
-				if out.head == -1 {
-					out.head, out.tail = p.head, p.tail
-				} else {
-					s.arena[out.tail].next = p.head
-					out.tail = p.tail
-				}
-				out.total += p.total
-				if p.dist < out.dist {
-					out.dist = p.dist
-				}
-			}
-		}
-		st = st[:base]
-		st = append(st, out)
-	}
-	s.pstack = st
-	if st[0].total != 0 {
-		panic("single: gen left unassigned requests at the root")
-	}
-	s.sol.Normalize()
-	if err := s.sc.Verify(in, core.Single, &s.sol); err != nil {
-		return nil, fmt.Errorf("single: gen produced infeasible solution: %w", err)
-	}
-	return &s.sol, nil
-}
-
-// place puts a replica at node x serving all of p's bundles.
-func (s *Session) place(x tree.NodeID, p *genPending) {
-	s.sol.AddReplica(x)
-	for i := p.head; i != -1; i = s.arena[i].next {
-		s.sol.Assign(s.arena[i].client, x, s.arena[i].r)
-	}
-	p.head, p.tail = -1, -1
-	p.total = 0
-	p.dist = s.in.DMax
 }
 
 // NoD runs Algorithm 2. Unlike Gen it keeps the paper's recursion

@@ -176,3 +176,91 @@ func TestSessionAllocFree(t *testing.T) {
 		t.Fatalf("warm NoD allocated %.1f times per run", avg)
 	}
 }
+
+// TestGenMemoReuse walks one session through instances of one size,
+// each differing from the previous one in exactly one input: a
+// request or an edge length (edited in place, as an instance session
+// edits its tree), W, dmax, or a parent (a rebuilt tree). The walk
+// includes refused steps, W below some rᵢ and some rᵢ raised above W,
+// each followed by its repair. Every answer must be referenceGen's, so
+// the memo may never serve a stale pending.
+func TestGenMemoReuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	kinds := []string{"request", "request", "request", "edge", "edge", "w", "dmax", "parent", "w < r", "r > w"}
+	var s Session
+	for trial := 0; trial < 30; trial++ {
+		in := gen.RandomInstance(rng, gen.TreeConfig{
+			Internals: 3 + rng.Intn(40), MaxArity: 2 + rng.Intn(3),
+			MaxDist: 4, MaxReq: 8, ExtraClients: rng.Intn(6),
+		}, rng.Intn(4) != 0)
+		clients, internals := in.Tree.Clients(), in.Tree.Internals()
+		var repair func()
+		for step := 0; step < 80; step++ {
+			kind := "repair"
+			if repair != nil {
+				repair()
+				repair = nil
+			} else {
+				kind = kinds[rng.Intn(len(kinds))]
+			}
+			f := in.Tree
+			switch kind {
+			case "request":
+				f.Reqs[clients[rng.Intn(len(clients))]] = rng.Int63n(in.W + 1)
+			case "edge":
+				f.EdgeLens[1+rng.Intn(f.Len()-1)] = rng.Int63n(5)
+			case "w":
+				in = &core.Instance{Tree: f, W: max(in.W, f.MaxRequests()) + rng.Int63n(3), DMax: in.DMax}
+			case "dmax":
+				in = &core.Instance{Tree: f, W: in.W, DMax: rng.Int63n(12)}
+			case "parent":
+				c := clients[rng.Intn(len(clients))]
+				q := internals[rng.Intn(len(internals))]
+				if q == f.Parents[c] || f.NumChildren(f.Parents[c]) < 2 {
+					continue
+				}
+				in = &core.Instance{Tree: reparent(t, f, c, q), W: in.W, DMax: in.DMax}
+			case "w < r":
+				if m := f.MaxRequests(); m > 1 {
+					old := in
+					in = &core.Instance{Tree: f, W: m - 1, DMax: in.DMax}
+					repair = func() { in = old }
+				}
+			case "r > w":
+				c := clients[rng.Intn(len(clients))]
+				old := f.Reqs[c]
+				f.Reqs[c] = in.W + 1
+				repair = func() { in.Tree.Reqs[c] = old }
+			}
+			s.Reset(in)
+			want, wantErr := referenceGen(in)
+			got, gotErr := s.Gen()
+			sameOutcome(t, fmt.Sprintf("trial %d step %d (%s)", trial, step, kind), want, wantErr, got, gotErr)
+		}
+	}
+}
+
+// reparent returns a copy of tr with leaf c moved under node q.
+func reparent(t *testing.T, tr *tree.Tree, c, q tree.NodeID) *tree.Tree {
+	t.Helper()
+	raw, err := json.Marshal(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Root  tree.NodeID       `json:"root"`
+		Nodes []tree.NodeRecord `json:"nodes"`
+	}
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	doc.Nodes[c].Parent = q
+	if raw, err = json.Marshal(doc); err != nil {
+		t.Fatal(err)
+	}
+	out := new(tree.Tree)
+	if err := json.Unmarshal(raw, out); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}

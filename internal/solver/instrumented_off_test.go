@@ -1,0 +1,9 @@
+//go:build !race && !msan && !asan
+
+package solver
+
+import "testing"
+
+// skipIfInstrumented is a no-op in plain builds; see
+// instrumented_on_test.go.
+func skipIfInstrumented(*testing.T) {}

@@ -51,7 +51,8 @@ type Scratch struct {
 	// the sparse constraint rows; the simplex tableau (megabytes at a
 	// few hundred nodes) is borrowed from internal/lp's own pool and
 	// released by PutScratch, so the pool holds one per concurrent LP
-	// solve rather than one per pooled scratch.
+	// solve rather than one per pooled scratch. The session's other
+	// buffers (flow network, arc lists, support) stay with the scratch.
 	lp      lp.Session
 	lpBound bool  // lp.Reset ran for the current instance
 	lpErr   error // ... and failed with this error
@@ -73,11 +74,12 @@ func GetScratch() *Scratch { return scratchPool.Get().(*Scratch) }
 // — after the call. The scratch is unbound, so its next solve
 // re-ingests, its simplex workspace goes back to internal/lp's pool,
 // and its LP relaxation is dropped: it is rebuilt for every new
-// instance anyway, and kept it would pin the instance.
+// instance anyway, and kept it would pin the instance. Every
+// grow-only buffer stays.
 func PutScratch(sc *Scratch) {
 	if sc != nil {
 		sc.lp.Release()
-		sc.in, sc.lp = nil, lp.Session{}
+		sc.in = nil
 		scratchPool.Put(sc)
 	}
 }

@@ -121,8 +121,7 @@ func (t *Tree) Clone() *Tree {
 
 // FlattenInto makes f a deep copy of t, reusing f's array capacity:
 // once f has grown to a working set's size, the copy allocates
-// nothing. The incremental Algorithm 1 keeps its private mutable copy
-// of a session's tree this way.
+// nothing.
 func FlattenInto(f, t *Tree) {
 	f.Parents = append(f.Parents[:0], t.Parents...)
 	f.EdgeLens = append(f.EdgeLens[:0], t.EdgeLens...)
