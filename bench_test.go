@@ -730,6 +730,37 @@ func benchDeltaMutate(b *testing.B, internals int, mode string) {
 	}
 }
 
+// BenchmarkReplanMutate measures one set_request plus Resolve on a
+// multiple-replan delta.Session, over an instance shaped like
+// replicabench's session-churn replan sessions: 150 internals, arity
+// 2, W = max(maxR, total/16) and dmax twice the height.
+func BenchmarkReplanMutate(b *testing.B) {
+	rng := rand.New(rand.NewSource(98))
+	t := gen.RandomTree(rng, gen.TreeConfig{Internals: 150, MaxArity: 2, MaxDist: 4, MaxReq: 10})
+	in := &core.Instance{Tree: t, W: max(t.MaxRequests(), t.TotalRequests()/16), DMax: 2 * int64(t.Height())}
+	clients := t.Clients()
+	ctx := context.Background()
+	s, err := delta.New(in, solver.MultipleReplan)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	if _, err := s.Resolve(ctx); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c := clients[(i*7)%len(clients)]
+		if err := s.Apply([]delta.Mutation{{Op: delta.OpSetRequest, Node: c, Requests: int64(1 + i%10)}}); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := s.Resolve(ctx); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkDeltaColdSolve200(b *testing.B) { benchDeltaMutate(b, 150, "cold") }
 func BenchmarkDeltaWarmSolve200(b *testing.B) { benchDeltaMutate(b, 150, "warm") }
 func BenchmarkDeltaMutate200(b *testing.B)    { benchDeltaMutate(b, 150, "delta") }

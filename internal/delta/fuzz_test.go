@@ -3,6 +3,7 @@ package delta
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 
 	"replicatree/internal/core"
@@ -61,12 +62,15 @@ func fuzzInstance(data []byte) (*core.Instance, []byte) {
 // fuzzMutations decodes up to 24 mutations, three bytes each. Node
 // numbers run past the current size, and some ops are invalid for any
 // tree (capacity 0, a client under a client, the root's edge), so the
-// sequence also exercises rejected batches.
+// sequence also exercises rejected batches. fail_server ops are valid
+// on multiple-replan sessions only; the others reject them.
 func fuzzMutations(data []byte, nodes int) []Mutation {
 	var muts []Mutation
 	for len(data) >= 3 && len(muts) < 24 {
 		node := tree.NodeID(int(data[1]) % (nodes + 2))
-		switch data[0] % 5 {
+		switch data[0] % 6 {
+		case 5:
+			muts = append(muts, Mutation{Op: OpFailServer, Node: node})
 		case 0:
 			muts = append(muts, Mutation{Op: OpSetRequest, Node: node, Requests: int64(data[2] % 12)})
 		case 1:
@@ -85,16 +89,20 @@ func fuzzMutations(data []byte, nodes int) []Mutation {
 }
 
 // FuzzSessionMutations decodes a small instance and a mutation
-// sequence from the fuzz input and drives a single-gen session and a
-// multiple-greedy session through it, one mutation per resolve. Every
-// resolve must equal a cold solve of the session's Instance(): the
-// same solution, bound and gap, or the same error text and
-// ErrInfeasible classification. Every churn must be PlanDelta's
+// sequence from the fuzz input and drives a single-gen, a
+// multiple-greedy and a multiple-replan session through it, one
+// mutation per resolve. Every single-gen and multiple-greedy resolve
+// must equal a cold solve of the session's Instance(): the same
+// solution, bound and gap, or the same error text and ErrInfeasible
+// classification. A replan answer depends on the previous one, so
+// every successful replan resolve must instead pass core.Verify and
+// host no replica on a Failed() node. Every churn must be PlanDelta's
 // against the last successful answer.
 func FuzzSessionMutations(f *testing.F) {
 	f.Add([]byte{5, 0, 1, 3, 0, 2, 4, 1, 1, 2, 1, 3, 7, 0, 0, 0, 9, 4, 255, 0, 3, 7, 3, 4, 2, 4, 0, 1, 2, 2, 9})
 	f.Add([]byte{9, 0, 1, 0, 0, 2, 0, 1, 1, 5, 1, 0, 6, 2, 3, 2, 2, 1, 8, 0, 4, 3, 3, 2, 1, 5, 40, 0, 4, 5, 4, 0, 2, 3, 1, 2, 0, 9, 1, 3, 1, 4, 3, 11, 4, 0, 7})
 	f.Add([]byte{13, 0, 0, 0, 0, 0, 0, 1, 4, 9, 1, 4, 9, 2, 4, 9, 2, 4, 9, 3, 0, 9, 3, 0, 9, 0, 1, 1, 0, 1, 1, 4, 0, 1, 5, 0, 1, 0, 11, 1, 0, 2, 5, 2, 3, 0, 1, 0, 12, 0, 13, 9})
+	f.Add([]byte{5, 0, 1, 0, 0, 2, 0, 1, 1, 6, 1, 2, 5, 2, 1, 7, 3, 3, 4, 9, 30, 5, 3, 0, 0, 4, 9, 5, 1, 0, 4, 0, 6, 5, 5, 0, 0, 6, 2, 5, 0, 0})
 	ctx := context.Background()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in, rest := fuzzInstance(data)
@@ -102,7 +110,7 @@ func FuzzSessionMutations(f *testing.F) {
 			return
 		}
 		muts := fuzzMutations(rest, in.Tree.Len())
-		for _, engine := range []string{solver.SingleGen, solver.MultipleGreedy} {
+		for _, engine := range []string{solver.SingleGen, solver.MultipleGreedy, solver.MultipleReplan} {
 			cold := solver.MustLookup(engine)
 			s, err := New(in, engine)
 			if err != nil {
@@ -115,6 +123,14 @@ func FuzzSessionMutations(f *testing.F) {
 				}
 				snap := s.Instance()
 				got, gerr := s.Resolve(ctx)
+				if engine == solver.MultipleReplan {
+					if gerr == nil {
+						replanValid(t, step, snap, s.Failed(), got)
+						churnEqual(t, engine, got.Churn, multiple.PlanDelta(prev, got.Solution))
+						prev = got.Solution
+					}
+					continue
+				}
 				want, werr := cold.Solve(ctx, solver.Request{Instance: snap})
 				if (gerr == nil) != (werr == nil) {
 					t.Fatalf("%s step %d: session err %v, cold err %v", engine, step, gerr, werr)
@@ -132,4 +148,19 @@ func FuzzSessionMutations(f *testing.F) {
 			s.Close()
 		}
 	})
+}
+
+// replanValid checks one successful replan resolve: a feasible
+// Multiple placement of the instance that hosts nothing on a failed
+// server.
+func replanValid(t *testing.T, step int, in *core.Instance, failed []tree.NodeID, got solver.Report) {
+	t.Helper()
+	if err := core.Verify(in, core.Multiple, got.Solution); err != nil {
+		t.Fatalf("replan step %d: %v", step, err)
+	}
+	for _, r := range got.Solution.Replicas {
+		if _, down := slices.BinarySearch(failed, r); down {
+			t.Fatalf("replan step %d: replica on failed server %d (failed %v)", step, r, failed)
+		}
+	}
 }

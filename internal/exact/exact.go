@@ -4,19 +4,21 @@
 // instances, powering the approximation-ratio experiments and the
 // optimality proofs-by-measurement of the test suite.
 //
-// SolveSingle runs a branch-and-bound over client→server assignments;
-// SolveMultiple enumerates replica sets of increasing size with a
-// max-flow feasibility oracle and monotone pruning. Both are intended
-// for instances with up to a few dozen nodes.
+// SolveSingle runs a branch-and-bound over client→server assignments
+// (SearchSingle); SolveMultiple enumerates replica sets of increasing
+// size with monotone pruning (SearchMultiple). Both are intended for
+// instances with up to a few dozen nodes.
+//
+// Transport is the tree's one Multiple-policy feasibility oracle: the
+// client→server transportation network with a capacity per node,
+// warm and resumable. SolveMultiple, the LP rounding (lp.Session), the
+// churn-minimising replan (multiple.ReplanExcluding) and the
+// heterogeneous solvers (package hetero) all test and assign replica
+// sets through it, and hetero's exact solvers are front ends of
+// SearchMultiple and SearchSingle.
 package exact
 
-import (
-	"errors"
-	"sort"
-
-	"replicatree/internal/core"
-	"replicatree/internal/tree"
-)
+import "errors"
 
 // ErrBudget is returned when a solver exceeds its work budget; the
 // instance is too large for exact solving.
@@ -54,48 +56,4 @@ func (o Options) record(remaining int64) {
 		consumed = 0
 	}
 	*o.Work = consumed
-}
-
-// candidates returns the nodes that can serve at least one client with
-// positive requests, in a deterministic order sorted by decreasing
-// coverage (number of servable request units), which tends to find
-// feasible sets early.
-func candidates(in *core.Instance) []tree.NodeID {
-	t := in.Tree
-	cover := make(map[tree.NodeID]int64)
-	for _, i := range t.Clients() {
-		r := t.Requests(i)
-		if r == 0 {
-			continue
-		}
-		for _, s := range t.EligibleServers(i, in.DMax) {
-			cover[s] += r
-		}
-	}
-	out := make([]tree.NodeID, 0, len(cover))
-	for s := range cover {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(a, b int) bool {
-		if cover[out[a]] != cover[out[b]] {
-			return cover[out[a]] > cover[out[b]]
-		}
-		return out[a] < out[b]
-	})
-	return out
-}
-
-// eligible returns, for each client with requests, its eligible server
-// list (path within dmax).
-func eligible(in *core.Instance) (clients []tree.NodeID, elig map[tree.NodeID][]tree.NodeID) {
-	t := in.Tree
-	elig = make(map[tree.NodeID][]tree.NodeID)
-	for _, i := range t.Clients() {
-		if t.Requests(i) == 0 {
-			continue
-		}
-		clients = append(clients, i)
-		elig[i] = t.EligibleServers(i, in.DMax)
-	}
-	return clients, elig
 }

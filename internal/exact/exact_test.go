@@ -173,20 +173,6 @@ func TestFeasibilityOracles(t *testing.T) {
 	if MultipleFeasible(in, nil) {
 		t.Error("empty replica set with positive requests")
 	}
-	ok, err := SingleFeasible(in, []tree.NodeID{a, b}, Options{})
-	if err != nil || !ok {
-		t.Errorf("SingleFeasible({a,b}) = %v, %v; want true", ok, err)
-	}
-	ok, err = SingleFeasible(in, []tree.NodeID{root}, Options{})
-	if err != nil || ok {
-		t.Errorf("SingleFeasible({root}) = %v, %v; want false", ok, err)
-	}
-	// Single with W=11: {a, b} can serve (5+... a holds c1+c2=12 > 11)
-	in11 := buildInst(11, core.NoDistance)
-	ok, err = SingleFeasible(in11, []tree.NodeID{a, b}, Options{})
-	if err != nil || ok {
-		t.Errorf("SingleFeasible(W=11, {a,b}) = %v, %v; want false", ok, err)
-	}
 }
 
 func TestMultipleAssignmentRecovery(t *testing.T) {
@@ -210,7 +196,9 @@ func TestMultipleAssignmentRecovery(t *testing.T) {
 
 func TestCandidatesCoverClients(t *testing.T) {
 	in := buildInst(12, 2)
-	cands := candidates(in)
+	var o Transport
+	o.Reset(in)
+	cands, _ := o.Candidates()
 	// Every client with requests must itself be a candidate.
 	set := make(map[tree.NodeID]bool)
 	for _, c := range cands {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"replicatree/internal/core"
-	"replicatree/internal/flow"
 	"replicatree/internal/tree"
 )
 
@@ -12,88 +11,96 @@ import (
 // Unlike the polynomial Algorithm 3, it handles arbitrary arity,
 // arbitrary distance bounds and clients with ri > W (the NP-hard
 // regime of Theorem 5). It enumerates replica sets of increasing size
-// with a max-flow feasibility oracle, pruning subtrees of the search
-// whose optimistic completion is already infeasible (feasibility is
-// monotone in the replica set).
+// with the Transport feasibility oracle (SearchMultiple).
 func SolveMultiple(in *core.Instance, opt Options) (*core.Solution, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
-	cands := candidates(in)
+	var o Transport
+	o.Reset(in)
+	cands, _ := o.Candidates()
 	if len(cands) == 0 {
 		return &core.Solution{}, nil
 	}
-	budget := opt.budget()
-	defer func() { opt.record(budget) }()
+	set, err := SearchMultiple(&o, cands, max(core.LowerBound(in), 1), opt)
+	if err != nil {
+		return nil, err
+	}
+	if set == nil {
+		return nil, fmt.Errorf("exact: Multiple instance is infeasible")
+	}
+	sol := &core.Solution{}
+	if err := o.Assign(sol, set); err != nil {
+		return nil, err
+	}
+	if err := core.Verify(in, core.Multiple, sol); err != nil {
+		return nil, fmt.Errorf("exact: multiple solver produced infeasible solution: %w", err)
+	}
+	return sol, nil
+}
+
+// SearchMultiple returns the first replica set, in lexicographic order
+// over cands, of the smallest size k ≥ lb that oracle o finds feasible,
+// or nil when even all of cands is infeasible. lb must not exceed the
+// optimum. Feasibility is monotone in the replica set, so a branch
+// whose chosen servers plus every remaining candidate are infeasible is
+// pruned. Each feasibility test of a set R costs len(R)+1 steps of
+// opt's budget; running out returns ErrBudget.
+func SearchMultiple(o *Transport, cands []tree.NodeID, lb int, opt Options) ([]tree.NodeID, error) {
+	s := kSearch{o: o, cands: cands, budget: opt.budget()}
+	defer func() { opt.record(s.budget) }()
 
 	// The full candidate set is the most powerful replica set; if even
 	// it cannot serve everything, the instance is infeasible.
-	if ok, _ := multipleFeasible(in, cands, &budget); !ok {
-		if budget <= 0 {
+	if ok, _ := s.feasible(cands); !ok {
+		if s.budget <= 0 {
 			return nil, ErrBudget
 		}
-		return nil, fmt.Errorf("exact: Multiple instance is infeasible")
-	}
-
-	lb := core.LowerBound(in)
-	if lb < 1 {
-		lb = 1
+		return nil, nil
 	}
 	for k := lb; k <= len(cands); k++ {
-		chosen := make([]tree.NodeID, 0, k)
-		found, err := chooseK(in, cands, chosen, 0, k, &budget)
-		if err != nil {
-			return nil, err
-		}
-		if found != nil {
-			sol, err := MultipleAssignment(in, found)
-			if err != nil {
-				return nil, err
-			}
-			if err := core.Verify(in, core.Multiple, sol); err != nil {
-				return nil, fmt.Errorf("exact: multiple solver produced infeasible solution: %w", err)
-			}
-			return sol, nil
+		found, err := s.chooseK(make([]tree.NodeID, 0, k), 0, k)
+		if err != nil || found != nil {
+			return found, err
 		}
 	}
 	return nil, fmt.Errorf("exact: no Multiple solution found (unreachable)")
 }
 
+type kSearch struct {
+	o      *Transport
+	cands  []tree.NodeID
+	budget int64
+	all    []tree.NodeID // chosen plus the remaining candidates
+}
+
 // chooseK searches for a feasible replica set of exactly k nodes from
 // cands[from:] added to chosen. It returns the feasible set or nil.
-func chooseK(in *core.Instance, cands []tree.NodeID, chosen []tree.NodeID, from, k int, budget *int64) ([]tree.NodeID, error) {
-	if *budget <= 0 {
+func (s *kSearch) chooseK(chosen []tree.NodeID, from, k int) ([]tree.NodeID, error) {
+	if s.budget <= 0 {
 		return nil, ErrBudget
 	}
 	if len(chosen) == k {
-		ok, err := multipleFeasible(in, chosen, budget)
-		if err != nil {
+		ok, err := s.feasible(chosen)
+		if err != nil || !ok {
 			return nil, err
 		}
-		if ok {
-			out := make([]tree.NodeID, k)
-			copy(out, chosen)
-			return out, nil
-		}
-		return nil, nil
+		return append([]tree.NodeID(nil), chosen...), nil
 	}
-	if len(chosen)+(len(cands)-from) < k {
+	if len(chosen)+(len(s.cands)-from) < k {
 		return nil, nil
 	}
 	// Monotone pruning: if chosen plus *all* remaining candidates is
 	// infeasible, no completion of this branch can be feasible.
 	if len(chosen) > 0 {
-		all := append(append([]tree.NodeID{}, chosen...), cands[from:]...)
-		ok, err := multipleFeasible(in, all, budget)
-		if err != nil {
+		s.all = append(append(s.all[:0], chosen...), s.cands[from:]...)
+		ok, err := s.feasible(s.all)
+		if err != nil || !ok {
 			return nil, err
 		}
-		if !ok {
-			return nil, nil
-		}
 	}
-	for i := from; i < len(cands); i++ {
-		res, err := chooseK(in, cands, append(chosen, cands[i]), i+1, k, budget)
+	for i := from; i < len(s.cands); i++ {
+		res, err := s.chooseK(append(chosen, s.cands[i]), i+1, k)
 		if err != nil || res != nil {
 			return res, err
 		}
@@ -101,99 +108,11 @@ func chooseK(in *core.Instance, cands []tree.NodeID, chosen []tree.NodeID, from,
 	return nil, nil
 }
 
-// multipleFeasible reports whether replica set R can serve all
-// requests under the Multiple policy, by max-flow.
-func multipleFeasible(in *core.Instance, R []tree.NodeID, budget *int64) (bool, error) {
-	if *budget <= 0 {
+// feasible charges one test of R to the budget and runs it.
+func (s *kSearch) feasible(R []tree.NodeID) (bool, error) {
+	if s.budget <= 0 {
 		return false, ErrBudget
 	}
-	*budget -= int64(len(R)) + 1
-	total, g, _, _ := buildFlow(in, R)
-	if total == 0 {
-		return true, nil
-	}
-	return g.MaxFlow(0, 1) == total, nil
-}
-
-// MultipleFeasible is the exported feasibility oracle for a given
-// replica set under the Multiple policy.
-func MultipleFeasible(in *core.Instance, R []tree.NodeID) bool {
-	b := DefaultBudget
-	ok, _ := multipleFeasible(in, R, &b)
-	return ok
-}
-
-// MultipleAssignment recovers a concrete assignment for replica set R
-// (which must be feasible) by reading the max-flow arc values.
-func MultipleAssignment(in *core.Instance, R []tree.NodeID) (*core.Solution, error) {
-	total, g, arcs, caps := buildFlow(in, R)
-	if got := g.MaxFlow(0, 1); got != total {
-		return nil, fmt.Errorf("exact: replica set %v infeasible (flow %d of %d)", R, got, total)
-	}
-	sol := &core.Solution{}
-	for _, r := range R {
-		sol.AddReplica(r)
-	}
-	for i, a := range arcs {
-		if amt := g.Flow(a.arc, caps[i]); amt > 0 {
-			sol.Assign(a.client, a.server, amt)
-		}
-	}
-	sol.Normalize()
-	return sol, nil
-}
-
-type flowArc struct {
-	client, server tree.NodeID
-	arc            int
-}
-
-// buildFlow constructs the transportation network:
-// node 0 = source, node 1 = sink, then one node per client with
-// requests and one per replica. Source→client arcs carry ri,
-// client→server arcs (when the server is eligible for the client)
-// carry ri, server→sink arcs carry W.
-func buildFlow(in *core.Instance, R []tree.NodeID) (total int64, g *flow.Network, arcs []flowArc, caps []int64) {
-	t := in.Tree
-	clients, elig := eligible(in)
-	rIndex := make(map[tree.NodeID]int, len(R))
-	for _, s := range R {
-		if _, dup := rIndex[s]; !dup {
-			rIndex[s] = 0
-		}
-	}
-	// Assign dense indices: clients then servers.
-	n := 2 + len(clients) + len(rIndex)
-	g = flow.NewNetwork(n)
-	idx := 2
-	cIndex := make(map[tree.NodeID]int, len(clients))
-	for _, c := range clients {
-		cIndex[c] = idx
-		idx++
-	}
-	for _, s := range R {
-		if rIndex[s] == 0 {
-			rIndex[s] = idx
-			idx++
-		}
-	}
-	for _, c := range clients {
-		r := t.Requests(c)
-		total += r
-		g.AddEdge(0, cIndex[c], r)
-		for _, s := range elig[c] {
-			si, ok := rIndex[s]
-			if !ok || si == 0 {
-				continue
-			}
-			arc := g.AddEdge(cIndex[c], si, r)
-			arcs = append(arcs, flowArc{client: c, server: s, arc: arc})
-			caps = append(caps, r)
-		}
-	}
-	for s, si := range rIndex {
-		_ = s
-		g.AddEdge(si, 1, in.W)
-	}
-	return total, g, arcs, caps
+	s.budget -= int64(len(R)) + 1
+	return s.o.Route(R), nil
 }

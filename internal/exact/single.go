@@ -1,8 +1,9 @@
 package exact
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"replicatree/internal/core"
 	"replicatree/internal/tree"
@@ -12,7 +13,7 @@ import (
 // error if the instance is infeasible (some ri > W) or the work budget
 // is exceeded. Single is NP-hard in the strong sense even on binary
 // trees with no distance constraint (Theorem 1), so this solver is
-// exponential; use it on small instances only.
+// exponential (SearchSingle); use it on small instances only.
 func SolveSingle(in *core.Instance, opt Options) (*core.Solution, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
@@ -20,65 +21,91 @@ func SolveSingle(in *core.Instance, opt Options) (*core.Solution, error) {
 	if !in.Feasible(core.Single) {
 		return nil, fmt.Errorf("exact: some client exceeds W=%d; Single has no solution", in.W)
 	}
-	clients, elig := eligible(in)
-	if len(clients) == 0 {
-		return &core.Solution{}, nil
+	var o Transport
+	o.Reset(in)
+	sol, err := SearchSingle(&o, opt)
+	if err != nil {
+		return nil, err
 	}
-	// Branch on clients in decreasing request order: big unsplittable
-	// bundles first maximises pruning.
-	sort.Slice(clients, func(a, b int) bool {
-		ra, rb := in.Tree.Requests(clients[a]), in.Tree.Requests(clients[b])
-		if ra != rb {
-			return ra > rb
-		}
-		return clients[a] < clients[b]
-	})
-
-	s := &singleSearch{
-		in:      in,
-		clients: clients,
-		elig:    elig,
-		resid:   make(map[tree.NodeID]int64),
-		assign:  make(map[tree.NodeID]tree.NodeID, len(clients)),
-		budget:  opt.budget(),
-	}
-	s.remaining = make([]int64, len(clients)+1)
-	for k := len(clients) - 1; k >= 0; k-- {
-		s.remaining[k] = s.remaining[k+1] + in.Tree.Requests(clients[k])
-	}
-	s.best = len(clients) + 1 // strictly worse than the trivial solution
-	s.dfs(0)
-	opt.record(s.budget)
-	if s.budget <= 0 {
-		return nil, ErrBudget
-	}
-	if s.bestAssign == nil {
+	if sol == nil {
 		// Trivial solution (every client serves itself) is always
 		// feasible under the Single precondition, so this is
 		// unreachable; defensive.
 		return nil, fmt.Errorf("exact: no Single solution found")
 	}
-	sol := &core.Solution{}
-	for c, srv := range s.bestAssign {
-		sol.AddReplica(srv)
-		sol.Assign(c, srv, in.Tree.Requests(c))
-	}
-	sol.Normalize()
 	if err := core.Verify(in, core.Single, sol); err != nil {
 		return nil, fmt.Errorf("exact: single solver produced infeasible solution: %w", err)
 	}
 	return sol, nil
 }
 
+// SearchSingle returns a Single placement with the fewest replicas over
+// oracle o's clients, eligibility and capacities: a branch-and-bound
+// over client→server assignments, each client's whole bundle on one
+// server. It returns nil when no placement exists, and ErrBudget when
+// the search takes more than opt's budget of node expansions.
+func SearchSingle(o *Transport, opt Options) (*core.Solution, error) {
+	nc := len(o.clients)
+	if nc == 0 {
+		return &core.Solution{}, nil
+	}
+	s := &singleSearch{o: o, budget: opt.budget(), best: nc + 1}
+	// Branch on clients in decreasing request order: big unsplittable
+	// bundles first maximises pruning.
+	s.order = make([]int32, nc)
+	for ci := range s.order {
+		s.order[ci] = int32(ci)
+	}
+	slices.SortFunc(s.order, func(a, b int32) int {
+		if c := cmp.Compare(o.reqs[b], o.reqs[a]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	s.remaining = make([]int64, nc+1)
+	for k := nc - 1; k >= 0; k-- {
+		s.remaining[k] = s.remaining[k+1] + o.reqs[s.order[k]]
+	}
+	for _, c := range o.caps {
+		if c > 0 {
+			s.caps = append(s.caps, c)
+		}
+	}
+	slices.SortFunc(s.caps, func(a, b int64) int { return cmp.Compare(b, a) })
+	s.resid = make([]int64, len(o.caps))
+	for j := range s.resid {
+		s.resid[j] = -1
+	}
+	s.assign = make([]tree.NodeID, nc)
+	s.dfs(0)
+	opt.record(s.budget)
+	if s.budget <= 0 {
+		return nil, ErrBudget
+	}
+	if s.bestAssign == nil {
+		return nil, nil
+	}
+	sol := &core.Solution{}
+	for k, srv := range s.bestAssign {
+		ci := s.order[k]
+		sol.AddReplica(srv)
+		sol.Assign(o.clients[ci], srv, o.reqs[ci])
+	}
+	sol.Normalize()
+	return sol, nil
+}
+
 type singleSearch struct {
-	in         *core.Instance
-	clients    []tree.NodeID
-	elig       map[tree.NodeID][]tree.NodeID
-	resid      map[tree.NodeID]int64 // open server -> residual capacity
-	assign     map[tree.NodeID]tree.NodeID
-	remaining  []int64 // remaining[k] = Σ requests of clients[k:]
+	o          *Transport
+	order      []int32 // client indices in branching order
+	remaining  []int64 // remaining[k] = Σ requests of order[k:]
+	caps       []int64 // the positive capacities, decreasing
+	resid      []int64 // node-indexed residual capacity; -1 not open
+	open       int     // open servers
+	residTotal int64   // Σ residual capacity of the open servers
+	assign     []tree.NodeID
 	best       int
-	bestAssign map[tree.NodeID]tree.NodeID
+	bestAssign []tree.NodeID
 	budget     int64
 }
 
@@ -87,119 +114,61 @@ func (s *singleSearch) dfs(k int) {
 		return
 	}
 	s.budget--
-	open := len(s.resid)
-	if open >= s.best {
+	if s.open >= s.best {
 		return
 	}
-	if k == len(s.clients) {
-		s.best = open
-		s.bestAssign = make(map[tree.NodeID]tree.NodeID, len(s.assign))
-		for c, srv := range s.assign {
-			s.bestAssign[c] = srv
-		}
+	if k == len(s.order) {
+		s.best = s.open
+		s.bestAssign = append(s.bestAssign[:0], s.assign...)
 		return
 	}
 	// Optimistic bound: even if all residual capacity of open servers
-	// is usable, the overflow needs ⌈·/W⌉ new servers.
-	var residTotal int64
-	for _, r := range s.resid {
-		residTotal += r
-	}
-	if over := s.remaining[k] - residTotal; over > 0 {
-		extra := int(core.CeilDiv(over, s.in.W))
-		if open+extra >= s.best {
+	// is usable, the overflow needs at least as many new servers as the
+	// largest capacities take to cover it (⌈overflow/W⌉ when uniform).
+	if over := s.remaining[k] - s.residTotal; over > 0 {
+		extra := 0
+		for _, c := range s.caps {
+			if over <= 0 {
+				break
+			}
+			over -= c
+			extra++
+		}
+		if over > 0 || s.open+extra >= s.best {
 			return
 		}
 	}
 
-	c := s.clients[k]
-	r := s.in.Tree.Requests(c)
+	ci := s.order[k]
+	r := s.o.reqs[ci]
 	// Try open servers first (no objective increase), then new ones.
-	for _, srv := range s.elig[c] {
-		res, isOpen := s.resid[srv]
-		if !isOpen || res < r {
+	for _, srv := range s.o.elig(int(ci)) {
+		res := s.resid[srv]
+		if res < r {
 			continue
 		}
 		s.resid[srv] = res - r
-		s.assign[c] = srv
+		s.residTotal -= r
+		s.assign[k] = srv
 		s.dfs(k + 1)
 		s.resid[srv] = res
-		delete(s.assign, c)
+		s.residTotal += r
 	}
-	if open+1 >= s.best {
+	if s.open+1 >= s.best {
 		return
 	}
-	for _, srv := range s.elig[c] {
-		if _, isOpen := s.resid[srv]; isOpen {
+	for _, srv := range s.o.elig(int(ci)) {
+		res := s.o.caps[srv] - r
+		if s.resid[srv] >= 0 || res < 0 {
 			continue
 		}
-		s.resid[srv] = s.in.W - r
-		s.assign[c] = srv
+		s.resid[srv] = res
+		s.residTotal += res
+		s.open++
+		s.assign[k] = srv
 		s.dfs(k + 1)
-		delete(s.resid, srv)
-		delete(s.assign, c)
+		s.resid[srv] = -1
+		s.residTotal -= res
+		s.open--
 	}
-}
-
-// SingleFeasible reports whether the replica set R admits a feasible
-// Single assignment, via the same backtracking search restricted to R.
-func SingleFeasible(in *core.Instance, R []tree.NodeID, opt Options) (bool, error) {
-	rset := make(map[tree.NodeID]bool, len(R))
-	for _, s := range R {
-		rset[s] = true
-	}
-	clients, elig := eligible(in)
-	for c, servers := range elig {
-		filtered := servers[:0]
-		for _, s := range servers {
-			if rset[s] {
-				filtered = append(filtered, s)
-			}
-		}
-		elig[c] = filtered
-		if len(filtered) == 0 {
-			return false, nil
-		}
-	}
-	sort.Slice(clients, func(a, b int) bool {
-		ra, rb := in.Tree.Requests(clients[a]), in.Tree.Requests(clients[b])
-		if ra != rb {
-			return ra > rb
-		}
-		return clients[a] < clients[b]
-	})
-	resid := make(map[tree.NodeID]int64, len(R))
-	for _, s := range R {
-		resid[s] = in.W
-	}
-	budget := opt.budget()
-	var dfs func(k int) bool
-	dfs = func(k int) bool {
-		if budget <= 0 {
-			return false
-		}
-		budget--
-		if k == len(clients) {
-			return true
-		}
-		c := clients[k]
-		r := in.Tree.Requests(c)
-		for _, srv := range elig[c] {
-			if resid[srv] < r {
-				continue
-			}
-			resid[srv] -= r
-			if dfs(k + 1) {
-				resid[srv] += r
-				return true
-			}
-			resid[srv] += r
-		}
-		return false
-	}
-	ok := dfs(0)
-	if !ok && budget <= 0 {
-		return false, ErrBudget
-	}
-	return ok, nil
 }

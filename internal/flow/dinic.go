@@ -1,8 +1,10 @@
 // Package flow implements Dinic's maximum-flow algorithm on small
-// integer-capacity networks. It is the feasibility oracle of the exact
-// Multiple-policy solver: given a fixed replica set, deciding whether
-// all client requests can be routed to eligible servers is a
-// transportation problem solved by max-flow.
+// integer-capacity networks, and a min-cost flow. Max-flow decides the
+// Multiple policy: given a fixed replica set, whether all client
+// requests can be routed to eligible servers is a transportation
+// problem. exact.Transport builds that network, the tree's only
+// max-flow network, and every Multiple feasibility test and
+// assignment runs on it.
 package flow
 
 // Network is a directed flow network under construction. Nodes are

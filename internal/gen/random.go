@@ -186,3 +186,23 @@ func RandomInstance(rng *rand.Rand, cfg TreeConfig, withDistance bool) *core.Ins
 	}
 	return &core.Instance{Tree: t, W: W, DMax: dmax}
 }
+
+// Shapes names the tree families ShapedTree draws.
+var Shapes = []string{"binary", "arity4", "star", "path"}
+
+// ShapedTree draws a random tree of the named shape around the given
+// number of internal nodes: "binary" and "arity4" are RandomTree
+// skeletons of that arity, "star" is a root over internals+1 clients
+// and "path" a Caterpillar spine with one client per internal node.
+func ShapedTree(rng *rand.Rand, shape string, internals int, maxDist, maxReq int64) *tree.Tree {
+	cfg := TreeConfig{Internals: internals, MaxArity: 2, MaxDist: maxDist, MaxReq: maxReq, ExtraClients: rng.Intn(internals + 1)}
+	switch shape {
+	case "arity4":
+		cfg.MaxArity = 4
+	case "star":
+		cfg = TreeConfig{Internals: 1, MaxArity: internals + 1, MaxDist: maxDist, MaxReq: maxReq, ExtraClients: internals}
+	case "path":
+		return Caterpillar(rng, internals, maxDist, maxReq)
+	}
+	return RandomTree(rng, cfg)
+}

@@ -4,20 +4,23 @@
 // extension of the paper's model (its companion work [3] treats the
 // homogeneous case; real deployments mix appliance generations).
 //
-// The package provides the Multiple-policy variant: a feasibility
-// oracle via max-flow, an exact solver by replica-set search, and a
-// polynomial greedy with local-search pruning. The uniform-capacity
-// special case coincides with the core problem, which the tests
-// cross-check against the paper's algorithms.
+// The package provides the Multiple-policy variant — an exact solver
+// by replica-set search and a polynomial greedy with local-search
+// pruning — and an exact Single solver. It keeps no search or flow
+// code of its own: the solvers are front ends that bind exact's
+// feasibility oracle (exact.Transport) to the per-node capacities and
+// run exact's searches on it, each with its own validation, error
+// texts and lower bound. The uniform-capacity special case therefore
+// coincides with the core problem, which the tests cross-check against
+// the paper's algorithms.
 package hetero
 
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"replicatree/internal/core"
-	"replicatree/internal/flow"
+	"replicatree/internal/exact"
 	"replicatree/internal/tree"
 )
 
@@ -108,111 +111,9 @@ func (in *Instance) Verify(sol *core.Solution) error {
 	return nil
 }
 
-// eligible returns clients with requests and their candidate servers
-// (positive capacity, on path, within dmax).
-func (in *Instance) eligible() (clients []tree.NodeID, elig map[tree.NodeID][]tree.NodeID) {
-	t := in.Tree
-	elig = make(map[tree.NodeID][]tree.NodeID)
-	for _, c := range t.Clients() {
-		if t.Requests(c) == 0 {
-			continue
-		}
-		clients = append(clients, c)
-		for _, s := range t.EligibleServers(c, in.DMax) {
-			if in.Cap[s] > 0 {
-				elig[c] = append(elig[c], s)
-			}
-		}
-	}
-	return clients, elig
-}
-
-// Feasible reports whether replica set R can serve all requests, via
-// max-flow with per-node capacities. It optionally returns the
-// recovered assignment.
-func (in *Instance) Feasible(R []tree.NodeID, recover bool) (*core.Solution, bool) {
-	t := in.Tree
-	clients, elig := in.eligible()
-	rIdx := make(map[tree.NodeID]int, len(R))
-	idx := 2
-	cIdx := make(map[tree.NodeID]int, len(clients))
-	for _, c := range clients {
-		cIdx[c] = idx
-		idx++
-	}
-	for _, s := range R {
-		if _, dup := rIdx[s]; !dup {
-			rIdx[s] = idx
-			idx++
-		}
-	}
-	g := flow.NewNetwork(idx)
-	var total int64
-	type arcRec struct {
-		client, server tree.NodeID
-		arc            int
-		cap            int64
-	}
-	var arcs []arcRec
-	for _, c := range clients {
-		r := t.Requests(c)
-		total += r
-		g.AddEdge(0, cIdx[c], r)
-		for _, s := range elig[c] {
-			if si, ok := rIdx[s]; ok {
-				a := g.AddEdge(cIdx[c], si, r)
-				if recover {
-					arcs = append(arcs, arcRec{c, s, a, r})
-				}
-			}
-		}
-	}
-	for s, si := range rIdx {
-		g.AddEdge(si, 1, in.Cap[s])
-	}
-	if g.MaxFlow(0, 1) != total {
-		return nil, false
-	}
-	if !recover {
-		return nil, true
-	}
-	sol := &core.Solution{}
-	for _, s := range R {
-		sol.AddReplica(s)
-	}
-	for _, a := range arcs {
-		if amt := g.Flow(a.arc, a.cap); amt > 0 {
-			sol.Assign(a.client, a.server, amt)
-		}
-	}
-	sol.Normalize()
-	return sol, true
-}
-
-// candidates lists nodes with positive capacity that can serve at
-// least one request, sorted by decreasing capacity then coverage.
-func (in *Instance) candidates() []tree.NodeID {
-	t := in.Tree
-	cover := make(map[tree.NodeID]int64)
-	_, elig := in.eligible()
-	for c, servers := range elig {
-		for _, s := range servers {
-			cover[s] += t.Requests(c)
-		}
-	}
-	out := make([]tree.NodeID, 0, len(cover))
-	for s := range cover {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(a, b int) bool {
-		ca, cb := in.Cap[out[a]], in.Cap[out[b]]
-		if ca != cb {
-			return ca > cb
-		}
-		if cover[out[a]] != cover[out[b]] {
-			return cover[out[a]] > cover[out[b]]
-		}
-		return out[a] < out[b]
-	})
-	return out
+// transport binds exact's feasibility oracle to in's capacities.
+func (in *Instance) transport() *exact.Transport {
+	o := new(exact.Transport)
+	o.ResetCaps(in.Tree, in.DMax, in.Cap)
+	return o
 }

@@ -2,163 +2,48 @@ package hetero
 
 import (
 	"fmt"
-	"sort"
 
 	"replicatree/internal/core"
+	"replicatree/internal/exact"
 	"replicatree/internal/tree"
 )
 
 // SolveSingle finds an optimal Single-policy placement under
 // heterogeneous capacities: every client's whole bundle goes to one
-// replica whose capacity covers the sum of its assigned bundles.
-// Branch-and-bound over client assignments, mirroring
-// exact.SolveSingle with per-node capacities. Exponential; small
-// instances only.
+// replica whose capacity covers the sum of its assigned bundles. It is
+// exact.SearchSingle, the branch-and-bound of exact.SolveSingle, on the
+// capacity-aware oracle, under the given work budget (0 means
+// exact.DefaultBudget). Exponential; small instances only.
 func SolveSingle(in *Instance, budget int64) (*core.Solution, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
-	if budget <= 0 {
-		budget = 20_000_000
-	}
-	clients, elig := in.eligible()
-	t := in.Tree
 	// Single feasibility needs ri ≤ Cap[s] for some eligible s.
-	for _, c := range clients {
-		ok := false
-		for _, s := range elig[c] {
-			if in.Cap[s] >= t.Requests(c) {
-				ok = true
-				break
-			}
+	t := in.Tree
+	for _, c := range t.Clients() {
+		r := t.Requests(c)
+		if r == 0 {
+			continue
 		}
-		if !ok {
-			return nil, fmt.Errorf("hetero: client %d (r=%d) fits no eligible node", c, t.Requests(c))
+		fits := false
+		for _, s := range t.EligibleServers(c, in.DMax) {
+			fits = fits || in.Cap[s] >= r
+		}
+		if !fits {
+			return nil, fmt.Errorf("hetero: client %d (r=%d) fits no eligible node", c, r)
 		}
 	}
-	if len(clients) == 0 {
-		return &core.Solution{}, nil
+	sol, err := exact.SearchSingle(in.transport(), exact.Options{Budget: budget})
+	if err != nil {
+		return nil, err
 	}
-	sort.Slice(clients, func(a, b int) bool {
-		ra, rb := t.Requests(clients[a]), t.Requests(clients[b])
-		if ra != rb {
-			return ra > rb
-		}
-		return clients[a] < clients[b]
-	})
-
-	s := &hsSearch{
-		in:      in,
-		clients: clients,
-		elig:    elig,
-		resid:   make(map[tree.NodeID]int64),
-		assign:  make(map[tree.NodeID]tree.NodeID, len(clients)),
-		best:    len(clients) + 1,
-		budget:  budget,
-	}
-	// Largest capacities, for the optimistic bound.
-	caps := append([]int64{}, in.Cap...)
-	sort.Slice(caps, func(a, b int) bool { return caps[a] > caps[b] })
-	s.sortedCaps = caps
-	s.remaining = make([]int64, len(clients)+1)
-	for k := len(clients) - 1; k >= 0; k-- {
-		s.remaining[k] = s.remaining[k+1] + t.Requests(clients[k])
-	}
-	s.dfs(0)
-	if s.budget <= 0 {
-		return nil, fmt.Errorf("hetero: work budget exceeded")
-	}
-	if s.bestAssign == nil {
+	if sol == nil {
 		return nil, fmt.Errorf("hetero: no Single solution found")
 	}
-	sol := &core.Solution{}
-	for c, srv := range s.bestAssign {
-		sol.AddReplica(srv)
-		sol.Assign(c, srv, t.Requests(c))
-	}
-	sol.Normalize()
 	if err := in.Verify(sol); err != nil {
 		return nil, fmt.Errorf("hetero: single solver produced infeasible solution: %w", err)
 	}
 	return sol, nil
-}
-
-type hsSearch struct {
-	in         *Instance
-	clients    []tree.NodeID
-	elig       map[tree.NodeID][]tree.NodeID
-	resid      map[tree.NodeID]int64
-	assign     map[tree.NodeID]tree.NodeID
-	remaining  []int64
-	sortedCaps []int64
-	best       int
-	bestAssign map[tree.NodeID]tree.NodeID
-	budget     int64
-}
-
-func (s *hsSearch) dfs(k int) {
-	if s.budget <= 0 {
-		return
-	}
-	s.budget--
-	open := len(s.resid)
-	if open >= s.best {
-		return
-	}
-	if k == len(s.clients) {
-		s.best = open
-		s.bestAssign = make(map[tree.NodeID]tree.NodeID, len(s.assign))
-		for c, srv := range s.assign {
-			s.bestAssign[c] = srv
-		}
-		return
-	}
-	// Optimistic bound: residual capacity of open replicas plus the
-	// largest unopened capacities.
-	var residTotal int64
-	for _, r := range s.resid {
-		residTotal += r
-	}
-	if over := s.remaining[k] - residTotal; over > 0 {
-		extra := 0
-		for _, c := range s.sortedCaps {
-			if over <= 0 || c <= 0 {
-				break
-			}
-			over -= c
-			extra++
-		}
-		if over > 0 || open+extra >= s.best {
-			return
-		}
-	}
-
-	c := s.clients[k]
-	r := s.in.Tree.Requests(c)
-	for _, srv := range s.elig[c] {
-		res, isOpen := s.resid[srv]
-		if !isOpen || res < r {
-			continue
-		}
-		s.resid[srv] = res - r
-		s.assign[c] = srv
-		s.dfs(k + 1)
-		s.resid[srv] = res
-		delete(s.assign, c)
-	}
-	if open+1 >= s.best {
-		return
-	}
-	for _, srv := range s.elig[c] {
-		if _, isOpen := s.resid[srv]; isOpen || s.in.Cap[srv] < r {
-			continue
-		}
-		s.resid[srv] = s.in.Cap[srv] - r
-		s.assign[c] = srv
-		s.dfs(k + 1)
-		delete(s.resid, srv)
-		delete(s.assign, c)
-	}
 }
 
 // VerifySingle checks the Single policy on top of Verify: one server

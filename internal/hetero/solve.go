@@ -1,9 +1,12 @@
 package hetero
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"replicatree/internal/core"
+	"replicatree/internal/exact"
 	"replicatree/internal/tree"
 )
 
@@ -11,89 +14,35 @@ import (
 // local search:
 //
 //  1. while the current set is infeasible, add the candidate that
-//     maximises newly-servable demand (capacity bounded by what its
-//     eligible clients still need);
-//  2. then repeatedly try to drop a replica (smallest capacity first)
-//     while the set stays feasible.
+//     maximises min(capacity, demand of the clients it can serve);
+//  2. then drop replicas, last added first, while the set stays
+//     feasible.
 //
-// Runs in polynomial time; the result is feasible whenever the full
-// candidate set is, and experiments measure its gap to the exact
-// optimum.
+// The scores do not change as replicas are added, so step 1 takes the
+// candidates in a stable sort by score, and both steps are exact's
+// Transport.GrowPrune. Runs in polynomial time; the result is feasible
+// whenever the full candidate set is, and experiments measure its gap
+// to the exact optimum.
 func Greedy(in *Instance) (*core.Solution, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
-	cands := in.candidates()
-	if sol, ok := in.Feasible(nil, true); ok {
-		return sol, nil // no requests at all
+	o := in.transport()
+	cands, cover := o.Candidates()
+	if o.Route(nil) {
+		return &core.Solution{}, nil // no requests at all
 	}
-	if _, ok := in.Feasible(cands, false); !ok {
+	if !o.Route(cands) {
 		return nil, fmt.Errorf("hetero: instance infeasible even with all candidates")
 	}
-
-	t := in.Tree
-	_, elig := in.eligible()
-	// demandVia[s]: total demand of clients that can use s.
-	demandVia := make(map[tree.NodeID]int64)
-	for c, servers := range elig {
-		for _, s := range servers {
-			demandVia[s] += t.Requests(c)
-		}
-	}
-
-	var chosen []tree.NodeID
-	inSet := make(map[tree.NodeID]bool)
-	for {
-		if _, ok := in.Feasible(chosen, false); ok {
-			break
-		}
-		// Pick the unchosen candidate with the largest marginal
-		// usefulness: min(capacity, demand routed via it).
-		best := tree.None
-		var bestScore int64 = -1
-		for _, s := range cands {
-			if inSet[s] {
-				continue
-			}
-			score := demandVia[s]
-			if in.Cap[s] < score {
-				score = in.Cap[s]
-			}
-			if score > bestScore {
-				best, bestScore = s, score
-			}
-		}
-		if best == tree.None {
-			return nil, fmt.Errorf("hetero: greedy exhausted candidates (unreachable)")
-		}
-		chosen = append(chosen, best)
-		inSet[best] = true
-	}
-
-	// Local search: drop redundant replicas, smallest capacity first.
-	for {
-		dropped := false
-		order := append([]tree.NodeID{}, chosen...)
-		for i := len(order) - 1; i >= 0; i-- {
-			trial := make([]tree.NodeID, 0, len(chosen)-1)
-			for _, s := range chosen {
-				if s != order[i] {
-					trial = append(trial, s)
-				}
-			}
-			if _, ok := in.Feasible(trial, false); ok {
-				chosen = trial
-				dropped = true
-				break
-			}
-		}
-		if !dropped {
-			break
-		}
-	}
-
-	sol, ok := in.Feasible(chosen, true)
+	score := func(s tree.NodeID) int64 { return min(in.Cap[s], cover[s]) }
+	slices.SortStableFunc(cands, func(a, b tree.NodeID) int { return cmp.Compare(score(b), score(a)) })
+	chosen, ok := o.GrowPrune(nil, cands)
 	if !ok {
+		return nil, fmt.Errorf("hetero: greedy exhausted candidates (unreachable)")
+	}
+	sol := &core.Solution{}
+	if err := o.Assign(sol, chosen); err != nil {
 		return nil, fmt.Errorf("hetero: final set infeasible (unreachable)")
 	}
 	if err := in.Verify(sol); err != nil {
@@ -102,22 +51,26 @@ func Greedy(in *Instance) (*core.Solution, error) {
 	return sol, nil
 }
 
-// Solve finds an optimal replica set by enumerating sets of increasing
-// size with monotone pruning (the hetero analogue of
-// exact.SolveMultiple). Exponential; small instances only.
+// Solve finds an optimal replica set: SolveWith under the given work
+// budget (0 means exact.DefaultBudget).
 func Solve(in *Instance, budget int64) (*core.Solution, error) {
+	return SolveWith(in, exact.Options{Budget: budget})
+}
+
+// SolveWith finds an optimal replica set with exact.SearchMultiple on
+// the capacity-aware oracle: sets of increasing size, from a lower
+// bound of the largest capacities covering the total demand, with
+// monotone pruning. Exponential; small instances only. Running out of
+// opt's budget returns exact.ErrBudget, and opt.Work receives the
+// steps taken, as for exact.SolveMultiple.
+func SolveWith(in *Instance, opt exact.Options) (*core.Solution, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
-	if budget <= 0 {
-		budget = 20_000_000
-	}
-	cands := in.candidates()
-	if sol, ok := in.Feasible(nil, true); ok {
-		return sol, nil
-	}
-	if _, ok := in.Feasible(cands, false); !ok {
-		return nil, fmt.Errorf("hetero: instance infeasible")
+	o := in.transport()
+	cands, _ := o.Candidates()
+	if o.Route(nil) {
+		return &core.Solution{}, nil
 	}
 	// Lower bound: total demand vs the largest k capacities.
 	total := in.Tree.TotalRequests()
@@ -130,50 +83,19 @@ func Solve(in *Instance, budget int64) (*core.Solution, error) {
 			break
 		}
 	}
-	for k := lb; k <= len(cands); k++ {
-		if budget <= 0 {
-			return nil, fmt.Errorf("hetero: work budget exceeded")
-		}
-		if set := chooseK(in, cands, nil, 0, k, &budget); set != nil {
-			sol, ok := in.Feasible(set, true)
-			if !ok {
-				return nil, fmt.Errorf("hetero: chosen set infeasible (unreachable)")
-			}
-			if err := in.Verify(sol); err != nil {
-				return nil, err
-			}
-			return sol, nil
-		}
+	set, err := exact.SearchMultiple(o, cands, lb, opt)
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("hetero: no solution found (unreachable)")
-}
-
-func chooseK(in *Instance, cands, chosen []tree.NodeID, from, k int, budget *int64) []tree.NodeID {
-	if *budget <= 0 {
-		return nil
+	if set == nil {
+		return nil, fmt.Errorf("hetero: instance infeasible")
 	}
-	*budget--
-	if len(chosen) == k {
-		if _, ok := in.Feasible(chosen, false); ok {
-			out := make([]tree.NodeID, k)
-			copy(out, chosen)
-			return out
-		}
-		return nil
+	sol := &core.Solution{}
+	if err := o.Assign(sol, set); err != nil {
+		return nil, err
 	}
-	if len(chosen)+(len(cands)-from) < k {
-		return nil
+	if err := in.Verify(sol); err != nil {
+		return nil, err
 	}
-	if len(chosen) > 0 {
-		all := append(append([]tree.NodeID{}, chosen...), cands[from:]...)
-		if _, ok := in.Feasible(all, false); !ok {
-			return nil
-		}
-	}
-	for i := from; i < len(cands); i++ {
-		if set := chooseK(in, cands, append(chosen, cands[i]), i+1, k, budget); set != nil {
-			return set
-		}
-	}
-	return nil
+	return sol, nil
 }

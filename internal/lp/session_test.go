@@ -193,6 +193,14 @@ func TestWorkspacePoolCap(t *testing.T) {
 	}
 }
 
+// route, drop and clearServerNodes give TestPruneMatchesFresh the
+// session's prune steps, which run on its exact.Transport: Route and
+// Drop, and no clearing step, since each build clears the last set's
+// marks itself.
+func (s *Session) route(R []tree.NodeID) bool { return s.net.Route(R) }
+func (s *Session) drop(srv tree.NodeID) bool  { return s.net.Drop(srv) }
+func (s *Session) clearServerNodes()          {}
+
 // TestPruneMatchesFresh pins the incremental prune against a fresh
 // feasibility test: on random instances and the solve-cold set, from
 // the relaxation's support and from every candidate server, each drop

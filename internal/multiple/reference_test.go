@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"replicatree/internal/core"
+	"replicatree/internal/exact"
 	"replicatree/internal/tree"
 )
 
@@ -424,4 +425,102 @@ func referencePlanDelta(old, new *core.Solution) Churn {
 		oldAmt[k] = 0
 	}
 	return ch
+}
+
+// referenceReplanExcluding is the first ReplanExcluding: it rebuilds a
+// fresh max-flow network per feasibility test and re-scans every client
+// for every node to size the growth pool. ReplanExcluding is with a set of forbidden replica sites —
+// failed servers that must host nothing in the new placement. Old
+// replicas on excluded nodes are dropped before adaptation (their
+// clients' demand is re-homed like any other stuck demand) and
+// excluded nodes never enter the growth pool.
+func referenceReplanExcluding(in *core.Instance, old *core.Solution, excluded []tree.NodeID) (*core.Solution, Churn, error) {
+	if err := in.Validate(); err != nil {
+		return nil, Churn{}, err
+	}
+	t := in.Tree
+	down := make(map[tree.NodeID]bool, len(excluded))
+	for _, x := range excluded {
+		down[x] = true
+	}
+	// Sanitise the old replica set against the new tree (nodes must
+	// exist and be up; stale assignments are discarded — only
+	// locations count).
+	oldSet := make(map[tree.NodeID]bool)
+	var R []tree.NodeID
+	for _, r := range old.Replicas {
+		if t.Valid(r) && !oldSet[r] && !down[r] {
+			oldSet[r] = true
+			R = append(R, r)
+		}
+	}
+
+	// Candidate pool for growth: all nodes that can serve someone.
+	type cand struct {
+		node  tree.NodeID
+		reach int64
+	}
+	var pool []cand
+	for j := 0; j < t.Len(); j++ {
+		id := tree.NodeID(j)
+		if down[id] {
+			continue
+		}
+		var reach int64
+		for _, c := range t.Clients() {
+			if t.Requests(c) > 0 && in.CanServe(c, id) {
+				reach += t.Requests(c)
+			}
+		}
+		if reach > 0 && !oldSet[id] {
+			pool = append(pool, cand{id, reach})
+		}
+	}
+	sort.Slice(pool, func(a, b int) bool {
+		if pool[a].reach != pool[b].reach {
+			return pool[a].reach > pool[b].reach
+		}
+		return pool[a].node < pool[b].node
+	})
+
+	feasible := func(set []tree.NodeID) bool {
+		return exact.MultipleFeasible(in, set)
+	}
+	grown := append([]tree.NodeID{}, R...)
+	for i := 0; !feasible(grown); i++ {
+		if i >= len(pool) {
+			return nil, Churn{}, fmt.Errorf("multiple: replan cannot reach feasibility")
+		}
+		grown = append(grown, pool[i].node)
+	}
+
+	// Shrink: drop new additions first (reverse growth order), then
+	// old replicas, while feasibility holds.
+	for changed := true; changed; {
+		changed = false
+		for i := len(grown) - 1; i >= 0; i-- {
+			trial := make([]tree.NodeID, 0, len(grown)-1)
+			for k, r := range grown {
+				if k != i {
+					trial = append(trial, r)
+				}
+			}
+			if feasible(trial) {
+				grown = trial
+				changed = true
+				break
+			}
+		}
+	}
+
+	sol, err := exact.MultipleAssignment(in, grown)
+	if err != nil {
+		return nil, Churn{}, err
+	}
+	if err := core.Verify(in, core.Multiple, sol); err != nil {
+		return nil, Churn{}, fmt.Errorf("multiple: replan produced infeasible solution: %w", err)
+	}
+	prev := old.Clone()
+	prev.Normalize()
+	return sol, PlanDelta(prev, sol), nil
 }

@@ -2,7 +2,7 @@ package multiple
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"replicatree/internal/core"
 	"replicatree/internal/exact"
@@ -69,8 +69,8 @@ func PlanDelta(old, new *core.Solution) Churn {
 //
 //  1. keep the old replica set if it is still feasible (re-routing
 //     only — zero placement churn);
-//  2. otherwise grow it greedily with the candidates that unlock the
-//     most stuck demand until feasible;
+//  2. otherwise grow it with the candidates that can serve the most
+//     demand until feasible;
 //  3. then drop replicas that became redundant, old ones last, so
 //     long as the set stays feasible.
 //
@@ -87,87 +87,41 @@ func Replan(in *core.Instance, old *core.Solution) (*core.Solution, Churn, error
 // replicas on excluded nodes are dropped before adaptation (their
 // clients' demand is re-homed like any other stuck demand) and
 // excluded nodes never enter the growth pool.
+//
+// The growth pool is every other node that can serve some request, by
+// decreasing reach (the requests it can serve), then ID; growth and
+// shrinking are exact.Transport.GrowPrune on the old set and the pool.
 func ReplanExcluding(in *core.Instance, old *core.Solution, excluded []tree.NodeID) (*core.Solution, Churn, error) {
 	if err := in.Validate(); err != nil {
 		return nil, Churn{}, err
 	}
 	t := in.Tree
-	down := make(map[tree.NodeID]bool, len(excluded))
+	skip := make([]bool, t.Len()) // excluded, or already in R
 	for _, x := range excluded {
-		down[x] = true
+		if t.Valid(x) {
+			skip[x] = true
+		}
 	}
 	// Sanitise the old replica set against the new tree (nodes must
 	// exist and be up; stale assignments are discarded — only
 	// locations count).
-	oldSet := make(map[tree.NodeID]bool)
 	var R []tree.NodeID
 	for _, r := range old.Replicas {
-		if t.Valid(r) && !oldSet[r] && !down[r] {
-			oldSet[r] = true
+		if t.Valid(r) && !skip[r] {
+			skip[r] = true
 			R = append(R, r)
 		}
 	}
-
-	// Candidate pool for growth: all nodes that can serve someone.
-	type cand struct {
-		node  tree.NodeID
-		reach int64
+	var o exact.Transport
+	o.Reset(in)
+	cands, _ := o.Candidates()
+	pool := slices.DeleteFunc(cands, func(j tree.NodeID) bool { return skip[j] })
+	grown, ok := o.GrowPrune(R, pool)
+	if !ok {
+		return nil, Churn{}, fmt.Errorf("multiple: replan cannot reach feasibility")
 	}
-	var pool []cand
-	for j := 0; j < t.Len(); j++ {
-		id := tree.NodeID(j)
-		if down[id] {
-			continue
-		}
-		var reach int64
-		for _, c := range t.Clients() {
-			if t.Requests(c) > 0 && in.CanServe(c, id) {
-				reach += t.Requests(c)
-			}
-		}
-		if reach > 0 && !oldSet[id] {
-			pool = append(pool, cand{id, reach})
-		}
-	}
-	sort.Slice(pool, func(a, b int) bool {
-		if pool[a].reach != pool[b].reach {
-			return pool[a].reach > pool[b].reach
-		}
-		return pool[a].node < pool[b].node
-	})
-
-	feasible := func(set []tree.NodeID) bool {
-		return exact.MultipleFeasible(in, set)
-	}
-	grown := append([]tree.NodeID{}, R...)
-	for i := 0; !feasible(grown); i++ {
-		if i >= len(pool) {
-			return nil, Churn{}, fmt.Errorf("multiple: replan cannot reach feasibility")
-		}
-		grown = append(grown, pool[i].node)
-	}
-
-	// Shrink: drop new additions first (reverse growth order), then
-	// old replicas, while feasibility holds.
-	for changed := true; changed; {
-		changed = false
-		for i := len(grown) - 1; i >= 0; i-- {
-			trial := make([]tree.NodeID, 0, len(grown)-1)
-			for k, r := range grown {
-				if k != i {
-					trial = append(trial, r)
-				}
-			}
-			if feasible(trial) {
-				grown = trial
-				changed = true
-				break
-			}
-		}
-	}
-
-	sol, err := exact.MultipleAssignment(in, grown)
-	if err != nil {
+	sol := &core.Solution{}
+	if err := o.Assign(sol, grown); err != nil {
 		return nil, Churn{}, err
 	}
 	if err := core.Verify(in, core.Multiple, sol); err != nil {

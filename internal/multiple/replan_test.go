@@ -2,6 +2,7 @@ package multiple
 
 import (
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -253,5 +254,51 @@ func TestReplanFromEmptyPlan(t *testing.T) {
 	if len(ch.Added) != sol.NumReplicas() {
 		t.Fatalf("from empty: all %d replicas should count as added, got %d",
 			sol.NumReplicas(), len(ch.Added))
+	}
+}
+
+// TestReplanMatchesReference holds ReplanExcluding to the first body on
+// 1,200 seeded instances over the four shapes, with and without a
+// distance bound: the old plan is a solve of the instance at a
+// different demand scale or a random node set (invalid IDs and
+// duplicates included), and the excluded set is random. The same
+// solution and churn, or the same error text.
+func TestReplanMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(4301))
+	replanned := 0
+	for n := 0; n < 1200; n++ {
+		tr := gen.ShapedTree(rng, gen.Shapes[n%len(gen.Shapes)], 1+rng.Intn(10), 3, 9)
+		in := &core.Instance{Tree: tr, W: max(1, tr.MaxRequests()-2+rng.Int63n(6)), DMax: core.NoDistance}
+		if n/len(gen.Shapes)%2 == 0 {
+			in.DMax = rng.Int63n(7)
+		}
+		old := &core.Solution{}
+		if n%3 == 0 {
+			if sol, err := Greedy(scaleDemand(in, 1+rng.Int63n(3), 2)); err == nil {
+				old = sol
+			}
+		} else {
+			for k := rng.Intn(tr.Len()); k >= 0; k-- {
+				old.Replicas = append(old.Replicas, tree.NodeID(rng.Intn(tr.Len()+2)-1))
+			}
+		}
+		var excluded []tree.NodeID
+		for k := rng.Intn(4); k > 0; k-- {
+			excluded = append(excluded, tree.NodeID(rng.Intn(tr.Len()+2)-1))
+		}
+		got, gotChurn, gotErr := ReplanExcluding(in, old, excluded)
+		want, wantChurn, wantErr := referenceReplanExcluding(in, old, excluded)
+		if (gotErr == nil) != (wantErr == nil) || gotErr != nil && gotErr.Error() != wantErr.Error() {
+			t.Fatalf("case %d: error %v, reference %v", n, gotErr, wantErr)
+		}
+		if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(gotChurn, wantChurn) {
+			t.Fatalf("case %d: %v %+v, reference %v %+v", n, got, gotChurn, want, wantChurn)
+		}
+		if gotErr == nil {
+			replanned++
+		}
+	}
+	if replanned < 600 || replanned == 1200 {
+		t.Fatalf("%d of 1200 cases replanned: the sweep lost its coverage", replanned)
 	}
 }

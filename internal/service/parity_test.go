@@ -185,6 +185,23 @@ func TestV2ProblemStatuses(t *testing.T) {
 	problemFrom(t, resp, buf)
 }
 
+// TestV2BudgetExhaustedExactEngines: both exact replica-set searches
+// report a spent work budget as the budget-exhausted problem.
+func TestV2BudgetExhaustedExactEngines(t *testing.T) {
+	in := goldenInstance(t, "binary_dist_2.json")
+	_, ts := newTestServer(t, Options{})
+	for _, engine := range []string{solver.ExactMultiple, solver.HeteroExact} {
+		resp, body := postJSON(t, ts.URL+"/v2/solve", SolveRequestV2{Solver: engine, Instance: in, Budget: 1})
+		if resp.StatusCode != http.StatusUnprocessableEntity {
+			t.Errorf("%s: status %d, want 422 (%s)", engine, resp.StatusCode, body)
+			continue
+		}
+		if p := problemFrom(t, resp, body); p.Type != ProblemBudgetExhausted {
+			t.Errorf("%s: problem type %q, want %q", engine, p.Type, ProblemBudgetExhausted)
+		}
+	}
+}
+
 // TestV2InfeasibleInstance: an instance no solver can satisfy is a
 // typed 422 infeasible problem.
 func TestV2InfeasibleInstance(t *testing.T) {

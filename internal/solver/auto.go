@@ -127,7 +127,8 @@ func (a *autoEngine) Solve(ctx context.Context, req Request) (Report, error) {
 		if c.Name == Auto || c.Name == Decomp || c.Hetero || c.Delta {
 			// No self-recursion; decomp is routed explicitly above, not
 			// raced (its piece solves already fan out through Batch);
-			// hetero engines duplicate the uniform ones; delta engines
+			// hetero engines run exact's own bodies at uniform capacity,
+			// so they would repeat the uniform ones; delta engines
 			// optimise churn against a previous placement, not replica
 			// count, so they never compete.
 			continue

@@ -165,9 +165,8 @@ func init() {
 		})))
 	MustRegisterEngine(NewEngine(
 		sized(caps(HeteroExact, core.Multiple, true, true, true, expo, "heterogeneous exact search, run at uniform capacity"), autoExactMaxNodes),
-		func(_ context.Context, req Request) (*core.Solution, int64, error) {
-			sol, err := hetero.Solve(hetero.FromUniform(req.Instance), req.Budget)
-			return sol, 0, err
-		}))
+		exactFn(func(in *core.Instance, opt exact.Options) (*core.Solution, error) {
+			return hetero.SolveWith(hetero.FromUniform(in), opt)
+		})))
 	MustRegisterEngine(newAutoEngine())
 }

@@ -319,10 +319,11 @@ func TestSessionEngineScratchOwnership(t *testing.T) {
 
 	// PutScratch unbinds the scratch and drops what would pin the
 	// instance or a tableau; lp-round's grow-only buffers stay
-	// (TestPooledLPKeepsBuffers).
+	// (TestPooledLPKeepsBuffers). The LP session keeps no instance
+	// pointer: its relaxation and its exact.Transport hold copies.
 	PutScratch(sc)
 	lps := reflect.ValueOf(sc.lp)
-	if sc.in != nil || !lps.FieldByName("in").IsNil() || !lps.FieldByName("prob").IsNil() || !lps.FieldByName("ws").IsNil() {
+	if sc.in != nil || !lps.FieldByName("prob").IsNil() || !lps.FieldByName("ws").IsNil() {
 		t.Fatal("PutScratch kept the instance binding, the LP relaxation or the simplex workspace")
 	}
 }
