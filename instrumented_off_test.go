@@ -8,3 +8,8 @@ import "testing"
 // variant (instrumented_on_test.go) skips the allocation gate, whose
 // zero-alloc invariant does not survive sanitizer bookkeeping.
 func skipIfInstrumented(*testing.T) {}
+
+// instrumented reports whether the sanitizers are off. Scale tests drop their
+// largest sizes under them: shadow memory makes a 10⁶-node solve
+// minutes long.
+const instrumented = false

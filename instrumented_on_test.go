@@ -10,3 +10,8 @@ import "testing"
 func skipIfInstrumented(t *testing.T) {
 	t.Skip("sanitizer instrumentation allocates; alloc gate runs in plain builds")
 }
+
+// instrumented reports whether the sanitizers are on. Scale tests drop their
+// largest sizes under them: shadow memory makes a 10⁶-node solve
+// minutes long.
+const instrumented = true

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"replicatree/internal/tree"
 )
@@ -14,16 +15,30 @@ import (
 // safe for concurrent use; the solver seam pools whole sessions, each
 // owning one Scratch.
 type Scratch struct {
-	capped, inside, need []int64 // LowerBound tables
-	served, loads        []int64 // Verify tables
-	isReplica            []bool
-	firstServer          []tree.NodeID
+	inside, need  []int64    // LowerBound tables, per node
+	depth         []int32    // per node
+	path          []pathStep // per depth: the preorder walk's root path
+	served, loads []int64    // Verify tables
+	isReplica     []bool
+	firstServer   []tree.NodeID
 }
 
 func (sc *Scratch) growBound(n int) {
-	sc.capped = grow64(sc.capped, n)
 	sc.inside = grow64(sc.inside, n)
 	sc.need = grow64(sc.need, n)
+	if cap(sc.depth) < n {
+		sc.depth = make([]int32, n)
+		sc.path = make([]pathStep, n)
+	}
+	sc.depth, sc.path = sc.depth[:n], sc.path[:n]
+}
+
+// pathStep is one node of the root path LowerBound is on, with its
+// distance from the root in 128 bits (hi, lo): a sum of int64 edge
+// lengths along a path cannot overflow it.
+type pathStep struct {
+	node   tree.NodeID
+	hi, lo uint64
 }
 
 func (sc *Scratch) growVerify(n int) {
@@ -51,57 +66,65 @@ func grow64(s []int64, n int) []int64 {
 // a distance-aware bound: requests of a client that cannot travel
 // above node j (because of dmax) must be served by replicas inside
 // subtree(j), and replica sets of disjoint subtrees are disjoint. The
-// bound is computed in O(|T|·depth), bottom-up over the stored
-// postorder.
+// bound is computed in O(|T|·log depth): one walk over the stored
+// preorder finds each client's highest eligible server by binary
+// search on its root path, and one walk over the postorder sums up.
 func (sc *Scratch) LowerBound(in *Instance) int {
 	f := in.Tree
 	n := f.Len()
 	sc.growBound(n)
-	// capped[h] = Σ of requests of clients whose highest eligible
-	// server (the farthest ancestor within dmax) is h: those requests
-	// can never be served outside subtree(h).
-	capped := sc.capped
-	clear(capped)
+	// First inside[h] = Σ of requests of clients whose highest
+	// eligible server (the farthest ancestor within dmax) is h: those
+	// requests can never be served outside subtree(h).
+	inside, need, depth, path := sc.inside, sc.need, sc.depth, sc.path
+	clear(inside)
+	clear(need)
 	root := f.Root()
-	for j := 0; j < n; j++ {
-		id := tree.NodeID(j)
-		if !f.IsClient(id) {
-			continue
+	for _, j := range f.Pre {
+		d := int32(0)
+		if j == root {
+			path[0] = pathStep{node: root}
+		} else {
+			d = depth[f.Parents[j]] + 1
+			up := path[d-1]
+			lo, carry := bits.Add64(up.lo, uint64(f.EdgeLens[j]), 0)
+			path[d] = pathStep{node: j, hi: up.hi + carry, lo: lo}
 		}
+		depth[j] = d
 		r := f.Reqs[j]
-		if r == 0 {
+		if r == 0 || !f.IsClient(j) {
 			continue
 		}
-		var d int64
-		h := id
-		for h != root {
-			nd := tree.SatAdd(d, f.Dist(h))
-			if nd > in.DMax {
-				break
+		if in.DMax == NoDistance {
+			// Every distance is within NoDistance, saturated ones too.
+			inside[root] += r
+			continue
+		}
+		// The distance from j up to path[k] shrinks as k grows: find
+		// the smallest k within dmax.
+		lo, hi := int32(0), d
+		for lo < hi {
+			k := (lo + hi) / 2
+			dlo, borrow := bits.Sub64(path[d].lo, path[k].lo, 0)
+			if path[d].hi-path[k].hi-borrow == 0 && dlo < 1<<63 && int64(dlo) <= in.DMax {
+				hi = k
+			} else {
+				lo = k + 1
 			}
-			d = nd
-			h = f.Parents[h]
 		}
-		capped[h] += r
+		inside[path[lo].node] += r
 	}
-	// inside[j] = requests that must be served inside subtree(j);
-	// need[j] = lower bound on replicas inside subtree(j): at least
-	// ⌈inside/W⌉, and at least the sum over children (disjoint
-	// replica sets).
-	inside, need := sc.inside, sc.need
+	// Then, children before parents: inside[j] = requests that must be
+	// served inside subtree(j); need[j] = lower bound on replicas
+	// inside subtree(j): at least ⌈inside/W⌉, and at least the sum
+	// over children (disjoint replica sets). Each node adds both to
+	// its parent once it is final.
 	for _, j := range f.Post {
-		sum := capped[j]
-		var childNeed int64
-		for _, c := range f.Children(j) {
-			sum += inside[c]
-			childNeed += need[c]
+		need[j] = max(need[j], CeilDiv(inside[j], in.W))
+		if p := f.Parents[j]; p != tree.None {
+			inside[p] += inside[j]
+			need[p] += need[j]
 		}
-		inside[j] = sum
-		nn := CeilDiv(sum, in.W)
-		if childNeed > nn {
-			nn = childNeed
-		}
-		need[j] = nn
 	}
 	return int(need[root])
 }

@@ -33,6 +33,31 @@ func TestScratchLowerBoundMatchesCold(t *testing.T) {
 			t.Fatalf("instance %d: bound %d != reference bound %d", i, got, want)
 		}
 	}
+	// Binary, arity-4, star and caterpillar trees under dmax 0, small,
+	// huge and NoDistance, a third of them with edge lengths near
+	// tree.Infinity, so that root distances overflow int64 and the
+	// reference's saturating sums are what the bound must agree with.
+	dmaxes := []func() int64{
+		func() int64 { return 0 },
+		func() int64 { return rng.Int63n(12) },
+		func() int64 { return tree.Infinity - 1 - rng.Int63n(1<<40) },
+		func() int64 { return core.NoDistance },
+	}
+	for i := 0; i < 1600; i++ {
+		f := gen.ShapedTree(rng, gen.Shapes[i%len(gen.Shapes)], 1+rng.Intn(30), 4, 9)
+		if i/len(gen.Shapes)%3 == 0 {
+			for j := range f.EdgeLens {
+				if j != int(f.Root()) && rng.Intn(2) == 0 {
+					f.EdgeLens[j] = tree.Infinity/2 + rng.Int63n(tree.Infinity/2)
+				}
+			}
+		}
+		in := &core.Instance{Tree: f, W: 1 + rng.Int63n(12), DMax: dmaxes[i/len(gen.Shapes)/3%len(dmaxes)]()}
+		want := referenceLowerBound(in)
+		if got := sc.LowerBound(in); got != want {
+			t.Fatalf("shaped %d (dmax %d): scratch bound %d != reference bound %d", i, in.DMax, got, want)
+		}
+	}
 }
 
 func TestScratchVerifyMatchesCold(t *testing.T) {

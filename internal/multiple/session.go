@@ -21,7 +21,8 @@ import (
 // parent consumed a copy). Transient lists — the merge buffer, the
 // extra-server child/keep segments, the serve-inside partitions — live
 // in grow-only arenas addressed by [base, end) index pairs so that
-// recursion levels stack without aliasing.
+// the levels of the extra-server recursion stack without aliasing.
+// The main pass does not recurse: it visits the stored postorder.
 //
 // Equivalences relied on (vs. the oracle):
 //   - the oracle's temp list, a left-biased fold of stable merges of
@@ -125,7 +126,9 @@ func (s *Session) run(lazy bool, sol *core.Solution) (*core.Solution, error) {
 	s.kids, s.pend, s.keep, s.part = s.kids[:0], s.pend[:0], s.keep[:0], s.part[:0]
 	s.lazy = lazy
 
-	s.visit(f.Root())
+	for _, j := range f.Post {
+		s.visit(j)
+	}
 	if len(s.req[f.Root()]) != 0 {
 		panic("multiple: requests left at the root")
 	}
@@ -151,10 +154,10 @@ func (s *Session) run(lazy bool, sol *core.Solution) (*core.Solution, error) {
 }
 
 // visit is the procedure multiple-bin(j) of Algorithm 3, written for
-// arbitrary arity. The merge buffer vtmp is shared across levels: a
-// level's use ends (content copied into req/proc) before it returns to
-// its parent, and the child recursion happens before the parent
-// touches vtmp.
+// arbitrary arity, minus the recursion into the children: run visits
+// the nodes in the stored postorder, so every child's lists are final
+// when j is visited. The merge buffer vtmp is shared by all nodes: a
+// visit's use ends (content copied into req/proc) before it returns.
 func (s *Session) visit(j tree.NodeID) {
 	f := s.in.Tree
 	dmax := s.in.DMax
@@ -173,9 +176,6 @@ func (s *Session) visit(j tree.NodeID) {
 		return
 	}
 
-	for _, c := range f.Children(j) {
-		s.visit(c)
-	}
 	// temp: the children's lists, shifted by their edge lengths and
 	// concatenated in child order, then stable-sorted by non-increasing
 	// d (equal to the fold of left-biased stable merges).

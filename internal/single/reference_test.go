@@ -9,10 +9,11 @@ import (
 )
 
 // This file keeps the package's first implementations of Algorithms 1
-// and 2 as test oracles for Session, which is what the package runs.
-// They share nothing with it but the bundle types of passup.go: both
-// recurse over the child lists, carry client bundles in freshly
-// allocated slices, and keep Algorithm 2's lists Lj in a map.
+// and 2, the pass-up variant, their best-of and the push-up post-pass
+// as test oracles for Session, which is what the package runs. They
+// share nothing with it: they recurse over the child lists, carry
+// client bundles in freshly allocated slices, keep pending lists in
+// maps, and push-up rescans every server after each move.
 
 // pending is a batch of whole-client request bundles flowing up the
 // tree. Under the Single policy a bundle is never split: either the
@@ -275,5 +276,230 @@ func (s *nodState) collect(c tree.NodeID) []clientReq {
 	for i := range l {
 		out = append(out, l[i].clients...)
 	}
+	return out
+}
+
+// referencePassUp is the map-based, recursive pass-up variant, the
+// oracle for NoDPassUp and Session.PassUp.
+func referencePassUp(in *core.Instance) (*core.Solution, error) {
+	if err := in.Validate(); err != nil {
+		return nil, err
+	}
+	if !in.Feasible(core.Single) {
+		return nil, fmt.Errorf("single: some client exceeds W=%d; Single has no solution", in.W)
+	}
+	relaxed := &core.Instance{Tree: in.Tree, W: in.W, DMax: core.NoDistance}
+	sol := &core.Solution{}
+	s := &passUpState{in: relaxed, sol: sol, lists: make(map[tree.NodeID][]entry)}
+	s.visit(relaxed.Tree.Root())
+	sol.Normalize()
+	if err := core.Verify(relaxed, core.Single, sol); err != nil {
+		return nil, fmt.Errorf("single: pass-up produced infeasible solution: %w", err)
+	}
+	return sol, nil
+}
+
+// referenceBest is the better of referenceNoD and referencePassUp, the
+// oracle for NoDBest and Session.Best.
+func referenceBest(in *core.Instance) (*core.Solution, error) {
+	a, err := referenceNoD(in)
+	if err != nil {
+		return nil, err
+	}
+	b, err := referencePassUp(in)
+	if err != nil {
+		return nil, err
+	}
+	if b.NumReplicas() < a.NumReplicas() {
+		return b, nil
+	}
+	return a, nil
+}
+
+// clientReq is a whole-client request bundle: under the Single policy
+// a bundle is never split, so it travels and is assigned as a unit.
+type clientReq struct {
+	client tree.NodeID
+	r      int64
+}
+
+// entry is an element of a pending list: a node (the client a bundle
+// started at, or a node that carried it) together with the
+// whole-client request bundles it carries.
+type entry struct {
+	node    tree.NodeID
+	total   int64
+	clients []clientReq
+}
+
+type passUpState struct {
+	in    *core.Instance
+	sol   *core.Solution
+	lists map[tree.NodeID][]entry // pending entries per node (unsorted)
+}
+
+func (s *passUpState) assign(srv tree.NodeID, e *entry) {
+	for _, c := range e.clients {
+		s.sol.Assign(c.client, srv, c.r)
+	}
+}
+
+// pack greedily selects entries for one server of capacity W,
+// largest-first (first-fit decreasing on a single bin), returning the
+// selected and remaining entries.
+func pack(l []entry, W int64) (take, rest []entry) {
+	idx := make([]int, len(l))
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.Slice(idx, func(a, b int) bool {
+		if l[idx[a]].total != l[idx[b]].total {
+			return l[idx[a]].total > l[idx[b]].total
+		}
+		return l[idx[a]].node < l[idx[b]].node
+	})
+	var load int64
+	chosen := make([]bool, len(l))
+	for _, i := range idx {
+		if load+l[i].total <= W {
+			load += l[i].total
+			chosen[i] = true
+		}
+	}
+	for i := range l {
+		if chosen[i] {
+			take = append(take, l[i])
+		} else {
+			rest = append(rest, l[i])
+		}
+	}
+	return take, rest
+}
+
+// visit returns nothing; the pending list of j is stored in s.lists[j]
+// and consumed by the parent.
+func (s *passUpState) visit(j tree.NodeID) {
+	t := s.in.Tree
+	if t.IsClient(j) {
+		if r := t.Requests(j); r > 0 {
+			s.lists[j] = []entry{{node: j, total: r, clients: []clientReq{{j, r}}}}
+		}
+		return
+	}
+	var pending []entry
+	for _, c := range t.Children(j) {
+		s.visit(c)
+		pending = append(pending, s.lists[c]...)
+		delete(s.lists, c)
+	}
+	var sum int64
+	for i := range pending {
+		sum += pending[i].total
+	}
+
+	if j == t.Root() {
+		if sum == 0 {
+			return
+		}
+		// Pack one root server; every leftover bundle is served at
+		// the node that carried it (an ancestor of its clients).
+		take, rest := pack(pending, s.in.W)
+		if len(take) > 0 {
+			s.sol.AddReplica(j)
+			for i := range take {
+				s.assign(j, &take[i])
+			}
+		}
+		for i := range rest {
+			s.sol.AddReplica(rest[i].node)
+			s.assign(rest[i].node, &rest[i])
+		}
+		return
+	}
+
+	if sum > s.in.W {
+		// Overflow: one server at j packed largest-first; the
+		// remainder keeps climbing. Bundles keep their originating
+		// client as `node`, so a leftover bundle can always fall back
+		// to a local server.
+		take, rest := pack(pending, s.in.W)
+		s.sol.AddReplica(j)
+		for i := range take {
+			s.assign(j, &take[i])
+		}
+		pending = rest
+	}
+	s.lists[j] = pending
+}
+
+// referencePushUp is the first push-up post-pass, which rescans every
+// server after each move, the oracle for PushUp and Session.PushUp.
+func referencePushUp(in *core.Instance, sol *core.Solution) *core.Solution {
+	out := sol.Clone()
+	t := in.Tree
+	for {
+		loads := out.Loads()
+		rset := out.ReplicaSet()
+		// Consider the deepest servers first: their loads are the
+		// easiest to re-home and freeing them unblocks nothing above.
+		servers := append([]tree.NodeID{}, out.Replicas...)
+		sort.Slice(servers, func(a, b int) bool {
+			da, db := t.Depth(servers[a]), t.Depth(servers[b])
+			if da != db {
+				return da > db
+			}
+			return servers[a] < servers[b]
+		})
+		moved := false
+		for _, s := range servers {
+			target := tree.None
+			// Walk ancestors of s from the nearest up.
+			for a := s; a != t.Root(); {
+				a = t.Parent(a)
+				if !rset[a] || loads[a]+loads[s] > in.W {
+					continue
+				}
+				// Every client of s must tolerate the longer distance
+				// (trivially true when dmax = ∞) — and a is an
+				// ancestor of s, hence of all of s's clients.
+				allOK := true
+				for _, asg := range out.Assignments {
+					if asg.Server != s {
+						continue
+					}
+					if t.DistanceUp(asg.Client, a) > in.DMax {
+						allOK = false
+						break
+					}
+				}
+				if allOK {
+					target = a
+					break
+				}
+			}
+			if target == tree.None {
+				continue
+			}
+			// Re-home s's load onto target and drop s.
+			for i := range out.Assignments {
+				if out.Assignments[i].Server == s {
+					out.Assignments[i].Server = target
+				}
+			}
+			keep := out.Replicas[:0]
+			for _, r := range out.Replicas {
+				if r != s {
+					keep = append(keep, r)
+				}
+			}
+			out.Replicas = keep
+			moved = true
+			break // recompute loads and depth order
+		}
+		if !moved {
+			break
+		}
+	}
+	out.Normalize()
 	return out
 }

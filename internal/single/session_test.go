@@ -80,17 +80,51 @@ func sameOutcome(t *testing.T, label string, want *core.Solution, wantErr error,
 	}
 }
 
+// shapedInstance draws row n of a parity sweep: binary, arity-4, star
+// and caterpillar trees in turn, requests of 0 to 3 so that equal
+// totals tie often, W from max rᵢ to max rᵢ + 3, and every other pass
+// over the shapes a finite dmax.
+func shapedInstance(rng *rand.Rand, n int) *core.Instance {
+	f := gen.ShapedTree(rng, gen.Shapes[n%len(gen.Shapes)], 1+rng.Intn(24), 3, 3)
+	for _, c := range f.Clients() {
+		if rng.Intn(6) == 0 {
+			f.Reqs[c] = 0
+		}
+	}
+	in := &core.Instance{Tree: f, W: max(1, f.MaxRequests()) + rng.Int63n(4), DMax: core.NoDistance}
+	if n/len(gen.Shapes)%2 == 1 {
+		in.DMax = rng.Int63n(10)
+	}
+	return in
+}
+
+// nodPushUp is Algorithm 2 followed by the push-up post-pass, run on
+// the given bodies.
+func nodPushUp(nod func(*core.Instance) (*core.Solution, error), push func(*core.Instance, *core.Solution) *core.Solution) func(*core.Instance) (*core.Solution, error) {
+	return func(in *core.Instance) (*core.Solution, error) {
+		sol, err := nod(in)
+		if err != nil {
+			return nil, err
+		}
+		return push(in, sol), nil
+	}
+}
+
 // TestSessionMatchesCold pins the package's one implementation against
-// the reference oracles: on 200 random instances, the whole testdata
-// corpus and instances the algorithms must refuse (W = 0, some rᵢ > W),
-// Gen and NoD return the oracle's solution or error text, and a
-// session re-solving the same instance returns the oracle's solution
-// every time.
+// the reference oracles: on 200 random instances, 1,200 shaped ones,
+// the whole testdata corpus and instances the algorithms must refuse
+// (W = 0, some rᵢ > W), Gen, NoD, PassUp, Best, and NoD or Gen followed
+// by PushUp return the oracle's solution or error text, and a session
+// re-solving the same instance returns the oracle's solution every
+// time.
 func TestSessionMatchesCold(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	var rows []namedInstance
 	for i := 0; i < 200; i++ {
 		rows = append(rows, namedInstance{fmt.Sprintf("random %d", i), sessionInstance(rng)})
+	}
+	for i := 0; i < 1200; i++ {
+		rows = append(rows, namedInstance{fmt.Sprintf("shaped %d", i), shapedInstance(rng, i)})
 	}
 	rows = append(rows, corpus(t)...)
 	rows = append(rows,
@@ -105,6 +139,16 @@ func TestSessionMatchesCold(t *testing.T) {
 	}{
 		{"gen", referenceGen, Gen, (*Session).Gen},
 		{"nod", referenceNoD, NoD, (*Session).NoD},
+		{"passup", referencePassUp, NoDPassUp, (*Session).PassUp},
+		{"best", referenceBest, NoDBest, (*Session).Best},
+		{"pushup", nodPushUp(referenceNoD, referencePushUp), nodPushUp(NoD, PushUp), (*Session).PushUp},
+		{"gen pushup", nodPushUp(referenceGen, referencePushUp), nodPushUp(Gen, PushUp), func(s *Session) (*core.Solution, error) {
+			sol, err := s.Gen()
+			if err == nil {
+				s.pushUp(sol) // Gen rebuilds its solution on every call
+			}
+			return sol, err
+		}},
 	}
 	var s Session
 	for _, row := range rows {
@@ -147,33 +191,30 @@ func TestSessionInfeasible(t *testing.T) {
 }
 
 // TestSessionAllocFree pins the tentpole invariant at the package
-// level: warm Gen and NoD allocate nothing.
+// level: warm Gen, NoD, PassUp, Best and PushUp allocate nothing.
 func TestSessionAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	in := gen.RandomInstance(rng, gen.TreeConfig{Internals: 60, MaxArity: 3, ExtraClients: 20}, true)
 	var s Session
 	s.Reset(in)
-	if _, err := s.Gen(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.NoD(); err != nil {
-		t.Fatal(err)
-	}
-	avg := testing.AllocsPerRun(50, func() {
-		if _, err := s.Gen(); err != nil {
+	for _, a := range []struct {
+		name string
+		run  func(*Session) (*core.Solution, error)
+	}{
+		{"Gen", (*Session).Gen}, {"NoD", (*Session).NoD}, {"PassUp", (*Session).PassUp},
+		{"Best", (*Session).Best}, {"PushUp", (*Session).PushUp},
+	} {
+		if _, err := a.run(&s); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if avg != 0 {
-		t.Fatalf("warm Gen allocated %.1f times per run", avg)
-	}
-	avg = testing.AllocsPerRun(50, func() {
-		if _, err := s.NoD(); err != nil {
-			t.Fatal(err)
+		avg := testing.AllocsPerRun(50, func() {
+			if _, err := a.run(&s); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if avg != 0 {
+			t.Fatalf("warm %s allocated %.1f times per run", a.name, avg)
 		}
-	})
-	if avg != 0 {
-		t.Fatalf("warm NoD allocated %.1f times per run", avg)
 	}
 }
 

@@ -4,10 +4,14 @@
 // Algorithm 2 (single-nod), a 2-approximation for Single-NoD.
 // Single is NP-hard in the strong sense even on binary trees without
 // distance constraints (Theorem 1), so these approximations are the
-// best practical tools the paper offers for this policy.
+// best practical tools the paper offers for this policy. Around
+// Algorithm 2 it adds the conclusion's "push servers towards the root"
+// direction: the pass-up variant, the better of the two (NoDBest) and
+// the PushUp post-pass.
 //
-// Session holds the one implementation of both algorithms; Gen and NoD
-// run it once on a fresh session.
+// Session holds the one implementation of every algorithm here, each a
+// walk over the tree's stored postorder; the package functions run it
+// once on a fresh session.
 package single
 
 import "replicatree/internal/core"
@@ -32,6 +36,34 @@ func Gen(in *core.Instance) (*core.Solution, error) {
 // Time complexity: O((Δ log Δ + |C|)·|T|) (Theorem 4).
 func NoD(in *core.Instance) (*core.Solution, error) {
 	return solveOnce(in, (*Session).NoD)
+}
+
+// NoDPassUp is an experimental Single-NoD heuristic in the direction
+// the paper's conclusion sketches for a conjectured 3/2-approximation
+// of Single-NoD-Bin: "push servers towards the root of the tree,
+// whenever possible. A greedy algorithm is unlikely to be good
+// enough."
+//
+// It mirrors Algorithm 2 but changes the overflow step: when the
+// pending bundles at node j exceed W, the server placed at j packs
+// bundles largest-first (maximising served volume), and the unpacked
+// remainder travels towards the root instead of being dumped on a jmin
+// server. At the root, whatever cannot be packed is served at its own
+// client.
+//
+// On the Fig. 4 family — where Algorithm 2 is stuck at ratio 2 — this
+// variant is optimal. No approximation factor is proven; experiment
+// E13 measures its empirical ratio against exact optima, and
+// NoDBest (the better of NoD and NoDPassUp) is the practical tool.
+func NoDPassUp(in *core.Instance) (*core.Solution, error) {
+	return solveOnce(in, (*Session).PassUp)
+}
+
+// NoDBest returns the better of NoD (Algorithm 2, proven
+// 2-approximation) and NoDPassUp, NoD's on a tie: never worse than
+// either, so the 2-approximation guarantee carries over.
+func NoDBest(in *core.Instance) (*core.Solution, error) {
+	return solveOnce(in, (*Session).Best)
 }
 
 // solveOnce validates in, runs one algorithm on a fresh session and

@@ -7,7 +7,6 @@ import (
 	"replicatree/internal/exact"
 	"replicatree/internal/hetero"
 	"replicatree/internal/multiple"
-	"replicatree/internal/single"
 )
 
 // Built-in engine names. Every algorithm the repository implements is
@@ -101,21 +100,15 @@ func init() {
 	MustRegisterEngine(newSessionEngine(
 		caps(SingleNoD, core.Single, false, false, false, poly, "Algorithm 2: 2-approximation for Single without distance bound"),
 		func(sc *Scratch) (*core.Solution, error) { return sc.single.NoD() }))
-	MustRegisterEngine(NewEngine(
+	MustRegisterEngine(newSessionEngine(
 		caps(SinglePassUp, core.Single, false, false, false, poly, "pass-up variant of Algorithm 2"),
-		plain(single.NoDPassUp)))
-	MustRegisterEngine(NewEngine(
+		func(sc *Scratch) (*core.Solution, error) { return sc.single.PassUp() }))
+	MustRegisterEngine(newSessionEngine(
 		caps(SingleBest, core.Single, false, false, false, poly, "min(single-nod, single-passup)"),
-		plain(single.NoDBest)))
-	MustRegisterEngine(NewEngine(
+		func(sc *Scratch) (*core.Solution, error) { return sc.single.Best() }))
+	MustRegisterEngine(newSessionEngine(
 		caps(SinglePushUp, core.Single, false, false, false, poly, "single-nod followed by the push-up post-pass"),
-		plain(func(in *core.Instance) (*core.Solution, error) {
-			sol, err := single.NoD(in)
-			if err != nil {
-				return nil, err
-			}
-			return single.PushUp(in, sol), nil
-		})))
+		func(sc *Scratch) (*core.Solution, error) { return sc.single.PushUp() }))
 	MustRegisterEngine(newSessionEngine(
 		caps(MultipleBin, core.Multiple, false, true, false, poly, "Algorithm 3 (eager): optimal on binary trees with ri ≤ W"),
 		func(sc *Scratch) (*core.Solution, error) { return sc.multiple.Bin() }))

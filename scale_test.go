@@ -2,6 +2,7 @@ package replicatree_test
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -53,34 +54,52 @@ func pathInstance(n int) *core.Instance {
 	return &core.Instance{Tree: b.MustBuild(), W: 1, DMax: core.NoDistance}
 }
 
-// TestSingleGenWideAndDeep runs single-gen on a 10⁵-node star and a
-// 10⁵-node path through Engine.Solve. Each answer must pass the
-// solver-free verifier, and neither solve may grow the goroutine stack
-// by 16 MB: Algorithm 1 walks the stored postorder instead of
-// recursing, and builds its solution by ID scans, not by a duplicate
-// scan per replica.
+// TestSingleGenWideAndDeep runs every single-* engine and the
+// multiple-* engines that accept any arity (multiple-bin too on the
+// path, the one binary tree here) on 10⁵- and 10⁶-node star and path
+// instances through Engine.Solve (10⁵ only under the sanitizers). Each
+// answer must pass the solver-free verifier, and no solve may grow the
+// goroutine stack by 16 MB: every algorithm walks the stored postorder
+// instead of recursing, and builds its solution without a duplicate
+// scan per replica. The times are logged, not asserted: a loaded
+// machine makes wall-clock bounds flaky.
 func TestSingleGenWideAndDeep(t *testing.T) {
-	const n = 100_000
-	eng := solver.MustLookup(solver.SingleGen)
-	for _, row := range []struct {
-		name string
-		in   *core.Instance
-	}{{"star", starInstance(n)}, {"path", pathInstance(n)}} {
-		var (
-			rep solver.Report
-			err error
-		)
-		begin := time.Now()
-		grew := stackGrowth(func() { rep, err = eng.Solve(context.Background(), solver.Request{Instance: row.in}) })
-		t.Logf("%s: %d nodes, %d replicas, %v, stack +%d KB", row.name, n, rep.Solution.NumReplicas(), time.Since(begin), grew>>10)
-		if err != nil {
-			t.Fatalf("%s: %v", row.name, err)
-		}
-		if err := core.Verify(row.in, core.Single, rep.Solution); err != nil {
-			t.Errorf("%s: %v", row.name, err)
-		}
-		if grew >= 16<<20 {
-			t.Errorf("%s: single-gen grew the stack by %d MB", row.name, grew>>20)
+	engines := []string{
+		solver.SingleGen, solver.SingleNoD, solver.SinglePassUp, solver.SingleBest, solver.SinglePushUp,
+		solver.MultipleGreedy, solver.MultipleLazy, solver.MultipleBest, solver.MultipleBin,
+	}
+	sizes := []int{100_000, 1_000_000}
+	if instrumented {
+		sizes = sizes[:1]
+	}
+	for _, n := range sizes {
+		for _, row := range []struct {
+			name string
+			in   *core.Instance
+		}{{"star", starInstance(n)}, {"path", pathInstance(n)}} {
+			for _, name := range engines {
+				if name == solver.MultipleBin && row.name == "star" {
+					continue // not a binary tree
+				}
+				eng := solver.MustLookup(name)
+				var (
+					rep solver.Report
+					err error
+				)
+				begin := time.Now()
+				grew := stackGrowth(func() { rep, err = eng.Solve(context.Background(), solver.Request{Instance: row.in}) })
+				label := fmt.Sprintf("%s %s %d", name, row.name, n)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				t.Logf("%s: %d replicas, %v, stack +%d KB", label, rep.Solution.NumReplicas(), time.Since(begin), grew>>10)
+				if err := core.Verify(row.in, eng.Capabilities().Policy, rep.Solution); err != nil {
+					t.Errorf("%s: %v", label, err)
+				}
+				if grew >= 16<<20 {
+					t.Errorf("%s: grew the stack by %d MB", label, grew>>20)
+				}
+			}
 		}
 	}
 }

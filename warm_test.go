@@ -44,6 +44,8 @@ import (
 var warmEngines = []string{
 	solver.SingleGen,
 	solver.SingleNoD,
+	solver.SinglePassUp,
+	solver.SingleBest,
 	solver.MultipleBin,
 	solver.MultipleLazy,
 	solver.MultipleBest,
