@@ -1,8 +1,9 @@
 // Command replica solves a replica placement instance read from a
 // JSON file (or stdin) and prints the resulting placement. Algorithms
 // are dispatched through the solver registry: any registered engine
-// can be selected by name, including the "auto" portfolio that races
-// every capable engine and returns the best placement.
+// can be selected by name, including the "auto" portfolio that runs
+// the capable engines in stages, cheapest first, until one meets the
+// lower bound, and returns the best placement.
 //
 // Usage:
 //

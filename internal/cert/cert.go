@@ -4,8 +4,9 @@
 // carries a feasibility witness (the placement itself, replayable
 // through the allocation-free core.Scratch.Verify), a lower-bound
 // attestation (the subtree-sum bound, recomputable from the instance
-// in O(tree)), the engine/policy/work provenance and — when an exact
-// peer proved optimality — an optimality attestation.
+// in O(tree)), the engine/policy/work provenance and — when the solve
+// proved optimality, by an exact search or a met bound — an optimality
+// attestation.
 //
 // Certificates have a canonical deterministic byte encoding (Encode)
 // hashed with SHA-256; batches of certificates commit to one binary
@@ -88,11 +89,12 @@ type Certificate struct {
 	// certificates report their structural gap here rather than
 	// hiding it).
 	Gap float64 `json:"gap"`
-	// Optimality, when present, attests that an exact engine proved
-	// the witness optimal for the policy. It is provenance, not an
+	// Optimality, when present, attests that the solve proved the
+	// witness optimal for the policy and names the engine whose answer
+	// it is. A proof is either an exact search (provenance, not an
 	// independently checkable proof — see the trust model in
-	// DESIGN.md. (When Replicas == Bound.Value the verifier can
-	// conclude optimality on its own, with no trust needed.)
+	// DESIGN.md) or a met bound, Replicas == Bound.Value, which the
+	// verifier rechecks by itself, with no trust needed.
 	Optimality *OptimalityAttestation `json:"optimality,omitempty"`
 	// Witness is the feasibility witness: the full placement, in
 	// normalized form (sorted replicas, merged assignments).
@@ -111,13 +113,14 @@ type BoundAttestation struct {
 	Value int `json:"value"`
 }
 
-// OptimalityAttestation records which exact engine certified the
-// witness optimal and how much search work the certification consumed.
+// OptimalityAttestation records which engine's answer the solve proved
+// optimal and how much search work the proof consumed.
 type OptimalityAttestation struct {
-	// Engine names the exact engine (or exact portfolio peer) that
-	// proved optimality.
+	// Engine names the exact engine that proved optimality or, under
+	// the auto portfolio, the winning candidate whose count met the
+	// bound or an exact peer's proved optimum.
 	Engine string `json:"engine"`
-	// Work is that engine's consumed search budget, when tracked.
+	// Work is the consumed search budget, when tracked.
 	Work int64 `json:"work,omitempty"`
 }
 

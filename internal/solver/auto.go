@@ -11,18 +11,28 @@ import (
 
 // The auto engine is the capabilities registry made executable: a
 // portfolio that, per request, selects every suitable engine by its
-// declared capability document, races them over the batch runner and
-// returns the best verified answer. Consumers reach it like any other
-// engine ("-solver auto", {"solver": "auto"}), so each new registered
-// engine automatically improves every consumer.
+// declared capability document and returns the best verified answer.
+// Consumers reach it like any other engine ("-solver auto",
+// {"solver": "auto"}), so each new registered engine automatically
+// improves every consumer.
+//
+// The candidates run in stages, one Batch per stage, ordered by their
+// capability documents: polynomial engines with no size ceiling
+// first, then polynomial engines with one (lp-round), then the
+// exponential engines. After a stage that leaves a solution, auto
+// computes the subtree-sum lower bound once; as soon as the best
+// count equals it, no later candidate can use fewer replicas, so the
+// remaining stages never start and the report is proved. The bound
+// holds for every policy, so a met bound proves a Single winner as
+// well as a Multiple one.
 //
 // Selection is deterministic: candidates are filtered on declared
-// capabilities plus instance feasibility (never on timing), results
-// are collected in registry order, and the winner is the lowest
-// replica count with the lexicographically first engine breaking ties.
-// Exact engines join only on small instances (or on the "exact":
-// "force" hint) and run budget-capped, so auto stays affordable and
-// its answer reproducible.
+// capabilities plus instance feasibility, the stop rule reads replica
+// counts and the bound (never timing), and the winner is the lowest
+// replica count, ties going to the earlier stage and then to registry
+// order. Exact engines join only on small instances (or on the
+// "exact": "force" hint) and run budget-capped, so auto stays
+// affordable and its answer reproducible.
 
 const (
 	// autoExactMaxNodes gates exponential candidates: beyond this many
@@ -40,6 +50,32 @@ const (
 	autoDecompMinNodes = 32768
 )
 
+// The portfolio's stages, in the order they run.
+const (
+	stageCheap  = iota // polynomial, no MaxNodes
+	stageCeiled        // polynomial with a MaxNodes ceiling (lp-round)
+	stageExact         // exponential: size-gated and budget-capped
+	autoStages
+)
+
+// candidateHints is every candidate request's Hints: auto computes the
+// bound once for its own report, so the candidates need not repeat
+// it. It is shared read-only; nothing writes Request.Hints.
+var candidateHints = map[string]string{"no-lower-bound": "1"}
+
+// autoStage is the stage a candidate runs in, read off its capability
+// document.
+func autoStage(c Capabilities) int {
+	switch {
+	case c.Cost == CostExponential:
+		return stageExact
+	case c.MaxNodes > 0:
+		return stageCeiled
+	default:
+		return stageCheap
+	}
+}
+
 type autoEngine struct {
 	caps Capabilities
 }
@@ -51,7 +87,7 @@ func newAutoEngine() Engine {
 		Exact:        false,         // Report.Proved says when a run was optimal anyway
 		SupportsDMax: true,
 		Cost:         CostPolynomial, // exponential candidates are size-gated and budget-capped
-		Description:  "portfolio: races every capable registered engine, returns the best solution",
+		Description:  "portfolio: runs capable engines in stages until one meets the lower bound, returns the best solution",
 	}}
 }
 
@@ -88,7 +124,7 @@ func (a *autoEngine) Solve(ctx context.Context, req Request) (Report, error) {
 				Instance: in,
 				Budget:   req.Budget,
 				Deadline: req.Deadline,
-				Hints:    map[string]string{"no-lower-bound": "1"},
+				Hints:    candidateHints,
 			}
 			if drep, derr := eng.Solve(ctx, creq); derr == nil && drep.Solution != nil {
 				rep.Solution = drep.Solution
@@ -102,26 +138,31 @@ func (a *autoEngine) Solve(ctx context.Context, req Request) (Report, error) {
 		}
 	}
 
-	// Feasibility depends only on the policy, so compute it at most
-	// once per policy instead of per candidate (Feasible walks every
-	// client's eligible-server set).
-	feasCache := map[core.Policy]bool{}
-	feasible := func(p core.Policy) bool {
-		v, ok := feasCache[p]
-		if !ok {
-			v = in.Feasible(p)
-			feasCache[p] = v
-		}
-		return v
-	}
-
 	// Capability-driven candidate selection. "capable" counts engines
 	// that match the request before the feasibility cut, so an empty
 	// portfolio is classified correctly: no matching engine at all is
 	// an unsupported request, while matching engines that are all
 	// blocked by infeasibility condemn the instance.
-	var tasks []Task
-	capable := 0
+	//
+	// Feasibility depends only on the policy, so it is checked at most
+	// once per policy, and only when needed (Feasible walks every
+	// client's eligible-server set).
+	var feasSingle, feasMultiple int8 // 0 unchecked, 1 feasible, -1 not
+	feasible := func(p core.Policy) bool {
+		v := &feasMultiple
+		if p == core.Single {
+			v = &feasSingle
+		}
+		if *v == 0 {
+			*v = -1
+			if in.Feasible(p) {
+				*v = 1
+			}
+		}
+		return *v > 0
+	}
+	var stages [autoStages][]Task
+	capable, total := 0, 0
 	for _, e := range Engines() {
 		c := e.Capabilities()
 		if c.Name == Auto || c.Name == Decomp || c.Hetero || c.Delta {
@@ -139,7 +180,9 @@ func (a *autoEngine) Solve(ctx context.Context, req Request) (Report, error) {
 		if !c.SupportsDMax && !in.NoD() {
 			continue
 		}
-		if c.Cost == CostExponential {
+		stage := autoStage(c)
+		switch stage {
+		case stageExact:
 			if req.Hint("exact") == "skip" {
 				continue
 			}
@@ -152,11 +195,13 @@ func (a *autoEngine) Solve(ctx context.Context, req Request) (Report, error) {
 			if req.Hint("exact") != "force" && in.Tree.Len() > limit {
 				continue
 			}
-		} else if c.MaxNodes > 0 && in.Tree.Len() > c.MaxNodes {
+		case stageCeiled:
 			// Polynomial engines with a declared ceiling (lp-round's
 			// simplex tableau is quadratic in the tree) drop out of the
 			// portfolio above it.
-			continue
+			if in.Tree.Len() > c.MaxNodes {
+				continue
+			}
 		}
 		capable++
 		if !feasible(c.Policy) {
@@ -170,16 +215,15 @@ func (a *autoEngine) Solve(ctx context.Context, req Request) (Report, error) {
 			Instance: in,
 			Budget:   req.Budget,
 			Deadline: req.Deadline,
-			// Auto computes the bound once for its own report; the
-			// candidates need not repeat it.
-			Hints: map[string]string{"no-lower-bound": "1"},
+			Hints:    candidateHints,
 		}
-		if c.Cost == CostExponential && creq.Budget <= 0 {
+		if stage == stageExact && creq.Budget <= 0 {
 			creq.Budget = autoExactBudget
 		}
-		tasks = append(tasks, Task{ID: c.Name, Engine: e, Request: creq})
+		stages[stage] = append(stages[stage], Task{ID: c.Name, Engine: e, Request: creq})
+		total++
 	}
-	if len(tasks) == 0 {
+	if total == 0 {
 		if capable > 0 {
 			return rep, tag(fmt.Errorf("solver %s: instance is infeasible for every capable engine (constraint %s)",
 				Auto, req.Policy), ErrInfeasible)
@@ -188,26 +232,52 @@ func (a *autoEngine) Solve(ctx context.Context, req Request) (Report, error) {
 			Auto, req.Policy), ErrPolicyUnsupported)
 	}
 
-	results, _ := Batch(ctx, tasks, Options{})
-	best := -1
-	for i := range results {
-		r := &results[i]
-		if r.Err != nil || r.Report.Solution == nil {
+	// Run the stages in order until the best count meets the bound. A
+	// stage never starts once ctx is done: the best answer so far
+	// stands, like a candidate that finished before the cancellation.
+	var (
+		ran   [autoStages][]Result
+		win   *Result
+		bound = -1
+	)
+	for s := range stages {
+		if len(stages[s]) == 0 {
 			continue
 		}
-		rep.Work += r.Report.Work
-		if best < 0 || r.Report.Solution.NumReplicas() < results[best].Report.Solution.NumReplicas() {
-			best = i
+		if ctx.Err() != nil {
+			break
+		}
+		ran[s], _ = Batch(ctx, stages[s], Options{})
+		for i := range ran[s] {
+			r := &ran[s][i]
+			if r.Err != nil || r.Report.Solution == nil {
+				continue
+			}
+			rep.Work += r.Report.Work
+			if win == nil || r.Report.Solution.NumReplicas() < win.Report.Solution.NumReplicas() {
+				win = r
+			}
+		}
+		if win == nil {
+			continue
+		}
+		if bound < 0 {
+			bound = lowerBound(req)
+		}
+		if win.Report.Solution.NumReplicas() == bound {
+			break
 		}
 	}
-	if best < 0 {
+	if win == nil {
 		if err := ctx.Err(); err != nil {
 			return rep, err
 		}
-		errs := make([]error, 0, len(results))
-		for i := range results {
-			if results[i].Err != nil {
-				errs = append(errs, fmt.Errorf("%s: %w", results[i].Task.ID, results[i].Err))
+		var errs []error
+		for s := range ran {
+			for i := range ran[s] {
+				if r := &ran[s][i]; r.Err != nil {
+					errs = append(errs, fmt.Errorf("%s: %w", r.Task.ID, r.Err))
+				}
 			}
 		}
 		err := fmt.Errorf("solver %s: every candidate failed: %w", Auto, errors.Join(errs...))
@@ -217,12 +287,14 @@ func (a *autoEngine) Solve(ctx context.Context, req Request) (Report, error) {
 		return rep, err
 	}
 
-	win := results[best].Report
-	rep.Solution = win.Solution
-	rep.Policy = win.Policy
-	rep.Engine = win.Engine
-	rep.Proved = win.Proved || provedByPeer(results, win)
-	fillBound(&rep, req)
+	rep.Solution = win.Report.Solution
+	rep.Policy = win.Report.Policy
+	rep.Engine = win.Report.Engine
+	rep.Proved = win.Report.Proved || rep.Solution.NumReplicas() == bound ||
+		provedByPeer(ran[stageExact], win.Report)
+	if req.Hint("no-lower-bound") == "" {
+		rep.setBound(bound)
+	}
 	rep.Elapsed = time.Since(begin)
 	return rep, nil
 }

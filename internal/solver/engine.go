@@ -331,17 +331,26 @@ func (e *engineCore) Solve(ctx context.Context, req Request) (Report, error) {
 
 // fillBound computes the uniform lower-bound/gap block of a successful
 // report, unless the request's "no-lower-bound" hint suppresses it.
-// A lent scratch's bound tables make it allocation-free.
 func fillBound(rep *Report, req Request) {
 	if rep.Solution == nil || req.Hint("no-lower-bound") != "" {
 		return
 	}
+	rep.setBound(lowerBound(req))
+}
+
+// lowerBound is core.LowerBound of the request's instance. A lent
+// scratch's bound tables make it allocation-free.
+func lowerBound(req Request) int {
 	if sc := req.Scratch; sc != nil {
-		rep.LowerBound = sc.bound.LowerBound(req.Instance)
-	} else {
-		rep.LowerBound = core.LowerBound(req.Instance)
+		return sc.bound.LowerBound(req.Instance)
 	}
-	if rep.LowerBound > 0 {
-		rep.Gap = float64(rep.Solution.NumReplicas()-rep.LowerBound) / float64(rep.LowerBound)
+	return core.LowerBound(req.Instance)
+}
+
+// setBound fills the report's bound and the gap of its solution to it.
+func (rep *Report) setBound(bound int) {
+	rep.LowerBound = bound
+	if bound > 0 {
+		rep.Gap = float64(rep.Solution.NumReplicas()-bound) / float64(bound)
 	}
 }

@@ -10,3 +10,6 @@ import "testing"
 func skipIfInstrumented(t *testing.T) {
 	t.Skip("sanitizer instrumentation allocates; alloc counts run in plain builds")
 }
+
+// instrumented trims the slowest differential tests to a sample.
+const instrumented = true
