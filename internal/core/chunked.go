@@ -3,10 +3,12 @@ package core
 // This file implements the chunked instance representation: a
 // streaming wire format, so a million-node tree is ingested
 // piece-by-piece off an io.Reader instead of one json.Unmarshal of a
-// full-tree blob. Peak memory on the read side is the tree's arrays
-// plus one chunk of node records and a window of raw bytes at most
-// about twice a chunk's length; there is never a second full-tree copy (raw JSON)
-// resident. cmd/treegen emits the format
+// full-tree blob. Besides the tree's arrays, the read side holds one
+// chunk of node records and a window of raw bytes at most about twice
+// a chunk's length; there is never a second full-tree copy (raw JSON)
+// resident. The arrays grow by append as records arrive, though, so a
+// grow briefly holds an old and a new array, and the grows allocate
+// about 5× the final arrays in all. cmd/treegen emits the format
 // with -stream, cmd/replica consumes it with -stream, and the decomp
 // engine solves the resulting FlatInstance.
 //
@@ -169,7 +171,9 @@ func WriteChunked(w io.Writer, fi *FlatInstance, chunkNodes int) error {
 // ReadChunked ingests a chunked stream from r and returns the rebuilt
 // instance. Decoding is incremental: one window over r and one chunk
 // of node records are resident at a time, the records feeding a
-// tree.Builder. Canonical values are framed and scanned in one pass
+// tree.Builder, whose arrays grow by append (about 1.25× a grow at
+// this size: a 250k-node read allocates about 56 MB, 5× the arrays it
+// ends with). Canonical values are framed and scanned in one pass
 // (package wire); from the first value that is not, encoding/json, the
 // reference, decodes the rest of the stream, that value included. The
 // header's node count is a claim, not a size: the builder reserves at

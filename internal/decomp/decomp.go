@@ -6,10 +6,10 @@
 //     tree at articulation subtrees into balanced pieces (target size
 //     configurable), each a self-contained instance plus a boundary
 //     record;
-//  2. solve — tree.PieceTree builds each piece's tree, and pieces run
-//     in parallel through solver.Batch in bounded waves, each worker on
-//     a pooled solver.Scratch, so peak memory is the tree plus one wave
-//     of piece trees;
+//  2. solve — each wave of pieces gets its trees from tree.PieceTree
+//     on the wave's workers, then runs in parallel through
+//     solver.Batch, each worker on a pooled solver.Scratch, so peak
+//     memory is the tree plus one wave of piece trees;
 //  3. stitch — piece placements remap from local to global IDs (piece
 //     local ID i is Piece.Nodes[i]) into one solution, merging back
 //     any piece whose isolated instance was infeasible;
@@ -20,7 +20,8 @@
 //     until no replica can be retired or the round budget is spent.
 //
 // The result reports Gap against the subtree-sum lower bound of the
-// whole tree, so a caller knows how far the decomposition
+// whole tree, computed on a core the serial stages leave idle, so a
+// caller knows how far the decomposition
 // is from the global optimum without any engine able to certify it at
 // this scale.
 package decomp
@@ -29,6 +30,8 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"replicatree/internal/core"
@@ -123,6 +126,16 @@ func SolveFlat(ctx context.Context, fi *core.FlatInstance, opt Options) (*Result
 	if err != nil {
 		return nil, fmt.Errorf("decomp: inner engine: %w", err)
 	}
+	// The bound only reads the tree: it runs on a core the serial
+	// stages (partition, stitch, coordinate) leave idle, and every
+	// return waits for it.
+	var bound int
+	boundDone := make(chan struct{})
+	go func() {
+		defer close(boundDone)
+		bound = fi.LowerBound()
+	}()
+	defer func() { <-boundDone }()
 	f := fi.Flat
 	res := &Result{Workers: opt.Workers}
 	cuts := tree.PartitionPoints(f, opt.TargetPieceSize)
@@ -156,7 +169,8 @@ func SolveFlat(ctx context.Context, fi *core.FlatInstance, opt Options) (*Result
 	sol.Normalize()
 	res.Solution = sol
 	res.Replicas = sol.NumReplicas()
-	res.LowerBound = fi.LowerBound()
+	<-boundDone
+	res.LowerBound = bound
 	if res.LowerBound > 0 {
 		res.Gap = float64(res.Replicas-res.LowerBound) / float64(res.LowerBound)
 	}
@@ -170,8 +184,9 @@ func SolveFlat(ctx context.Context, fi *core.FlatInstance, opt Options) (*Result
 }
 
 // solvePieces solves every piece through solver.Batch in bounded
-// waves, remapping each piece solution into sol as it lands. Only one
-// wave of piece instances is resident at a time, so
+// waves, remapping each piece solution into sol as it lands. A wave's
+// piece trees are built on the wave's workers (pieceTrees), and only
+// one wave of piece instances is resident at a time, so
 // peak memory stays bounded by workers, not by tree size. It returns
 // the piece roots whose isolated solves failed (merge candidates); a
 // failure with nothing left to merge is a hard error.
@@ -184,14 +199,14 @@ func solvePieces(ctx context.Context, fi *core.FlatInstance, eng solver.Engine, 
 	}
 	for lo := 0; lo < len(pieces); lo += wave {
 		hi := min(lo+wave, len(pieces))
+		trees, err := pieceTrees(f, pieces[lo:hi], opt.Workers)
+		if err != nil {
+			return nil, err
+		}
 		tasks := make([]solver.Task, 0, hi-lo)
-		for i := lo; i < hi; i++ {
-			pt, err := tree.PieceTree(f, pieces[i])
-			if err != nil {
-				return nil, fmt.Errorf("decomp: piece %d: %w", pieces[i].Boundary.Root, err)
-			}
+		for k, pt := range trees {
 			tasks = append(tasks, solver.Task{
-				ID:     fmt.Sprintf("piece-%d", pieces[i].Boundary.Root),
+				ID:     fmt.Sprintf("piece-%d", pieces[lo+k].Boundary.Root),
 				Engine: eng,
 				Request: solver.Request{
 					Instance: &core.Instance{Tree: pt, W: fi.W, DMax: fi.DMax},
@@ -232,6 +247,32 @@ func solvePieces(ctx context.Context, fi *core.FlatInstance, eng solver.Engine, 
 		}
 	}
 	return failed, nil
+}
+
+// pieceTrees builds the trees of pieces on up to workers goroutines.
+// An error names the first failing piece in piece order, as a serial
+// build would.
+func pieceTrees(f *tree.Tree, pieces []tree.Piece, workers int) ([]*tree.Tree, error) {
+	trees := make([]*tree.Tree, len(pieces))
+	errs := make([]error, len(pieces))
+	var next atomic.Int32
+	var wg sync.WaitGroup
+	for range min(workers, len(pieces)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < len(pieces); i = int(next.Add(1)) - 1 {
+				trees[i], errs[i] = tree.PieceTree(f, pieces[i])
+			}
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("decomp: piece %d: %w", pieces[i].Boundary.Root, err)
+		}
+	}
+	return trees, nil
 }
 
 // removeCuts returns cuts minus the drop set (both small; the merge

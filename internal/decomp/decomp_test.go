@@ -114,18 +114,31 @@ func TestCoordinationImproves(t *testing.T) {
 // than minNodes and otherwise delegates to multiple-greedy. Decomp
 // pieces all fall under the threshold, so every piece solve fails and
 // the merge path must cascade back to the undecomposed tree.
-var registerFlaky = sync.OnceValue(func() string {
-	const name = "test-flaky-small"
+func registerFlaky() string {
+	return registerRefusing("test-flaky-small", func(nodes int) bool { return nodes < flakyMinNodes })
+}
+
+var registerMu sync.Mutex
+
+// registerRefusing installs, once per name, a test engine that fails
+// every tree whose node count refuse names and otherwise delegates to
+// multiple-greedy.
+func registerRefusing(name string, refuse func(nodes int) bool) string {
+	registerMu.Lock()
+	defer registerMu.Unlock()
+	if _, err := solver.Lookup(name); err == nil {
+		return name
+	}
 	inner := solver.MustLookup(solver.MultipleGreedy)
 	solver.MustRegisterEngine(solver.NewEngine(solver.Capabilities{
 		Name:         name,
 		Policy:       core.Multiple,
 		SupportsDMax: true,
 		Cost:         solver.CostPolynomial,
-		Description:  "test engine: fails below a node threshold",
+		Description:  "test engine: fails on some tree sizes",
 	}, func(ctx context.Context, req solver.Request) (*core.Solution, int64, error) {
-		if req.Instance.Tree.Len() < flakyMinNodes {
-			return nil, 0, errors.New("tree too small for this engine")
+		if refuse(req.Instance.Tree.Len()) {
+			return nil, 0, errors.New("tree size refused by this engine")
 		}
 		rep, err := inner.Solve(ctx, req)
 		if err != nil {
@@ -134,7 +147,7 @@ var registerFlaky = sync.OnceValue(func() string {
 		return rep.Solution, rep.Work, nil
 	}))
 	return name
-})
+}
 
 const flakyMinNodes = 200
 

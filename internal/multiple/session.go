@@ -27,7 +27,8 @@ import (
 // Equivalences relied on (vs. the oracle):
 //   - the oracle's temp list, a left-biased fold of stable merges of
 //     the children's lists, equals a stable sort by non-increasing d
-//     of those lists concatenated in child order;
+//     of those lists concatenated in child order, and so does any
+//     left-biased pairwise merge of adjacent lists (mergeRuns);
 //   - proc/keep lists are only ever read as multisets (run feeds them
 //     through Solution.Normalize), so their internal order is free —
 //     only req lists, which are later split by prefix, must keep the
@@ -46,6 +47,8 @@ type Session struct {
 	proc []list // proc(j)
 	inR  []bool
 	vtmp list          // visit merge buffer (one level live at a time)
+	vmrg list          // vtmp's twin: merge rounds alternate between them
+	runs []int         // run bounds in vtmp
 	kids []tree.NodeID // extra-server sorted children + pending arena
 	pend []tree.NodeID
 	keep list // extra-server keep arena
@@ -177,25 +180,21 @@ func (s *Session) visit(j tree.NodeID) {
 	}
 
 	// temp: the children's lists, shifted by their edge lengths and
-	// concatenated in child order, then stable-sorted by non-increasing
-	// d (equal to the fold of left-biased stable merges).
-	tmp := s.vtmp[:0]
+	// concatenated in child order, each still sorted by non-increasing
+	// d (SatAdd is monotone), then merged into one such list.
+	tmp, runs := s.vtmp[:0], append(s.runs[:0], 0)
 	for _, c := range f.Children(j) {
+		if len(s.req[c]) == 0 {
+			continue
+		}
 		dc := f.Dist(c)
 		for _, u := range s.req[c] {
 			tmp = append(tmp, triple{d: tree.SatAdd(u.d, dc), w: u.w, client: u.client})
 		}
+		runs = append(runs, len(tmp))
 	}
-	slices.SortStableFunc(tmp, func(a, b triple) int {
-		switch {
-		case a.d > b.d:
-			return -1
-		case a.d < b.d:
-			return 1
-		}
-		return 0
-	})
-	s.vtmp = tmp
+	s.vtmp, s.runs = tmp, runs
+	tmp = s.mergeRuns()
 	var wtot int64
 	for i := range tmp {
 		wtot += tmp[i].w
@@ -224,6 +223,57 @@ func (s *Session) visit(j tree.NodeID) {
 		s.extraServer(j)
 		s.req[j] = s.req[j][:0]
 	}
+}
+
+// mergeRuns sorts vtmp by non-increasing d, stably, given that it is
+// the concatenation of such sorted runs bounded by runs: each round
+// merges adjacent runs pairwise, the left one first on ties, from one
+// buffer into the other, until one run is left. It returns the merged
+// list, which is vtmp again (the buffers swap roles as they fill).
+func (s *Session) mergeRuns() list {
+	src, runs := s.vtmp, s.runs
+	if len(runs) <= 2 {
+		return src
+	}
+	dst := slices.Grow(s.vmrg[:0], len(src))[:len(src)]
+	for len(runs) > 2 {
+		k := 0
+		for i := 0; i+1 < len(runs); i += 2 {
+			lo, hi := runs[i], runs[i+1]
+			if i+2 < len(runs) {
+				mid := hi
+				hi = runs[i+2]
+				mergeInto(dst[lo:hi], src[lo:mid], src[mid:hi])
+			} else {
+				copy(dst[lo:hi], src[lo:hi])
+			}
+			runs[k] = lo
+			k++
+		}
+		runs[k] = len(src)
+		runs = runs[:k+1]
+		src, dst = dst, src
+	}
+	s.vtmp, s.vmrg = src, dst
+	return src
+}
+
+// mergeInto writes the stable merge of a and b, both sorted by
+// non-increasing d, into dst: on equal d, a's triple comes first.
+func mergeInto(dst, a, b list) {
+	i, j, k := 0, 0, 0
+	for i < len(a) && j < len(b) {
+		if b[j].d > a[i].d {
+			dst[k] = b[j]
+			j++
+		} else {
+			dst[k] = a[i]
+			i++
+		}
+		k++
+	}
+	k += copy(dst[k:], a[i:])
+	copy(dst[k:], b[j:])
 }
 
 // splitPoint splits l at w requests: the prefix l[:i] fits

@@ -226,3 +226,63 @@ func TestMultipleSessionAllocFree(t *testing.T) {
 		}
 	}
 }
+
+// TestMergeRunsMatchesStableSort holds visit's run merge to a stable
+// sort of the concatenated runs by non-increasing d: on random run
+// sets (empty runs and ties included), a single run, and 10⁵
+// one-element runs (the root of a star). One session merges every
+// case in turn, so the swapped buffers are reused across sizes.
+func TestMergeRunsMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	// runSet draws sorted runs of the given lengths, d in [0, maxD).
+	runSet := func(lens []int, maxD int) (list, []int) {
+		var l list
+		bounds := []int{0}
+		for _, n := range lens {
+			run := make(list, n)
+			for i := range run {
+				run[i] = triple{d: int64(rng.Intn(maxD)), w: 1 + int64(rng.Intn(5))}
+			}
+			slices.SortFunc(run, func(a, b triple) int { return int(b.d - a.d) })
+			l = append(l, run...)
+			bounds = append(bounds, len(l))
+		}
+		// The client field numbers the triples, so the comparison
+		// sees any reordering of equal d.
+		for i := range l {
+			l[i].client = tree.NodeID(i)
+		}
+		return l, bounds
+	}
+	type tc struct {
+		name string
+		lens []int
+		maxD int
+	}
+	star := make([]int, 100_000)
+	for i := range star {
+		star[i] = 1
+	}
+	cases := []tc{
+		{"single run", []int{50}, 10},
+		{"empty runs", []int{0, 3, 0, 0, 5, 0}, 4},
+		{"star root", star, 1_000},
+	}
+	for i := 0; i < 300; i++ {
+		lens := make([]int, rng.Intn(12))
+		for k := range lens {
+			lens[k] = rng.Intn(8)
+		}
+		cases = append(cases, tc{fmt.Sprintf("random %d", i), lens, 1 + rng.Intn(10)})
+	}
+	var s Session
+	for _, c := range cases {
+		l, bounds := runSet(c.lens, c.maxD)
+		want := slices.Clone(l)
+		slices.SortStableFunc(want, func(a, b triple) int { return int(b.d - a.d) })
+		s.vtmp, s.runs = append(s.vtmp[:0], l...), append(s.runs[:0], bounds...)
+		if got := s.mergeRuns(); !slices.Equal(got, want) {
+			t.Fatalf("%s: merge differs from the stable sort", c.name)
+		}
+	}
+}

@@ -171,11 +171,74 @@ func (t *Tree) index(m int, link func(i int) (c, p NodeID)) {
 	t.ChildStart, t.ChildList = start, list
 }
 
-// order sizes Pre and Post, then validates the tree while recording
-// its visit orders in them.
+// order sizes Pre and Post and records the tree's visit orders in
+// them. A tree with topological IDs (root 0, every parent before its
+// child) whose every node passes its local checks gets them in linear
+// passes over subtree sizes; any other tree, and any fault, is left to
+// the validating walk, which names the fault.
 func (t *Tree) order() error {
 	n := len(t.Parents)
 	t.Pre = slices.Grow(t.Pre[:0], n)[:n]
 	t.Post = slices.Grow(t.Post[:0], n)[:n]
+	if t.linearOrder() {
+		return nil
+	}
 	return t.walk(true)
+}
+
+// linearOrder records the visit orders the walk would record, and
+// reports whether it could: false leaves Pre and Post undefined. One
+// backward pass over the IDs checks the tree (every check the walk
+// makes, in the form topological IDs allow) and sums subtree sizes.
+// One forward pass then places each node, after its parent and its
+// lower-ID siblings, at its parent's next preorder slot, and at
+// postorder slot pre + size − 1 − depth: of the nodes before it in
+// preorder, depth are its ancestors, still open, and it closes after
+// its size − 1 descendants.
+func (t *Tree) linearOrder() bool {
+	n := len(t.Parents)
+	start, list := t.ChildStart, t.ChildList
+	if n == 0 || t.root != 0 || t.Parents[0] != None ||
+		len(t.EdgeLens) != n || len(t.Reqs) != n || len(t.Labels) != n ||
+		len(start) != n+1 || start[0] != 0 || int(start[n]) != n-1 || len(list) != n-1 ||
+		t.IsClient(0) {
+		return false
+	}
+	// aux[j].next is the subtree size of j until j is placed, then the
+	// preorder slot of j's next child.
+	aux := make([]struct{ next, depth int32 }, n)
+	for j := n - 1; j >= 0; j-- {
+		lo, hi := start[j], start[j+1]
+		if lo < 0 || lo > hi || t.local(NodeID(j)) != nil {
+			return false
+		}
+		// Every listed child follows j and names it as its parent,
+		// once: with n−1 entries in all, the lists hold exactly the
+		// parent links, in the ID order the forward pass places them.
+		prev := NodeID(j)
+		for _, c := range list[lo:hi] {
+			if c <= prev || int(c) >= n || t.Parents[c] != NodeID(j) {
+				return false
+			}
+			prev = c
+		}
+		aux[j].next++
+		if j > 0 {
+			p := t.Parents[j]
+			if p < 0 || int(p) >= j {
+				return false
+			}
+			aux[p].next += aux[j].next
+		}
+	}
+	t.Pre[0], t.Post[n-1], aux[0].next = 0, 0, 1
+	for j := 1; j < n; j++ {
+		up := &aux[t.Parents[j]]
+		pre, size, depth := up.next, aux[j].next, up.depth+1
+		up.next += size
+		t.Pre[pre] = NodeID(j)
+		t.Post[pre+size-1-depth] = NodeID(j)
+		aux[j].next, aux[j].depth = pre+1, depth
+	}
+	return true
 }

@@ -147,12 +147,25 @@ func ScanNodes(s *wire.Scanner, nodes []NodeRecord) []NodeRecord {
 
 // build is the tree builder both decode paths share, so they agree on
 // every error: it places the wire nodes by ID, indexes each node's
-// children in ID order and validates the tree. The child index is
+// children in ID order (place), then validates the tree and records
+// its visit orders.
+func build(root NodeID, list []NodeRecord) (*Tree, error) {
+	t, err := place(root, list)
+	if err != nil {
+		return nil, err
+	}
+	if err := t.order(); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// place is build up to the child index. The child index is
 // built from the list, not from the placed arrays: a duplicated ID
 // must show up as a child twice, and the ID it displaced, whose slot
 // still holds zeros, as a child nowhere, for Validate to name the
 // fault instead of accepting a client of node 0.
-func build(root NodeID, list []NodeRecord) (*Tree, error) {
+func place(root NodeID, list []NodeRecord) (*Tree, error) {
 	n := len(list)
 	t := &Tree{
 		Parents:  make([]NodeID, n),
@@ -176,9 +189,6 @@ func build(root NodeID, list []NodeRecord) (*Tree, error) {
 		}
 	}
 	t.index(n, func(i int) (NodeID, NodeID) { return list[i].ID, list[i].Parent })
-	if err := t.order(); err != nil {
-		return nil, err
-	}
 	return t, nil
 }
 

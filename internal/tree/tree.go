@@ -243,6 +243,11 @@ func (t *Tree) visit(j NodeID, seen []bool) error {
 		return fmt.Errorf("tree: node %d reached twice (cycle or shared child)", j)
 	}
 	seen[j] = true
+	return t.local(j)
+}
+
+// local checks the invariants of j that involve no other node.
+func (t *Tree) local(j NodeID) error {
 	if r := t.Reqs[j]; r < 0 {
 		return fmt.Errorf("tree: node %d has negative requests %d", j, r)
 	}
