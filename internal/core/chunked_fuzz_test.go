@@ -77,7 +77,7 @@ const seedHeader = `{"format":"replicatree-chunked","version":1,"w":9,"dmax":4,"
 
 // midStreamSeeds are valid streams on which the one-pass path declines
 // after the header, or must frame with care.
-var midStreamSeeds = [][]byte{
+var midStreamSeeds = append([][]byte{
 	// An escaped label in chunk 3.
 	chunkedStream(seedHeader, `{"nodes":[{"id":0,"parent":-1}]}`, `{"nodes":[{"id":1,"parent":0,"dist":1}]}`,
 		`{"nodes":[{"id":2,"parent":1,"dist":2,"requests":3,"label":"c\"}2"}]}`, `{"nodes":[{"id":3,"parent":1,"requests":4}]}`),
@@ -90,7 +90,9 @@ var midStreamSeeds = [][]byte{
 	// Brackets inside labels.
 	chunkedStream(seedHeader, `{"nodes":[{"id":0,"parent":-1,"label":"}"},{"id":1,"parent":0,"dist":1,"label":"]]{"}]}`,
 		`{"nodes":[{"id":2,"parent":1,"requests":3,"label":"a}b"},{"id":3,"parent":1,"requests":4,"label":"{["}]}`),
-}
+	// Twelve one-record chunks with an escaped label in chunk 1, 2 or
+	// 12 (chunked_ring_test.go).
+}, ringSeeds()...)
 
 // corpusStreams returns the corpus instances as chunked streams of one
 // and of five records per chunk.
@@ -147,6 +149,9 @@ func TestChunkedScansCorpus(t *testing.T) {
 func FuzzReadChunked(f *testing.F) {
 	for _, data := range append(corpusStreams(f), midStreamSeeds...) {
 		f.Add(data)
+	}
+	for _, c := range ringCases() {
+		f.Add(c.fuzzSeed())
 	}
 	f.Add([]byte(`{"format":"replicatree-chunked","version":1,"w":9,"nodes":4000000000000}`))
 	f.Add([]byte(`{"format":"replicatree-chunked","version":1,"w":9,"dmax":3,"nodes":3}` + "\n" +

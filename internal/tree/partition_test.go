@@ -6,6 +6,7 @@ package tree_test
 // records consistent with the original tree.
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -89,6 +90,54 @@ func TestPartitionFlatProperties(t *testing.T) {
 			if total := tr.TotalRequests(); demand != total {
 				t.Fatalf("%s target %d: piece demands sum to %d, want %d", name, target, demand, total)
 			}
+		}
+	}
+}
+
+// TestPieceBoundarySaturates: UpDist is the saturating sum of the edge
+// lengths on the piece root's path, SatAdd folded along it, even when
+// those lengths add up past math.MaxInt64, and SubtreeDemand is the
+// demand of the root's whole original subtree. The shapes are a spine
+// of long edges, each spine node carrying a client, cut into pieces of
+// four, and a caterpillar at target 8.
+func TestPieceBoundarySaturates(t *testing.T) {
+	b := tree.NewBuilder()
+	cur := b.Root("")
+	for i := 0; i < 40; i++ {
+		b.Client(cur, int64(i), int64(1+i%5), "")
+		cur = b.Internal(cur, math.MaxInt64/16+int64(i), "")
+	}
+	b.Client(cur, 3, 7, "")
+	spine := b.MustBuild()
+	rng := rand.New(rand.NewSource(8))
+	for name, tc := range map[string]struct {
+		f      *tree.Tree
+		target int
+	}{
+		"spine":       {spine, 4},
+		"caterpillar": {gen.Caterpillar(rng, 200, 9, 10), 8},
+	} {
+		pieces := tree.PartitionFlat(tc.f, tc.target)
+		if len(pieces) < 4 {
+			t.Fatalf("%s: %d pieces, want a real partition", name, len(pieces))
+		}
+		saturated := false
+		for _, p := range pieces {
+			pb := p.Boundary
+			var up int64
+			for cur := pb.Root; cur != tc.f.Root(); cur = tc.f.Parents[cur] {
+				up = tree.SatAdd(up, tc.f.EdgeLens[cur])
+			}
+			saturated = saturated || up == math.MaxInt64
+			if pb.UpDist != up {
+				t.Fatalf("%s: piece %d UpDist %d, want %d", name, pb.Root, pb.UpDist, up)
+			}
+			if want := tc.f.SubtreeRequests(pb.Root); pb.SubtreeDemand != want {
+				t.Fatalf("%s: piece %d SubtreeDemand %d, want %d", name, pb.Root, pb.SubtreeDemand, want)
+			}
+		}
+		if name == "spine" && !saturated {
+			t.Fatal("spine: no piece root lies past math.MaxInt64")
 		}
 	}
 }
