@@ -3,14 +3,15 @@ package core
 // This file implements the chunked instance representation: a
 // streaming wire format, so a million-node tree is ingested
 // piece-by-piece off an io.Reader instead of one json.Unmarshal of a
-// full-tree blob. Besides the tree's arrays, the read side holds one
-// chunk of node records and a window of raw bytes at most about twice
-// a chunk's length; there is never a second full-tree copy (raw JSON)
-// resident. The arrays grow by append as records arrive, though, so a
-// grow briefly holds an old and a new array, and the grows allocate
-// about 5× the final arrays in all. cmd/treegen emits the format
-// with -stream, cmd/replica consumes it with -stream, and the decomp
-// engine solves the resulting FlatInstance.
+// full-tree blob. Besides the tree's arrays, the read side holds a
+// window of raw bytes at most about twice a chunk's length and a ring
+// of at most 4 copied chunks and their node records, which scanner
+// goroutines read on up to 4 cores; there is never a second full-tree
+// copy (raw JSON) resident. The arrays grow by append as records
+// arrive, though, so a grow briefly holds an old and a new array, and
+// the grows allocate about 5× the final arrays in all. cmd/treegen
+// emits the format with -stream, cmd/replica consumes it with -stream,
+// and the decomp engine solves the resulting FlatInstance.
 //
 // Wire layout: a header value followed by any number of chunk values,
 // concatenated back-to-back (the natural json.Decoder stream shape):
@@ -25,11 +26,14 @@ package core
 // what preorder emission produces and what tree.Builder ingests.
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math"
+	"runtime"
+	"sync"
 
 	"replicatree/internal/tree"
 	"replicatree/internal/wire"
@@ -169,18 +173,22 @@ func WriteChunked(w io.Writer, fi *FlatInstance, chunkNodes int) error {
 }
 
 // ReadChunked ingests a chunked stream from r and returns the rebuilt
-// instance. Decoding is incremental: one window over r and one chunk
-// of node records are resident at a time, the records feeding a
-// tree.Builder, whose arrays grow by append (about 1.25× a grow at
-// this size: a 250k-node read allocates about 56 MB, 5× the arrays it
-// ends with). Canonical values are framed and scanned in one pass
-// (package wire); from the first value that is not, encoding/json, the
-// reference, decodes the rest of the stream, that value included. The
+// instance. Decoding is incremental: one window over r, at most 4
+// framed chunks and their node records are resident at a time, the
+// records feeding a tree.Builder, whose arrays grow by append (about
+// 1.25× a grow at this size: a 250k-node read allocates about 56 MB,
+// 5× the arrays it ends with). Canonical values are framed on the
+// calling goroutine and scanned in one pass (package wire), chunks on
+// min(GOMAXPROCS, 4) goroutines that end before ReadChunked returns;
+// the records join the tree in stream order. From the first value that
+// does not scan, encoding/json, the reference, decodes the rest of the
+// stream, that value included, so every error is the reference's. The
 // header's node count is a claim, not a size: the builder reserves at
 // most one chunk's worth for it. The chunks must carry exactly that
 // many nodes, and only whitespace may follow the last of them.
 func ReadChunked(r io.Reader) (*FlatInstance, error) {
 	src := chunkSource{st: wire.NewStream(r)}
+	defer src.stop()
 	h, err := src.header()
 	if err != nil {
 		return nil, fmt.Errorf("core: chunked header: %w", err)
@@ -233,38 +241,70 @@ func ReadChunked(r io.Reader) (*FlatInstance, error) {
 	return fi, nil
 }
 
-// chunkSource yields the values of a chunked stream to ReadChunked,
-// scanned in one pass until the first decline and decoded by dec, the
-// reference, from then on.
+// ringSlots is the number of chunks a chunkSource holds framed at once:
+// the caller frames up to this many ahead of the chunk it takes, and up
+// to this many scanner goroutines read them.
+const ringSlots = 4
+
+// chunkSource yields the values of a chunked stream to ReadChunked. The
+// header is framed and scanned on the calling goroutine. Chunks are
+// framed there too, st having no other user, and each frame is copied
+// into a slot of a ring that scanner goroutines read; the caller takes
+// the slots' records in stream order. From the first value that
+// framing or a scan declines, dec, the reference, decodes the rest of
+// the stream, that value included.
 type chunkSource struct {
-	st    *wire.Stream
-	dec   *json.Decoder
-	nodes []tree.NodeRecord // the scanned chunk's records, reused
+	st  *wire.Stream
+	dec *json.Decoder
+	// ring holds the framed chunks head, ..., tail-1 (counted from the
+	// first chunk) at ring[i%ringSlots]; the chunk before head is the
+	// one the caller took last. stopped reports that framing has
+	// declined or met the end of the stream, so that st.Rest starts
+	// after slot tail-1 and does not replay its frame.
+	ring       [ringSlots]ringSlot
+	head, tail int
+	stopped    bool
+	work       chan *ringSlot // to the scanners; nil while none run
+	scanners   sync.WaitGroup
 }
 
-// scan frames the next value and scans it with fn. It reports false
-// once the stream belongs to the reference: from the first value that
-// framing or fn declines, that value included.
-func (src *chunkSource) scan(fn func(*wire.Scanner)) bool {
-	if src.dec == nil {
-		if v := src.st.Next(); v != nil {
-			s := wire.NewScanner(v)
-			if fn(&s); s.End() {
-				return true
-			}
-		}
-		src.dec = json.NewDecoder(src.st.Rest())
-	}
-	return false
+// ringSlot is one framed chunk: a copy of its frame and, once done is
+// closed, the records its scan found and whether the scan read the
+// frame to its end.
+type ringSlot struct {
+	frame []byte
+	nodes []tree.NodeRecord
+	ok    bool
+	done  chan struct{}
 }
+
+var chunkKeys = []string{"nodes"}
+
+// scan reads the slot's frame as a chunk.
+func (sl *ringSlot) scan() {
+	s := wire.NewScanner(sl.frame)
+	sl.nodes = sl.nodes[:0]
+	s.Object()
+	var seen uint64
+	for s.Field(chunkKeys, &seen) >= 0 {
+		sl.nodes = tree.ScanNodes(&s, sl.nodes)
+	}
+	sl.ok = s.End()
+}
+
+func (src *chunkSource) slot(i int) *ringSlot { return &src.ring[i%ringSlots] }
 
 var headerKeys = []string{"format", "version", "w", "dmax", "nodes"}
 
 // header reads the stream header.
 func (src *chunkSource) header() (h chunkedHeader, err error) {
-	if src.scan(func(s *wire.Scanner) { h = scanHeader(s) }) {
-		return h, nil
+	if v := src.st.Next(); v != nil {
+		s := wire.NewScanner(v)
+		if h = scanHeader(&s); s.End() {
+			return h, nil
+		}
 	}
+	src.dec = json.NewDecoder(src.st.Rest())
 	h = chunkedHeader{}
 	return h, src.dec.Decode(&h)
 }
@@ -290,20 +330,19 @@ func scanHeader(s *wire.Scanner) (h chunkedHeader) {
 	return h
 }
 
-var chunkKeys = []string{"nodes"}
-
 // chunk reads the next chunk's node records, which are valid until the
 // next call. It returns io.EOF at the end of the stream.
 func (src *chunkSource) chunk() ([]tree.NodeRecord, error) {
-	if src.scan(func(s *wire.Scanner) {
-		src.nodes = src.nodes[:0]
-		s.Object()
-		var seen uint64
-		for s.Field(chunkKeys, &seen) >= 0 {
-			src.nodes = tree.ScanNodes(s, src.nodes)
+	if src.dec == nil {
+		src.frame()
+		if src.head < src.tail {
+			sl := src.slot(src.head)
+			if <-sl.done; sl.ok {
+				src.head++
+				return sl.nodes, nil
+			}
 		}
-	}) {
-		return src.nodes, nil
+		src.handOff()
 	}
 	// Decode into fresh records: encoding/json decodes into the
 	// elements it finds, so a record that omits a field would keep the
@@ -315,9 +354,78 @@ func (src *chunkSource) chunk() ([]tree.NodeRecord, error) {
 	return ch.Nodes, err
 }
 
+// frame frames chunks into the free slots, the slot of the chunk the
+// caller took last among them, and hands them to the scanners, which
+// it starts on first use, until the ring is full or framing stops.
+func (src *chunkSource) frame() {
+	for !src.stopped && src.tail-src.head < ringSlots {
+		v := src.st.Next()
+		if v == nil {
+			src.stopped = true
+			return
+		}
+		if src.work == nil {
+			// One buffered send per slot: at most ringSlots are in
+			// flight, so frame never blocks on a busy scanner.
+			work := make(chan *ringSlot, ringSlots)
+			for range min(runtime.GOMAXPROCS(0), ringSlots) {
+				src.scanners.Add(1)
+				go func() {
+					defer src.scanners.Done()
+					for sl := range work {
+						sl.scan()
+						close(sl.done)
+					}
+				}()
+			}
+			src.work = work
+		}
+		sl := src.slot(src.tail)
+		sl.frame = append(sl.frame[:0], v...)
+		sl.done = make(chan struct{})
+		src.tail++
+		src.work <- sl
+	}
+}
+
+// stop waits for the scans in flight and then for the scanners to
+// exit. The ring's frames stay readable.
+func (src *chunkSource) stop() {
+	if src.work == nil {
+		return
+	}
+	for i := src.head; i < src.tail; i++ {
+		<-src.slot(i).done
+	}
+	close(src.work)
+	src.work = nil
+	src.scanners.Wait()
+}
+
+// handOff hands the rest of the stream to the reference, from slot
+// head on: the framed copies st.Rest will not replay, then st.Rest.
+func (src *chunkSource) handOff() {
+	src.stop()
+	last := src.tail
+	if !src.stopped {
+		last-- // st.Rest starts at the frame Next returned last
+	}
+	rs := make([]io.Reader, 0, last-src.head+1)
+	for i := src.head; i < last; i++ {
+		rs = append(rs, bytes.NewReader(src.slot(i).frame))
+	}
+	src.dec = json.NewDecoder(io.MultiReader(append(rs, src.st.Rest())...))
+}
+
 // end reports an error unless the stream ends after the last chunk.
 func (src *chunkSource) end() error {
 	if src.dec == nil {
+		src.stop()
+		if src.head < src.tail {
+			// A chunk framed past the header's count: the reference's
+			// next token would be its opening brace.
+			return errors.New("data after the last node")
+		}
 		if src.st.End() {
 			return nil
 		}

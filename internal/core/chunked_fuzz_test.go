@@ -91,7 +91,7 @@ var midStreamSeeds = append([][]byte{
 	chunkedStream(seedHeader, `{"nodes":[{"id":0,"parent":-1,"label":"}"},{"id":1,"parent":0,"dist":1,"label":"]]{"}]}`,
 		`{"nodes":[{"id":2,"parent":1,"requests":3,"label":"a}b"},{"id":3,"parent":1,"requests":4,"label":"{["}]}`),
 	// Twelve one-record chunks with an escaped label in chunk 1, 2 or
-	// 12 (chunked_ring_test.go).
+	// 12, or an unknown key in chunk 3 (chunked_ring_test.go).
 }, ringSeeds()...)
 
 // corpusStreams returns the corpus instances as chunked streams of one

@@ -14,7 +14,9 @@ import (
 // The ring streams: a twelve-node tree, node j's parent (j-1)/2 and
 // nodes 6 to 11 its clients, sent as twelve one-record chunks, so
 // that a fault placed in chunk k meets the ring with chunks before and
-// after it in flight.
+// after it in flight. A backslash makes framing decline; an unknown
+// key or a fraction frames but makes the scan decline, so the
+// reference reads the frames copied after it.
 
 const ringHeader = `{"format":"replicatree-chunked","version":1,"w":9,"dmax":6,"nodes":12}`
 
@@ -63,6 +65,8 @@ func ringCases() []ringCase {
 		{name: "escaped label in chunk 1", data: escapedLabelIn(1), valid: true},
 		{name: "escaped label in chunk 2", data: escapedLabelIn(2), valid: true},
 		{name: "escaped label in the last chunk", data: escapedLabelIn(12), valid: true},
+		{name: "an unknown key in chunk 3", data: ringStream(map[int]string{3: `{"nodes":[` + ringRecord(2, `,"weight":7`) + `]}`}, ""), valid: true},
+		{name: "a fraction in chunk 4", data: ringStream(map[int]string{4: `{"nodes":[{"id":3,"parent":1,"dist":1.5}]}`}, "")},
 		{name: "backslash outside a string in chunk 5", data: ringStream(map[int]string{5: `{"nodes":[\` + ringRecord(4, "") + `]}`}, "")},
 		{name: "out-of-order ID in chunk 7", data: ringStream(map[int]string{7: `{"nodes":[{"id":7,"parent":2,"requests":1}]}`}, "")},
 		{name: "bad parent in chunk 6", data: ringStream(map[int]string{6: `{"nodes":[{"id":5,"parent":9,"dist":1}]}`}, "")},

@@ -6,10 +6,10 @@
 //     tree at articulation subtrees into balanced pieces (target size
 //     configurable), each a self-contained instance plus a boundary
 //     record;
-//  2. solve — each wave of pieces gets its trees from tree.PieceTree
-//     on the wave's workers, then runs in parallel through
-//     solver.Batch, each worker on a pooled solver.Scratch, so peak
-//     memory is the tree plus one wave of piece trees;
+//  2. solve — a pool of Workers goroutines takes the pieces one at a
+//     time, builds each one's tree with tree.PieceTree, solves it with
+//     the inner engine and drops the tree, so peak memory is the tree
+//     plus at most Workers piece trees;
 //  3. stitch — piece placements remap from local to global IDs (piece
 //     local ID i is Piece.Nodes[i]) into one solution, merging back
 //     any piece whose isolated instance was infeasible;
@@ -30,6 +30,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"runtime/pprof"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -183,96 +184,94 @@ func SolveFlat(ctx context.Context, fi *core.FlatInstance, opt Options) (*Result
 	return res, nil
 }
 
-// solvePieces solves every piece through solver.Batch in bounded
-// waves, remapping each piece solution into sol as it lands. A wave's
-// piece trees are built on the wave's workers (pieceTrees), and only
-// one wave of piece instances is resident at a time, so
-// peak memory stays bounded by workers, not by tree size. It returns
-// the piece roots whose isolated solves failed (merge candidates); a
-// failure with nothing left to merge is a hard error.
+// solvePieces solves every piece on a pool of opt.Workers goroutines.
+// Each takes the next piece, builds its tree, solves it and drops the
+// tree, so at most Workers piece trees are resident at a time. Once
+// every piece has landed, the solutions are stitched into sol in piece
+// order. It returns the piece roots whose isolated solves failed
+// (merge candidates); a failure with nothing left to merge is a hard
+// error, and so is a piece tree that cannot be built, named by the
+// first such piece in piece order.
 func solvePieces(ctx context.Context, fi *core.FlatInstance, eng solver.Engine, pieces []tree.Piece, opt Options, sol *core.Solution) ([]tree.NodeID, error) {
-	f := fi.Flat
-	var failed []tree.NodeID
-	wave := opt.Workers * 4
-	if wave < 8 {
-		wave = 8
+	outs := make([]pieceOutcome, len(pieces))
+	var next atomic.Int32
+	var wg sync.WaitGroup
+	for range min(opt.Workers, len(pieces)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < len(pieces); i = int(next.Add(1)) - 1 {
+				outs[i] = solvePiece(ctx, fi, eng, pieces[i])
+			}
+		}()
 	}
-	for lo := 0; lo < len(pieces); lo += wave {
-		hi := min(lo+wave, len(pieces))
-		trees, err := pieceTrees(f, pieces[lo:hi], opt.Workers)
-		if err != nil {
-			return nil, err
+	wg.Wait()
+	for i := range outs {
+		if err := outs[i].treeErr; err != nil {
+			return nil, fmt.Errorf("decomp: piece %d: %w", pieces[i].Boundary.Root, err)
 		}
-		tasks := make([]solver.Task, 0, hi-lo)
-		for k, pt := range trees {
-			tasks = append(tasks, solver.Task{
-				ID:     fmt.Sprintf("piece-%d", pieces[lo+k].Boundary.Root),
-				Engine: eng,
-				Request: solver.Request{
-					Instance: &core.Instance{Tree: pt, W: fi.W, DMax: fi.DMax},
-					Deadline: time.Time{},
-					// The global bound is computed once on the tree;
-					// per-piece bounds would only burn time.
-					Hints: map[string]string{"no-lower-bound": "1"},
-				},
+	}
+	var failed []tree.NodeID
+	for i, o := range outs {
+		p := &pieces[i]
+		if o.err != nil {
+			if cerr := ctx.Err(); cerr != nil {
+				return nil, cerr
+			}
+			if len(pieces) == 1 {
+				return nil, fmt.Errorf("decomp: %s failed on the undecomposed tree: %w", eng.Name(), o.err)
+			}
+			failed = append(failed, p.Boundary.Root)
+			continue
+		}
+		// Remap local IDs to global: piece local ID i is p.Nodes[i].
+		// Pieces are disjoint, so plain appends cannot duplicate.
+		for _, s := range o.sol.Replicas {
+			sol.Replicas = append(sol.Replicas, p.Nodes[s])
+		}
+		for _, a := range o.sol.Assignments {
+			sol.Assignments = append(sol.Assignments, core.Assignment{
+				Client: p.Nodes[a.Client],
+				Server: p.Nodes[a.Server],
+				Amount: a.Amount,
 			})
-		}
-		results, _ := solver.Batch(ctx, tasks, solver.Options{Workers: opt.Workers})
-		for k := range results {
-			r := &results[k]
-			p := &pieces[lo+k]
-			if r.Err != nil {
-				if cerr := ctx.Err(); cerr != nil {
-					return nil, cerr
-				}
-				if len(pieces) == 1 {
-					return nil, fmt.Errorf("decomp: %s failed on the undecomposed tree: %w", eng.Name(), r.Err)
-				}
-				failed = append(failed, p.Boundary.Root)
-				continue
-			}
-			// Remap local IDs to global: piece local ID i is p.Nodes[i].
-			// Pieces are disjoint, so plain appends cannot duplicate.
-			ps := r.Report.Solution
-			for _, s := range ps.Replicas {
-				sol.Replicas = append(sol.Replicas, p.Nodes[s])
-			}
-			for _, a := range ps.Assignments {
-				sol.Assignments = append(sol.Assignments, core.Assignment{
-					Client: p.Nodes[a.Client],
-					Server: p.Nodes[a.Server],
-					Amount: a.Amount,
-				})
-			}
 		}
 	}
 	return failed, nil
 }
 
-// pieceTrees builds the trees of pieces on up to workers goroutines.
-// An error names the first failing piece in piece order, as a serial
-// build would.
-func pieceTrees(f *tree.Tree, pieces []tree.Piece, workers int) ([]*tree.Tree, error) {
-	trees := make([]*tree.Tree, len(pieces))
-	errs := make([]error, len(pieces))
-	var next atomic.Int32
-	var wg sync.WaitGroup
-	for range min(workers, len(pieces)) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := int(next.Add(1)) - 1; i < len(pieces); i = int(next.Add(1)) - 1 {
-				trees[i], errs[i] = tree.PieceTree(f, pieces[i])
-			}
-		}()
+// pieceOutcome is one piece's result: its solution in local IDs, or
+// the error that building its tree or solving it returned.
+type pieceOutcome struct {
+	sol     *core.Solution
+	treeErr error
+	err     error
+}
+
+// solvePiece builds piece p's tree and solves it with eng, under the
+// batch_engine and batch_task profile labels that solver.Batch sets,
+// so that go tool pprof -tags keeps the pieces' time apart. A piece
+// taken after ctx is done is not solved.
+func solvePiece(ctx context.Context, fi *core.FlatInstance, eng solver.Engine, p tree.Piece) (out pieceOutcome) {
+	if out.err = ctx.Err(); out.err != nil {
+		return out
 	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("decomp: piece %d: %w", pieces[i].Boundary.Root, err)
-		}
+	pt, err := tree.PieceTree(fi.Flat, p)
+	if err != nil {
+		out.treeErr = err
+		return out
 	}
-	return trees, nil
+	labels := pprof.Labels("batch_engine", eng.Name(), "batch_task", fmt.Sprintf("piece-%d", p.Boundary.Root))
+	pprof.Do(ctx, labels, func(ctx context.Context) {
+		rep, err := eng.Solve(ctx, solver.Request{
+			Instance: &core.Instance{Tree: pt, W: fi.W, DMax: fi.DMax},
+			// The global bound is computed once on the tree;
+			// per-piece bounds would only burn time.
+			Hints: map[string]string{"no-lower-bound": "1"},
+		})
+		out.sol, out.err = rep.Solution, err
+	})
+	return out
 }
 
 // removeCuts returns cuts minus the drop set (both small; the merge

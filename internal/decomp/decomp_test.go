@@ -4,13 +4,16 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
 	"replicatree/internal/core"
 	"replicatree/internal/gen"
 	"replicatree/internal/solver"
+	"replicatree/internal/tree"
 )
 
 func flatOf(in *core.Instance) *core.FlatInstance {
@@ -249,5 +252,27 @@ func TestSolveFlatCancelled(t *testing.T) {
 	cancel()
 	if _, err := SolveFlat(ctx, flatOf(in), Options{TargetPieceSize: 8}); err == nil {
 		t.Fatal("cancelled solve succeeded")
+	}
+}
+
+// TestSolvePiecesNamesFirstBadPiece: a piece whose tree cannot be
+// built is a hard error naming the first such piece in piece order,
+// whichever worker meets a bad piece first.
+func TestSolvePiecesNamesFirstBadPiece(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	fi := flatOf(gen.RandomInstance(rng, gen.TreeConfig{Internals: 60, MaxArity: 3, ExtraClients: 40}, false))
+	pieces := tree.PartitionFlat(fi.Flat, 8)
+	if len(pieces) < 4 {
+		t.Fatalf("expected several pieces, got %d", len(pieces))
+	}
+	for _, k := range []int{2, 3} {
+		pieces[k].Parents = pieces[k].Parents[:1]
+	}
+	want := fmt.Sprintf("decomp: piece %d: tree: malformed piece", pieces[2].Boundary.Root)
+	for _, workers := range []int{1, 2, 8} {
+		_, err := solvePieces(context.Background(), fi, solver.MustLookup(DefaultEngine), pieces, Options{Workers: workers}, &core.Solution{})
+		if err == nil || !strings.HasPrefix(err.Error(), want) {
+			t.Fatalf("%d workers: got %v, want %q", workers, err, want)
+		}
 	}
 }

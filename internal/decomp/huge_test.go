@@ -87,9 +87,9 @@ func TestSolveFlatPinned(t *testing.T) {
 }
 
 // TestSolveFlatWorkersAgree holds SolveFlat to the same answer at any
-// worker count: with 1, 2 and 8 workers (waves of 8, 8 and 32 pieces,
-// piece trees built on 1, 2 and 8 goroutines) the solution bytes and
-// the run's counters must match. The rows are a 50k-node stream, a
+// worker count: with 1, 2 and 8 workers (a pool of 1, 2 and 8
+// goroutines, each building and solving one piece at a time) the
+// solution bytes and the run's counters must match. The rows are a 50k-node stream, a
 // forced-piece run with a distance bound that retires replicas over
 // several rounds, and a forced-piece run whose engine fails on a
 // third of the piece sizes, so that pieces merge back over several

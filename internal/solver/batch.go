@@ -175,9 +175,9 @@ func runTask(ctx context.Context, t Task, opt Options) Result {
 	begin := time.Now()
 	go func() {
 		// Profile samples of the fan-out attribute to the engine and
-		// task (go tool pprof -tags): with decomp's piece solves and
-		// auto's candidate races both funnelling through Batch, the
-		// labels are what keeps per-piece/per-engine time apart.
+		// task (go tool pprof -tags): with auto's candidate races
+		// funnelling through Batch, and decomp's piece pool setting the
+		// same labels, they keep per-piece/per-engine time apart.
 		pprof.Do(tctx, pprof.Labels("batch_engine", t.Engine.Name(), "batch_task", t.ID), func(c context.Context) {
 			rep, err := t.Engine.Solve(c, t.Request)
 			ch <- outcome{rep, err}

@@ -111,7 +111,8 @@ func PartitionPoints(f *Tree, target int) []NodeID {
 // BuildPieces materialises the partition induced by the given cut
 // nodes (each must be an internal non-root node). Pieces are returned
 // in preorder of their roots, so the piece containing the global root
-// is always first. Every node of f lands in exactly one piece.
+// is always first and every piece comes after the piece its cut parent
+// lies in. Every node of f lands in exactly one piece.
 func BuildPieces(f *Tree, cuts []NodeID) []Piece {
 	n := f.Len()
 	isCut := make([]bool, n)
@@ -121,45 +122,16 @@ func BuildPieces(f *Tree, cuts []NodeID) []Piece {
 	root := f.Root()
 	isCut[root] = true
 
-	// Subtree demand (requests of the full original subtree) per node,
-	// for the boundary records.
-	sub := make([]int64, n)
-	for _, j := range f.Post {
-		s := f.Reqs[j]
-		for _, c := range f.Children(j) {
-			s += sub[c]
-		}
-		sub[j] = s
-	}
-
 	// First pass, in preorder: each node's piece and its local ID (its
-	// index in the piece's Nodes), plus the boundary records.
+	// index in the piece's Nodes).
 	pieces := make([]Piece, 0, len(cuts)+1)
 	var sizes []NodeID
 	pieceOf := make([]int32, n)
 	local := make([]NodeID, n)
-	var depth int64 // root-distance of the node being visited
-	dist := make([]int64, n)
 	for _, j := range f.Pre {
-		if j == root {
-			depth = 0
-		} else {
-			depth = SatAdd(dist[f.Parents[j]], f.EdgeLens[j])
-		}
-		dist[j] = depth
 		if isCut[j] {
-			pb := PieceBoundary{
-				Root:          j,
-				CutParent:     None,
-				UpDist:        depth,
-				SubtreeDemand: sub[j],
-			}
-			if j != root {
-				pb.CutParent = f.Parents[j]
-				pb.CutEdge = f.EdgeLens[j]
-			}
 			pieceOf[j] = int32(len(pieces))
-			pieces = append(pieces, Piece{Boundary: pb})
+			pieces = append(pieces, Piece{Boundary: PieceBoundary{Root: j, CutParent: None}})
 			sizes = append(sizes, 0)
 		} else {
 			pieceOf[j] = pieceOf[f.Parents[j]]
@@ -167,11 +139,10 @@ func BuildPieces(f *Tree, cuts []NodeID) []Piece {
 		k := pieceOf[j]
 		local[j] = sizes[k]
 		sizes[k]++
-		pieces[k].Boundary.Demand += f.Reqs[j]
 	}
 
-	// Second pass: every piece's Nodes and Parents, cut at their exact
-	// sizes from one array each.
+	// Second pass, in ID order: every piece's Nodes and Parents, cut at
+	// their exact sizes from one array each, and its Demand.
 	nodes, parents := make([]NodeID, n), make([]NodeID, n)
 	for k, off := 0, NodeID(0); k < len(pieces); k++ {
 		end := off + sizes[k]
@@ -186,6 +157,30 @@ func BuildPieces(f *Tree, cuts []NodeID) []Piece {
 		if !isCut[j] {
 			p.Parents[i] = local[f.Parents[j]]
 		}
+		p.Boundary.Demand += f.Reqs[j]
+	}
+
+	// The rest of each boundary, per piece. UpDist is the parent
+	// piece's plus the path up to that piece's root, which is at most
+	// the parent piece's height long; SubtreeDemand gathers the pieces
+	// below, each added into its parent piece in reverse preorder.
+	for k := range pieces {
+		pb := &pieces[k].Boundary
+		pb.SubtreeDemand = pb.Demand
+		if pb.Root == root {
+			continue
+		}
+		pb.CutParent, pb.CutEdge = f.Parents[pb.Root], f.EdgeLens[pb.Root]
+		up := pb.CutEdge
+		cur := pb.CutParent
+		for ; !isCut[cur]; cur = f.Parents[cur] {
+			up = SatAdd(up, f.EdgeLens[cur])
+		}
+		pb.UpDist = SatAdd(up, pieces[pieceOf[cur]].Boundary.UpDist)
+	}
+	for k := len(pieces) - 1; k > 0; k-- {
+		pb := &pieces[k].Boundary
+		pieces[pieceOf[pb.CutParent]].Boundary.SubtreeDemand += pb.SubtreeDemand
 	}
 	return pieces
 }

@@ -105,7 +105,7 @@ func TestPieceBoundarySaturates(t *testing.T) {
 	cur := b.Root("")
 	for i := 0; i < 40; i++ {
 		b.Client(cur, int64(i), int64(1+i%5), "")
-		cur = b.Internal(cur, math.MaxInt64/16+int64(i), "")
+		cur = b.Internal(cur, math.MaxInt64/2+int64(i), "")
 	}
 	b.Client(cur, 3, 7, "")
 	spine := b.MustBuild()
