@@ -152,7 +152,7 @@ func WriteChunked(w io.Writer, fi *FlatInstance, chunkNodes int) error {
 			Parent:   f.Parents[j],
 			Dist:     f.EdgeLens[j],
 			Requests: f.Reqs[j],
-			Label:    f.Labels[j],
+			Label:    f.Label(tree.NodeID(j)),
 		}
 		if j == 0 {
 			nd.Parent = tree.None
@@ -176,8 +176,8 @@ func WriteChunked(w io.Writer, fi *FlatInstance, chunkNodes int) error {
 // instance. Decoding is incremental: one window over r, at most 4
 // framed chunks and their node records are resident at a time, the
 // records feeding a tree.Builder, whose arrays grow by append (about
-// 1.25× a grow at this size: a 250k-node read allocates about 56 MB,
-// 5× the arrays it ends with). Canonical values are framed on the
+// 1.25× a grow at this size; a 250k-node read with no labels
+// allocates about 39 MB in all). Canonical values are framed on the
 // calling goroutine and scanned in one pass (package wire), chunks on
 // min(GOMAXPROCS, 4) goroutines that end before ReadChunked returns;
 // the records join the tree in stream order. From the first value that

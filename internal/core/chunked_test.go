@@ -177,8 +177,8 @@ func TestChunkedRecordsStartFromZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f := fi.Flat; f.EdgeLens[3] != 0 || f.Reqs[3] != 0 || f.Labels[3] != "" {
-		t.Fatalf("node 3 read as dist %d, requests %d, label %q; want all zero", f.EdgeLens[3], f.Reqs[3], f.Labels[3])
+	if f := fi.Flat; f.EdgeLens[3] != 0 || f.Reqs[3] != 0 || f.Label(3) != "" {
+		t.Fatalf("node 3 read as dist %d, requests %d, label %q; want all zero", f.EdgeLens[3], f.Reqs[3], f.Label(3))
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"replicatree/internal/core"
@@ -12,10 +13,10 @@ import (
 	"replicatree/internal/tree"
 )
 
-// stitched reads a chunked stream back and runs SolveFlat's partition
-// and piece-solve loop on it at the given target piece size, merging
-// failed pieces back as SolveFlat does. It returns the instance, the
-// pieces and the stitched placement that coordination starts from.
+// stitched reads a chunked stream back and runs SolveFlat's partition,
+// piece solves and merges on it at the given target piece size. It
+// returns the instance, the pieces and the stitched placement that
+// coordination starts from.
 func stitched(tb testing.TB, stream []byte, target int) (*core.FlatInstance, []tree.Piece, *core.Solution) {
 	tb.Helper()
 	fi, err := core.ReadChunked(bytes.NewReader(stream))
@@ -23,24 +24,11 @@ func stitched(tb testing.TB, stream []byte, target int) (*core.FlatInstance, []t
 		tb.Fatal(err)
 	}
 	opt := Options{TargetPieceSize: target}.norm()
-	eng := solver.MustLookup(opt.Engine)
-	cuts := tree.PartitionPoints(fi.Flat, opt.TargetPieceSize)
-	for {
-		pieces := tree.BuildPieces(fi.Flat, cuts)
-		sol := &core.Solution{}
-		failed, err := solvePieces(context.Background(), fi, eng, pieces, opt, sol)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		if len(failed) == 0 {
-			return fi, pieces, sol
-		}
-		if failed[0] == fi.Flat.Root() {
-			cuts = nil
-		} else {
-			cuts = removeCuts(cuts, failed)
-		}
+	pieces, sol, _, err := stitch(context.Background(), fi, solver.MustLookup(opt.Engine), opt)
+	if err != nil {
+		tb.Fatal(err)
 	}
+	return fi, pieces, sol
 }
 
 // TestCoordinateMatchesReference holds coordinate to referenceCoordinate,
@@ -66,41 +54,45 @@ func TestCoordinateMatchesReference(t *testing.T) {
 		}
 	}
 	runs = append(runs, run{7, 250_000, 0, false}, run{2, 250_000, 0, false})
-	var multiRound, retiring int
-	for _, r := range runs {
-		name := fmt.Sprintf("seed%d_n%d_t%d_d%v", r.seed, r.nodes, r.target, r.dist)
-		fi, pieces, sol := stitched(t, hugeStream(t, int64(r.seed), r.nodes, r.dist), r.target)
-		want := sol.Clone()
-		rounds, moved := coordinate(fi, pieces, sol, DefaultRounds)
-		wantRounds, wantMoved := referenceCoordinate(fi, pieces, want, DefaultRounds)
-		sol.Normalize()
-		want.Normalize()
-		got, err := json.Marshal(sol)
-		if err != nil {
-			t.Fatal(err)
+	var multiRound, retiring atomic.Int32
+	t.Run("runs", func(t *testing.T) {
+		for _, r := range runs {
+			t.Run(fmt.Sprintf("seed%d_n%d_t%d_d%v", r.seed, r.nodes, r.target, r.dist), func(t *testing.T) {
+				t.Parallel()
+				fi, pieces, sol := stitched(t, hugeStream(t, int64(r.seed), r.nodes, r.dist), r.target)
+				want := sol.Clone()
+				rounds, moved := coordinate(fi, pieces, sol, DefaultRounds)
+				wantRounds, wantMoved := referenceCoordinate(fi, pieces, want, DefaultRounds)
+				sol.Normalize()
+				want.Normalize()
+				got, err := json.Marshal(sol)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantRaw, err := json.Marshal(want)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, wantRaw) {
+					t.Errorf("solution differs from the reference's")
+				}
+				if rounds != wantRounds || moved != wantMoved {
+					t.Errorf("rounds/moved %d/%d, reference %d/%d", rounds, moved, wantRounds, wantMoved)
+				}
+				if wantRounds >= 3 {
+					multiRound.Add(1)
+				}
+				if wantMoved > 0 {
+					retiring.Add(1)
+				}
+			})
 		}
-		wantRaw, err := json.Marshal(want)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, wantRaw) {
-			t.Errorf("%s: solution differs from the reference's", name)
-		}
-		if rounds != wantRounds || moved != wantMoved {
-			t.Errorf("%s: rounds/moved %d/%d, reference %d/%d", name, rounds, moved, wantRounds, wantMoved)
-		}
-		if wantRounds >= 3 {
-			multiRound++
-		}
-		if wantMoved > 0 {
-			retiring++
-		}
-	}
-	t.Logf("%d runs: %d retire replicas, %d run three rounds or more", len(runs), retiring, multiRound)
+	})
+	t.Logf("%d runs: %d retire replicas, %d run three rounds or more", len(runs), retiring.Load(), multiRound.Load())
 	// Runs that retire nothing past the first round compare only the
 	// first round's pass; the sweep must reach the later ones.
-	if multiRound < len(runs)/4 {
-		t.Errorf("only %d of %d runs reach a third round", multiRound, len(runs))
+	if n := int(multiRound.Load()); n < len(runs)/4 {
+		t.Errorf("only %d of %d runs reach a third round", n, len(runs))
 	}
 }
 

@@ -44,9 +44,10 @@ const (
 	// DefaultPieceSize is the target piece size of the partitioner.
 	DefaultPieceSize = 4096
 	// DefaultRounds bounds the boundary coordination loop. Rounds are
-	// cheap relative to the piece solves (a counting sort plus one
-	// sweep of the assignment list) and the loop stops early at quiescence, so
-	// the default is generous.
+	// cheap relative to the piece solves (one counting pass that groups
+	// the assignments by replica, a sweep of the exported groups and a
+	// merge of the moved flow) and the loop stops early at quiescence,
+	// so the default is generous.
 	DefaultRounds = 8
 	// DefaultEngine solves the individual pieces.
 	DefaultEngine = solver.MultipleGreedy
@@ -137,35 +138,11 @@ func SolveFlat(ctx context.Context, fi *core.FlatInstance, opt Options) (*Result
 		bound = fi.LowerBound()
 	}()
 	defer func() { <-boundDone }()
-	f := fi.Flat
-	res := &Result{Workers: opt.Workers}
-	cuts := tree.PartitionPoints(f, opt.TargetPieceSize)
-	sol := &core.Solution{}
-	var pieces []tree.Piece
-	for {
-		pieces = tree.BuildPieces(f, cuts)
-		sol.Replicas = sol.Replicas[:0]
-		sol.Assignments = sol.Assignments[:0]
-		failed, err := solvePieces(ctx, fi, eng, pieces, opt, sol)
-		if err != nil {
-			return nil, err
-		}
-		if len(failed) == 0 {
-			break
-		}
-		// An infeasible piece couples too tightly to its surroundings
-		// (typically a client that needs ancestor capacity above the
-		// cut): merge it back by dropping its cut and re-solve. A
-		// failing root piece has no cut of its own, so it absorbs
-		// everything — the undecomposed fallback.
-		res.Merged += len(failed)
-		if failed[0] == f.Root() {
-			cuts = nil
-		} else {
-			cuts = removeCuts(cuts, failed)
-		}
+	pieces, sol, merged, err := stitch(ctx, fi, eng, opt)
+	if err != nil {
+		return nil, err
 	}
-	res.Pieces = len(pieces)
+	res := &Result{Workers: opt.Workers, Pieces: len(pieces), Merged: merged}
 	res.Rounds, res.Moved = coordinate(fi, pieces, sol, opt.Rounds)
 	sol.Normalize()
 	res.Solution = sol
@@ -182,6 +159,39 @@ func SolveFlat(ctx context.Context, fi *core.FlatInstance, opt Options) (*Result
 	}
 	res.Elapsed = time.Since(begin)
 	return res, nil
+}
+
+// stitch partitions the tree, solves the pieces and stitches their
+// placements into one solution, merging failed pieces back until every
+// piece solves. It returns the pieces, the stitched placement that
+// coordination starts from and the number of pieces merged back.
+func stitch(ctx context.Context, fi *core.FlatInstance, eng solver.Engine, opt Options) (pieces []tree.Piece, sol *core.Solution, merged int, err error) {
+	f := fi.Flat
+	cuts := tree.PartitionPoints(f, opt.TargetPieceSize)
+	sol = &core.Solution{}
+	for {
+		pieces = tree.BuildPieces(f, cuts)
+		sol.Replicas = sol.Replicas[:0]
+		sol.Assignments = sol.Assignments[:0]
+		failed, err := solvePieces(ctx, fi, eng, pieces, opt, sol)
+		if err != nil {
+			return nil, nil, 0, err
+		}
+		if len(failed) == 0 {
+			return pieces, sol, merged, nil
+		}
+		// An infeasible piece couples too tightly to its surroundings
+		// (typically a client that needs ancestor capacity above the
+		// cut): merge it back by dropping its cut and re-solve. A
+		// failing root piece has no cut of its own, so it absorbs
+		// everything — the undecomposed fallback.
+		merged += len(failed)
+		if failed[0] == f.Root() {
+			cuts = nil
+		} else {
+			cuts = removeCuts(cuts, failed)
+		}
+	}
 }
 
 // solvePieces solves every piece on a pool of opt.Workers goroutines.

@@ -49,6 +49,13 @@ func referenceCoordinate(fi *core.FlatInstance, pieces []tree.Piece, sol *core.S
 	return rounds, moved
 }
 
+// move is one planned re-routing of part of a client's flow.
+type move struct {
+	client tree.NodeID
+	to     tree.NodeID
+	amt    int64
+}
+
 type refCoord struct {
 	fi        *core.FlatInstance
 	f         *tree.Tree

@@ -76,16 +76,16 @@ func Binarize(t *Tree) *Binarized {
 
 	build = func(orig NodeID, parent NodeID, dist int64) {
 		if t.IsClient(orig) {
-			id := nb.Client(parent, dist, t.Reqs[orig], t.Labels[orig])
+			id := nb.Client(parent, dist, t.Reqs[orig], t.Label(orig))
 			record(id, orig, false)
 			return
 		}
-		id := nb.Internal(parent, dist, t.Labels[orig])
+		id := nb.Internal(parent, dist, t.Label(orig))
 		record(id, orig, false)
 		attach(t.Children(orig), id, orig)
 	}
 
-	rootID := nb.Root(t.Labels[t.root])
+	rootID := nb.Root(t.Label(t.root))
 	record(rootID, t.root, false)
 	attach(t.Children(t.root), rootID, t.root)
 

@@ -45,7 +45,6 @@ func (b *Builder) Grow(n int) {
 	t.Parents = slices.Grow(t.Parents, n)
 	t.EdgeLens = slices.Grow(t.EdgeLens, n)
 	t.Reqs = slices.Grow(t.Reqs, n)
-	t.Labels = slices.Grow(t.Labels, n)
 }
 
 // Len returns the number of nodes added so far, which is also the ID
@@ -71,7 +70,7 @@ func (b *Builder) Add(parent NodeID, dist, requests int64, label string) (NodeID
 	t.Parents = append(t.Parents, parent)
 	t.EdgeLens = append(t.EdgeLens, dist)
 	t.Reqs = append(t.Reqs, requests)
-	t.Labels = append(t.Labels, label)
+	t.addLabel(id, label)
 	return id, nil
 }
 
@@ -199,7 +198,7 @@ func (t *Tree) linearOrder() bool {
 	n := len(t.Parents)
 	start, list := t.ChildStart, t.ChildList
 	if n == 0 || t.root != 0 || t.Parents[0] != None ||
-		len(t.EdgeLens) != n || len(t.Reqs) != n || len(t.Labels) != n ||
+		len(t.EdgeLens) != n || len(t.Reqs) != n || !t.labelsAgree() ||
 		len(start) != n+1 || start[0] != 0 || int(start[n]) != n-1 || len(list) != n-1 ||
 		t.IsClient(0) {
 		return false

@@ -86,7 +86,11 @@ func TestFlatMatchesTreeQueries(t *testing.T) {
 		var maxReq int64
 		for j := 0; j < tr.Len(); j++ {
 			id := NodeID(j)
-			if tr.Parent(id) != tr.Parents[j] || tr.Requests(id) != tr.Reqs[j] || tr.Label(id) != tr.Labels[j] {
+			label := ""
+			if len(tr.Labels) > 0 {
+				label = tr.Labels[j]
+			}
+			if tr.Parent(id) != tr.Parents[j] || tr.Requests(id) != tr.Reqs[j] || tr.Label(id) != label {
 				t.Fatalf("tree %d node %d: accessors disagree with the arrays", ti, j)
 			}
 			if id != tr.Root() && tr.Dist(id) != tr.EdgeLens[j] {

@@ -78,7 +78,7 @@ func (e *Editor) AddLeaf(parent NodeID, dist, requests int64, label string) (Nod
 	t.Parents = append(t.Parents, parent)
 	t.EdgeLens = append(t.EdgeLens, dist)
 	t.Reqs = append(t.Reqs, requests)
-	t.Labels = append(t.Labels, label)
+	t.addLabel(id, label)
 	return id, nil
 }
 

@@ -39,7 +39,7 @@ func (t *Tree) MarshalJSON() ([]byte, error) {
 			Parent:   t.Parents[j],
 			Dist:     t.EdgeLens[j],
 			Requests: t.Reqs[j],
-			Label:    t.Labels[j],
+			Label:    t.Label(NodeID(j)),
 		}
 	}
 	return json.Marshal(jt)
@@ -171,7 +171,6 @@ func place(root NodeID, list []NodeRecord) (*Tree, error) {
 		Parents:  make([]NodeID, n),
 		EdgeLens: make([]int64, n),
 		Reqs:     make([]int64, n),
-		Labels:   make([]string, n),
 		root:     root,
 	}
 	for _, jn := range list {
@@ -181,7 +180,13 @@ func place(root NodeID, list []NodeRecord) (*Tree, error) {
 		t.Parents[jn.ID] = jn.Parent
 		t.EdgeLens[jn.ID] = jn.Dist
 		t.Reqs[jn.ID] = jn.Requests
-		t.Labels[jn.ID] = jn.Label
+		// Labels are allocated by the first record that has one.
+		if jn.Label != "" && t.Labels == nil {
+			t.Labels = make([]string, n)
+		}
+		if t.Labels != nil {
+			t.Labels[jn.ID] = jn.Label
+		}
 	}
 	for _, jn := range list {
 		if jn.Parent != None && (jn.Parent < 0 || int(jn.Parent) >= n) {

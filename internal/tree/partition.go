@@ -202,7 +202,7 @@ func PieceTree(f *Tree, p Piece) (*Tree, error) {
 		if i > 0 {
 			dist = f.EdgeLens[g]
 		}
-		if _, err := b.Add(p.Parents[i], dist, f.Reqs[g], f.Labels[g]); err != nil {
+		if _, err := b.Add(p.Parents[i], dist, f.Reqs[g], f.Label(g)); err != nil {
 			return nil, err
 		}
 	}

@@ -18,7 +18,7 @@ func rebuild(t *testing.T, tr *tree.Tree) *tree.Tree {
 	b := tree.NewBuilder()
 	b.Grow(tr.Len())
 	for j := 0; j < tr.Len(); j++ {
-		got, err := b.Add(tr.Parents[j], tr.EdgeLens[j], tr.Reqs[j], tr.Labels[j])
+		got, err := b.Add(tr.Parents[j], tr.EdgeLens[j], tr.Reqs[j], tr.Label(tree.NodeID(j)))
 		if err != nil {
 			t.Fatalf("Add(%d): %v", j, err)
 		}

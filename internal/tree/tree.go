@@ -40,7 +40,10 @@ type Tree struct {
 	EdgeLens []int64
 	// Reqs[j] is rj for clients, 0 for internal nodes.
 	Reqs []int64
-	// Labels[j] is the optional human-readable name (may be empty).
+	// Labels[j] is the optional human-readable name of j. A tree in
+	// which no node has a name keeps no labels: Labels has length 0
+	// when every name is empty and Len() otherwise. Read it through
+	// Label.
 	Labels []string
 	// The children of j are ChildList[ChildStart[j]:ChildStart[j+1]],
 	// in ascending ID order; ChildStart has Len()+1 entries.
@@ -89,7 +92,31 @@ func (t *Tree) Dist(j NodeID) int64 {
 func (t *Tree) Requests(j NodeID) int64 { return t.Reqs[j] }
 
 // Label returns the optional label of j (may be empty).
-func (t *Tree) Label(j NodeID) string { return t.Labels[j] }
+func (t *Tree) Label(j NodeID) string {
+	if len(t.Labels) == 0 {
+		return ""
+	}
+	return t.Labels[j]
+}
+
+// addLabel records the label of node id, the node just appended: a
+// tree keeps no labels until its first non-empty one, which fills in
+// empty labels for the id nodes before it.
+func (t *Tree) addLabel(id NodeID, label string) {
+	if label == "" && len(t.Labels) == 0 {
+		return
+	}
+	if len(t.Labels) < int(id) {
+		t.Labels = append(t.Labels, make([]string, int(id)-len(t.Labels))...)
+	}
+	t.Labels = append(t.Labels, label)
+}
+
+// labelsAgree reports whether Labels has one of its two lengths, 0 or
+// Len().
+func (t *Tree) labelsAgree() bool {
+	return len(t.Labels) == 0 || len(t.Labels) == len(t.Parents)
+}
 
 // IsClient reports whether j is a leaf (client) node.
 func (t *Tree) IsClient(j NodeID) bool { return t.ChildStart[j] == t.ChildStart[j+1] }
@@ -103,7 +130,7 @@ func (t *Tree) Valid(j NodeID) bool { return j >= 0 && int(j) < len(t.Parents) }
 // Name returns the label of j if set, otherwise a synthetic "n<ID>"
 // or "c<ID>" name.
 func (t *Tree) Name(j NodeID) string {
-	if l := t.Labels[j]; l != "" {
+	if l := t.Label(j); l != "" {
 		return l
 	}
 	if t.IsClient(j) {
@@ -152,7 +179,7 @@ func (t *Tree) walk(record bool) error {
 	if n == 0 {
 		return errors.New("tree: empty tree")
 	}
-	if len(t.EdgeLens) != n || len(t.Reqs) != n || len(t.Labels) != n ||
+	if len(t.EdgeLens) != n || len(t.Reqs) != n || !t.labelsAgree() ||
 		len(t.ChildStart) != n+1 || len(t.Pre) != n || len(t.Post) != n {
 		return errors.New("tree: node arrays disagree in length")
 	}
