@@ -666,10 +666,10 @@ func BenchmarkWarmLPRoundWarm(b *testing.B)        { benchWarmSolve(b, solver.LP
 // benchDeltaMutate measures one mutate-and-re-solve cycle at three
 // service levels: "cold" re-solves the mutated instance through
 // Engine.Solve on a borrowed pooled scratch, "warm" on a lent scratch,
-// and "delta" drives a delta.Session, which skips the re-ingest and
-// its Validate. All three run the same memoized single.Session.Gen,
-// which re-visits only the dirtied root paths whenever the scratch's
-// memo was left by a same-shape instance.
+// and "delta" drives a delta.Session, which solves through the same
+// seam on a scratch of its own. All three run the same memoized
+// single.Session.Gen, which re-visits only the dirtied root paths
+// whenever the scratch's memo was left by a same-shape instance.
 func benchDeltaMutate(b *testing.B, internals int, mode string) {
 	rng := rand.New(rand.NewSource(97))
 	in := gen.RandomInstance(rng, gen.TreeConfig{

@@ -64,13 +64,9 @@ type FlatInstance struct {
 // NoD reports whether the instance ignores distances.
 func (fi *FlatInstance) NoD() bool { return fi.DMax == NoDistance }
 
-// Validate checks the parameter invariants (the tree itself is
-// validated at build time).
+// Validate is Instance.Validate of the instance.
 func (fi *FlatInstance) Validate() error {
-	if fi.Flat == nil || fi.Flat.Len() == 0 {
-		return errors.New("core: instance has no tree")
-	}
-	return validateParams(fi.W, fi.DMax)
+	return validate(fi.Flat, fi.W, fi.DMax)
 }
 
 // LowerBound is LowerBound of the instance.

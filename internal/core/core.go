@@ -51,22 +51,23 @@ type Instance struct {
 // NoD reports whether the instance has no distance constraint.
 func (in *Instance) NoD() bool { return in.DMax == NoDistance }
 
-// Validate checks instance-level invariants: a valid tree, a positive
-// capacity and a non-negative distance bound.
+// Validate checks what a built tree cannot promise: that there is a
+// non-empty tree, a positive capacity and a non-negative distance
+// bound. The tree itself is not walked again. Every constructor
+// (tree.Builder, both JSON decoders, ReadChunked) validates the tree it
+// returns, and only tree.Editor, which checks each edit, changes a
+// built tree, so a tree that exists is a valid tree. O(1).
 func (in *Instance) Validate() error {
-	if in.Tree == nil {
-		return errors.New("core: instance has nil tree")
-	}
-	if err := in.Tree.Validate(); err != nil {
-		return err
-	}
-	return validateParams(in.W, in.DMax)
+	return validate(in.Tree, in.W, in.DMax)
 }
 
-// validateParams is the W/DMax check both instance forms apply: a
+// validate is the check both instance forms apply: a non-empty tree, a
 // positive capacity and a non-negative distance bound (0 lets every
 // client be served only locally).
-func validateParams(w, dmax int64) error {
+func validate(t *tree.Tree, w, dmax int64) error {
+	if t == nil || t.Len() == 0 {
+		return errors.New("core: instance has no tree")
+	}
 	if w <= 0 {
 		return fmt.Errorf("core: non-positive capacity W=%d", w)
 	}

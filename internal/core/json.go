@@ -72,8 +72,7 @@ func ScanInstance(s *wire.Scanner) *Instance {
 			in.DMax = s.Int(math.MinInt64, math.MaxInt64)
 		}
 	}
-	// tree.Scan has validated the tree; the rest of Validate is this.
-	if !s.OK() || in.Tree == nil || validateParams(in.W, in.DMax) != nil {
+	if !s.OK() || in.Validate() != nil {
 		s.Decline()
 		return nil
 	}

@@ -131,7 +131,7 @@ func (sc *Scratch) LowerBound(in *Instance) int {
 
 // Verify checks feasibility of sol like Verify, but does not
 // re-validate the instance: the caller guarantees a validated instance
-// (the session validates once at ingest). It performs no heap
+// (the solver seam validates it at ingest). It performs no heap
 // allocations when the solution is feasible; errors wrap the same
 // sentinels as Verify (errors only occur on infeasible solutions,
 // where allocating the message is fine).

@@ -3,25 +3,24 @@
 // its last solution and solver working memory, and re-solves after
 // typed mutations instead of solving from scratch.
 //
-// Three re-solve strategies, picked by the session's engine:
+// Every resolve is one Engine.Solve call on the session's own
+// solver.Scratch, with the previous solution in Request.Previous and
+// the failed servers in Request.Exclude:
 //
-//   - single-gen sessions keep one single.Session bound to the edited
-//     tree and call its Gen directly. Gen memoizes Algorithm 1 per node
-//     and re-visits only the root paths whose inputs changed since its
-//     last solve, so a small mutation costs a small re-solve plus the
-//     full verifier and lower bound. Calling it directly skips the
-//     engine seam's re-ingest, whose Validate pass would repeat what
-//     every mutation already checked.
-//   - delta-capable engines (multiple-replan) receive the previous
-//     solution via Request.Previous and the failed-server set via
-//     Request.Exclude; the engine minimises churn itself.
-//   - every other engine falls back to a full warm solve on the
-//     session's pooled scratch.
+//   - delta-capable engines (multiple-replan) adapt the previous
+//     placement and minimise churn themselves;
+//   - every other engine ignores Previous (Apply and SetFailed refuse
+//     failed servers for it, so Exclude stays empty) and re-solves warm
+//     on the scratch. For single-gen the warm solve is incremental:
+//     Algorithm 1's memo in the scratch's single.Session survives the
+//     re-ingest, and Gen re-visits only the root paths whose inputs
+//     changed since its last solve.
 //
-// In all three cases Resolve reports the churn against the previous
-// resolve in Report.Churn, as multiple.PlanDelta computes it (the
-// delta engine calls it itself), and the solution/churn returned are
-// owned by the caller (cloned out of session state). A Session is
+// The engine seam verifies the answer, failed servers included, and
+// fills the lower bound. Resolve reports the churn against the
+// previous resolve in Report.Churn, as multiple.PlanDelta computes it
+// (the delta engine calls it itself), and the solution/churn returned
+// are owned by the caller (cloned out of session state). A Session is
 // safe for concurrent use.
 package delta
 
@@ -31,11 +30,9 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"time"
 
 	"replicatree/internal/core"
 	"replicatree/internal/multiple"
-	"replicatree/internal/single"
 	"replicatree/internal/solver"
 	"replicatree/internal/tree"
 )
@@ -83,17 +80,12 @@ type Mutation struct {
 type Session struct {
 	mu sync.Mutex
 
-	id     string // canonical hash of the instance at creation
-	engine solver.Engine
-	ed     *tree.Editor
-	in     core.Instance // the current W and DMax; Tree is ed's, refreshed per resolve
-
-	// single-gen sessions solve on gen, bound to in, and compute the
-	// bound on their own tables; the others solve on the pooled sc.
-	gen    *single.Session
-	bound  core.Scratch
-	sc     *solver.Scratch
-	closed bool
+	id      string // canonical hash of the instance at creation
+	engine  solver.Engine
+	ed      *tree.Editor
+	w, dmax int64           // the current W and DMax
+	sc      *solver.Scratch // every resolve solves on it
+	closed  bool
 
 	prev   *core.Solution // last solution (session-owned clone); nil before first resolve
 	last   solver.Report  // last successful report (solution/churn are caller clones)
@@ -115,18 +107,14 @@ func New(in *core.Instance, engineName string) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Session{
+	return &Session{
 		id:     in.CanonicalHash(),
 		engine: eng,
 		ed:     tree.NewEditor(in.Tree),
-		in:     core.Instance{W: in.W, DMax: in.DMax},
-	}
-	if eng.Name() == solver.SingleGen {
-		s.gen = new(single.Session)
-	} else {
-		s.sc = solver.GetScratch()
-	}
-	return s, nil
+		w:      in.W,
+		dmax:   in.DMax,
+		sc:     solver.GetScratch(),
+	}, nil
 }
 
 // ID returns the canonical hash of the instance the session was
@@ -142,7 +130,7 @@ func (s *Session) Engine() string { return s.engine.Name() }
 func (s *Session) Instance() *core.Instance {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return &core.Instance{Tree: s.ed.Tree().Clone(), W: s.in.W, DMax: s.in.DMax}
+	return &core.Instance{Tree: s.ed.Tree().Clone(), W: s.w, DMax: s.dmax}
 }
 
 // Shape returns the current node count, W and DMax without copying
@@ -150,7 +138,7 @@ func (s *Session) Instance() *core.Instance {
 func (s *Session) Shape() (nodes int, w, dmax int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.ed.Len(), s.in.W, s.in.DMax
+	return s.ed.Len(), s.w, s.dmax
 }
 
 // Failed returns the current failed-server set.
@@ -173,7 +161,7 @@ func (s *Session) Close() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	solver.PutScratch(s.sc)
-	s.sc, s.gen, s.closed = nil, nil, true
+	s.sc, s.closed = nil, true
 }
 
 // Apply applies mutations in order. The first invalid mutation aborts
@@ -213,7 +201,7 @@ func (s *Session) apply(m *Mutation) error {
 		if m.W <= 0 {
 			return fmt.Errorf("non-positive capacity W=%d", m.W)
 		}
-		s.in.W = m.W
+		s.w = m.W
 	case OpFailServer:
 		if !s.engine.Capabilities().Delta {
 			return fmt.Errorf("engine %s cannot honour failed servers (delta engines only)", s.engine.Name())
@@ -263,65 +251,10 @@ func (s *Session) Resolve(ctx context.Context) (solver.Report, error) {
 	if s.closed {
 		return solver.Report{}, errors.New("delta: session is closed")
 	}
-	var (
-		rep solver.Report
-		err error
-	)
-	switch {
-	case s.gen != nil:
-		rep, err = s.resolveGen(ctx)
-	case s.engine.Capabilities().Delta:
-		rep, err = s.resolveDelta(ctx)
-	default:
-		rep, err = s.resolveWarm(ctx)
-	}
-	if err != nil {
-		return rep, err
-	}
-	if rep.Churn == nil { // only the delta engines report their own
-		ch := multiple.PlanDelta(s.prev, rep.Solution)
-		rep.Churn = &ch
-	}
-	s.prev = rep.Solution.Clone()
-	s.last = rep
-	s.solved = true
-	return rep, nil
-}
-
-// resolveGen runs Algorithm 1 on the session's own single.Session and
-// fills the report as the engine seam would: lower bound, gap and the
-// infeasibility sentinel.
-func (s *Session) resolveGen(ctx context.Context) (solver.Report, error) {
-	begin := time.Now()
-	rep := solver.Report{Engine: solver.SingleGen, Policy: core.Single}
-	if err := ctx.Err(); err != nil {
-		return rep, err
-	}
-	s.in.Tree = s.ed.Tree()
-	s.gen.Reset(&s.in)
-	sol, err := s.gen.Gen()
-	if err != nil {
-		rep.Elapsed = time.Since(begin)
-		if s.in.Tree.MaxRequests() > s.in.W {
-			err = solver.MarkInfeasible(err)
-		}
-		return rep, err
-	}
-	rep.Solution = sol.Clone()
-	rep.LowerBound = s.bound.LowerBound(&s.in)
-	if rep.LowerBound > 0 {
-		rep.Gap = float64(rep.Solution.NumReplicas()-rep.LowerBound) / float64(rep.LowerBound)
-	}
-	rep.Elapsed = time.Since(begin)
-	return rep, nil
-}
-
-// resolveDelta hands the previous solution and failure set to a
-// delta-capable engine, which reports the churn itself.
-func (s *Session) resolveDelta(ctx context.Context) (solver.Report, error) {
-	wrap := &core.Instance{Tree: s.ed.Tree(), W: s.in.W, DMax: s.in.DMax}
+	// A fresh instance wrapper forces the scratch to re-ingest: the
+	// tree was edited in place, and the ingest key is pointer identity.
 	rep, err := s.engine.Solve(ctx, solver.Request{
-		Instance: wrap,
+		Instance: &core.Instance{Tree: s.ed.Tree(), W: s.w, DMax: s.dmax},
 		Previous: s.prev,
 		Exclude:  s.failed,
 		Scratch:  s.sc,
@@ -329,21 +262,15 @@ func (s *Session) resolveDelta(ctx context.Context) (solver.Report, error) {
 	if err != nil {
 		return rep, err
 	}
+	// A session engine's solution is scratch-owned; only the delta
+	// engines report their own churn.
 	rep.Solution = rep.Solution.Clone()
-	return rep, nil
-}
-
-// resolveWarm is the full warm solve fallback for engines without a
-// delta path: re-solve on the pooled scratch.
-func (s *Session) resolveWarm(ctx context.Context) (solver.Report, error) {
-	// A fresh instance wrapper forces scratch re-ingestion: the tree
-	// was mutated in place, and the scratch's ingest key is pointer
-	// identity.
-	wrap := &core.Instance{Tree: s.ed.Tree(), W: s.in.W, DMax: s.in.DMax}
-	rep, err := s.engine.Solve(ctx, solver.Request{Instance: wrap, Scratch: s.sc})
-	if err != nil {
-		return rep, err
+	if rep.Churn == nil {
+		ch := multiple.PlanDelta(s.prev, rep.Solution)
+		rep.Churn = &ch
 	}
-	rep.Solution = rep.Solution.Clone() // the warm solution is scratch-owned
+	s.prev = rep.Solution.Clone()
+	s.last = rep
+	s.solved = true
 	return rep, nil
 }

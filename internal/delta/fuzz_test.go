@@ -90,11 +90,12 @@ func fuzzMutations(data []byte, nodes int) []Mutation {
 
 // FuzzSessionMutations decodes a small instance and a mutation
 // sequence from the fuzz input and drives a single-gen, a
-// multiple-greedy and a multiple-replan session through it, one
-// mutation per resolve. Every single-gen and multiple-greedy resolve
-// must equal a cold solve of the session's Instance(): the same
-// solution, bound and gap, or the same error text and ErrInfeasible
-// classification. A replan answer depends on the previous one, so
+// single-pushup, a multiple-greedy, an lp-round and a multiple-replan
+// session through it, one mutation per resolve. The single-pushup
+// session starts from the instance's NoD twin, the only kind it
+// solves. Every resolve but replan's must equal a cold solve of the
+// session's Instance(): the same solution, bound and gap, or the same
+// error text and ErrInfeasible classification. A replan answer depends on the previous one, so
 // every successful replan resolve must instead pass core.Verify and
 // host no replica on a Failed() node. Every churn must be PlanDelta's
 // against the last successful answer.
@@ -110,9 +111,13 @@ func FuzzSessionMutations(f *testing.F) {
 			return
 		}
 		muts := fuzzMutations(rest, in.Tree.Len())
-		for _, engine := range []string{solver.SingleGen, solver.MultipleGreedy, solver.MultipleReplan} {
+		for _, engine := range []string{solver.SingleGen, solver.SinglePushUp, solver.MultipleGreedy, solver.LPRound, solver.MultipleReplan} {
 			cold := solver.MustLookup(engine)
-			s, err := New(in, engine)
+			start := in
+			if engine == solver.SinglePushUp {
+				start = &core.Instance{Tree: in.Tree, W: in.W, DMax: core.NoDistance}
+			}
+			s, err := New(start, engine)
 			if err != nil {
 				t.Fatalf("%s: %v", engine, err)
 			}

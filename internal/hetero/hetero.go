@@ -44,13 +44,11 @@ func FromUniform(in *core.Instance) *Instance {
 	return &Instance{Tree: in.Tree, Cap: caps, DMax: in.DMax}
 }
 
-// Validate checks instance invariants.
+// Validate checks instance invariants. As for core.Instance, the tree
+// was validated when it was built and is not walked again.
 func (in *Instance) Validate() error {
-	if in.Tree == nil {
-		return errors.New("hetero: nil tree")
-	}
-	if err := in.Tree.Validate(); err != nil {
-		return err
+	if in.Tree == nil || in.Tree.Len() == 0 {
+		return errors.New("hetero: no tree")
 	}
 	if len(in.Cap) != in.Tree.Len() {
 		return fmt.Errorf("hetero: %d capacities for %d nodes", len(in.Cap), in.Tree.Len())

@@ -1,6 +1,10 @@
 package multiple
 
-import "replicatree/internal/core"
+import (
+	"fmt"
+
+	"replicatree/internal/core"
+)
 
 // Bin runs Algorithm 3 (multiple-bin), the paper's polynomial-time
 // algorithm for Multiple-Bin. Preconditions (checked): the tree is
@@ -57,9 +61,9 @@ func Best(in *core.Instance) (*core.Solution, error) {
 	return solveOnce(in, (*Session).Best)
 }
 
-// solveOnce validates in, runs one variant on a fresh session and
-// returns a copy of its solution, so the caller's result does not pin
-// the session's buffers.
+// solveOnce validates in, runs one variant on a fresh session,
+// verifies its answer and returns a copy of it, so the caller's result
+// does not pin the session's buffers.
 func solveOnce(in *core.Instance, run func(*Session) (*core.Solution, error)) (*core.Solution, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
@@ -69,6 +73,9 @@ func solveOnce(in *core.Instance, run func(*Session) (*core.Solution, error)) (*
 	sol, err := run(&s)
 	if err != nil {
 		return nil, err
+	}
+	if err := core.Verify(in, core.Multiple, sol); err != nil {
+		return nil, fmt.Errorf("multiple: algorithm produced infeasible solution: %w", err)
 	}
 	return sol.Clone(), nil
 }

@@ -74,12 +74,19 @@ func PlanDelta(old, new *core.Solution) Churn {
 //  3. then drop replicas that became redundant, old ones last, so
 //     long as the set stays feasible.
 //
-// The result is feasible for the new instance; its churn against old
-// is reported alongside. Replan never guarantees optimal replica
-// counts — that is the price of stability; compare with Best to see
-// the gap.
+// The result is verified feasible for the new instance; its churn
+// against old is reported alongside. Replan never guarantees optimal
+// replica counts — that is the price of stability; compare with Best
+// to see the gap.
 func Replan(in *core.Instance, old *core.Solution) (*core.Solution, Churn, error) {
-	return ReplanExcluding(in, old, nil)
+	sol, churn, err := ReplanExcluding(in, old, nil)
+	if err != nil {
+		return nil, Churn{}, err
+	}
+	if err := core.Verify(in, core.Multiple, sol); err != nil {
+		return nil, Churn{}, fmt.Errorf("multiple: replan produced infeasible solution: %w", err)
+	}
+	return sol, churn, nil
 }
 
 // ReplanExcluding is Replan with a set of forbidden replica sites —
@@ -91,6 +98,8 @@ func Replan(in *core.Instance, old *core.Solution) (*core.Solution, Churn, error
 // The growth pool is every other node that can serve some request, by
 // decreasing reach (the requests it can serve), then ID; growth and
 // shrinking are exact.Transport.GrowPrune on the old set and the pool.
+// The answer is not verified here: the multiple-replan engine's seam
+// verifies it, excluded nodes included, and Replan verifies its own.
 func ReplanExcluding(in *core.Instance, old *core.Solution, excluded []tree.NodeID) (*core.Solution, Churn, error) {
 	if err := in.Validate(); err != nil {
 		return nil, Churn{}, err
@@ -123,9 +132,6 @@ func ReplanExcluding(in *core.Instance, old *core.Solution, excluded []tree.Node
 	sol := &core.Solution{}
 	if err := o.Assign(sol, grown); err != nil {
 		return nil, Churn{}, err
-	}
-	if err := core.Verify(in, core.Multiple, sol); err != nil {
-		return nil, Churn{}, fmt.Errorf("multiple: replan produced infeasible solution: %w", err)
 	}
 	prev := old.Clone()
 	prev.Normalize()

@@ -35,10 +35,11 @@ import (
 //     oracle's exact order.
 //
 // The returned *core.Solution is owned by the session and valid until
-// the next solve. A Session is not safe for concurrent use.
+// the next solve. The session does not verify its answers: the solver
+// seam verifies every engine's answer once, and the package functions
+// (solveOnce) verify theirs. A Session is not safe for concurrent use.
 type Session struct {
 	in   *core.Instance
-	sc   core.Scratch
 	solA core.Solution
 	solB core.Solution // second buffer so Best can hold both variants
 	lazy bool
@@ -150,9 +151,6 @@ func (s *Session) run(lazy bool, sol *core.Solution) (*core.Solution, error) {
 		}
 	}
 	sol.Normalize()
-	if err := s.sc.Verify(s.in, core.Multiple, sol); err != nil {
-		return nil, fmt.Errorf("multiple: algorithm produced infeasible solution: %w", err)
-	}
 	return sol, nil
 }
 

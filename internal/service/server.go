@@ -22,8 +22,9 @@
 // canonical hash (core.Instance.CanonicalHash) so a repeated placement
 // of the same tree is served from an LRU in memory instead of
 // re-solved. The cache stores full solve reports and serves both
-// /v2/solve and batch tasks. Every solution — cached or fresh — has
-// passed core.Verify before it leaves the process.
+// /v2/solve and batch tasks. Every solution — cached, fresh or from an
+// instance session — has passed the engine seam's verifier before it
+// leaves the process (a failure is solver.ErrVerification, a 500).
 package service
 
 import (
@@ -38,7 +39,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"replicatree/internal/core"
 	// Link the decomposition engine into every service binary: it
 	// registers itself on init (it imports solver, so the registry
 	// cannot reference it statically).
@@ -131,11 +131,6 @@ func (s *Server) CacheStats() CacheStats { return s.cache.Stats() }
 // service metrics without scraping its own /metrics endpoint.
 func (s *Server) MetricsSnapshot() MetricsSnapshot { return s.metrics.Snapshot() }
 
-// errVerification marks a solver that returned an infeasible
-// solution — an internal invariant violation, reported as 500 rather
-// than blamed on the request.
-var errVerification = errors.New("solution failed verification")
-
 // maxBodyBytes caps request bodies: a long-running daemon must not
 // let one client balloon its memory with an unbounded JSON stream.
 // 64 MiB comfortably fits multi-million-node instances.
@@ -211,11 +206,11 @@ func requestVariant(req solver.Request) string {
 }
 
 // solveCached is the shared engine path of the solve and batch
-// endpoints: canonical hash, cache lookup, engine solve on miss,
-// verify, fill. The cache key is the dispatched engine name plus the
-// hash and request variant, so solves and batch tasks share entries
-// for the same (solver, instance) while constrained requests get their
-// own lines.
+// endpoints: canonical hash, cache lookup, engine solve on miss (the
+// engine verifies its answer), fill. The cache key is the dispatched
+// engine name plus the hash and request variant, so solves and batch
+// tasks share entries for the same (solver, instance) while
+// constrained requests get their own lines.
 func (s *Server) solveCached(ctx context.Context, eng solver.Engine, req solver.Request) (solveOutcome, error) {
 	out := solveOutcome{hash: req.Instance.CanonicalHash()}
 	key := out.hash
@@ -233,9 +228,6 @@ func (s *Server) solveCached(ctx context.Context, eng solver.Engine, req solver.
 		return out, err
 	}
 	s.metrics.Solve(name, time.Since(begin))
-	if err := core.Verify(req.Instance, rep.Policy, rep.Solution); err != nil {
-		return out, fmt.Errorf("%w: solver %s: %v", errVerification, name, err)
-	}
 	s.cache.Put(name, key, rep)
 	out.report = rep
 	return out, nil
@@ -265,8 +257,8 @@ func (s *Server) writeJSON(w http.ResponseWriter, endpoint string, status int, v
 }
 
 // cachingEngine routes a batch task's Solve through the server's
-// cache + verify path and remembers whether it hit, so job results
-// can report per-task cache effectiveness. The flag is atomic: a
+// cache path and remembers whether it hit, so job results can report
+// per-task cache effectiveness. The flag is atomic: a
 // timed-out batch task's solve goroutine is abandoned by
 // solver.Batch and may still be writing it when a poll renders
 // results.

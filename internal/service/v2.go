@@ -72,8 +72,8 @@ type SolveResponseV2 struct {
 	// solution for the reported policy.
 	Work   int64 `json:"work,omitempty"`
 	Proved bool  `json:"proved"`
-	// Verified is always true in a 200 response: solutions are checked
-	// with core.Verify before they are returned or cached.
+	// Verified is always true in a 200 response: the engine seam
+	// verifies every solution before it is returned or cached.
 	Verified bool `json:"verified"`
 	// Cached reports whether the solution came from the result cache.
 	Cached    bool    `json:"cached"`
@@ -236,7 +236,7 @@ func problem(typ, title string, status int, err error) Problem {
 // outranks the rest so aborted solves don't read as bad instances.
 func solveProblem(r *http.Request, err error) Problem {
 	switch {
-	case errors.Is(err, errVerification):
+	case errors.Is(err, solver.ErrVerification):
 		return problem(ProblemVerification, "solution failed verification", http.StatusInternalServerError, err)
 	case r.Context().Err() != nil:
 		return problem(ProblemClientClosed, "client closed request", statusClientClosed, err)

@@ -121,9 +121,6 @@ func (s *Session) nod(sol *core.Solution) (*core.Solution, error) {
 		s.lists[j] = l[:0]
 	}
 	sol.Normalize()
-	if err := s.sc.Verify(&s.relaxed, core.Single, sol); err != nil {
-		return nil, fmt.Errorf("single: nod produced infeasible solution: %w", err)
-	}
 	return sol, nil
 }
 
@@ -208,8 +205,5 @@ func (s *Session) passUp(sol *core.Solution) (*core.Solution, error) {
 	}
 	s.stack = stack
 	sol.Normalize()
-	if err := s.sc.Verify(&s.relaxed, core.Single, sol); err != nil {
-		return nil, fmt.Errorf("single: pass-up produced infeasible solution: %w", err)
-	}
 	return sol, nil
 }

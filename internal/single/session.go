@@ -17,19 +17,19 @@ import (
 // All working memory lives in the session. Algorithm 1 keeps a
 // per-node memo across solves and re-visits only the root paths whose
 // inputs changed since its last solve (gen.go), so a session re-solving
-// a slightly edited instance does work proportional to the edit plus
-// one verification. Algorithm 2's client bundles are nodes of an arena
-// linked list (so merging bundles is O(1) pointer splicing instead of
-// slice appends), and its lists Lj are per-node slices reused across
-// solves. Pass-up keeps every pending client on one stack (nod.go).
+// a slightly edited instance does work proportional to the edit.
+// Algorithm 2's client bundles are nodes of an arena linked list (so
+// merging bundles is O(1) pointer splicing instead of slice appends),
+// and its lists Lj are per-node slices reused across solves. Pass-up keeps every pending client on one stack (nod.go).
 // The returned *core.Solution is owned by the session and valid only
-// until the next solve on it. A Session is not safe for concurrent use.
+// until the next solve on it. The session does not verify its answers:
+// the solver seam verifies every engine's answer once, and the package
+// functions (solveOnce) verify theirs. A Session is not safe for
+// concurrent use.
 type Session struct {
-	in      *core.Instance
-	relaxed core.Instance // the NoD family verifies against the DMax-free twin
-	sc      core.Scratch
-	sol     core.Solution
-	alt     core.Solution // Best holds the pass-up answer here
+	in  *core.Instance
+	sol core.Solution
+	alt core.Solution // Best holds the pass-up answer here
 
 	gen   genMemo       // Algorithm 1
 	arena []cnode       // Algorithm 2 client bundles, reset every solve
@@ -57,12 +57,11 @@ type nentry struct {
 }
 
 // Reset binds the session to an instance. The caller must have
-// validated the instance (the solver seam validates once at ingest);
-// Reset itself does not allocate. Algorithm 1's memo survives Reset:
-// Gen checks it against the newly bound instance.
+// validated the instance (the solver seam does at ingest); Reset
+// itself does not allocate. Algorithm 1's memo survives Reset: Gen
+// checks it against the newly bound instance.
 func (s *Session) Reset(in *core.Instance) {
 	s.in = in
-	s.relaxed = core.Instance{Tree: in.Tree, W: in.W, DMax: core.NoDistance}
 }
 
 // feasibleSingle is Instance.Feasible(core.Single) computed without

@@ -14,7 +14,11 @@
 // once on a fresh session.
 package single
 
-import "replicatree/internal/core"
+import (
+	"fmt"
+
+	"replicatree/internal/core"
+)
 
 // Gen runs Algorithm 1 (single-gen) and returns a feasible solution to
 // Single. The returned solution uses at most (Δ+1)·opt replicas, and at
@@ -24,7 +28,7 @@ import "replicatree/internal/core"
 //
 // Time complexity: O(Δ·|T|) list-merge operations (Theorem 3).
 func Gen(in *core.Instance) (*core.Solution, error) {
-	return solveOnce(in, (*Session).Gen)
+	return solveOnce(in, false, (*Session).Gen)
 }
 
 // NoD runs Algorithm 2 (single-nod), the 2-approximation for
@@ -35,7 +39,7 @@ func Gen(in *core.Instance) (*core.Solution, error) {
 //
 // Time complexity: O((Δ log Δ + |C|)·|T|) (Theorem 4).
 func NoD(in *core.Instance) (*core.Solution, error) {
-	return solveOnce(in, (*Session).NoD)
+	return solveOnce(in, true, (*Session).NoD)
 }
 
 // NoDPassUp is an experimental Single-NoD heuristic in the direction
@@ -56,20 +60,21 @@ func NoD(in *core.Instance) (*core.Solution, error) {
 // E13 measures its empirical ratio against exact optima, and
 // NoDBest (the better of NoD and NoDPassUp) is the practical tool.
 func NoDPassUp(in *core.Instance) (*core.Solution, error) {
-	return solveOnce(in, (*Session).PassUp)
+	return solveOnce(in, true, (*Session).PassUp)
 }
 
 // NoDBest returns the better of NoD (Algorithm 2, proven
 // 2-approximation) and NoDPassUp, NoD's on a tie: never worse than
 // either, so the 2-approximation guarantee carries over.
 func NoDBest(in *core.Instance) (*core.Solution, error) {
-	return solveOnce(in, (*Session).Best)
+	return solveOnce(in, true, (*Session).Best)
 }
 
-// solveOnce validates in, runs one algorithm on a fresh session and
-// returns a copy of its solution, so the caller's result does not pin
-// the session's buffers.
-func solveOnce(in *core.Instance, run func(*Session) (*core.Solution, error)) (*core.Solution, error) {
+// solveOnce validates in, runs one algorithm on a fresh session,
+// verifies its answer and returns a copy of it, so the caller's result
+// does not pin the session's buffers. The NoD family (nod) ignores
+// dmax, so its answer is verified against the dmax-free twin of in.
+func solveOnce(in *core.Instance, nod bool, run func(*Session) (*core.Solution, error)) (*core.Solution, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
@@ -78,6 +83,13 @@ func solveOnce(in *core.Instance, run func(*Session) (*core.Solution, error)) (*
 	sol, err := run(&s)
 	if err != nil {
 		return nil, err
+	}
+	check := in
+	if nod {
+		check = &core.Instance{Tree: in.Tree, W: in.W, DMax: core.NoDistance}
+	}
+	if err := core.Verify(check, core.Single, sol); err != nil {
+		return nil, fmt.Errorf("single: algorithm produced infeasible solution: %w", err)
 	}
 	return sol.Clone(), nil
 }

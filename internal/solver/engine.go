@@ -2,7 +2,9 @@ package solver
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"replicatree/internal/core"
@@ -79,11 +81,13 @@ type Request struct {
 	// Scratch, when non-nil, lends the engine the working memory its
 	// session solves on, so a caller that re-solves can keep the
 	// session buffers warm: zero heap allocations once the instance is
-	// ingested. The Report's Solution is then owned by the scratch and
-	// valid only until its next solve — clone it before PutScratch.
-	// When nil, session engines borrow a pooled scratch for the solve
-	// and return a detached Solution. Other engines ignore the field.
-	// A Scratch must never be shared across concurrent requests.
+	// ingested. The Report's Solution of a session engine is then owned
+	// by the scratch and valid only until its next solve — clone it
+	// before PutScratch. When nil, the engine borrows a pooled scratch
+	// for the solve and returns a detached Solution. Every built-in
+	// engine verifies its answer on the scratch, so the field matters
+	// to all of them. A Scratch must never be shared across concurrent
+	// requests.
 	Scratch *Scratch
 	// Previous, when non-nil, hands a delta-capable engine
 	// (Capabilities.Delta) the placement it should adapt instead of
@@ -212,7 +216,11 @@ type Capabilities struct {
 // engine: it validates the request, enforces the capability gates
 // (policy constraint, distance support, size ceiling), threads budget
 // and deadline, classifies failures onto the sentinel errors and fills
-// the uniform Report fields around the wrapped solve function.
+// the uniform Report fields around the wrapped solve function. It is
+// also the output gate: no answer leaves it unless core.Scratch.Verify
+// accepts it under the report's policy and no Request.Exclude node
+// hosts a replica (ErrVerification otherwise), so the wrapped
+// functions do not verify their own answers.
 type engineCore struct {
 	caps Capabilities
 	// fn returns the solution plus the elementary work performed
@@ -222,8 +230,8 @@ type engineCore struct {
 	// deltaFn, set only on Delta engines, additionally returns the
 	// churn against Request.Previous for Report.Churn.
 	deltaFn func(ctx context.Context, req Request) (*core.Solution, *multiple.Churn, int64, error)
-	// session marks engines whose fn solves on req.Scratch: Solve
-	// borrows a pooled scratch when the caller lends none.
+	// session marks engines whose fn solves on req.Scratch, so that
+	// a solution from a borrowed scratch must be detached from it.
 	session bool
 }
 
@@ -292,12 +300,18 @@ func (e *engineCore) Solve(ctx context.Context, req Request) (Report, error) {
 			return rep, err
 		}
 	}
-	// A borrowed scratch outlives fillBound (which reads its bound
-	// tables) and is pooled again only after the solution is detached.
-	borrowed := e.session && req.Scratch == nil
+	// The gate and fillBound run on the request's scratch, or on one
+	// borrowed from the pool. Only session engines solve on a borrowed
+	// scratch, and their solution is detached before it goes back: an
+	// engine that forwards its request must not hand on pooled memory.
+	sc := req.Scratch
+	borrowed := sc == nil
 	if borrowed {
-		req.Scratch = GetScratch()
-		defer PutScratch(req.Scratch)
+		sc = GetScratch()
+		defer PutScratch(sc)
+		if e.session {
+			req.Scratch = sc
+		}
 	}
 	var (
 		sol   *core.Solution
@@ -319,14 +333,36 @@ func (e *engineCore) Solve(ctx context.Context, req Request) (Report, error) {
 		}
 		return rep, err
 	}
+	req.Scratch = sc // fillBound reads the tables the gate grew
+	if err := sc.gate(req, rep.Policy, sol); err != nil {
+		return rep, tag(fmt.Errorf("solver %s: solution failed verification: %w", e.caps.Name, err), ErrVerification)
+	}
 	rep.Solution = sol
 	rep.Proved = e.caps.Exact
 	fillBound(&rep, req)
-	if borrowed {
+	if borrowed && e.session {
 		rep.Solution = sol.Clone()
 	}
 	rep.Elapsed = time.Since(begin)
 	return rep, nil
+}
+
+// gate is the seam's output check: sol must be feasible for the
+// request's instance under pol, and no excluded node may host a
+// replica. It allocates nothing when the solution passes.
+func (sc *Scratch) gate(req Request, pol core.Policy, sol *core.Solution) error {
+	if sol == nil {
+		return errors.New("no solution")
+	}
+	if err := sc.check.Verify(req.Instance, pol, sol); err != nil {
+		return err
+	}
+	for _, x := range req.Exclude {
+		if slices.Contains(sol.Replicas, x) {
+			return fmt.Errorf("excluded node %d hosts a replica", x)
+		}
+	}
+	return nil
 }
 
 // fillBound computes the uniform lower-bound/gap block of a successful
@@ -342,7 +378,7 @@ func fillBound(rep *Report, req Request) {
 // scratch's bound tables make it allocation-free.
 func lowerBound(req Request) int {
 	if sc := req.Scratch; sc != nil {
-		return sc.bound.LowerBound(req.Instance)
+		return sc.check.LowerBound(req.Instance)
 	}
 	return core.LowerBound(req.Instance)
 }

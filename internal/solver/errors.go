@@ -16,6 +16,10 @@ var (
 	// ErrInfeasible: the instance admits no solution under the
 	// engine's policy; no solver choice can help (HTTP 422).
 	ErrInfeasible = errors.New("solver: instance infeasible")
+	// ErrVerification: an engine returned an answer that breaks the
+	// instance's constraints or the request's excluded servers. It is
+	// an internal fault, never the request's (HTTP 500).
+	ErrVerification = errors.New("solver: solution failed verification")
 )
 
 // taggedError attaches a sentinel to an underlying error without
@@ -37,9 +41,3 @@ func tag(err, sentinel error) error {
 	}
 	return &taggedError{err: err, sentinel: sentinel}
 }
-
-// MarkInfeasible attaches the ErrInfeasible sentinel to err without
-// changing its rendered message. It exists for out-of-package
-// cooperators (the delta session layer) that classify their own
-// failures but must stay on the solver sentinel taxonomy.
-func MarkInfeasible(err error) error { return tag(err, ErrInfeasible) }

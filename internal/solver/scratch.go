@@ -10,22 +10,27 @@ import (
 	"replicatree/internal/tree"
 )
 
-// Scratch is the working memory of the session engines — single-gen,
-// single-nod, the multiple-* family and lp-round — which always solve
-// on a scratch's reusable session buffers. A caller that lends one
-// (Request.Scratch) keeps those buffers across solves: after the first
-// solve has grown them, a solve on an already-ingested instance
-// performs zero heap allocations (the TestAllocs gate pins the count).
-// A caller that lends none gets one borrowed from the pool for the
-// duration of the solve. Either way the answer is the reference
-// algorithm's (the session parity tests in internal/single,
-// internal/multiple and internal/lp pin solution equality).
+// Scratch is the working memory of a solve. The session engines —
+// the single-* family, the multiple-* family except multiple-replan,
+// and lp-round — solve on its reusable session buffers, and every
+// built-in engine's output gate verifies the answer and computes the
+// lower bound on its tables. A caller that lends one (Request.Scratch) keeps
+// those buffers across solves: after the first solve has grown them, a
+// solve on an already-ingested instance performs zero heap allocations
+// (the TestAllocs gate pins the count). A caller that lends none gets
+// one borrowed from the pool for the duration of the solve. Either way
+// the answer is the reference algorithm's (the session parity tests in
+// internal/single, internal/multiple and internal/lp pin solution
+// equality).
 //
 // Ingestion is implicit: each session engine ingests the request's
-// instance on first sight, validating it once and binding the
-// per-algorithm sessions to it; the sessions read the instance's tree
-// in place. Re-solving the same *core.Instance (same tree pointer, W
-// and DMax) skips ingestion entirely — that is the hot path.
+// instance on first sight, checking its W and dmax (the tree was
+// validated when it was built) and binding the per-algorithm sessions
+// to it; the sessions read the instance's tree in place. Re-solving
+// the same *core.Instance (same tree pointer, W and DMax) skips
+// ingestion entirely — that is the hot path. A fresh instance wrapper
+// around a tree edited in place re-ingests in O(1), and Algorithm 1's
+// memo survives it (single.Session.Gen re-visits only what changed).
 //
 // Ownership rules:
 //   - A Scratch is NOT safe for concurrent use. Never share one
@@ -42,7 +47,7 @@ type Scratch struct {
 	w    int64
 	dmax int64
 
-	bound    core.Scratch // fillBound's alloc-free LowerBound tables
+	check    core.Scratch // the output gate's verifier and fillBound's LowerBound tables
 	single   single.Session
 	multiple multiple.Session
 
@@ -84,9 +89,9 @@ func PutScratch(sc *Scratch) {
 	}
 }
 
-// ingest binds the scratch to the instance, validating it and
-// (re)binding the sessions. Re-ingesting the
-// instance the scratch is already bound to is free. Ingestion may
+// ingest binds the scratch to the instance, validating it (O(1): see
+// core.Instance.Validate) and (re)binding the sessions. Re-ingesting
+// the instance the scratch is already bound to is free. Ingestion may
 // allocate (buffer growth, LP matrices); only the subsequent solves
 // are allocation-free.
 func (sc *Scratch) ingest(in *core.Instance) error {

@@ -31,6 +31,13 @@ const Infinity int64 = math.MaxInt64
 // Builder (or decode one from JSON); a zero Tree is empty and invalid.
 // The arrays are parallel, indexed by NodeID, and must not be modified.
 // Exactly the leaves are clients.
+//
+// A built tree is a valid tree: every constructor (Builder, both JSON
+// decoders, and core.ReadChunked, which builds with a Builder) checks
+// what it builds, and Clone, Binarize and PieceTree copy or build from
+// valid trees. Only an Editor may edit a built tree, and it checks
+// every edit. Consumers therefore never walk a tree to validate it
+// again (core.Instance.Validate checks only W and dmax).
 type Tree struct {
 	// Parents[j] is the parent of j, None for the root.
 	Parents []NodeID
@@ -165,7 +172,9 @@ func FlattenInto(f, t *Tree) {
 // agreeing lengths, a single root, consistent parent/children links,
 // acyclicity, non-negative edge lengths, clients exactly at the
 // leaves, non-negative request counts that are zero on internal
-// nodes, and stored visit orders that match the child index.
+// nodes, and stored visit orders that match the child index. A built
+// tree always passes (see Tree), so Validate is the independent oracle
+// that tests hold the constructors to, not a check consumers repeat.
 func (t *Tree) Validate() error { return t.walk(false) }
 
 // walk checks the invariants Validate lists, depth-first from the

@@ -39,8 +39,9 @@ import (
 	"replicatree/internal/solver"
 )
 
-// warmEngines are the session engines; every other engine ignores
-// Request.Scratch.
+// warmEngines are the session engines, which solve on
+// Request.Scratch; every other engine uses it only for the seam's
+// verify and bound.
 var warmEngines = []string{
 	solver.SingleGen,
 	solver.SingleNoD,
