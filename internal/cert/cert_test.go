@@ -126,7 +126,7 @@ func TestCertifyOptimality(t *testing.T) {
 	}
 }
 
-// TestCertifyRecomputesSuppressedBound: the "no-lower-bound" hint zeroes
+// TestCertifyRecomputesSuppressedBound: Request.NoBound zeroes
 // the report's bound; the issued certificate must still carry the true
 // recomputed bound so it survives its own verification.
 func TestCertifyRecomputesSuppressedBound(t *testing.T) {
@@ -137,13 +137,13 @@ func TestCertifyRecomputesSuppressedBound(t *testing.T) {
 	}
 	rep, err := eng.Solve(context.Background(), solver.Request{
 		Instance: in,
-		Hints:    map[string]string{"no-lower-bound": "1"},
+		NoBound:  true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.LowerBound != 0 {
-		t.Skip("hint did not suppress the bound; nothing to recompute")
+		t.Skip("NoBound did not suppress the bound; nothing to recompute")
 	}
 	c, err := solver.Certify(in, &rep)
 	if err != nil {

@@ -78,7 +78,8 @@ func validate(t *tree.Tree, w, dmax int64) error {
 }
 
 // FitsLocally reports whether every client satisfies ri ≤ W, the
-// precondition under which the trivial solution R = C exists and under
+// precondition under which the trivial solution R = C exists (so it
+// is Feasible(Single), without building the client list) and under
 // which Algorithm 3 (multiple-bin) is optimal.
 func (in *Instance) FitsLocally() bool {
 	return in.Tree.MaxRequests() <= in.W

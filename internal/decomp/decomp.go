@@ -277,7 +277,7 @@ func solvePiece(ctx context.Context, fi *core.FlatInstance, eng solver.Engine, p
 			Instance: &core.Instance{Tree: pt, W: fi.W, DMax: fi.DMax},
 			// The global bound is computed once on the tree;
 			// per-piece bounds would only burn time.
-			Hints: map[string]string{"no-lower-bound": "1"},
+			NoBound: true,
 		})
 		out.sol, out.err = rep.Solution, err
 	})

@@ -180,9 +180,10 @@ func TestFailedPiecesMergeBack(t *testing.T) {
 	}
 }
 
-// TestEngineRegistration: the registry path must resolve "decomp",
-// produce verified reports with a filled bound, and honour the
-// piece-size hint.
+// TestEngineRegistration: the registry path must resolve "decomp" and
+// produce verified reports with a filled bound and no work: decomp is
+// polynomial, and Report.Work (and a certificate's work) counts search
+// steps only.
 func TestEngineRegistration(t *testing.T) {
 	eng, err := solver.Lookup(solver.Decomp)
 	if err != nil {
@@ -194,10 +195,7 @@ func TestEngineRegistration(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(4))
 	in := gen.RandomInstance(rng, gen.TreeConfig{Internals: 60, MaxArity: 3, ExtraClients: 40}, true)
-	rep, err := eng.Solve(context.Background(), solver.Request{
-		Instance: in,
-		Hints:    map[string]string{"decomp-piece-size": "16"},
-	})
+	rep, err := eng.Solve(context.Background(), solver.Request{Instance: in})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,8 +205,15 @@ func TestEngineRegistration(t *testing.T) {
 	if rep.LowerBound != core.LowerBound(in) {
 		t.Fatalf("report bound %d, want %d", rep.LowerBound, core.LowerBound(in))
 	}
-	if rep.Work < 2 {
-		t.Fatalf("piece-size hint ignored: %d pieces reported", rep.Work)
+	if rep.Work != 0 {
+		t.Fatalf("report carries work %d", rep.Work)
+	}
+	c, err := solver.Certify(in, &rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Work != 0 || c.Optimality != nil {
+		t.Fatalf("certificate carries work %d, optimality %+v", c.Work, c.Optimality)
 	}
 	// A Single-policy request must be rejected: decomp's coordination
 	// splits client flows across cut edges.

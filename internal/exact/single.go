@@ -18,7 +18,7 @@ func SolveSingle(in *core.Instance, opt Options) (*core.Solution, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
-	if !in.Feasible(core.Single) {
+	if !in.FitsLocally() {
 		return nil, fmt.Errorf("exact: some client exceeds W=%d; Single has no solution", in.W)
 	}
 	var o Transport

@@ -28,14 +28,14 @@ var Workers int
 // sequential rng stream and aggregation consumes results by index, so
 // every table is bit-identical for any worker count. The sweeps
 // compare raw objective values, so the per-task lower-bound block is
-// skipped via the request hint.
+// skipped via Request.NoBound.
 func solveAll(name string, ins []*core.Instance) []solver.Result {
 	eng := solver.MustLookup(name)
 	tasks := make([]solver.Task, len(ins))
 	for i, in := range ins {
 		tasks[i] = solver.Task{Engine: eng, Request: solver.Request{
 			Instance: in,
-			Hints:    map[string]string{"no-lower-bound": "1"},
+			NoBound:  true,
 		}}
 	}
 	res, _ := solver.Batch(context.Background(), tasks, solver.Options{Workers: Workers})

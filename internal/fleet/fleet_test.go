@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -193,6 +194,38 @@ func TestFleetPeerLookup(t *testing.T) {
 	}
 	if _, ok := outsider.cache.peek(eng, key); !ok {
 		t.Error("tier-2 hit was not adopted locally")
+	}
+}
+
+// TestFleetUnknownHintsHitOnOwner: bodies that differ only in an
+// unknown "hints" object land on the key's owner, which solves the
+// first and serves the other two from its cache.
+func TestFleetUnknownHintsHitOnOwner(t *testing.T) {
+	f, ts := newTestFleet(t, Config{Workers: 3, Replication: 1, CacheSize: 64})
+	in := corpusInstance(t, "binary_dist_1.json")
+	raw, err := json.Marshal(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, hints := range []string{`{"a":"1"}`, `{"b":"2"}`, `{"no-lower-bound":"1"}`} {
+		body := `{"solver":"single-gen","hints":` + hints + `,"instance":` + string(raw) + `}`
+		resp, err := http.Post(ts.URL+"/v2/solve", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out service.SolveResponseV2
+		err = json.NewDecoder(resp.Body).Decode(&out)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("body %d: status %d, decode %v", i, resp.StatusCode, err)
+		}
+		if out.Cached != (i > 0) {
+			t.Errorf("body %d: cached %v", i, out.Cached)
+		}
+	}
+	owner, _ := f.ring.Owner(in.CanonicalHash())
+	if st := f.Worker(owner).cache.tierStats(); st.Tier1Hits != 2 || st.Tier1Misses != 1 {
+		t.Errorf("owner %s tier stats %+v, want 2 tier-1 hits / 1 miss", owner, st)
 	}
 }
 

@@ -51,19 +51,12 @@ func Greedy(in *Instance) (*core.Solution, error) {
 	return sol, nil
 }
 
-// Solve finds an optimal replica set: SolveWith under the given work
-// budget (0 means exact.DefaultBudget).
+// Solve finds an optimal replica set with exact.SearchMultiple on the
+// capacity-aware oracle: sets of increasing size, from a lower bound
+// of the largest capacities covering the total demand, with monotone
+// pruning. Exponential; small instances only. Running out of the work
+// budget (0 means exact.DefaultBudget) returns exact.ErrBudget.
 func Solve(in *Instance, budget int64) (*core.Solution, error) {
-	return SolveWith(in, exact.Options{Budget: budget})
-}
-
-// SolveWith finds an optimal replica set with exact.SearchMultiple on
-// the capacity-aware oracle: sets of increasing size, from a lower
-// bound of the largest capacities covering the total demand, with
-// monotone pruning. Exponential; small instances only. Running out of
-// opt's budget returns exact.ErrBudget, and opt.Work receives the
-// steps taken, as for exact.SolveMultiple.
-func SolveWith(in *Instance, opt exact.Options) (*core.Solution, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
@@ -83,7 +76,7 @@ func SolveWith(in *Instance, opt exact.Options) (*core.Solution, error) {
 			break
 		}
 	}
-	set, err := exact.SearchMultiple(o, cands, lb, opt)
+	set, err := exact.SearchMultiple(o, cands, lb, exact.Options{Budget: budget})
 	if err != nil {
 		return nil, err
 	}

@@ -29,7 +29,7 @@ func DecodeSolveRequest(body []byte) (SolveRequestV2, error) {
 	return req, nil
 }
 
-var solveKeys = []string{"solver", "instance", "policy", "budget", "timeout_ms", "hints", "certificate"}
+var solveKeys = []string{"solver", "instance", "policy", "budget", "timeout_ms", "certificate"}
 
 // scanSolveRequest is DecodeSolveRequest's one-pass path; ok is false
 // when the scanner declined.
@@ -50,30 +50,10 @@ func scanSolveRequest(body []byte) (req SolveRequestV2, ok bool) {
 		case 4:
 			req.TimeoutMS = s.Int(math.MinInt64, math.MaxInt64)
 		case 5:
-			req.Hints = scanHints(&s)
-		case 6:
 			req.Certificate = s.Bool()
 		}
 	}
 	return req, s.End()
-}
-
-// scanHints scans a flat object of string values; a repeated key
-// declines.
-func scanHints(s *wire.Scanner) map[string]string {
-	hints := make(map[string]string)
-	s.Object()
-	for first := true; ; first = false {
-		key, more := s.Key(first)
-		if !more {
-			return hints
-		}
-		if _, dup := hints[string(key)]; dup {
-			s.Decline()
-			return hints
-		}
-		hints[string(key)] = s.String()
-	}
 }
 
 // maxPooledBody bounds both the buffers kept for reuse and how far a

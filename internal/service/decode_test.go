@@ -79,9 +79,9 @@ func corpusSolveBodies(t testing.TB) [][]byte {
 			{Solver: "auto", Instance: in, Policy: "single"},
 			{Solver: solver.MultipleBest, Instance: in, Budget: 5000},
 			{Solver: solver.LPRound, Instance: in, TimeoutMS: 250},
-			{Solver: "auto", Instance: in, Hints: map[string]string{"prefer": "exact", "no-lower-bound": ""}},
+			{Solver: "auto", Instance: in},
 			{Solver: solver.SingleGen, Instance: in, Certificate: true},
-			{Solver: "auto", Instance: in, Policy: "multiple", Budget: 1, TimeoutMS: 9, Hints: map[string]string{"a": "b"}, Certificate: true},
+			{Solver: "auto", Instance: in, Policy: "multiple", Budget: 1, TimeoutMS: 9, Certificate: true},
 		} {
 			body, err := json.Marshal(req)
 			if err != nil {

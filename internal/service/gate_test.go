@@ -15,9 +15,10 @@ import (
 	"replicatree/internal/tree"
 )
 
-// Two deliberately broken engines. Both are marked so that the auto
-// portfolio skips them (hetero and delta engines never race), so
-// registering them leaves every other test's candidate set alone.
+// Two deliberately broken engines. The over-capacity one is a plain
+// polynomial engine, so it joins every auto race in this test binary;
+// the seam's gate fails its answers, so auto never picks it. The
+// excluded-host one is a delta engine and never races.
 const (
 	overCapacityEngine = "test-over-capacity"
 	excludedHostEngine = "test-excluded-host"
@@ -31,7 +32,7 @@ func brokenEngines() {
 		// sessionInstance, but far over W.
 		solver.MustRegisterEngine(solver.NewEngine(solver.Capabilities{
 			Name: overCapacityEngine, Policy: core.Multiple, SupportsDMax: true,
-			Hetero: true, Cost: solver.CostPolynomial,
+			Cost: solver.CostPolynomial,
 		}, func(_ context.Context, req solver.Request) (*core.Solution, int64, error) {
 			t := req.Instance.Tree
 			sol := &core.Solution{Replicas: []tree.NodeID{t.Root()}}
@@ -69,7 +70,8 @@ func brokenEngines() {
 // TestServedAnswersPassTheGate: an engine answer that breaks a
 // constraint is never served. /v2/solve, a batch task, a session's
 // first solution and a session mutate each answer with the
-// verification problem instead of a 200.
+// verification problem instead of a 200. auto races the over-capacity
+// engine and still serves a verified answer from another engine.
 func TestServedAnswersPassTheGate(t *testing.T) {
 	brokenEngines()
 	_, ts := newTestServer(t, Options{})
@@ -88,6 +90,21 @@ func TestServedAnswersPassTheGate(t *testing.T) {
 
 	resp, body := postJSON(t, ts.URL+"/v2/solve", SolveRequestV2{Solver: overCapacityEngine, Instance: in})
 	wantVerification("/v2/solve", resp, body)
+
+	resp, body = postJSON(t, ts.URL+"/v2/solve", SolveRequestV2{Solver: solver.Auto, Instance: in})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("auto: status %d\n%s", resp.StatusCode, body)
+	}
+	var sr SolveResponseV2
+	if err := json.Unmarshal(body, &sr); err != nil {
+		t.Fatal(err)
+	}
+	if sr.Engine == overCapacityEngine || sr.Engine == excludedHostEngine {
+		t.Errorf("auto served the broken engine %q", sr.Engine)
+	}
+	if err := core.Verify(in, core.Multiple, sr.Solution); err != nil {
+		t.Errorf("auto's answer from %s does not verify: %v", sr.Engine, err)
+	}
 
 	resp, body = postJSON(t, ts.URL+"/v2/batch", BatchRequestV2{
 		Tasks: []BatchTaskV2{{ID: "broken", Solver: overCapacityEngine, Instance: in}},

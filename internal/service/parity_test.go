@@ -106,7 +106,7 @@ func TestV2SolversCapabilities(t *testing.T) {
 	for i, c := range catalog {
 		d := docs[i]
 		if d.Name != c.Name || d.Policy != c.Policy.String() || d.Exact != c.Exact ||
-			d.SupportsDMax != c.SupportsDMax || d.Hetero != c.Hetero ||
+			d.SupportsDMax != c.SupportsDMax ||
 			d.Cost != c.Cost.String() || d.Description != c.Description {
 			t.Errorf("doc %d diverged from registry: %+v vs %+v", i, d, c)
 		}
@@ -185,20 +185,17 @@ func TestV2ProblemStatuses(t *testing.T) {
 	problemFrom(t, resp, buf)
 }
 
-// TestV2BudgetExhaustedExactEngines: both exact replica-set searches
-// report a spent work budget as the budget-exhausted problem.
+// TestV2BudgetExhaustedExactEngines: the exact replica-set search
+// reports a spent work budget as the budget-exhausted problem.
 func TestV2BudgetExhaustedExactEngines(t *testing.T) {
 	in := goldenInstance(t, "binary_dist_2.json")
 	_, ts := newTestServer(t, Options{})
-	for _, engine := range []string{solver.ExactMultiple, solver.HeteroExact} {
-		resp, body := postJSON(t, ts.URL+"/v2/solve", SolveRequestV2{Solver: engine, Instance: in, Budget: 1})
-		if resp.StatusCode != http.StatusUnprocessableEntity {
-			t.Errorf("%s: status %d, want 422 (%s)", engine, resp.StatusCode, body)
-			continue
-		}
-		if p := problemFrom(t, resp, body); p.Type != ProblemBudgetExhausted {
-			t.Errorf("%s: problem type %q, want %q", engine, p.Type, ProblemBudgetExhausted)
-		}
+	resp, body := postJSON(t, ts.URL+"/v2/solve", SolveRequestV2{Solver: solver.ExactMultiple, Instance: in, Budget: 1})
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("status %d, want 422 (%s)", resp.StatusCode, body)
+	}
+	if p := problemFrom(t, resp, body); p.Type != ProblemBudgetExhausted {
+		t.Errorf("problem type %q, want %q", p.Type, ProblemBudgetExhausted)
 	}
 }
 
@@ -253,21 +250,27 @@ func TestV2AutoSolve(t *testing.T) {
 		t.Errorf("returned solution does not verify: %v", err)
 	}
 
-	// The hint the service must not forward: lower bounds are always
-	// reported (and cached) even if the client asks to skip them.
-	resp, body = postJSON(t, ts.URL+"/v2/solve", SolveRequestV2{
-		Solver: "multiple-best", Instance: in,
-		Hints: map[string]string{"no-lower-bound": "1"},
-	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
-	}
-	var hinted SolveResponseV2
-	if err := json.Unmarshal(body, &hinted); err != nil {
+	// A body that still asks to skip the bound through the retired
+	// "hints" object: the field is unknown and ignored, so the bound is
+	// reported, and the cached copy carries it too.
+	raw, err := json.Marshal(in)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if hinted.LowerBound <= 0 {
-		t.Errorf("service forwarded the no-lower-bound hint: %+v", hinted)
+	hinted := []byte(`{"solver":"multiple-best","hints":{"no-lower-bound":"1"},"instance":` + string(raw) + `}`)
+	for i, wantCached := range []bool{false, true} {
+		resp, body := postRaw(t, ts.URL+"/v2/solve", hinted)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("post %d: status %d: %s", i, resp.StatusCode, body)
+		}
+		var sr SolveResponseV2
+		if err := json.Unmarshal(body, &sr); err != nil {
+			t.Fatal(err)
+		}
+		if sr.LowerBound != core.LowerBound(in) || sr.Cached != wantCached {
+			t.Errorf("post %d: bound %d (want %d), cached %v (want %v)",
+				i, sr.LowerBound, core.LowerBound(in), sr.Cached, wantCached)
+		}
 	}
 }
 

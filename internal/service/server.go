@@ -2,7 +2,7 @@
 // placement-as-a-service. The /v2 surface mirrors the solver package's
 // typed Request/Report contract. Endpoints:
 //
-//	POST /v2/solve    — solve one instance (policy/budget/timeout/hints)
+//	POST /v2/solve    — solve one instance (policy/budget/timeout)
 //	POST /v2/batch    — enqueue an async job over many typed tasks
 //	GET  /v2/jobs/{id} — poll a batch job with full per-task reports
 //	GET  /v2/jobs/{id}/proof/{task} — one task's certificate + inclusion proof
@@ -33,9 +33,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
-	"strconv"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -179,30 +176,16 @@ type solveOutcome struct {
 }
 
 // requestVariant canonically encodes the request fields that can
-// change a solve's outcome — the policy constraint, the work budget
-// and the (already service-filtered) hints — so differently
-// constrained requests never share a cache line. Unconstrained
-// requests encode to "", so their cache key is the bare canonical
-// hash — the ring key the fleet's shardKey reduces every variant to.
+// change a solve's outcome — the policy constraint and the work
+// budget — so differently constrained requests never share a cache
+// line. Unconstrained requests encode to "", so their cache key is the
+// bare canonical hash — the ring key the fleet's shardKey reduces
+// every variant to.
 func requestVariant(req solver.Request) string {
-	if req.Policy == solver.AnyPolicy && req.Budget == 0 && len(req.Hints) == 0 {
+	if req.Policy == solver.AnyPolicy && req.Budget == 0 {
 		return ""
 	}
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "p=%d;b=%d", req.Policy, req.Budget)
-	keys := make([]string, 0, len(req.Hints))
-	for k := range req.Hints {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		// Quote keys and values: hints are client-controlled, so raw
-		// ';'/'=' inside them must not collide with the delimiters
-		// (strconv.Quote escapes embedded quotes, making the encoding
-		// injective).
-		fmt.Fprintf(&sb, ";%s=%s", strconv.Quote(k), strconv.Quote(req.Hints[k]))
-	}
-	return sb.String()
+	return fmt.Sprintf("p=%d;b=%d", req.Policy, req.Budget)
 }
 
 // solveCached is the shared engine path of the solve and batch

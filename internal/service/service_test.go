@@ -67,6 +67,13 @@ func postJSON(t testing.TB, url string, body any) (*http.Response, []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return postRaw(t, url, data)
+}
+
+// postRaw posts a body as it is, for bytes a typed request cannot
+// marshal to.
+func postRaw(t testing.TB, url string, data []byte) (*http.Response, []byte) {
+	t.Helper()
 	resp, err := http.Post(url, "application/json", bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
@@ -172,6 +179,46 @@ func TestSolveCacheAccounting(t *testing.T) {
 	}
 	if got := srv.CacheStats(); got.Size != 2 || got.Misses != 2 {
 		t.Errorf("cache stats after second solver: %+v", got)
+	}
+}
+
+// TestUnknownHintsShareOneCacheLine: a "hints" object is an unknown
+// field, so bodies that differ only in it are one request. They share
+// one cache line, keyed by the bare canonical hash, however large the
+// objects are.
+func TestUnknownHintsShareOneCacheLine(t *testing.T) {
+	in := goldenInstance(t, "binary_dist_1.json")
+	cache := NewCache(8)
+	_, ts := newTestServer(t, Options{Cache: cache})
+	raw, err := json.Marshal(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, hints := range []string{
+		`{"no-lower-bound":"1"}`,
+		`{"x":"` + strings.Repeat("a", 64<<10) + `"}`,
+		`{"exact":"force","decomp":"skip"}`,
+	} {
+		body := `{"solver":"multiple-greedy","hints":` + hints + `,"instance":` + string(raw) + `}`
+		resp, out := postRaw(t, ts.URL+"/v2/solve", []byte(body))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("body %d: status %d: %s", i, resp.StatusCode, out)
+		}
+		var sr SolveResponseV2
+		if err := json.Unmarshal(out, &sr); err != nil {
+			t.Fatal(err)
+		}
+		if sr.Cached != (i > 0) || sr.LowerBound != core.LowerBound(in) {
+			t.Errorf("body %d: cached %v, bound %d", i, sr.Cached, sr.LowerBound)
+		}
+	}
+	if st := cache.Stats(); st.Hits != 2 || st.Misses != 1 || st.Size != 1 {
+		t.Errorf("cache stats %+v, want 2 hits / 1 miss / size 1", st)
+	}
+	for _, line := range cache.MostRecent(0) {
+		if line.Key != in.CanonicalHash() {
+			t.Errorf("cache key %.80q (%d bytes), want the bare hash %s", line.Key, len(line.Key), in.CanonicalHash())
+		}
 	}
 }
 

@@ -19,7 +19,7 @@ import (
 
 // The /v2 surface mirrors the solver package's Request/Report
 // contract over HTTP: requests carry the typed constraint fields
-// (policy, budget, timeout, hints), responses carry the uniform
+// (policy, budget, timeout), responses carry the uniform
 // quality metadata (lower bound, gap, work, optimality proof), the
 // solver catalogue returns full Capabilities documents, and errors
 // are RFC 7807 application/problem+json, typed by the solver
@@ -40,8 +40,6 @@ type SolveRequestV2 struct {
 	Budget int64 `json:"budget,omitempty"`
 	// TimeoutMS bounds the solve's wall-clock time (0 = none).
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-	// Hints is free-form engine advice (see solver.Request.Hints).
-	Hints map[string]string `json:"hints,omitempty"`
 	// Certificate requests a verifiable placement certificate in the
 	// response: the canonical instance commitment, the feasibility
 	// witness and the lower-bound attestation, checkable offline with
@@ -108,12 +106,11 @@ type BatchRequestV2 struct {
 // BatchTaskV2 is one typed task of a v2 batch job.
 type BatchTaskV2 struct {
 	// ID is an optional caller label echoed in the task's result.
-	ID       string            `json:"id,omitempty"`
-	Solver   string            `json:"solver"`
-	Instance *core.Instance    `json:"instance"`
-	Policy   string            `json:"policy,omitempty"`
-	Budget   int64             `json:"budget,omitempty"`
-	Hints    map[string]string `json:"hints,omitempty"`
+	ID       string         `json:"id,omitempty"`
+	Solver   string         `json:"solver"`
+	Instance *core.Instance `json:"instance"`
+	Policy   string         `json:"policy,omitempty"`
+	Budget   int64          `json:"budget,omitempty"`
 }
 
 // TaskResultV2 is the outcome of one v2 batch task: the task identity
@@ -179,7 +176,6 @@ type CapabilityDoc struct {
 	Policy       string `json:"policy"`
 	Exact        bool   `json:"exact"`
 	SupportsDMax bool   `json:"supports_dmax"`
-	Hetero       bool   `json:"hetero"`
 	// Delta marks engines that adapt a previous placement (honouring
 	// excluded servers and minimising churn) instead of solving cold;
 	// they power the /v2/instances sessions.
@@ -277,25 +273,9 @@ func parseWant(s string) (solver.Want, error) {
 	}
 }
 
-// serviceHints filters client hints the daemon must not forward:
-// "no-lower-bound" would poison the shared result cache with
-// bound-less reports, and the service always reports bounds.
-func serviceHints(hints map[string]string) map[string]string {
-	if _, ok := hints["no-lower-bound"]; !ok {
-		return hints
-	}
-	out := make(map[string]string, len(hints))
-	for k, v := range hints {
-		if k != "no-lower-bound" {
-			out[k] = v
-		}
-	}
-	return out
-}
-
 // v2Request assembles a solver.Request from wire fields shared by
 // solve and batch tasks.
-func v2Request(in *core.Instance, policy string, budget int64, hints map[string]string) (solver.Request, error) {
+func v2Request(in *core.Instance, policy string, budget int64) (solver.Request, error) {
 	want, err := parseWant(policy)
 	if err != nil {
 		return solver.Request{}, err
@@ -304,7 +284,6 @@ func v2Request(in *core.Instance, policy string, budget int64, hints map[string]
 		Instance: in,
 		Policy:   want,
 		Budget:   budget,
-		Hints:    serviceHints(hints),
 	}, nil
 }
 
@@ -348,7 +327,7 @@ func (s *Server) handleSolveV2(w http.ResponseWriter, r *http.Request) {
 			http.StatusBadRequest, errors.New("missing solver name (see GET /v2/solvers)")))
 		return
 	}
-	sreq, err := v2Request(req.Instance, req.Policy, req.Budget, req.Hints)
+	sreq, err := v2Request(req.Instance, req.Policy, req.Budget)
 	if err != nil {
 		s.writeProblem(w, endpoint, problem(ProblemBadRequest, "invalid request body", http.StatusBadRequest, err))
 		return
@@ -454,7 +433,7 @@ func (s *Server) handleBatchV2(w http.ResponseWriter, r *http.Request) {
 				http.StatusNotFound, fmt.Errorf("task %d: %w", i, err)))
 			return
 		}
-		sreq, err := v2Request(bt.Instance, bt.Policy, bt.Budget, bt.Hints)
+		sreq, err := v2Request(bt.Instance, bt.Policy, bt.Budget)
 		if err != nil {
 			s.writeProblem(w, endpoint, problem(ProblemBadRequest, "invalid request body",
 				http.StatusBadRequest, fmt.Errorf("task %d: %w", i, err)))
@@ -511,7 +490,6 @@ func (s *Server) handleSolversV2(w http.ResponseWriter, r *http.Request) {
 			Policy:       c.Policy.String(),
 			Exact:        c.Exact,
 			SupportsDMax: c.SupportsDMax,
-			Hetero:       c.Hetero,
 			Delta:        c.Delta,
 			Cost:         c.Cost.String(),
 			Description:  c.Description,

@@ -75,7 +75,7 @@ type genMemo struct {
 // touches no memo state.
 func (s *Session) Gen() (*core.Solution, error) {
 	in, f := s.in, s.in.Tree
-	if !feasibleSingle(f, in.W) {
+	if !in.FitsLocally() {
 		return nil, fmt.Errorf("single: some client exceeds W=%d; Single has no solution", in.W)
 	}
 	g := &s.gen

@@ -40,7 +40,7 @@ func (s *Session) Best() (*core.Solution, error) {
 
 func (s *Session) nod(sol *core.Solution) (*core.Solution, error) {
 	in, f := s.in, s.in.Tree
-	if !feasibleSingle(f, in.W) {
+	if !in.FitsLocally() {
 		return nil, fmt.Errorf("single: some client exceeds W=%d; Single has no solution", in.W)
 	}
 	sol.Replicas, sol.Assignments = sol.Replicas[:0], sol.Assignments[:0]
@@ -149,7 +149,7 @@ type upSeg struct {
 // stack of clients: its children's sets, in child order.
 func (s *Session) passUp(sol *core.Solution) (*core.Solution, error) {
 	in, f := s.in, s.in.Tree
-	if !feasibleSingle(f, in.W) {
+	if !in.FitsLocally() {
 		return nil, fmt.Errorf("single: some client exceeds W=%d; Single has no solution", in.W)
 	}
 	sol.Replicas, sol.Assignments = sol.Replicas[:0], sol.Assignments[:0]

@@ -63,10 +63,3 @@ type nentry struct {
 func (s *Session) Reset(in *core.Instance) {
 	s.in = in
 }
-
-// feasibleSingle is Instance.Feasible(core.Single) computed without
-// allocating: a Single instance is feasible iff every client has
-// ri ≤ W, i.e. max ri ≤ W.
-func feasibleSingle(f *tree.Tree, w int64) bool {
-	return f.MaxRequests() <= w
-}

@@ -30,14 +30,12 @@ import (
 // capabilities plus instance feasibility, the stop rule reads replica
 // counts and the bound (never timing), and the winner is the lowest
 // replica count, ties going to the earlier stage and then to registry
-// order. Exact engines join only on small instances (or on the
-// "exact": "force" hint) and run budget-capped, so auto stays
-// affordable and its answer reproducible.
+// order. Exact engines join only on small instances and run
+// budget-capped, so auto stays affordable and its answer reproducible.
 
 const (
-	// autoExactMaxNodes gates exponential candidates: beyond this many
-	// tree nodes they are excluded unless the request hints
-	// "exact": "force" ("skip" excludes them at any size).
+	// autoExactMaxNodes is the exact engines' size ceiling: beyond this
+	// many tree nodes the portfolio excludes them.
 	autoExactMaxNodes = 192
 	// autoExactBudget caps each exponential candidate's search steps
 	// when the request sets no budget of its own; exhaustion just
@@ -45,8 +43,7 @@ const (
 	autoExactBudget = int64(2_000_000)
 	// autoDecompMinNodes routes oversized instances to the decomp
 	// engine (when linked in) instead of racing the whole-tree
-	// portfolio on them. The "decomp" hint mirrors the "exact" hint:
-	// "force" routes at any size, "skip" never routes.
+	// portfolio on them.
 	autoDecompMinNodes = 32768
 )
 
@@ -57,11 +54,6 @@ const (
 	stageExact         // exponential: size-gated and budget-capped
 	autoStages
 )
-
-// candidateHints is every candidate request's Hints: auto computes the
-// bound once for its own report, so the candidates need not repeat
-// it. It is shared read-only; nothing writes Request.Hints.
-var candidateHints = map[string]string{"no-lower-bound": "1"}
 
 // autoStage is the stage a candidate runs in, read off its capability
 // document.
@@ -118,13 +110,13 @@ func (a *autoEngine) Solve(ctx context.Context, req Request) (Report, error) {
 	// break. Routing is by name (decomp imports this package, so it
 	// cannot be referenced statically); a missing or failing decomp
 	// falls through to the regular portfolio.
-	if dec := req.Hint("decomp"); dec != "skip" && (dec == "force" || in.Tree.Len() >= autoDecompMinNodes) {
+	if in.Tree.Len() >= autoDecompMinNodes {
 		if eng, err := Lookup(Decomp); err == nil && req.Policy.Allows(core.Multiple) {
 			creq := Request{
 				Instance: in,
 				Budget:   req.Budget,
 				Deadline: req.Deadline,
-				Hints:    candidateHints,
+				NoBound:  true,
 			}
 			if drep, derr := eng.Solve(ctx, creq); derr == nil && drep.Solution != nil {
 				rep.Solution = drep.Solution
@@ -165,13 +157,11 @@ func (a *autoEngine) Solve(ctx context.Context, req Request) (Report, error) {
 	capable, total := 0, 0
 	for _, e := range Engines() {
 		c := e.Capabilities()
-		if c.Name == Auto || c.Name == Decomp || c.Hetero || c.Delta {
+		if c.Name == Auto || c.Name == Decomp || c.Delta {
 			// No self-recursion; decomp is routed explicitly above, not
 			// raced (its piece solves already fan out through Batch);
-			// hetero engines run exact's own bodies at uniform capacity,
-			// so they would repeat the uniform ones; delta engines
-			// optimise churn against a previous placement, not replica
-			// count, so they never compete.
+			// delta engines optimise churn against a previous placement,
+			// not replica count, so they never compete.
 			continue
 		}
 		if !req.Policy.Allows(c.Policy) {
@@ -180,29 +170,12 @@ func (a *autoEngine) Solve(ctx context.Context, req Request) (Report, error) {
 		if !c.SupportsDMax && !in.NoD() {
 			continue
 		}
-		stage := autoStage(c)
-		switch stage {
-		case stageExact:
-			if req.Hint("exact") == "skip" {
-				continue
-			}
-			// Exponential engines that declare no MaxNodes get the
-			// classic size gate.
-			limit := c.MaxNodes
-			if limit == 0 {
-				limit = autoExactMaxNodes
-			}
-			if req.Hint("exact") != "force" && in.Tree.Len() > limit {
-				continue
-			}
-		case stageCeiled:
-			// Polynomial engines with a declared ceiling (lp-round's
-			// simplex tableau is quadratic in the tree) drop out of the
-			// portfolio above it.
-			if in.Tree.Len() > c.MaxNodes {
-				continue
-			}
+		if c.MaxNodes > 0 && in.Tree.Len() > c.MaxNodes {
+			// A declared ceiling (exact's search, lp-round's tableau,
+			// quadratic in the tree) drops the engine above it.
+			continue
 		}
+		stage := autoStage(c)
 		capable++
 		if !feasible(c.Policy) {
 			continue
@@ -215,7 +188,7 @@ func (a *autoEngine) Solve(ctx context.Context, req Request) (Report, error) {
 			Instance: in,
 			Budget:   req.Budget,
 			Deadline: req.Deadline,
-			Hints:    candidateHints,
+			NoBound:  true,
 		}
 		if stage == stageExact && creq.Budget <= 0 {
 			creq.Budget = autoExactBudget
@@ -292,7 +265,7 @@ func (a *autoEngine) Solve(ctx context.Context, req Request) (Report, error) {
 	rep.Engine = win.Report.Engine
 	rep.Proved = win.Report.Proved || rep.Solution.NumReplicas() == bound ||
 		provedByPeer(ran[stageExact], win.Report)
-	if req.Hint("no-lower-bound") == "" {
+	if !req.NoBound {
 		rep.setBound(bound)
 	}
 	rep.Elapsed = time.Since(begin)

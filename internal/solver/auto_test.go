@@ -49,7 +49,7 @@ func TestAutoNeverWorse(t *testing.T) {
 		got := rep.Solution.NumReplicas()
 		for _, eng := range Engines() {
 			c := eng.Capabilities()
-			if c.Name == Auto || c.Hetero {
+			if c.Name == Auto {
 				continue
 			}
 			r, err := eng.Solve(ctx, Request{Instance: in})
@@ -161,37 +161,6 @@ func checkBoundProof(t *testing.T, ii int, in *core.Instance, rep Report) bool {
 			ii, rep.Solution.NumReplicas(), core.LowerBound(in), rep.Proved)
 	}
 	return met
-}
-
-// TestAutoExactHints pins the "exact" hint: "skip" removes the
-// exponential candidates, so a report is proved only by a met bound;
-// "force" admits them regardless of instance size, and they prove the
-// count where the heuristics miss the bound.
-func TestAutoExactHints(t *testing.T) {
-	ctx := context.Background()
-	auto := MustLookup(Auto)
-	for ii, in := range autoInstances(12) {
-		rep, err := auto.Solve(ctx, Request{Instance: in, Hints: map[string]string{"exact": "skip"}})
-		if err != nil {
-			t.Fatalf("instance %d: %v", ii, err)
-		}
-		if met := checkBoundProof(t, ii, in, rep); met == autoMissed(ii) {
-			t.Errorf("instance %d: bound met = %v, pinned misses at instances 1 and 9", ii, met)
-		}
-		if rep.Work != 0 {
-			t.Errorf("instance %d: heuristic-only portfolio reported work %d", ii, rep.Work)
-		}
-		forced, err := auto.Solve(ctx, Request{Instance: in, Hints: map[string]string{"exact": "force"}})
-		if err != nil {
-			t.Fatalf("instance %d: %v", ii, err)
-		}
-		if !forced.Proved {
-			t.Errorf("instance %d: forced exact candidates still no proof", ii)
-		}
-		if autoMissed(ii) && forced.Work == 0 {
-			t.Errorf("instance %d: proved past a missed bound with no exact work", ii)
-		}
-	}
 }
 
 // TestAutoBudgetPropagates pins that Request.Budget reaches the exact
@@ -337,7 +306,7 @@ func TestAutoMatchesFullRace(t *testing.T) {
 func cheapAtCount(in *core.Instance, n int) string {
 	for _, e := range Engines() {
 		c := e.Capabilities()
-		if c.Name == Auto || c.Name == Decomp || c.Hetero || c.Delta || autoStage(c) != stageCheap {
+		if c.Name == Auto || c.Name == Decomp || c.Delta || autoStage(c) != stageCheap {
 			continue
 		}
 		rep, err := e.Solve(context.Background(), Request{Instance: in})

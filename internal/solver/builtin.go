@@ -5,7 +5,6 @@ import (
 
 	"replicatree/internal/core"
 	"replicatree/internal/exact"
-	"replicatree/internal/hetero"
 	"replicatree/internal/multiple"
 )
 
@@ -25,8 +24,6 @@ const (
 	ExactSingle    = "exact-single"    // optimal Single branch-and-bound
 	ExactMultiple  = "exact-multiple"  // optimal Multiple set search + max-flow
 	LPRound        = "lp-round"        // LP relaxation support rounding, Multiple
-	HeteroGreedy   = "hetero-greedy"   // heterogeneous greedy at uniform capacity
-	HeteroExact    = "hetero-exact"    // heterogeneous exact at uniform capacity
 	Auto           = "auto"            // capability-driven portfolio over the registry
 
 	// Decomp is the subtree decomposition engine for huge trees. It
@@ -43,10 +40,10 @@ const (
 const lpRoundMaxNodes = 4096
 
 // caps is a terse Capabilities constructor for the built-in table.
-func caps(name string, pol core.Policy, exact, dmax, het bool, cost CostClass, desc string) Capabilities {
+func caps(name string, pol core.Policy, exact, dmax bool, cost CostClass, desc string) Capabilities {
 	return Capabilities{
 		Name: name, Policy: pol, Exact: exact,
-		SupportsDMax: dmax, Hetero: het, Cost: cost, Description: desc,
+		SupportsDMax: dmax, Cost: cost, Description: desc,
 	}
 }
 
@@ -55,15 +52,6 @@ func caps(name string, pol core.Policy, exact, dmax, het bool, cost CostClass, d
 func sized(c Capabilities, maxNodes int) Capabilities {
 	c.MaxNodes = maxNodes
 	return c
-}
-
-// plain adapts the repository's prevailing context-less algorithm
-// signature to an engine solve function (no work tracking).
-func plain(fn func(*core.Instance) (*core.Solution, error)) func(context.Context, Request) (*core.Solution, int64, error) {
-	return func(_ context.Context, req Request) (*core.Solution, int64, error) {
-		sol, err := fn(req.Instance)
-		return sol, 0, err
-	}
 }
 
 // newSessionEngine registers a polynomial built-in by its session
@@ -95,34 +83,34 @@ func exactFn(fn func(*core.Instance, exact.Options) (*core.Solution, error)) fun
 func init() {
 	poly, expo := CostPolynomial, CostExponential
 	MustRegisterEngine(newSessionEngine(
-		caps(SingleGen, core.Single, false, true, false, poly, "Algorithm 1: greedy bottom-up, (Δ+1)-approximation"),
+		caps(SingleGen, core.Single, false, true, poly, "Algorithm 1: greedy bottom-up, (Δ+1)-approximation"),
 		func(sc *Scratch) (*core.Solution, error) { return sc.single.Gen() }))
 	MustRegisterEngine(newSessionEngine(
-		caps(SingleNoD, core.Single, false, false, false, poly, "Algorithm 2: 2-approximation for Single without distance bound"),
+		caps(SingleNoD, core.Single, false, false, poly, "Algorithm 2: 2-approximation for Single without distance bound"),
 		func(sc *Scratch) (*core.Solution, error) { return sc.single.NoD() }))
 	MustRegisterEngine(newSessionEngine(
-		caps(SinglePassUp, core.Single, false, false, false, poly, "pass-up variant of Algorithm 2"),
+		caps(SinglePassUp, core.Single, false, false, poly, "pass-up variant of Algorithm 2"),
 		func(sc *Scratch) (*core.Solution, error) { return sc.single.PassUp() }))
 	MustRegisterEngine(newSessionEngine(
-		caps(SingleBest, core.Single, false, false, false, poly, "min(single-nod, single-passup)"),
+		caps(SingleBest, core.Single, false, false, poly, "min(single-nod, single-passup)"),
 		func(sc *Scratch) (*core.Solution, error) { return sc.single.Best() }))
 	MustRegisterEngine(newSessionEngine(
-		caps(SinglePushUp, core.Single, false, false, false, poly, "single-nod followed by the push-up post-pass"),
+		caps(SinglePushUp, core.Single, false, false, poly, "single-nod followed by the push-up post-pass"),
 		func(sc *Scratch) (*core.Solution, error) { return sc.single.PushUp() }))
 	MustRegisterEngine(newSessionEngine(
-		caps(MultipleBin, core.Multiple, false, true, false, poly, "Algorithm 3 (eager): optimal on binary trees with ri ≤ W"),
+		caps(MultipleBin, core.Multiple, false, true, poly, "Algorithm 3 (eager): optimal on binary trees with ri ≤ W"),
 		func(sc *Scratch) (*core.Solution, error) { return sc.multiple.Bin() }))
 	MustRegisterEngine(newSessionEngine(
-		caps(MultipleLazy, core.Multiple, false, true, false, poly, "lazy variant of Algorithm 3"),
+		caps(MultipleLazy, core.Multiple, false, true, poly, "lazy variant of Algorithm 3"),
 		func(sc *Scratch) (*core.Solution, error) { return sc.multiple.Lazy() }))
 	MustRegisterEngine(newSessionEngine(
-		caps(MultipleBest, core.Multiple, false, true, false, poly, "min(multiple-bin, multiple-lazy)"),
+		caps(MultipleBest, core.Multiple, false, true, poly, "min(multiple-bin, multiple-lazy)"),
 		func(sc *Scratch) (*core.Solution, error) { return sc.multiple.Best() }))
 	MustRegisterEngine(newSessionEngine(
-		caps(MultipleGreedy, core.Multiple, false, true, false, poly, "general-arity generalisation of Algorithm 3"),
+		caps(MultipleGreedy, core.Multiple, false, true, poly, "general-arity generalisation of Algorithm 3"),
 		func(sc *Scratch) (*core.Solution, error) { return sc.multiple.Greedy() }))
 	MustRegisterEngine(NewDeltaEngine(
-		caps(MultipleReplan, core.Multiple, false, true, false, poly, "adapt a previous placement with minimal churn (delta engine)"),
+		caps(MultipleReplan, core.Multiple, false, true, poly, "adapt a previous placement with minimal churn (delta engine)"),
 		func(_ context.Context, req Request) (*core.Solution, *multiple.Churn, int64, error) {
 			prev := req.Previous
 			if prev == nil {
@@ -137,13 +125,13 @@ func init() {
 			return sol, &churn, 0, nil
 		}))
 	MustRegisterEngine(NewEngine(
-		sized(caps(ExactSingle, core.Single, true, true, false, expo, "optimal Single via branch-and-bound over assignments"), autoExactMaxNodes),
+		sized(caps(ExactSingle, core.Single, true, true, expo, "optimal Single via branch-and-bound over assignments"), autoExactMaxNodes),
 		exactFn(exact.SolveSingle)))
 	MustRegisterEngine(NewEngine(
-		sized(caps(ExactMultiple, core.Multiple, true, true, false, expo, "optimal Multiple via set enumeration with a max-flow oracle"), autoExactMaxNodes),
+		sized(caps(ExactMultiple, core.Multiple, true, true, expo, "optimal Multiple via set enumeration with a max-flow oracle"), autoExactMaxNodes),
 		exactFn(exact.SolveMultiple)))
 	MustRegisterEngine(newSessionEngine(
-		sized(caps(LPRound, core.Multiple, false, true, false, poly, "LP relaxation support rounding"), lpRoundMaxNodes),
+		sized(caps(LPRound, core.Multiple, false, true, poly, "LP relaxation support rounding"), lpRoundMaxNodes),
 		func(sc *Scratch) (*core.Solution, error) {
 			s, err := sc.lpSession()
 			if err != nil {
@@ -151,15 +139,5 @@ func init() {
 			}
 			return s.Placement()
 		}))
-	MustRegisterEngine(NewEngine(
-		caps(HeteroGreedy, core.Multiple, false, true, true, poly, "heterogeneous greedy, run at uniform capacity"),
-		plain(func(in *core.Instance) (*core.Solution, error) {
-			return hetero.Greedy(hetero.FromUniform(in))
-		})))
-	MustRegisterEngine(NewEngine(
-		sized(caps(HeteroExact, core.Multiple, true, true, true, expo, "heterogeneous exact search, run at uniform capacity"), autoExactMaxNodes),
-		exactFn(func(in *core.Instance, opt exact.Options) (*core.Solution, error) {
-			return hetero.SolveWith(hetero.FromUniform(in), opt)
-		})))
 	MustRegisterEngine(newAutoEngine())
 }

@@ -18,8 +18,8 @@ import (
 //
 // Certification is off the hot path by design: it hashes the instance
 // and copies nothing lazily, so callers invoke it at response/settle
-// time, never inside Engine.Solve. A report produced under the
-// "no-lower-bound" hint carries bound 0; Certify recomputes the bound
+// time, never inside Engine.Solve. A report produced under
+// Request.NoBound carries bound 0; Certify recomputes the bound
 // from the instance in that case so the issued certificate always
 // survives its own verification.
 func Certify(in *core.Instance, rep *Report) (*cert.Certificate, error) {

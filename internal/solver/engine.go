@@ -72,12 +72,11 @@ type Request struct {
 	// Deadline, when non-zero, bounds the wall-clock time of the solve
 	// via the context.
 	Deadline time.Time
-	// Hints carries free-form engine-specific advice. Engines must
-	// ignore hints they do not understand. Recognised today:
-	// "no-lower-bound" (any value) skips the Report's lower-bound/gap
-	// computation on hot paths, and the auto engine's "exact" hint
-	// ("force"/"skip") overrides its size gate for exact candidates.
-	Hints map[string]string
+	// NoBound skips the Report's lower-bound/gap computation. Callers
+	// that compute the bound once for many solves (auto's candidates,
+	// decomp's piece solves, the experiments sweep) set it; it is never
+	// read off the wire.
+	NoBound bool
 	// Scratch, when non-nil, lends the engine the working memory its
 	// session solves on, so a caller that re-solves can keep the
 	// session buffers warm: zero heap allocations once the instance is
@@ -101,11 +100,6 @@ type Request struct {
 	Exclude []tree.NodeID
 }
 
-// Hint returns the named hint, or "" when unset.
-func (r Request) Hint(name string) string {
-	return r.Hints[name]
-}
-
 // Report is the full outcome of one solve: the solution plus the
 // uniform quality metadata (bound, gap, optimality proof, work).
 type Report struct {
@@ -117,7 +111,7 @@ type Report struct {
 	Policy core.Policy
 	// LowerBound is core.LowerBound of the instance; Gap is
 	// (replicas − LowerBound) / LowerBound, 0 when the bound is met or
-	// unavailable. Both are 0 under the "no-lower-bound" hint.
+	// unavailable. Both are 0 when Request.NoBound is set.
 	LowerBound int
 	Gap        float64
 	// Work counts the elementary search steps of budget-aware engines
@@ -189,10 +183,6 @@ type Capabilities struct {
 	// SupportsDMax engines handle finite distance bounds; the NoD
 	// family does not and rejects distance-constrained instances.
 	SupportsDMax bool
-	// Hetero engines specialise in heterogeneous capacities (they
-	// accept uniform instances but duplicate the uniform engines, so
-	// portfolios skip them).
-	Hetero bool
 	// Cost is the engine's complexity class.
 	Cost CostClass
 	// Delta engines adapt a Request.Previous placement (minimising
@@ -366,9 +356,9 @@ func (sc *Scratch) gate(req Request, pol core.Policy, sol *core.Solution) error 
 }
 
 // fillBound computes the uniform lower-bound/gap block of a successful
-// report, unless the request's "no-lower-bound" hint suppresses it.
+// report, unless Request.NoBound suppresses it.
 func fillBound(rep *Report, req Request) {
-	if rep.Solution == nil || req.Hint("no-lower-bound") != "" {
+	if rep.Solution == nil || req.NoBound {
 		return
 	}
 	rep.setBound(lowerBound(req))

@@ -35,8 +35,6 @@ func TestCapabilitiesPinned(t *testing.T) {
 		ExactSingle:    {Policy: core.Single, Exact: true, SupportsDMax: true, Cost: CostExponential},
 		ExactMultiple:  {Policy: core.Multiple, Exact: true, SupportsDMax: true, Cost: CostExponential},
 		LPRound:        {Policy: core.Multiple, SupportsDMax: true, Cost: CostPolynomial},
-		HeteroGreedy:   {Policy: core.Multiple, SupportsDMax: true, Hetero: true, Cost: CostPolynomial},
-		HeteroExact:    {Policy: core.Multiple, Exact: true, SupportsDMax: true, Hetero: true, Cost: CostExponential},
 		Auto:           {Policy: core.Multiple, SupportsDMax: true, Cost: CostPolynomial},
 		// Registered by internal/decomp (linked into this test binary
 		// through the external route_decomp_test.go file).
@@ -52,9 +50,9 @@ func TestCapabilitiesPinned(t *testing.T) {
 			t.Errorf("%s: capabilities name %q", name, c.Name)
 		}
 		if c.Policy != w.Policy || c.Exact != w.Exact || c.SupportsDMax != w.SupportsDMax ||
-			c.Hetero != w.Hetero || c.Cost != w.Cost || c.Delta != w.Delta {
-			t.Errorf("%s: capabilities %+v, want policy=%v exact=%v dmax=%v hetero=%v cost=%v delta=%v",
-				name, c, w.Policy, w.Exact, w.SupportsDMax, w.Hetero, w.Cost, w.Delta)
+			c.Cost != w.Cost || c.Delta != w.Delta {
+			t.Errorf("%s: capabilities %+v, want policy=%v exact=%v dmax=%v cost=%v delta=%v",
+				name, c, w.Policy, w.Exact, w.SupportsDMax, w.Cost, w.Delta)
 		}
 		if c.Description == "" {
 			t.Errorf("%s: empty description", name)
@@ -175,17 +173,17 @@ func TestReportBlock(t *testing.T) {
 		t.Error("report missing elapsed time")
 	}
 
-	// The no-lower-bound hint suppresses the bound block only.
+	// NoBound suppresses the bound block only.
 	rep2, err := MustLookup(SingleGen).Solve(context.Background(),
-		Request{Instance: in, Hints: map[string]string{"no-lower-bound": "1"}})
+		Request{Instance: in, NoBound: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep2.LowerBound != 0 || rep2.Gap != 0 {
-		t.Errorf("hint did not suppress the bound block: %+v", rep2)
+		t.Errorf("NoBound did not suppress the bound block: %+v", rep2)
 	}
 	if rep2.Solution == nil {
-		t.Error("hint suppressed the solution too")
+		t.Error("NoBound suppressed the solution too")
 	}
 }
 
@@ -346,7 +344,7 @@ func TestSizeCeilingRefusesDirectRequest(t *testing.T) {
 	if sc.in != nil {
 		t.Fatal("the refused instance was ingested")
 	}
-	rep, err := MustLookup(Auto).Solve(context.Background(), Request{Instance: in, Hints: map[string]string{"no-lower-bound": "1"}})
+	rep, err := MustLookup(Auto).Solve(context.Background(), Request{Instance: in, NoBound: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,7 +46,7 @@ func referenceAuto(ctx context.Context, req Request) (Report, error) {
 	capable := 0
 	for _, e := range Engines() {
 		c := e.Capabilities()
-		if c.Name == Auto || c.Name == Decomp || c.Hetero || c.Delta {
+		if c.Name == Auto || c.Name == Decomp || c.Delta {
 			continue
 		}
 		if !req.Policy.Allows(c.Policy) {
@@ -55,18 +55,7 @@ func referenceAuto(ctx context.Context, req Request) (Report, error) {
 		if !c.SupportsDMax && !in.NoD() {
 			continue
 		}
-		if c.Cost == CostExponential {
-			if req.Hint("exact") == "skip" {
-				continue
-			}
-			limit := c.MaxNodes
-			if limit == 0 {
-				limit = autoExactMaxNodes
-			}
-			if req.Hint("exact") != "force" && in.Tree.Len() > limit {
-				continue
-			}
-		} else if c.MaxNodes > 0 && in.Tree.Len() > c.MaxNodes {
+		if c.MaxNodes > 0 && in.Tree.Len() > c.MaxNodes {
 			continue
 		}
 		capable++
@@ -77,7 +66,7 @@ func referenceAuto(ctx context.Context, req Request) (Report, error) {
 			Instance: in,
 			Budget:   req.Budget,
 			Deadline: req.Deadline,
-			Hints:    map[string]string{"no-lower-bound": "1"},
+			NoBound:  true,
 		}
 		if c.Cost == CostExponential && creq.Budget <= 0 {
 			creq.Budget = autoExactBudget

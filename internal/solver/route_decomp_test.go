@@ -49,27 +49,8 @@ func TestAutoRoutesSmallAwayFromDecomp(t *testing.T) {
 	}
 }
 
-func TestAutoDecompForceHint(t *testing.T) {
-	in := smallInstance(t)
-	auto := solver.MustLookup(solver.Auto)
-	rep, err := auto.Solve(context.Background(), solver.Request{
-		Instance: in,
-		Hints:    map[string]string{"decomp": "force"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Engine != solver.Decomp {
-		t.Fatalf("decomp=force routed to %q", rep.Engine)
-	}
-	if err := core.Verify(in, rep.Policy, rep.Solution); err != nil {
-		t.Fatalf("forced decomp solution failed verification: %v", err)
-	}
-	if rep.LowerBound != core.LowerBound(in) {
-		t.Fatalf("forced decomp report bound %d, want %d", rep.LowerBound, core.LowerBound(in))
-	}
-}
-
+// TestAutoRoutesHugeToDecomp: size alone routes an instance to decomp,
+// and auto's own report carries the bound its piece solves skip.
 func TestAutoRoutesHugeToDecomp(t *testing.T) {
 	in := hugeInstance(t)
 	auto := solver.MustLookup(solver.Auto)
@@ -83,23 +64,11 @@ func TestAutoRoutesHugeToDecomp(t *testing.T) {
 	if err := core.Verify(in, rep.Policy, rep.Solution); err != nil {
 		t.Fatalf("routed solution failed verification: %v", err)
 	}
-}
-
-func TestAutoDecompSkipHint(t *testing.T) {
-	in := hugeInstance(t)
-	auto := solver.MustLookup(solver.Auto)
-	rep, err := auto.Solve(context.Background(), solver.Request{
-		Instance: in,
-		Hints:    map[string]string{"decomp": "skip"},
-	})
-	if err != nil {
-		t.Fatal(err)
+	if rep.LowerBound != core.LowerBound(in) {
+		t.Fatalf("routed report bound %d, want %d", rep.LowerBound, core.LowerBound(in))
 	}
-	if rep.Engine == solver.Decomp {
-		t.Fatal("decomp=skip still routed to decomp")
-	}
-	if err := core.Verify(in, rep.Policy, rep.Solution); err != nil {
-		t.Fatalf("portfolio solution failed verification: %v", err)
+	if rep.Work != 0 {
+		t.Fatalf("routed report carries work %d; decomp has no search steps", rep.Work)
 	}
 }
 

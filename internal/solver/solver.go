@@ -1,11 +1,11 @@
 // Package solver unifies every replica placement algorithm in the
 // repository — the Single/Multiple heuristics, the exact
-// branch-and-bound baselines, the LP-rounding heuristic and the
-// heterogeneous solvers — behind one contract, one registry and one
+// branch-and-bound baselines and the LP-rounding heuristic — behind
+// one contract, one registry and one
 // parallel batch runner.
 //
 // The contract is a typed request/response pair: an Engine turns a
-// Request (instance + policy constraint + budget + deadline + hints)
+// Request (instance + policy constraint + budget + deadline)
 // into a Report (solution + lower bound + gap + work + optimality
 // proof), and publishes a Capabilities document through the registry
 // so consumers select engines by declared properties instead of

@@ -24,7 +24,7 @@ func TestBuiltinsRegistered(t *testing.T) {
 	for _, want := range []string{
 		SingleGen, SingleNoD, SinglePassUp, SingleBest, SinglePushUp,
 		MultipleBin, MultipleLazy, MultipleBest, MultipleGreedy,
-		ExactSingle, ExactMultiple, LPRound, HeteroGreedy, HeteroExact,
+		ExactSingle, ExactMultiple, LPRound,
 	} {
 		if _, err := Lookup(want); err != nil {
 			t.Errorf("built-in %q missing: %v", want, err)
@@ -114,8 +114,6 @@ func TestPolicyAndExactMetadata(t *testing.T) {
 		{MultipleBest, core.Multiple, false},
 		{ExactMultiple, core.Multiple, true},
 		{LPRound, core.Multiple, false},
-		{HeteroGreedy, core.Multiple, false},
-		{HeteroExact, core.Multiple, true},
 	}
 	for _, c := range cases {
 		caps := MustLookup(c.name).Capabilities()
