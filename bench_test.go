@@ -69,10 +69,7 @@ func BenchmarkE3_TightSingleGen(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sol, err := single.Gen(res.Instance)
-		if err != nil {
-			b.Fatal(err)
-		}
+		sol := coldSolve(b, solver.SingleGen, res.Instance)
 		if sol.NumReplicas() != res.AlgoReplicas {
 			b.Fatalf("ratio drifted: %d != %d", sol.NumReplicas(), res.AlgoReplicas)
 		}
@@ -88,9 +85,7 @@ func BenchmarkE4_NoDRatio(b *testing.B) {
 	}, false)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := single.Gen(in); err != nil {
-			b.Fatal(err)
-		}
+		coldSolve(b, solver.SingleGen, in)
 	}
 }
 
@@ -103,10 +98,7 @@ func BenchmarkE5_TightSingleNoD(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sol, err := single.NoD(res.Instance)
-		if err != nil {
-			b.Fatal(err)
-		}
+		sol := coldSolve(b, solver.SingleNoD, res.Instance)
 		if sol.NumReplicas() != res.AlgoReplicas {
 			b.Fatalf("ratio drifted: %d != %d", sol.NumReplicas(), res.AlgoReplicas)
 		}
@@ -143,9 +135,7 @@ func BenchmarkE7_MultipleBinOptimal(b *testing.B) {
 	}, true)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := multiple.Bin(in); err != nil {
-			b.Fatal(err)
-		}
+		coldSolve(b, solver.MultipleBin, in)
 	}
 }
 
@@ -158,9 +148,7 @@ func BenchmarkE8_GreedyMultiple(b *testing.B) {
 	}, true)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := multiple.Greedy(in); err != nil {
-			b.Fatal(err)
-		}
+		coldSolve(b, solver.MultipleGreedy, in)
 	}
 }
 
@@ -173,19 +161,10 @@ func BenchmarkE9_PolicyComparison(b *testing.B) {
 	}, false)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g, err := single.Gen(in)
-		if err != nil {
-			b.Fatal(err)
-		}
-		nd, err := single.NoD(in)
-		if err != nil {
-			b.Fatal(err)
-		}
+		g := coldSolve(b, solver.SingleGen, in)
+		nd := coldSolve(b, solver.SingleNoD, in)
 		_ = single.PushUp(in, nd)
-		m, err := multiple.Best(in)
-		if err != nil {
-			b.Fatal(err)
-		}
+		m := coldSolve(b, solver.MultipleBest, in)
 		if g.NumReplicas() < m.NumReplicas() {
 			b.Fatal("Multiple worse than Single heuristic — impossible")
 		}
@@ -202,6 +181,19 @@ func BenchmarkE10_ExperimentSuite(b *testing.B) {
 			}
 		}
 	}
+}
+
+// coldSolve runs one registered engine on in and returns its verified
+// solution. It lends the engine a fresh scratch, so every call is a
+// cold solve: session buffers grown from empty and, for single-gen, no
+// memo to reuse.
+func coldSolve(b *testing.B, name string, in *core.Instance) *core.Solution {
+	req := solver.Request{Instance: in, NoBound: true, Scratch: solver.NewScratch()}
+	rep, err := solver.MustLookup(name).Solve(context.Background(), req)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return rep.Solution
 }
 
 // Scaling series — the complexity claims of Theorems 3, 4 and 6.
@@ -221,9 +213,7 @@ func BenchmarkScalingSingleGen(b *testing.B) {
 		in := scalingInstance(n, 2)
 		b.Run(fmt.Sprintf("nodes=%d", in.Tree.Len()), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := single.Gen(in); err != nil {
-					b.Fatal(err)
-				}
+				coldSolve(b, solver.SingleGen, in)
 			}
 		})
 	}
@@ -234,9 +224,7 @@ func BenchmarkScalingSingleNoD(b *testing.B) {
 		in := scalingInstance(n, 2)
 		b.Run(fmt.Sprintf("nodes=%d", in.Tree.Len()), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := single.NoD(in); err != nil {
-					b.Fatal(err)
-				}
+				coldSolve(b, solver.SingleNoD, in)
 			}
 		})
 	}
@@ -247,9 +235,7 @@ func BenchmarkScalingMultipleBin(b *testing.B) {
 		in := scalingInstance(n, 2)
 		b.Run(fmt.Sprintf("nodes=%d", in.Tree.Len()), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := multiple.Bin(in); err != nil {
-					b.Fatal(err)
-				}
+				coldSolve(b, solver.MultipleBin, in)
 			}
 		})
 	}
@@ -260,9 +246,7 @@ func BenchmarkScalingGreedyArity4(b *testing.B) {
 		in := scalingInstance(n, 4)
 		b.Run(fmt.Sprintf("nodes=%d", in.Tree.Len()), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := multiple.Greedy(in); err != nil {
-					b.Fatal(err)
-				}
+				coldSolve(b, solver.MultipleGreedy, in)
 			}
 		})
 	}
@@ -275,10 +259,7 @@ func BenchmarkVerify(b *testing.B) {
 	in := gen.RandomInstance(rng, gen.TreeConfig{
 		Internals: 200, MaxArity: 2, MaxDist: 3, MaxReq: 15, ExtraClients: 100,
 	}, true)
-	sol, err := multiple.Bin(in)
-	if err != nil {
-		b.Fatal(err)
-	}
+	sol := coldSolve(b, solver.MultipleBin, in)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := core.Verify(in, core.Multiple, sol); err != nil {
@@ -346,10 +327,7 @@ func BenchmarkE12_FailureReplay(b *testing.B) {
 	in := gen.RandomInstance(rng, gen.TreeConfig{
 		Internals: 30, MaxArity: 2, MaxDist: 3, MaxReq: 9, ExtraClients: 15,
 	}, false)
-	sol, err := multiple.Best(in)
-	if err != nil {
-		b.Fatal(err)
-	}
+	sol := coldSolve(b, solver.MultipleBest, in)
 	victim := sol.Replicas[0]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -365,10 +343,7 @@ func BenchmarkMinimizeLatency(b *testing.B) {
 	in := gen.RandomInstance(rng, gen.TreeConfig{
 		Internals: 40, MaxArity: 2, MaxDist: 4, MaxReq: 12, ExtraClients: 20,
 	}, false)
-	sol, err := multiple.Best(in)
-	if err != nil {
-		b.Fatal(err)
-	}
+	sol := coldSolve(b, solver.MultipleBest, in)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := multiple.MinimizeLatency(in, sol); err != nil {
@@ -415,10 +390,7 @@ func BenchmarkPushUp(b *testing.B) {
 	in := gen.RandomInstance(rng, gen.TreeConfig{
 		Internals: 40, MaxArity: 2, MaxDist: 3, MaxReq: 12, ExtraClients: 20,
 	}, false)
-	sol, err := single.Gen(in)
-	if err != nil {
-		b.Fatal(err)
-	}
+	sol := coldSolve(b, solver.SingleGen, in)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = single.PushUp(in, sol)
@@ -610,18 +582,17 @@ func BenchmarkE13_ConjectureProbe(b *testing.B) {
 	}, false)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := single.NoDBest(in); err != nil {
-			b.Fatal(err)
-		}
+		coldSolve(b, solver.SingleBest, in)
 	}
 }
 
 // benchWarmSolve measures Engine.Solve on a ~200-node binary instance
-// through the public seam. The "Cold" variants lend no scratch, so
-// each solve borrows a pooled one, re-ingests the instance and clones
-// the solution out; the "Warm" variants lend one scratch whose
-// session buffers stay bound to the instance (zero allocations once
-// ingested).
+// through the public seam. The "Cold" variants lend a fresh scratch
+// per solve, so every solve grows its buffers from empty and ingests
+// the instance (a pooled scratch would not do: it keeps single-gen's
+// memo, which makes a re-solve of the same instance a memo hit); the
+// "Warm" variants lend one scratch whose session buffers stay bound
+// to the instance (zero allocations once ingested).
 func benchWarmSolve(b *testing.B, name string, warm bool) {
 	rng := rand.New(rand.NewSource(97))
 	eng := solver.MustLookup(name)
@@ -642,6 +613,9 @@ func benchWarmSolve(b *testing.B, name string, warm bool) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		if !warm {
+			req.Scratch = solver.NewScratch()
+		}
 		rep, err := eng.Solve(ctx, req)
 		if err != nil {
 			b.Fatal(err)

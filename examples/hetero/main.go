@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -16,6 +17,7 @@ import (
 	"replicatree/internal/core"
 	"replicatree/internal/hetero"
 	"replicatree/internal/multiple"
+	"replicatree/internal/solver"
 	"replicatree/internal/tree"
 )
 
@@ -64,10 +66,11 @@ func main() {
 	// that any chosen site could host (a conservative operator's
 	// shortcut).
 	uni := &core.Instance{Tree: t, W: 120, DMax: 6}
-	usol, err := multiple.Greedy(uni)
+	rep, err := solver.MustLookup(solver.MultipleGreedy).Solve(context.Background(), solver.Request{Instance: uni})
 	if err != nil {
 		log.Fatal(err)
 	}
+	usol := rep.Solution
 	fmt.Printf("\nuniform-W=120 shortcut plan: %d appliances", usol.NumReplicas())
 	fmt.Printf(" (the big core box's extra 280 units go unused in the model)\n")
 

@@ -9,16 +9,27 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
 
 	"replicatree/internal/core"
 	"replicatree/internal/gen"
-	"replicatree/internal/multiple"
 	"replicatree/internal/single"
+	"replicatree/internal/solver"
 	"replicatree/internal/stats"
 )
+
+// solve runs one registered engine on in; the engine verifies its
+// answer before returning it.
+func solve(name string, in *core.Instance) *core.Solution {
+	rep, err := solver.MustLookup(name).Solve(context.Background(), solver.Request{Instance: in})
+	if err != nil {
+		log.Fatalf("%s: %v", name, err)
+	}
+	return rep.Solution
+}
 
 func main() {
 	rng := rand.New(rand.NewSource(99))
@@ -37,15 +48,9 @@ func main() {
 		"dmax", "Single (single-gen)", "Single +push-up", "Multiple (best)", "volume LB")
 	for dmax := int64(0); ; dmax += 2 {
 		in := &core.Instance{Tree: t, W: W, DMax: dmax}
-		sgl, err := single.Gen(in)
-		if err != nil {
-			log.Fatal(err)
-		}
+		sgl := solve(solver.SingleGen, in)
 		up := single.PushUp(in, sgl)
-		mul, err := multiple.Best(in)
-		if err != nil {
-			log.Fatal(err)
-		}
+		mul := solve(solver.MultipleBest, in)
 		tab.AddRow(dmax, sgl.NumReplicas(), up.NumReplicas(), mul.NumReplicas(),
 			core.VolumeLowerBound(in))
 		if dmax > maxD {
@@ -54,14 +59,8 @@ func main() {
 	}
 	// The unconstrained row for reference.
 	in := &core.Instance{Tree: t, W: W, DMax: core.NoDistance}
-	sgl, err := single.NoD(in)
-	if err != nil {
-		log.Fatal(err)
-	}
-	mul, err := multiple.Best(in)
-	if err != nil {
-		log.Fatal(err)
-	}
+	sgl := solve(solver.SingleNoD, in)
+	mul := solve(solver.MultipleBest, in)
 	tab.AddRow("∞", sgl.NumReplicas(), single.PushUp(in, sgl).NumReplicas(),
 		mul.NumReplicas(), core.VolumeLowerBound(in))
 

@@ -5,14 +5,24 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"replicatree/internal/core"
-	"replicatree/internal/multiple"
-	"replicatree/internal/single"
+	"replicatree/internal/solver"
 	"replicatree/internal/tree"
 )
+
+// solve runs one registered engine on in; the engine verifies its
+// answer before returning it.
+func solve(name string, in *core.Instance) *core.Solution {
+	rep, err := solver.MustLookup(name).Solve(context.Background(), solver.Request{Instance: in})
+	if err != nil {
+		log.Fatalf("%s: %v", name, err)
+	}
+	return rep.Solution
+}
 
 func main() {
 	// A toy distribution tree: the root holds the master copy; two
@@ -37,20 +47,14 @@ func main() {
 
 	// Single policy: each client bound to exactly one server.
 	// Algorithm 1 (single-gen) is a (Δ+1)-approximation.
-	sgl, err := single.Gen(in)
-	if err != nil {
-		log.Fatal(err)
-	}
+	sgl := solve(solver.SingleGen, in)
 	report(in, core.Single, "Single policy — single-gen (Algorithm 1)", sgl)
 
 	// Multiple policy: a client's requests may be split. Algorithm 3
 	// (multiple-bin) is the paper's polynomial algorithm for binary
-	// trees; Best additionally runs the lazy variant and keeps the
-	// better placement.
-	mul, err := multiple.Best(in)
-	if err != nil {
-		log.Fatal(err)
-	}
+	// trees; multiple-best additionally runs the lazy variant and
+	// keeps the better placement.
+	mul := solve(solver.MultipleBest, in)
 	report(in, core.Multiple, "Multiple policy — multiple-bin (Algorithm 3, best variant)", mul)
 
 	fmt.Printf("lower bound (any policy): %d replicas\n", core.LowerBound(in))

@@ -8,15 +8,26 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
 
 	"replicatree/internal/core"
-	"replicatree/internal/multiple"
 	"replicatree/internal/sim"
+	"replicatree/internal/solver"
 	"replicatree/internal/tree"
 )
+
+// solve runs one registered engine on in; the engine verifies its
+// answer before returning it.
+func solve(name string, in *core.Instance) *core.Solution {
+	rep, err := solver.MustLookup(name).Solve(context.Background(), solver.Request{Instance: in})
+	if err != nil {
+		log.Fatalf("%s: %v", name, err)
+	}
+	return rep.Solution
+}
 
 func main() {
 	rng := rand.New(rand.NewSource(2024))
@@ -52,13 +63,7 @@ func main() {
 		cacheCapacity, latencyBudget)
 
 	// VoD sessions are splittable across caches → Multiple policy.
-	sol, err := multiple.Best(in)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := core.Verify(in, core.Multiple, sol); err != nil {
-		log.Fatal(err)
-	}
+	sol := solve(solver.MultipleBest, in)
 	fmt.Printf("deployment plan: %d cache appliances (volume lower bound %d)\n",
 		sol.NumReplicas(), core.VolumeLowerBound(in))
 	loads := sol.Loads()
@@ -84,10 +89,7 @@ func main() {
 		fmt.Println("  → plan is tight: saturated appliances spill under bursts;")
 		fmt.Println("    re-run with a lower W to build in headroom:")
 		padded := &core.Instance{Tree: t, W: cacheCapacity * 8 / 10, DMax: latencyBudget}
-		psol, err := multiple.Best(padded)
-		if err != nil {
-			log.Fatal(err)
-		}
+		psol := solve(solver.MultipleBest, padded)
 		fmt.Printf("    at 80%% target utilisation the plan needs %d appliances\n", psol.NumReplicas())
 	}
 }

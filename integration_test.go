@@ -6,19 +6,30 @@ package replicatree_test
 // exercises end to end.
 
 import (
+	"context"
 	"encoding/json"
 	"math/rand"
 	"testing"
 
 	"replicatree/internal/core"
-	"replicatree/internal/exact"
 	"replicatree/internal/gen"
 	"replicatree/internal/hetero"
 	"replicatree/internal/lp"
 	"replicatree/internal/multiple"
 	"replicatree/internal/sim"
-	"replicatree/internal/single"
+	"replicatree/internal/solver"
 )
+
+// viaEngine returns a registered engine's solve as a function of the
+// instance. The engine validates the instance and verifies its answer
+// before returning it.
+func viaEngine(name string) func(*core.Instance) (*core.Solution, error) {
+	eng := solver.MustLookup(name)
+	return func(in *core.Instance) (*core.Solution, error) {
+		rep, err := eng.Solve(context.Background(), solver.Request{Instance: in, NoBound: true})
+		return rep.Solution, err
+	}
+}
 
 // TestPipelineJSONSolveSimulate: generate → marshal → unmarshal →
 // solve with every algorithm → verify → simulate.
@@ -45,27 +56,26 @@ func TestPipelineJSONSolveSimulate(t *testing.T) {
 			t.Fatal("instance round trip changed parameters")
 		}
 
-		type algo struct {
+		algos := []struct {
 			name string
 			pol  core.Policy
-			run  func() (*core.Solution, error)
-		}
-		algos := []algo{
-			{"single-gen", core.Single, func() (*core.Solution, error) { return single.Gen(&in) }},
-			{"single-nod", core.Single, func() (*core.Solution, error) { return single.NoD(&in) }},
-			{"multiple-bin", core.Multiple, func() (*core.Solution, error) { return multiple.Bin(&in) }},
-			{"multiple-lazy", core.Multiple, func() (*core.Solution, error) { return multiple.Lazy(&in) }},
-			{"multiple-best", core.Multiple, func() (*core.Solution, error) { return multiple.Best(&in) }},
+		}{
+			{solver.SingleGen, core.Single},
+			{solver.SingleNoD, core.Single},
+			{solver.MultipleBin, core.Multiple},
+			{solver.MultipleLazy, core.Multiple},
+			{solver.MultipleBest, core.Multiple},
 		}
 		for _, a := range algos {
-			sol, err := a.run()
+			// single-nod solves the NoD relaxation, the only instances
+			// its engine accepts.
+			vin := &in
+			if a.name == solver.SingleNoD {
+				vin = &core.Instance{Tree: in.Tree, W: in.W, DMax: core.NoDistance}
+			}
+			sol, err := viaEngine(a.name)(vin)
 			if err != nil {
 				t.Fatalf("trial %d %s: %v", trial, a.name, err)
-			}
-			// single-nod solves the NoD relaxation; verify against it.
-			vin := &in
-			if a.name == "single-nod" {
-				vin = &core.Instance{Tree: in.Tree, W: in.W, DMax: core.NoDistance}
 			}
 			if err := core.Verify(vin, a.pol, sol); err != nil {
 				t.Fatalf("trial %d %s: %v", trial, a.name, err)
@@ -93,15 +103,15 @@ func TestBoundsSandwichOptimum(t *testing.T) {
 			MaxReq:       9,
 			ExtraClients: rng.Intn(3),
 		}, trial%2 == 0)
-		optM, err := exact.SolveMultiple(in, exact.Options{})
+		optM, err := viaEngine(solver.ExactMultiple)(in)
 		if err != nil {
 			t.Fatal(err)
 		}
-		optS, err := exact.SolveSingle(in, exact.Options{})
+		optS, err := viaEngine(solver.ExactSingle)(in)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gen1, err := single.Gen(in)
+		gen1, err := viaEngine(solver.SingleGen)(in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,7 +137,7 @@ func TestBoundsSandwichOptimum(t *testing.T) {
 
 // TestHeteroUniformAgreesWithBest: lifting a uniform instance into the
 // hetero solver and solving exactly agrees with the core exact solver,
-// and multiple.Best never beats it.
+// and multiple-best never beats it.
 func TestHeteroUniformAgreesWithBest(t *testing.T) {
 	rng := rand.New(rand.NewSource(1003))
 	for trial := 0; trial < 25; trial++ {
@@ -142,14 +152,14 @@ func TestHeteroUniformAgreesWithBest(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := exact.SolveMultiple(in, exact.Options{})
+		c, err := viaEngine(solver.ExactMultiple)(in)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if h.NumReplicas() != c.NumReplicas() {
 			t.Fatalf("trial %d: hetero %d != core %d", trial, h.NumReplicas(), c.NumReplicas())
 		}
-		best, err := multiple.Best(in)
+		best, err := viaEngine(solver.MultipleBest)(in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -172,7 +182,7 @@ func TestLatencyPassKeepsObjective(t *testing.T) {
 			MaxReq:       12,
 			ExtraClients: rng.Intn(4),
 		}, trial%2 == 0)
-		sol, err := multiple.Best(in)
+		sol, err := viaEngine(solver.MultipleBest)(in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -208,7 +218,7 @@ func TestGadgetsEndToEnd(t *testing.T) {
 	if err := json.Unmarshal(data, &in); err != nil {
 		t.Fatal(err)
 	}
-	sol, err := single.Gen(&in)
+	sol, err := viaEngine(solver.SingleGen)(&in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +230,7 @@ func TestGadgetsEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nod, err := single.NoD(f4.Instance)
+	nod, err := viaEngine(solver.SingleNoD)(f4.Instance)
 	if err != nil {
 		t.Fatal(err)
 	}

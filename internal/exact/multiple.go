@@ -11,11 +11,11 @@ import (
 // Unlike the polynomial Algorithm 3, it handles arbitrary arity,
 // arbitrary distance bounds and clients with ri > W (the NP-hard
 // regime of Theorem 5). It enumerates replica sets of increasing size
-// with the Transport feasibility oracle (SearchMultiple).
+// with the Transport feasibility oracle (SearchMultiple). It is the
+// exact-multiple engine's body: in must be valid, and the answer is
+// not verified here, since the engine's seam validates the instance
+// and verifies the answer.
 func SolveMultiple(in *core.Instance, opt Options) (*core.Solution, error) {
-	if err := in.Validate(); err != nil {
-		return nil, err
-	}
 	var o Transport
 	o.Reset(in)
 	cands, _ := o.Candidates()
@@ -32,9 +32,6 @@ func SolveMultiple(in *core.Instance, opt Options) (*core.Solution, error) {
 	sol := &core.Solution{}
 	if err := o.Assign(sol, set); err != nil {
 		return nil, err
-	}
-	if err := core.Verify(in, core.Multiple, sol); err != nil {
-		return nil, fmt.Errorf("exact: multiple solver produced infeasible solution: %w", err)
 	}
 	return sol, nil
 }

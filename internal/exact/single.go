@@ -13,11 +13,11 @@ import (
 // error if the instance is infeasible (some ri > W) or the work budget
 // is exceeded. Single is NP-hard in the strong sense even on binary
 // trees with no distance constraint (Theorem 1), so this solver is
-// exponential (SearchSingle); use it on small instances only.
+// exponential (SearchSingle); use it on small instances only. It is
+// the exact-single engine's body: in must be valid, and the answer is
+// not verified here, since the engine's seam validates the instance
+// and verifies the answer.
 func SolveSingle(in *core.Instance, opt Options) (*core.Solution, error) {
-	if err := in.Validate(); err != nil {
-		return nil, err
-	}
 	if !in.FitsLocally() {
 		return nil, fmt.Errorf("exact: some client exceeds W=%d; Single has no solution", in.W)
 	}
@@ -32,9 +32,6 @@ func SolveSingle(in *core.Instance, opt Options) (*core.Solution, error) {
 		// feasible under the Single precondition, so this is
 		// unreachable; defensive.
 		return nil, fmt.Errorf("exact: no Single solution found")
-	}
-	if err := core.Verify(in, core.Single, sol); err != nil {
-		return nil, fmt.Errorf("exact: single solver produced infeasible solution: %w", err)
 	}
 	return sol, nil
 }

@@ -4,25 +4,24 @@ import (
 	"fmt"
 	"math/rand"
 
-	"replicatree/internal/exact"
 	"replicatree/internal/gen"
-	"replicatree/internal/single"
+	"replicatree/internal/solver"
 	"replicatree/internal/stats"
 )
 
 // E13ConjectureProbe probes the paper's concluding conjecture — that a
 // 3/2-approximation exists for Single-NoD-Bin, reachable by "pushing
-// servers towards the root". We implement that direction as
-// single.NoDPassUp (overflow remainders climb instead of being dumped
-// on jmin servers) and measure three algorithms against exact optima
-// on random binary NoD instances plus the Fig. 4 family:
+// servers towards the root". We implement that direction as the
+// single-passup engine (overflow remainders climb instead of being
+// dumped on jmin servers) and measure three algorithms against exact
+// optima on random binary NoD instances plus the Fig. 4 family:
 //
 //   - Algorithm 2 (proven 2-approximation; tight on Fig. 4),
 //   - the pass-up variant (optimal on Fig. 4, no proven factor),
-//   - their combination NoDBest (inherits the factor-2 proof).
+//   - their combination single-best (inherits the factor-2 proof).
 //
-// The experiment REPRODUCES if NoDBest never exceeds 3/2 on the sample
-// — evidence for, not proof of, the conjecture.
+// The experiment REPRODUCES if single-best never exceeds 3/2 on the
+// sample — evidence for, not proof of, the conjecture.
 func E13ConjectureProbe(scale Scale, seed int64) *Result {
 	rng := rand.New(rand.NewSource(seed + 13))
 	trials := 80
@@ -52,7 +51,7 @@ func E13ConjectureProbe(scale Scale, seed int64) *Result {
 			MaxReq:       9,
 			ExtraClients: rng.Intn(3),
 		}, false)
-		opt, err := exact.SolveSingle(in, exact.Options{})
+		opt, err := solveOne(solver.ExactSingle, in)
 		if err != nil {
 			ok = false
 			continue
@@ -61,17 +60,17 @@ func E13ConjectureProbe(scale Scale, seed int64) *Result {
 		if o == 0 {
 			continue
 		}
-		a, err := single.NoD(in)
+		a, err := solveOne(solver.SingleNoD, in)
 		if err != nil {
 			ok = false
 			continue
 		}
-		b, err := single.NoDPassUp(in)
+		b, err := solveOne(solver.SinglePassUp, in)
 		if err != nil {
 			ok = false
 			continue
 		}
-		c, err := single.NoDBest(in)
+		c, err := solveOne(solver.SingleBest, in)
 		if err != nil {
 			ok = false
 			continue
@@ -84,13 +83,13 @@ func E13ConjectureProbe(scale Scale, seed int64) *Result {
 	// The Fig. 4 anchor: Algorithm 2 at ratio 16/9, pass-up optimal.
 	if res, err := gen.GadgetFig4(8); err == nil {
 		o := float64(res.OptReplicas)
-		if a, err := single.NoD(res.Instance); err == nil {
+		if a, err := solveOne(solver.SingleNoD, res.Instance); err == nil {
 			accs[0].fig4 = float64(a.NumReplicas()) / o
 		}
-		if b, err := single.NoDPassUp(res.Instance); err == nil {
+		if b, err := solveOne(solver.SinglePassUp, res.Instance); err == nil {
 			accs[1].fig4 = float64(b.NumReplicas()) / o
 		}
-		if c, err := single.NoDBest(res.Instance); err == nil {
+		if c, err := solveOne(solver.SingleBest, res.Instance); err == nil {
 			accs[2].fig4 = float64(c.NumReplicas()) / o
 		}
 	} else {

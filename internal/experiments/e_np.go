@@ -7,6 +7,7 @@ import (
 	"replicatree/internal/core"
 	"replicatree/internal/exact"
 	"replicatree/internal/gen"
+	"replicatree/internal/solver"
 	"replicatree/internal/stats"
 	"replicatree/internal/tree"
 )
@@ -54,7 +55,7 @@ func E1NPGadgetSingle(scale Scale, seed int64) *Result {
 			continue
 		}
 		yes := gen.ThreePartitionExists(tr.as, tr.B)
-		sol, err := exact.SolveSingle(in, exact.Options{})
+		sol, err := solveOne(solver.ExactSingle, in)
 		if err != nil {
 			ok = false
 			tab.AddRow(K, tr.B, tr.label, yes, K, "-", "-", err.Error())
@@ -110,7 +111,7 @@ func E2InapproxGadget(scale Scale, seed int64) *Result {
 			continue
 		}
 		yes := gen.TwoPartitionExists(tr.as)
-		sol, err := exact.SolveSingle(in, exact.Options{})
+		sol, err := solveOne(solver.ExactSingle, in)
 		if err != nil {
 			ok = false
 			tab.AddRow(tr.label, yes, "-", "-", err.Error())

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"time"
@@ -8,8 +9,6 @@ import (
 	"replicatree/internal/binpack"
 	"replicatree/internal/core"
 	"replicatree/internal/gen"
-	"replicatree/internal/multiple"
-	"replicatree/internal/single"
 	"replicatree/internal/solver"
 	"replicatree/internal/stats"
 )
@@ -167,10 +166,10 @@ func E10Scaling(scale Scale, seed int64) *Result {
 		wide := gen.RandomTree(rng, gen.TreeConfig{Internals: n / 2, MaxArity: 4, MaxDist: 3, MaxReq: 9})
 		wideIn := &core.Instance{Tree: wide, W: wide.MaxRequests() + 20, DMax: core.NoDistance}
 
-		tg := timeIt(func() error { _, err := single.Gen(binIn); return err })
-		tn := timeIt(func() error { _, err := single.NoD(binIn); return err })
-		tb := timeIt(func() error { _, err := multiple.Bin(binIn); return err })
-		tw := timeIt(func() error { _, err := multiple.Greedy(wideIn); return err })
+		tg := timeCold(solver.SingleGen, binIn)
+		tn := timeCold(solver.SingleNoD, binIn)
+		tb := timeCold(solver.MultipleBin, binIn)
+		tw := timeCold(solver.MultipleGreedy, wideIn)
 		if tg < 0 || tn < 0 || tb < 0 || tw < 0 {
 			ok = false
 		}
@@ -188,13 +187,17 @@ func E10Scaling(scale Scale, seed int64) *Result {
 	}
 }
 
-// timeIt returns the best-of-3 wall time in microseconds, or -1 on
-// error.
-func timeIt(fn func() error) int64 {
+// timeCold returns the best-of-3 wall time in microseconds of one
+// engine solve on in, or -1 on error. Each run lends the engine a fresh
+// scratch, so every run is a cold solve: buffers grown from empty and,
+// for single-gen, no memo to reuse.
+func timeCold(name string, in *core.Instance) int64 {
+	eng := solver.MustLookup(name)
 	best := int64(1 << 62)
 	for i := 0; i < 3; i++ {
+		req := solver.Request{Instance: in, NoBound: true, Scratch: solver.NewScratch()}
 		start := time.Now()
-		if err := fn(); err != nil {
+		if _, err := eng.Solve(context.Background(), req); err != nil {
 			return -1
 		}
 		if d := time.Since(start).Microseconds(); d < best {

@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"replicatree/internal/gen"
-	"replicatree/internal/single"
+	"replicatree/internal/solver"
 	"replicatree/internal/stats"
 )
 
@@ -29,7 +29,7 @@ func E3TightSingleGen(scale Scale) *Result {
 				tab.AddRow(d, m, "-", "-", "-", "-", err.Error())
 				continue
 			}
-			sol, err := single.Gen(res.Instance)
+			sol, err := solveOne(solver.SingleGen, res.Instance)
 			if err != nil {
 				ok = false
 				tab.AddRow(d, m, "-", "-", "-", "-", err.Error())
@@ -75,7 +75,7 @@ func E5TightSingleNoD(scale Scale) *Result {
 			tab.AddRow(k, "-", "-", "-", "-", err.Error())
 			continue
 		}
-		sol, err := single.NoD(res.Instance)
+		sol, err := solveOne(solver.SingleNoD, res.Instance)
 		if err != nil {
 			ok = false
 			tab.AddRow(k, "-", "-", "-", "-", err.Error())

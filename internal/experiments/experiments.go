@@ -42,6 +42,14 @@ func solveAll(name string, ins []*core.Instance) []solver.Result {
 	return res
 }
 
+// solveOne runs one registered engine on one instance, without the
+// lower-bound block, and returns its verified solution: the single
+// solves of the gadget and tight-family experiments.
+func solveOne(name string, in *core.Instance) (*core.Solution, error) {
+	rep, err := solver.MustLookup(name).Solve(context.Background(), solver.Request{Instance: in, NoBound: true})
+	return rep.Solution, err
+}
+
 // Result is one experiment's outcome.
 type Result struct {
 	ID    string

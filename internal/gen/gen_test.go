@@ -498,63 +498,3 @@ func TestRandomInstanceProperties(t *testing.T) {
 		}
 	}
 }
-
-func TestUniformTopologyValid(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(30)
-		tr := UniformTopology(rng, n, 4, 9)
-		return tr.Validate() == nil && tr.Len() == n
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestUniformTopologyDegenerate(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	tr := UniformTopology(rng, 0, 0, 0)
-	if err := tr.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if tr.Len() != 2 {
-		t.Fatalf("degenerate tree has %d nodes, want 2", tr.Len())
-	}
-}
-
-// TestUniformTopologyShapeDiversity: over many draws the generator
-// must produce both deep (path-like) and shallow trees — the property
-// incremental attachment lacks.
-func TestUniformTopologyShapeDiversity(t *testing.T) {
-	rng := rand.New(rand.NewSource(5150))
-	const n = 10
-	deep, shallow := 0, 0
-	for i := 0; i < 300; i++ {
-		tr := UniformTopology(rng, n, 3, 9)
-		h := tr.Height()
-		if h >= n/2 {
-			deep++
-		}
-		if h <= 3 {
-			shallow++
-		}
-	}
-	if deep == 0 || shallow == 0 {
-		t.Fatalf("shape diversity missing: deep=%d shallow=%d", deep, shallow)
-	}
-}
-
-// TestUniformTopologySolvable: the paper's algorithms run cleanly on
-// Prüfer-drawn instances.
-func TestUniformTopologySolvable(t *testing.T) {
-	rng := rand.New(rand.NewSource(5151))
-	for i := 0; i < 30; i++ {
-		tr := UniformTopology(rng, 3+rng.Intn(20), 3, 9)
-		in := &core.Instance{Tree: tr, W: tr.MaxRequests() + 10, DMax: core.NoDistance}
-		if _, err := exact.SolveMultiple(in, exact.Options{Budget: 5_000_000}); err != nil {
-			// Large draws may blow the budget; that's fine — only
-			// validate the structure then.
-			continue
-		}
-	}
-}

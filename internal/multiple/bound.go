@@ -21,16 +21,26 @@ import (
 // incomparable with core.LowerBound in general; experiment E11
 // measures all three against exact optima.
 func BinarizedLowerBound(in *core.Instance) (int, error) {
+	// No solver seam sees this solve, so it validates its input and
+	// verifies its answer itself.
+	if err := in.Validate(); err != nil {
+		return 0, err
+	}
 	if !in.NoD() {
 		return 0, fmt.Errorf("multiple: BinarizedLowerBound requires dmax = ∞")
 	}
 	if !in.FitsLocally() {
 		return 0, fmt.Errorf("multiple: BinarizedLowerBound requires ri ≤ W")
 	}
-	bz := tree.Binarize(in.Tree)
-	sol, err := Bin(&core.Instance{Tree: bz.Tree, W: in.W, DMax: core.NoDistance})
+	bin := &core.Instance{Tree: tree.Binarize(in.Tree).Tree, W: in.W, DMax: core.NoDistance}
+	var s Session
+	s.Reset(bin)
+	sol, err := s.Bin()
 	if err != nil {
 		return 0, err
+	}
+	if err := core.Verify(bin, core.Multiple, sol); err != nil {
+		return 0, fmt.Errorf("multiple: algorithm produced infeasible solution: %w", err)
 	}
 	return sol.NumReplicas(), nil
 }

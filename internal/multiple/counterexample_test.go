@@ -63,7 +63,7 @@ func TestTheorem6Counterexample(t *testing.T) {
 	if opt.NumReplicas() != 2 {
 		t.Fatalf("exact optimum = %d, want 2", opt.NumReplicas())
 	}
-	eager, err := Bin(in)
+	eager, err := solve(t, in, (*Session).Bin)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,14 +73,14 @@ func TestTheorem6Counterexample(t *testing.T) {
 	if eager.NumReplicas() != 3 {
 		t.Fatalf("faithful Algorithm 3 = %d replicas; the documented counterexample gives 3", eager.NumReplicas())
 	}
-	lazy, err := Lazy(in)
+	lazy, err := solve(t, in, (*Session).Lazy)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if lazy.NumReplicas() != 2 {
 		t.Fatalf("Lazy variant = %d replicas, want the optimum 2", lazy.NumReplicas())
 	}
-	best, err := Best(in)
+	best, err := solve(t, in, (*Session).Best)
 	if err != nil {
 		t.Fatal(err)
 	}

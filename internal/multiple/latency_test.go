@@ -78,7 +78,7 @@ func TestMinimizeLatencyNeverWorsens(t *testing.T) {
 			MaxReq:       9,
 			ExtraClients: rng.Intn(4),
 		}, trial%2 == 0)
-		sol, err := Greedy(in)
+		sol, err := solve(t, in, (*Session).Greedy)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

@@ -5,6 +5,12 @@
 // arity (optimal for binary trees by construction, evaluated
 // empirically against exact optima elsewhere — the general
 // distance-constrained problem is NP-hard).
+//
+// Session holds the one implementation of Algorithm 3 and its
+// variants, and ReplanExcluding adapts an old placement. Programs run
+// them through the registered solver engines (multiple-bin,
+// multiple-greedy, multiple-lazy, multiple-best, multiple-replan),
+// whose seam validates the instance and verifies every answer.
 package multiple
 
 import "replicatree/internal/tree"

@@ -23,6 +23,21 @@ func buildBinary(W, dmax int64) *core.Instance {
 	return &core.Instance{Tree: b.MustBuild(), W: W, DMax: dmax}
 }
 
+// solve runs one variant on a fresh session and checks its answer with
+// core.Verify, as the solver seam checks every engine's.
+func solve(t testing.TB, in *core.Instance, variant func(*Session) (*core.Solution, error)) (*core.Solution, error) {
+	t.Helper()
+	var s Session
+	s.Reset(in)
+	sol, err := variant(&s)
+	if err == nil {
+		if verr := core.Verify(in, core.Multiple, sol); verr != nil {
+			t.Fatalf("infeasible answer: %v", verr)
+		}
+	}
+	return sol, err
+}
+
 func TestBinHandInstances(t *testing.T) {
 	for _, tc := range []struct {
 		W, dmax int64
@@ -35,7 +50,7 @@ func TestBinHandInstances(t *testing.T) {
 		{22, 0, 4},               // all local
 	} {
 		in := buildBinary(tc.W, tc.dmax)
-		sol, err := Bin(in)
+		sol, err := solve(t, in, (*Session).Bin)
 		if err != nil {
 			t.Fatalf("Bin(W=%d dmax=%d): %v", tc.W, tc.dmax, err)
 		}
@@ -64,18 +79,18 @@ func TestBinPreconditions(t *testing.T) {
 	b.Client(r, 1, 1, "y")
 	b.Client(r, 1, 1, "z")
 	in := &core.Instance{Tree: b.MustBuild(), W: 5, DMax: core.NoDistance}
-	if _, err := Bin(in); err == nil {
+	if _, err := solve(t, in, (*Session).Bin); err == nil {
 		t.Error("Bin should reject arity-3 trees")
 	}
-	if _, err := Greedy(in); err != nil {
+	if _, err := solve(t, in, (*Session).Greedy); err != nil {
 		t.Errorf("Greedy should accept arity-3 trees: %v", err)
 	}
 	// Oversized client.
 	in2 := buildBinary(6, core.NoDistance) // c2 = 7 > 6
-	if _, err := Bin(in2); err == nil {
+	if _, err := solve(t, in2, (*Session).Bin); err == nil {
 		t.Error("Bin should reject ri > W (NP-hard regime, Theorem 5)")
 	}
-	if _, err := Greedy(in2); err == nil {
+	if _, err := solve(t, in2, (*Session).Greedy); err == nil {
 		t.Error("Greedy should reject ri > W")
 	}
 }
@@ -94,7 +109,7 @@ func TestBinSplitsClientsAcrossServers(t *testing.T) {
 	b.Client(a, 1, 8, "c2")
 	b.Client(root, 1, 7, "c3")
 	in := &core.Instance{Tree: b.MustBuild(), W: 11, DMax: core.NoDistance}
-	sol, err := Bin(in)
+	sol, err := solve(t, in, (*Session).Bin)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +147,7 @@ func TestBinOptimalRandom(t *testing.T) {
 			MaxReq:       9,
 			ExtraClients: rng.Intn(3),
 		}, withD)
-		sol, err := Bin(in)
+		sol, err := solve(t, in, (*Session).Bin)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -180,7 +195,7 @@ func TestBestOptimalRandom(t *testing.T) {
 			MaxReq:       9,
 			ExtraClients: rng.Intn(3),
 		}, trial%2 == 0)
-		sol, err := Best(in)
+		sol, err := solve(t, in, (*Session).Best)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -217,7 +232,7 @@ func TestBinFeasibilityQuick(t *testing.T) {
 			MaxReq:       15,
 			ExtraClients: rng.Intn(10),
 		}, withDistance)
-		sol, err := Bin(in)
+		sol, err := solve(t, in, (*Session).Bin)
 		if err != nil {
 			return false
 		}
@@ -240,7 +255,7 @@ func TestGreedyFeasibilityQuick(t *testing.T) {
 			MaxReq:       15,
 			ExtraClients: rng.Intn(10),
 		}, withDistance)
-		sol, err := Greedy(in)
+		sol, err := solve(t, in, (*Session).Greedy)
 		if err != nil {
 			return false
 		}
@@ -269,7 +284,7 @@ func TestGreedyNoDOptimalRandom(t *testing.T) {
 			MaxReq:       9,
 			ExtraClients: rng.Intn(4),
 		}, false)
-		sol, err := Greedy(in)
+		sol, err := solve(t, in, (*Session).Greedy)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -306,7 +321,7 @@ func TestLazyFeasibleRandom(t *testing.T) {
 			MaxReq:       9,
 			ExtraClients: rng.Intn(4),
 		}, trial%2 == 0)
-		sol, err := Lazy(in)
+		sol, err := solve(t, in, (*Session).Lazy)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -388,7 +403,7 @@ func TestBinDistanceBlockedClient(t *testing.T) {
 	b.Client(r, 10, 4, "far")
 	b.Client(r, 1, 3, "near")
 	in := &core.Instance{Tree: b.MustBuild(), W: 10, DMax: 5}
-	sol, err := Bin(in)
+	sol, err := solve(t, in, (*Session).Bin)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,7 +431,7 @@ func TestBinExtraServerPath(t *testing.T) {
 	in := &core.Instance{Tree: b.MustBuild(), W: 7, DMax: 4}
 	// 18 requests must all be served in subtree(x) (the 10-edge blocks
 	// everything); W = 7 → at least 3 servers, all below root.
-	sol, err := Bin(in)
+	sol, err := solve(t, in, (*Session).Bin)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,7 +460,7 @@ func TestBinZeroRequestClients(t *testing.T) {
 	b.Client(r, 1, 0, "idle")
 	b.Client(r, 1, 5, "busy")
 	in := &core.Instance{Tree: b.MustBuild(), W: 10, DMax: core.NoDistance}
-	sol, err := Bin(in)
+	sol, err := solve(t, in, (*Session).Bin)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -463,7 +478,7 @@ func TestGadgetI6RejectedByBin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Bin(in); err == nil {
+	if _, err := solve(t, in, (*Session).Bin); err == nil {
 		t.Fatal("Bin must reject I6 (big client exceeds W)")
 	}
 }

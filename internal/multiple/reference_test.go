@@ -429,8 +429,9 @@ func referencePlanDelta(old, new *core.Solution) Churn {
 
 // referenceReplanExcluding is the first ReplanExcluding: it rebuilds a
 // fresh max-flow network per feasibility test and re-scans every client
-// for every node to size the growth pool. ReplanExcluding is with a set of forbidden replica sites —
-// failed servers that must host nothing in the new placement. Old
+// for every node to size the growth pool. Like ReplanExcluding, it
+// takes a set of forbidden replica sites — failed servers that must
+// host nothing in the new placement. Old
 // replicas on excluded nodes are dropped before adaptation (their
 // clients' demand is re-homed like any other stuck demand) and
 // excluded nodes never enter the growth pool.

@@ -63,9 +63,10 @@ func PlanDelta(old, new *core.Solution) Churn {
 	return ch
 }
 
-// Replan adapts an existing feasible placement to a new instance
-// (typically the same tree with changed request rates or a changed W)
-// while minimising churn:
+// ReplanExcluding adapts an existing feasible placement to a new
+// instance (typically the same tree with changed request rates or a
+// changed W) while minimising churn; it is the multiple-replan
+// engine's body:
 //
 //  1. keep the old replica set if it is still feasible (re-routing
 //     only — zero placement churn);
@@ -74,36 +75,23 @@ func PlanDelta(old, new *core.Solution) Churn {
 //  3. then drop replicas that became redundant, old ones last, so
 //     long as the set stays feasible.
 //
-// The result is verified feasible for the new instance; its churn
-// against old is reported alongside. Replan never guarantees optimal
-// replica counts — that is the price of stability; compare with Best
-// to see the gap.
-func Replan(in *core.Instance, old *core.Solution) (*core.Solution, Churn, error) {
-	sol, churn, err := ReplanExcluding(in, old, nil)
-	if err != nil {
-		return nil, Churn{}, err
-	}
-	if err := core.Verify(in, core.Multiple, sol); err != nil {
-		return nil, Churn{}, fmt.Errorf("multiple: replan produced infeasible solution: %w", err)
-	}
-	return sol, churn, nil
-}
-
-// ReplanExcluding is Replan with a set of forbidden replica sites —
-// failed servers that must host nothing in the new placement. Old
-// replicas on excluded nodes are dropped before adaptation (their
-// clients' demand is re-homed like any other stuck demand) and
-// excluded nodes never enter the growth pool.
+// Its churn against old is reported alongside. It never guarantees
+// optimal replica counts — that is the price of stability; compare
+// with multiple-best to see the gap.
+//
+// excluded is a set of forbidden replica sites — failed servers that
+// must host nothing in the new placement. Old replicas on excluded
+// nodes are dropped before adaptation (their clients' demand is
+// re-homed like any other stuck demand) and excluded nodes never enter
+// the growth pool.
 //
 // The growth pool is every other node that can serve some request, by
 // decreasing reach (the requests it can serve), then ID; growth and
 // shrinking are exact.Transport.GrowPrune on the old set and the pool.
-// The answer is not verified here: the multiple-replan engine's seam
-// verifies it, excluded nodes included, and Replan verifies its own.
+// in must be valid, and the answer is not verified here: the engine's
+// seam validates the instance and verifies the answer, excluded nodes
+// included.
 func ReplanExcluding(in *core.Instance, old *core.Solution, excluded []tree.NodeID) (*core.Solution, Churn, error) {
-	if err := in.Validate(); err != nil {
-		return nil, Churn{}, err
-	}
 	t := in.Tree
 	skip := make([]bool, t.Len()) // excluded, or already in R
 	for _, x := range excluded {

@@ -137,18 +137,31 @@ func TestPlanDeltaMatchesReference(t *testing.T) {
 	}
 }
 
+// replan adapts old to in with no excluded nodes and checks the answer
+// with core.Verify, as the multiple-replan engine's seam does.
+func replan(t testing.TB, in *core.Instance, old *core.Solution) (*core.Solution, Churn, error) {
+	t.Helper()
+	sol, ch, err := ReplanExcluding(in, old, nil)
+	if err == nil {
+		if verr := core.Verify(in, core.Multiple, sol); verr != nil {
+			t.Fatalf("infeasible answer: %v", verr)
+		}
+	}
+	return sol, ch, err
+}
+
 func TestReplanKeepsFeasibleSet(t *testing.T) {
 	rng := rand.New(rand.NewSource(70))
 	in := gen.RandomInstance(rng, gen.TreeConfig{
 		Internals: 5, MaxArity: 2, MaxDist: 3, MaxReq: 9, ExtraClients: 3,
 	}, false)
-	old, err := Best(in)
+	old, err := solve(t, in, (*Session).Best)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Same instance: replan must keep a subset of the old replicas
 	// (it may shrink but never add).
-	sol, ch, err := Replan(in, old)
+	sol, ch, err := replan(t, in, old)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +180,7 @@ func TestReplanGrowsUnderDemandSurge(t *testing.T) {
 			Internals: 2 + rng.Intn(4), MaxArity: 2, MaxDist: 3, MaxReq: 6,
 			ExtraClients: rng.Intn(3),
 		}, false)
-		old, err := Best(in)
+		old, err := solve(t, in, (*Session).Best)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,7 +192,7 @@ func TestReplanGrowsUnderDemandSurge(t *testing.T) {
 		if !(&core.Instance{Tree: surged.Tree, W: surged.W, DMax: surged.DMax}).FitsLocally() {
 			continue
 		}
-		sol, ch, err := Replan(surged, old)
+		sol, ch, err := replan(t, surged, old)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -188,7 +201,7 @@ func TestReplanGrowsUnderDemandSurge(t *testing.T) {
 		}
 		// Fresh plan for the gap comparison: replan pays at most a
 		// small stability premium.
-		fresh, err := Best(surged)
+		fresh, err := solve(t, surged, (*Session).Best)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -210,13 +223,13 @@ func TestReplanShrinksUnderDemandDrop(t *testing.T) {
 	in := gen.RandomInstance(rng, gen.TreeConfig{
 		Internals: 5, MaxArity: 2, MaxDist: 3, MaxReq: 8, ExtraClients: 4,
 	}, false)
-	old, err := Best(in)
+	old, err := solve(t, in, (*Session).Best)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Demand quarters: the old fleet is oversized.
 	dropped := scaleDemand(in, 1, 4)
-	sol, ch, err := Replan(dropped, old)
+	sol, ch, err := replan(t, dropped, old)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +247,7 @@ func TestReplanInfeasible(t *testing.T) {
 	b.Client(r, 1, 12, "big")
 	b.Client(r, 1, 1, "small")
 	in := &core.Instance{Tree: b.MustBuild(), W: 5, DMax: 0}
-	if _, _, err := Replan(in, &core.Solution{}); err == nil {
+	if _, _, err := replan(t, in, &core.Solution{}); err == nil {
 		t.Fatal("expected infeasibility")
 	}
 }
@@ -244,7 +257,7 @@ func TestReplanFromEmptyPlan(t *testing.T) {
 	in := gen.RandomInstance(rng, gen.TreeConfig{
 		Internals: 4, MaxArity: 2, MaxDist: 3, MaxReq: 8, ExtraClients: 2,
 	}, false)
-	sol, ch, err := Replan(in, &core.Solution{})
+	sol, ch, err := replan(t, in, &core.Solution{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +287,7 @@ func TestReplanMatchesReference(t *testing.T) {
 		}
 		old := &core.Solution{}
 		if n%3 == 0 {
-			if sol, err := Greedy(scaleDemand(in, 1+rng.Int63n(3), 2)); err == nil {
+			if sol, err := solve(t, scaleDemand(in, 1+rng.Int63n(3), 2), (*Session).Greedy); err == nil {
 				old = sol
 			}
 		} else {

@@ -91,9 +91,10 @@ func sameOutcome(t *testing.T, label string, want *core.Solution, wantErr error,
 	}
 }
 
-// rejectedInstances are instances every variant must refuse with the
-// oracle's error: an invalid W, a client above W, and (for Bin) a
-// ternary tree.
+// rejectedInstances are valid instances a variant must refuse with the
+// oracle's error: a client above W (every variant), and a ternary tree
+// (Bin). Invalid instances never reach a session: the solver seam
+// refuses them (TestInvalidInstanceRefusedAtSeam in internal/solver).
 func rejectedInstances() []namedInstance {
 	b := tree.NewBuilder()
 	r := b.Root("")
@@ -108,7 +109,6 @@ func rejectedInstances() []namedInstance {
 		wide.Client(wr, 1, 2, "")
 	}
 	return []namedInstance{
-		{"W = 0", &core.Instance{Tree: narrow, W: 0, DMax: core.NoDistance}},
 		{"r > W", &core.Instance{Tree: narrow, W: 5, DMax: core.NoDistance}},
 		{"ternary", &core.Instance{Tree: wide.MustBuild(), W: 5, DMax: 1}},
 	}
@@ -116,10 +116,9 @@ func rejectedInstances() []namedInstance {
 
 // TestMultipleSessionMatchesCold pins the package's one implementation
 // of all four variants against the reference oracles: on 200 random
-// instances, the whole testdata corpus and rejectedInstances, every
-// package function returns the oracle's solution or error text, and a
-// session re-solving the same instance returns the oracle's solution
-// every time.
+// instances, the whole testdata corpus and rejectedInstances, a
+// session returns the oracle's solution or error text, and so does the
+// session re-solving the same instance.
 func TestMultipleSessionMatchesCold(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	var rows []namedInstance
@@ -129,34 +128,27 @@ func TestMultipleSessionMatchesCold(t *testing.T) {
 	rows = append(rows, corpus(t)...)
 	rows = append(rows, rejectedInstances()...)
 	variants := []struct {
-		name    string
-		oracle  func(*core.Instance) (*core.Solution, error)
-		wrapper func(*core.Instance) (*core.Solution, error)
-		warm    func(*Session) (*core.Solution, error)
+		name   string
+		oracle func(*core.Instance) (*core.Solution, error)
+		warm   func(*Session) (*core.Solution, error)
 	}{
-		{"greedy", referenceGreedy, Greedy, (*Session).Greedy},
-		{"lazy", referenceLazy, Lazy, (*Session).Lazy},
-		{"best", referenceBest, Best, (*Session).Best},
-		{"bin", referenceBin, Bin, (*Session).Bin},
+		{"greedy", referenceGreedy, (*Session).Greedy},
+		{"lazy", referenceLazy, (*Session).Lazy},
+		{"best", referenceBest, (*Session).Best},
+		{"bin", referenceBin, (*Session).Bin},
 	}
 	var s Session
 	for _, row := range rows {
 		in := row.in
-		valid := in.Validate() == nil
-		if valid {
-			s.Reset(in)
+		if err := in.Validate(); err != nil {
+			t.Fatalf("%s: %v", row.name, err)
 		}
+		s.Reset(in)
 		for round := 0; round < 2; round++ {
 			for _, v := range variants {
 				want, wantErr := v.oracle(in)
-				if round == 0 {
-					got, gotErr := v.wrapper(in)
-					sameOutcome(t, row.name+" "+v.name, want, wantErr, got, gotErr)
-				}
-				if valid {
-					got, gotErr := v.warm(&s)
-					sameOutcome(t, fmt.Sprintf("%s %s session round %d", row.name, v.name, round), want, wantErr, got, gotErr)
-				}
+				got, gotErr := v.warm(&s)
+				sameOutcome(t, fmt.Sprintf("%s %s session round %d", row.name, v.name, round), want, wantErr, got, gotErr)
 			}
 		}
 	}

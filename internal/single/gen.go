@@ -66,13 +66,18 @@ type genMemo struct {
 	kids      []genPending // one visit's child pendings
 }
 
-// Gen runs Algorithm 1. It produces the same normalized solution as
-// the recursive procedure single-gen(j): visiting the internal nodes in
-// the stored postorder reaches every node after its children, and the
-// placement decisions depend only on the (total, dist) values, never
-// on event order. The solution is built by ascending ID scans, which
-// yields the normalized form directly. A Gen refused for some rᵢ > W
-// touches no memo state.
+// Gen runs Algorithm 1 (single-gen): a feasible Single solution with
+// at most (Δ+1)·opt replicas, and at most Δ·opt when dmax is
+// core.NoDistance (Corollary 1). It refuses an instance with some
+// rᵢ > W, which has no Single solution. Time complexity: O(Δ·|T|)
+// list-merge operations (Theorem 3).
+//
+// It produces the same normalized solution as the recursive procedure
+// single-gen(j): visiting the internal nodes in the stored postorder
+// reaches every node after its children, and the placement decisions
+// depend only on the (total, dist) values, never on event order. The
+// solution is built by ascending ID scans, which yields the normalized
+// form directly. A Gen refused for some rᵢ > W touches no memo state.
 func (s *Session) Gen() (*core.Solution, error) {
 	in, f := s.in, s.in.Tree
 	if !in.FitsLocally() {

@@ -13,16 +13,37 @@ import (
 // set is complete once its last child has finished, so both handle
 // each internal node once, when the stored postorder reaches it, and
 // a finished node hands its leftovers to its parent. Both ignore the
-// instance's DMax and verify against its NoD relaxation.
+// instance's DMax: their answers are feasible for its NoD relaxation,
+// and so for the instance itself whenever its dmax is
+// core.NoDistance, the only instances their engines accept.
 
-// NoD runs Algorithm 2 (single-nod).
+// NoD runs Algorithm 2 (single-nod), the 2-approximation for
+// Single-NoD. It refuses an instance with some rᵢ > W. Time
+// complexity: O((Δ log Δ + |C|)·|T|) (Theorem 4).
 func (s *Session) NoD() (*core.Solution, error) { return s.nod(&s.sol) }
 
-// PassUp runs the pass-up variant of Algorithm 2 (see NoDPassUp).
+// PassUp runs an experimental Single-NoD heuristic in the direction
+// the paper's conclusion sketches for a conjectured 3/2-approximation
+// of Single-NoD-Bin: "push servers towards the root of the tree,
+// whenever possible. A greedy algorithm is unlikely to be good
+// enough."
+//
+// It mirrors Algorithm 2 but changes the overflow step: when the
+// pending bundles at node j exceed W, the server placed at j packs
+// bundles largest-first (maximising served volume), and the unpacked
+// remainder travels towards the root instead of being dumped on a jmin
+// server. At the root, whatever cannot be packed is served at its own
+// client.
+//
+// On the Fig. 4 family, where Algorithm 2 is stuck at ratio 2, this
+// variant is optimal. No approximation factor is proven; experiment
+// E13 measures its empirical ratio against exact optima, and Best (the
+// better of NoD and PassUp) is the practical tool.
 func (s *Session) PassUp() (*core.Solution, error) { return s.passUp(&s.sol) }
 
 // Best runs Algorithm 2 and the pass-up variant and returns the one
-// with fewer replicas, Algorithm 2's on a tie.
+// with fewer replicas, Algorithm 2's on a tie: never worse than
+// either, so Algorithm 2's factor-2 guarantee carries over.
 func (s *Session) Best() (*core.Solution, error) {
 	a, err := s.nod(&s.sol)
 	if err != nil {

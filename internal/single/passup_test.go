@@ -19,7 +19,7 @@ func TestPassUpOptimalOnFig4(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sol, err := NoDPassUp(res.Instance)
+		sol, err := solve(t, res.Instance, (*Session).PassUp)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -40,7 +40,7 @@ func TestPassUpFeasibilityQuick(t *testing.T) {
 			MaxReq:       20,
 			ExtraClients: rng.Intn(8),
 		}, false)
-		sol, err := NoDPassUp(in)
+		sol, err := solve(t, in, (*Session).PassUp)
 		if err != nil {
 			return false
 		}
@@ -69,7 +69,7 @@ func TestNoDBestWithinConjecturedRatio(t *testing.T) {
 			MaxReq:       9,
 			ExtraClients: rng.Intn(3),
 		}, false)
-		sol, err := NoDBest(in)
+		sol, err := solve(t, in, (*Session).Best)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -101,11 +101,11 @@ func TestNoDBestNeverWorseThanNoD(t *testing.T) {
 			MaxReq:       12,
 			ExtraClients: rng.Intn(5),
 		}, false)
-		nod, err := NoD(in)
+		nod, err := solve(t, in, (*Session).NoD)
 		if err != nil {
 			t.Fatal(err)
 		}
-		best, err := NoDBest(in)
+		best, err := solve(t, in, (*Session).Best)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,14 +117,14 @@ func TestNoDBestNeverWorseThanNoD(t *testing.T) {
 
 func TestPassUpRejectsOversized(t *testing.T) {
 	in := buildPaper(6, core.NoDistance) // c2 = 7 > 6
-	if _, err := NoDPassUp(in); err == nil {
+	if _, err := solve(t, in, (*Session).PassUp); err == nil {
 		t.Fatal("pass-up should reject ri > W")
 	}
 }
 
 func TestPassUpSingleRootServer(t *testing.T) {
 	in := buildPaper(14, core.NoDistance)
-	sol, err := NoDPassUp(in)
+	sol, err := solve(t, in, (*Session).PassUp)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,7 @@ func TestPushUpNeverHurts(t *testing.T) {
 			MaxReq:       12,
 			ExtraClients: rng.Intn(5),
 		}, withD)
-		base, err := Gen(in)
+		base, err := solve(t, in, (*Session).Gen)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -48,7 +48,7 @@ func TestPushUpMergesIntoAncestor(t *testing.T) {
 		t.Fatalf("no ancestor server to merge into: want 3, got %d", got)
 	}
 	// Seed a solution with servers at root and both internals.
-	sol, err := NoD(in)
+	sol, err := solve(t, in, (*Session).NoD)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestPushUpRespectsDistance(t *testing.T) {
 	// c1 at distance 3 from a and 4 from root; dmax = 3 forbids
 	// re-homing c1's server from a to root.
 	in := buildPaper(100, 2)
-	sol, err := Gen(in)
+	sol, err := solve(t, in, (*Session).Gen)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestPushUpOnFig4(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := res.Instance
-	sol, err := NoD(in)
+	sol, err := solve(t, in, (*Session).NoD)
 	if err != nil {
 		t.Fatal(err)
 	}

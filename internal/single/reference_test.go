@@ -280,7 +280,7 @@ func (s *nodState) collect(c tree.NodeID) []clientReq {
 }
 
 // referencePassUp is the map-based, recursive pass-up variant, the
-// oracle for NoDPassUp and Session.PassUp.
+// oracle for Session.PassUp.
 func referencePassUp(in *core.Instance) (*core.Solution, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
@@ -300,7 +300,7 @@ func referencePassUp(in *core.Instance) (*core.Solution, error) {
 }
 
 // referenceBest is the better of referenceNoD and referencePassUp, the
-// oracle for NoDBest and Session.Best.
+// oracle for Session.Best.
 func referenceBest(in *core.Instance) (*core.Solution, error) {
 	a, err := referenceNoD(in)
 	if err != nil {

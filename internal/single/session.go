@@ -23,9 +23,8 @@ import (
 // and its lists Lj are per-node slices reused across solves. Pass-up keeps every pending client on one stack (nod.go).
 // The returned *core.Solution is owned by the session and valid only
 // until the next solve on it. The session does not verify its answers:
-// the solver seam verifies every engine's answer once, and the package
-// functions (solveOnce) verify theirs. A Session is not safe for
-// concurrent use.
+// the solver seam verifies every engine's answer once. A Session is
+// not safe for concurrent use.
 type Session struct {
 	in  *core.Instance
 	sol core.Solution
@@ -57,7 +56,7 @@ type nentry struct {
 }
 
 // Reset binds the session to an instance. The caller must have
-// validated the instance (the solver seam does at ingest); Reset
+// validated the instance (the solver seam does); Reset
 // itself does not allocate. Algorithm 1's memo survives Reset: Gen
 // checks it against the newly bound instance.
 func (s *Session) Reset(in *core.Instance) {

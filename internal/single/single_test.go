@@ -29,6 +29,23 @@ func buildPaper(W, dmax int64) *core.Instance {
 	return &core.Instance{Tree: b.MustBuild(), W: W, DMax: dmax}
 }
 
+// solve runs one algorithm on a fresh session and checks its answer
+// with core.Verify, as the solver seam checks every engine's. The NoD
+// family ignores dmax, and every instance these tests hand it has
+// none, so each answer is checked against the instance it solved.
+func solve(t testing.TB, in *core.Instance, alg func(*Session) (*core.Solution, error)) (*core.Solution, error) {
+	t.Helper()
+	var s Session
+	s.Reset(in)
+	sol, err := alg(&s)
+	if err == nil {
+		if verr := core.Verify(in, core.Single, sol); verr != nil {
+			t.Fatalf("infeasible answer: %v", verr)
+		}
+	}
+	return sol, err
+}
+
 func TestGenFeasibleHandInstance(t *testing.T) {
 	for _, tc := range []struct {
 		W, dmax int64
@@ -42,12 +59,12 @@ func TestGenFeasibleHandInstance(t *testing.T) {
 		{100, 1},
 	} {
 		in := buildPaper(tc.W, tc.dmax)
-		sol, err := Gen(in)
+		sol, err := solve(t, in, (*Session).Gen)
 		if err != nil {
-			t.Fatalf("Gen(W=%d dmax=%d): %v", tc.W, tc.dmax, err)
+			t.Fatalf("solve(t, W=%d dmax=%d, (*Session).Gen): %v", tc.W, tc.dmax, err)
 		}
 		if err := core.Verify(in, core.Single, sol); err != nil {
-			t.Fatalf("Gen(W=%d dmax=%d) infeasible: %v", tc.W, tc.dmax, err)
+			t.Fatalf("solve(t, W=%d dmax=%d, (*Session).Gen) infeasible: %v", tc.W, tc.dmax, err)
 		}
 	}
 }
@@ -55,7 +72,7 @@ func TestGenFeasibleHandInstance(t *testing.T) {
 func TestGenAbsorbsEverythingAtRoot(t *testing.T) {
 	// Total 14 ≤ W: one server at the root suffices and Gen finds it.
 	in := buildPaper(14, core.NoDistance)
-	sol, err := Gen(in)
+	sol, err := solve(t, in, (*Session).Gen)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +84,7 @@ func TestGenAbsorbsEverythingAtRoot(t *testing.T) {
 func TestGenDistanceForcesLocalServers(t *testing.T) {
 	// dmax = 0: every client serves itself.
 	in := buildPaper(20, 0)
-	sol, err := Gen(in)
+	sol, err := solve(t, in, (*Session).Gen)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,10 +100,10 @@ func TestGenDistanceForcesLocalServers(t *testing.T) {
 
 func TestGenRejectsOversizedClients(t *testing.T) {
 	in := buildPaper(6, core.NoDistance) // c2 has 7 > 6
-	if _, err := Gen(in); err == nil {
+	if _, err := solve(t, in, (*Session).Gen); err == nil {
 		t.Fatal("Gen should fail when some ri > W")
 	}
-	if _, err := NoD(in); err == nil {
+	if _, err := solve(t, in, (*Session).NoD); err == nil {
 		t.Fatal("NoD should fail when some ri > W")
 	}
 }
@@ -94,7 +111,7 @@ func TestGenRejectsOversizedClients(t *testing.T) {
 func TestNoDHandInstances(t *testing.T) {
 	// W = 14: everything at the root.
 	in := buildPaper(14, core.NoDistance)
-	sol, err := NoD(in)
+	sol, err := solve(t, in, (*Session).NoD)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +121,7 @@ func TestNoDHandInstances(t *testing.T) {
 	// W = 12: c1+c2 = 12 at a (or above), c3 elsewhere → 2 replicas
 	// optimal; NoD guarantees ≤ 2·2 but should find 2 here.
 	in = buildPaper(12, core.NoDistance)
-	sol, err = NoD(in)
+	sol, err = solve(t, in, (*Session).NoD)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +149,7 @@ func TestGenTightFamilyIm(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sol, err := Gen(res.Instance)
+			sol, err := solve(t, res.Instance, (*Session).Gen)
 			if err != nil {
 				t.Fatalf("Im(m=%d,Δ=%d): %v", m, delta, err)
 			}
@@ -173,7 +190,7 @@ func TestNoDTightFamilyFig4(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sol, err := NoD(res.Instance)
+		sol, err := solve(t, res.Instance, (*Session).NoD)
 		if err != nil {
 			t.Fatalf("Fig4(K=%d): %v", k, err)
 		}
@@ -214,7 +231,7 @@ func TestGenApproximationBound(t *testing.T) {
 	for trial := 0; trial < 150; trial++ {
 		withD := trial%2 == 0
 		in := randomSmall(rng, withD)
-		sol, err := Gen(in)
+		sol, err := solve(t, in, (*Session).Gen)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -244,7 +261,7 @@ func TestNoDApproximationBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for trial := 0; trial < 150; trial++ {
 		in := randomSmall(rng, false)
-		sol, err := NoD(in)
+		sol, err := solve(t, in, (*Session).NoD)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -274,7 +291,7 @@ func TestGenFeasibilityQuick(t *testing.T) {
 			MaxReq:       20,
 			ExtraClients: rng.Intn(8),
 		}, withDistance)
-		sol, err := Gen(in)
+		sol, err := solve(t, in, (*Session).Gen)
 		if err != nil {
 			return false
 		}
@@ -297,7 +314,7 @@ func TestNoDFeasibilityQuick(t *testing.T) {
 			MaxReq:       20,
 			ExtraClients: rng.Intn(8),
 		}, false)
-		sol, err := NoD(in)
+		sol, err := solve(t, in, (*Session).NoD)
 		if err != nil {
 			return false
 		}
@@ -321,7 +338,7 @@ func TestNoDBoundedOnImFamily(t *testing.T) {
 			t.Fatal(err)
 		}
 		relaxed := &core.Instance{Tree: res.Instance.Tree, W: res.Instance.W, DMax: core.NoDistance}
-		sol, err := NoD(relaxed)
+		sol, err := solve(t, relaxed, (*Session).NoD)
 		if err != nil {
 			t.Fatal(err)
 		}

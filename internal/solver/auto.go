@@ -96,6 +96,9 @@ func (a *autoEngine) Solve(ctx context.Context, req Request) (Report, error) {
 	if req.Instance == nil {
 		return rep, fmt.Errorf("solver %s: nil instance", Auto)
 	}
+	if err := req.Instance.Validate(); err != nil {
+		return rep, err
+	}
 	if len(req.Exclude) > 0 {
 		// Same gate engineCore applies to non-delta engines: dropping
 		// the constraint would place on a failed server.

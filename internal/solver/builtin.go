@@ -57,13 +57,10 @@ func sized(c Capabilities, maxNodes int) Capabilities {
 // newSessionEngine registers a polynomial built-in by its session
 // solve: the request's instance is ingested into req.Scratch (lent by
 // the caller, or borrowed from the pool by engineCore.Solve) and
-// solved on its reusable buffers. An invalid instance fails ingestion
-// with the instance's validation error.
+// solved on its reusable buffers.
 func newSessionEngine(caps Capabilities, solve func(*Scratch) (*core.Solution, error)) Engine {
 	return &engineCore{caps: caps, session: true, fn: func(_ context.Context, req Request) (*core.Solution, int64, error) {
-		if err := req.Scratch.ingest(req.Instance); err != nil {
-			return nil, 0, err
-		}
+		req.Scratch.ingest(req.Instance)
 		sol, err := solve(req.Scratch)
 		return sol, 0, err
 	}}

@@ -203,10 +203,12 @@ type Capabilities struct {
 }
 
 // engineCore is the shared implementation behind every built-in
-// engine: it validates the request, enforces the capability gates
-// (policy constraint, distance support, size ceiling), threads budget
-// and deadline, classifies failures onto the sentinel errors and fills
-// the uniform Report fields around the wrapped solve function. It is
+// engine: it validates the request's instance (returning
+// core.Instance.Validate's error untagged, before any gate or engine
+// reads the tree), enforces the capability gates (policy constraint,
+// distance support, size ceiling), threads budget and deadline,
+// classifies failures onto the sentinel errors and fills the uniform
+// Report fields around the wrapped solve function. It is
 // also the output gate: no answer leaves it unless core.Scratch.Verify
 // accepts it under the report's policy and no Request.Exclude node
 // hosts a replica (ErrVerification otherwise), so the wrapped
@@ -214,7 +216,7 @@ type Capabilities struct {
 type engineCore struct {
 	caps Capabilities
 	// fn returns the solution plus the elementary work performed
-	// (0 when untracked). It sees a request whose Instance is non-nil
+	// (0 when untracked). It sees a request whose Instance is valid
 	// and that passed the capability gates.
 	fn func(ctx context.Context, req Request) (*core.Solution, int64, error)
 	// deltaFn, set only on Delta engines, additionally returns the
@@ -227,7 +229,7 @@ type engineCore struct {
 
 // NewEngine wraps a solve function and its capability document as a
 // registrable Engine. The returned engine enforces the documented
-// gates, so fn can assume a non-nil instance that passed them.
+// gates, so fn can assume a valid instance that passed them.
 func NewEngine(caps Capabilities, fn func(ctx context.Context, req Request) (*core.Solution, int64, error)) Engine {
 	return &engineCore{caps: caps, fn: fn}
 }
@@ -254,6 +256,9 @@ func (e *engineCore) Solve(ctx context.Context, req Request) (Report, error) {
 	if req.Instance == nil {
 		return rep, fmt.Errorf("solver %s: nil instance", e.caps.Name)
 	}
+	if err := req.Instance.Validate(); err != nil {
+		return rep, err
+	}
 	if !req.Policy.Allows(e.caps.Policy) {
 		return rep, tag(fmt.Errorf("solver %s: solves %s, request requires %s",
 			e.caps.Name, e.caps.Policy, req.Policy), ErrPolicyUnsupported)
@@ -270,8 +275,7 @@ func (e *engineCore) Solve(ctx context.Context, req Request) (Report, error) {
 		return rep, tag(fmt.Errorf("solver %s: cannot honour excluded servers (delta engines only)",
 			e.caps.Name), ErrPolicyUnsupported)
 	}
-	if e.caps.Cost != CostExponential && e.caps.MaxNodes > 0 && req.Instance.Tree != nil &&
-		req.Instance.Tree.Len() > e.caps.MaxNodes {
+	if e.caps.Cost != CostExponential && e.caps.MaxNodes > 0 && req.Instance.Tree.Len() > e.caps.MaxNodes {
 		// Checked before ingest: lp-round's tableau grows with the
 		// square of the tree, so an oversized direct request would
 		// allocate gigabytes before failing. Exponential engines keep

@@ -121,6 +121,45 @@ func infeasibleInstance(t *testing.T) *core.Instance {
 	return &core.Instance{Tree: b.MustBuild(), W: 3, DMax: 1}
 }
 
+// TestInvalidInstanceRefusedAtSeam holds every registered engine,
+// auto included, to the instance check at the seam: an instance with
+// no tree, W = 0 or a negative dmax fails with exactly
+// core.Instance.Validate's error, before any gate or engine reads the
+// tree, and never as ErrInfeasible.
+func TestInvalidInstanceRefusedAtSeam(t *testing.T) {
+	tr := nodInstance(t).Tree
+	for _, row := range []struct {
+		name string
+		in   *core.Instance
+	}{
+		{"no tree", &core.Instance{W: 5, DMax: core.NoDistance}},
+		{"W = 0", &core.Instance{Tree: tr, W: 0, DMax: core.NoDistance}},
+		{"dmax = -1", &core.Instance{Tree: tr, W: 12, DMax: -1}},
+	} {
+		want := row.in.Validate()
+		if want == nil {
+			t.Fatalf("%s: instance is valid", row.name)
+		}
+		for _, name := range List() {
+			var err error
+			func() {
+				defer func() {
+					if p := recover(); p != nil {
+						t.Fatalf("%s on %s: panic %v", name, row.name, p)
+					}
+				}()
+				_, err = MustLookup(name).Solve(context.Background(), Request{Instance: row.in})
+			}()
+			if err == nil || err.Error() != want.Error() {
+				t.Errorf("%s on %s: error %v, want %q", name, row.name, err, want)
+			}
+			if errors.Is(err, ErrInfeasible) {
+				t.Errorf("%s on %s: an invalid instance is tagged ErrInfeasible", name, row.name)
+			}
+		}
+	}
+}
+
 func TestInfeasibleSentinel(t *testing.T) {
 	in := infeasibleInstance(t)
 	for _, name := range []string{SingleGen, MultipleGreedy, ExactMultiple, Auto} {

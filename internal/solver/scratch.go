@@ -24,9 +24,8 @@ import (
 // equality).
 //
 // Ingestion is implicit: each session engine ingests the request's
-// instance on first sight, checking its W and dmax (the tree was
-// validated when it was built) and binding the per-algorithm sessions
-// to it; the sessions read the instance's tree in place. Re-solving
+// instance on first sight (the seam has validated it) and binds the
+// per-algorithm sessions to it; the sessions read the instance's tree in place. Re-solving
 // the same *core.Instance (same tree pointer, W and DMax) skips
 // ingestion entirely — that is the hot path. A fresh instance wrapper
 // around a tree edited in place re-ingests in O(1), and Algorithm 1's
@@ -89,24 +88,19 @@ func PutScratch(sc *Scratch) {
 	}
 }
 
-// ingest binds the scratch to the instance, validating it (O(1): see
-// core.Instance.Validate) and (re)binding the sessions. Re-ingesting
-// the instance the scratch is already bound to is free. Ingestion may
-// allocate (buffer growth, LP matrices); only the subsequent solves
-// are allocation-free.
-func (sc *Scratch) ingest(in *core.Instance) error {
+// ingest binds the scratch to the instance, which engineCore.Solve
+// has validated, (re)binding the sessions. Re-ingesting the instance
+// the scratch is already bound to is free. Ingestion may allocate
+// (buffer growth, LP matrices); only the subsequent solves are
+// allocation-free.
+func (sc *Scratch) ingest(in *core.Instance) {
 	if sc.in == in && sc.tr == in.Tree && sc.w == in.W && sc.dmax == in.DMax {
-		return nil
-	}
-	sc.in = nil // stay unbound if validation fails
-	if err := in.Validate(); err != nil {
-		return err
+		return
 	}
 	sc.single.Reset(in)
 	sc.multiple.Reset(in)
 	sc.lpBound = false
 	sc.in, sc.tr, sc.w, sc.dmax = in, in.Tree, in.W, in.DMax
-	return nil
 }
 
 // lpSession returns the lazily-ingested LP session, or the error the

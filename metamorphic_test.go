@@ -10,11 +10,9 @@ import (
 	"testing"
 
 	"replicatree/internal/core"
-	"replicatree/internal/exact"
 	"replicatree/internal/gen"
 	"replicatree/internal/hetero"
-	"replicatree/internal/multiple"
-	"replicatree/internal/single"
+	"replicatree/internal/solver"
 	"replicatree/internal/tree"
 )
 
@@ -58,14 +56,10 @@ func TestMetamorphicRequestScaling(t *testing.T) {
 			name string
 			run  func(*core.Instance) (*core.Solution, error)
 		}{
-			{"single.Gen", single.Gen},
-			{"multiple.Best", multiple.Best},
-			{"exact.Single", func(i *core.Instance) (*core.Solution, error) {
-				return exact.SolveSingle(i, exact.Options{})
-			}},
-			{"exact.Multiple", func(i *core.Instance) (*core.Solution, error) {
-				return exact.SolveMultiple(i, exact.Options{})
-			}},
+			{solver.SingleGen, viaEngine(solver.SingleGen)},
+			{solver.MultipleBest, viaEngine(solver.MultipleBest)},
+			{solver.ExactSingle, viaEngine(solver.ExactSingle)},
+			{solver.ExactMultiple, viaEngine(solver.ExactMultiple)},
 		}
 		for _, p := range pairs {
 			a, err := p.run(in)
@@ -115,11 +109,11 @@ func TestMetamorphicIdleClientsInert(t *testing.T) {
 		b.Client(ids[internals[rng.Intn(len(internals))]], 2, 0, "idle2")
 		padded := &core.Instance{Tree: b.MustBuild(), W: in.W, DMax: in.DMax}
 
-		o1, err := exact.SolveMultiple(in, exact.Options{})
+		o1, err := viaEngine(solver.ExactMultiple)(in)
 		if err != nil {
 			t.Fatal(err)
 		}
-		o2, err := exact.SolveMultiple(padded, exact.Options{})
+		o2, err := viaEngine(solver.ExactMultiple)(padded)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,11 +121,11 @@ func TestMetamorphicIdleClientsInert(t *testing.T) {
 			t.Fatalf("trial %d: idle clients changed the optimum %d → %d",
 				trial, o1.NumReplicas(), o2.NumReplicas())
 		}
-		s1, err := multiple.Best(in)
+		s1, err := viaEngine(solver.MultipleBest)(in)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s2, err := multiple.Best(padded)
+		s2, err := viaEngine(solver.MultipleBest)(padded)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,26 +162,19 @@ func TestMetamorphicChildOrderInvariance(t *testing.T) {
 		rec(t0.Root())
 		rev := &core.Instance{Tree: b.MustBuild(), W: in.W, DMax: in.DMax}
 
-		for _, pol := range []core.Policy{core.Single, core.Multiple} {
-			var a, bsol *core.Solution
-			var err error
-			if pol == core.Single {
-				a, err = exact.SolveSingle(in, exact.Options{})
-				if err == nil {
-					bsol, err = exact.SolveSingle(rev, exact.Options{})
-				}
-			} else {
-				a, err = exact.SolveMultiple(in, exact.Options{})
-				if err == nil {
-					bsol, err = exact.SolveMultiple(rev, exact.Options{})
-				}
+		for _, name := range []string{solver.ExactSingle, solver.ExactMultiple} {
+			solve := viaEngine(name)
+			a, err := solve(in)
+			if err != nil {
+				t.Fatalf("trial %d: %v", trial, err)
 			}
+			bsol, err := solve(rev)
 			if err != nil {
 				t.Fatalf("trial %d: %v", trial, err)
 			}
 			if a.NumReplicas() != bsol.NumReplicas() {
-				t.Fatalf("trial %d %v: child order changed the optimum %d → %d",
-					trial, pol, a.NumReplicas(), bsol.NumReplicas())
+				t.Fatalf("trial %d %s: child order changed the optimum %d → %d",
+					trial, name, a.NumReplicas(), bsol.NumReplicas())
 			}
 		}
 	}
@@ -203,7 +190,7 @@ func TestMetamorphicRelaxingDMaxNeverHurts(t *testing.T) {
 		nod := &core.Instance{Tree: in.Tree, W: in.W, DMax: core.NoDistance}
 		var prev = 1 << 30
 		for _, inst := range []*core.Instance{in, relaxed, nod} {
-			opt, err := exact.SolveMultiple(inst, exact.Options{})
+			opt, err := viaEngine(solver.ExactMultiple)(inst)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -223,7 +210,7 @@ func TestMetamorphicRaisingWNeverHurts(t *testing.T) {
 		in := smallInstance(rng, trial%2 == 0)
 		var prev = 1 << 30
 		for _, w := range []int64{in.W, in.W + 3, 2 * in.W} {
-			opt, err := exact.SolveMultiple(&core.Instance{Tree: in.Tree, W: w, DMax: in.DMax}, exact.Options{})
+			opt, err := viaEngine(solver.ExactMultiple)(&core.Instance{Tree: in.Tree, W: w, DMax: in.DMax})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -275,7 +262,7 @@ func TestOversizedClientsViaHetero(t *testing.T) {
 		// two oversized clients may compete for the same ancestors.
 		// Use the exact solver as the feasibility arbiter and skip
 		// genuinely infeasible draws.
-		opt, err := exact.SolveMultiple(in, exact.Options{})
+		opt, err := viaEngine(solver.ExactMultiple)(in)
 		if err != nil {
 			continue
 		}
