@@ -3,8 +3,8 @@ package replicatree_test
 // A distance bound of 0 (every client served locally) is a valid
 // instance whichever codec carries it: the JSON instance and the
 // chunked stream apply the same parameter checks, so a dmax = 0
-// instance streams, hashes, bounds, decomposes and certifies the same
-// way on either side.
+// instance streams, hashes, bounds and certifies the same way on either
+// side (internal/decomp's TestZeroDMaxChunkedDecomp decomposes it).
 
 import (
 	"bytes"
@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"replicatree/internal/core"
-	"replicatree/internal/decomp"
 	"replicatree/internal/gen"
 	"replicatree/internal/solver"
 )
@@ -46,19 +45,6 @@ func TestZeroDMaxChunkedRoundTrip(t *testing.T) {
 	}
 
 	ctx := context.Background()
-	res, err := decomp.SolveFlat(ctx, got, decomp.Options{TargetPieceSize: 8, Verify: true})
-	if err != nil {
-		t.Fatalf("decomp.SolveFlat: %v", err)
-	}
-	flatErr := got.Verify(core.Multiple, res.Solution)
-	ptrErr := core.Verify(in, core.Multiple, res.Solution)
-	if flatErr != nil || ptrErr != nil {
-		t.Fatalf("decomp solution: streamed verify %v, verify %v", flatErr, ptrErr)
-	}
-	if res.LowerBound != core.LowerBound(in) {
-		t.Fatalf("decomp lower bound %d, lower bound %d", res.LowerBound, core.LowerBound(in))
-	}
-
 	rep, err := solver.MustLookup(solver.MultipleGreedy).Solve(ctx, solver.Request{Instance: in})
 	if err != nil {
 		t.Fatal(err)

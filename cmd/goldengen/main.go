@@ -24,9 +24,6 @@ import (
 	"sort"
 
 	"replicatree/internal/core"
-	// The corpus pins every registered engine, so the decomposition
-	// engine must be linked in here (it registers itself on init).
-	_ "replicatree/internal/decomp"
 	"replicatree/internal/gen"
 	"replicatree/internal/solver"
 )

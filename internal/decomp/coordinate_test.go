@@ -5,16 +5,17 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
 	"replicatree/internal/core"
-	"replicatree/internal/solver"
 	"replicatree/internal/tree"
 )
 
-// stitched reads a chunked stream back and runs SolveFlat's partition,
-// piece solves and merges on it at the given target piece size. It
+// stitched reads a chunked stream back and runs SolveFlat's partition
+// and piece solves on it at the given target piece size
+// (0 = DefaultPieceSize). It
 // returns the instance, the pieces and the stitched placement that
 // coordination starts from.
 func stitched(tb testing.TB, stream []byte, target int) (*core.FlatInstance, []tree.Piece, *core.Solution) {
@@ -23,8 +24,10 @@ func stitched(tb testing.TB, stream []byte, target int) (*core.FlatInstance, []t
 	if err != nil {
 		tb.Fatal(err)
 	}
-	opt := Options{TargetPieceSize: target}.norm()
-	pieces, sol, _, err := stitch(context.Background(), fi, solver.MustLookup(opt.Engine), opt)
+	if target == 0 {
+		target = DefaultPieceSize
+	}
+	pieces, sol, err := stitch(context.Background(), fi, target, runtime.GOMAXPROCS(0))
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -61,8 +64,8 @@ func TestCoordinateMatchesReference(t *testing.T) {
 				t.Parallel()
 				fi, pieces, sol := stitched(t, hugeStream(t, int64(r.seed), r.nodes, r.dist), r.target)
 				want := sol.Clone()
-				rounds, moved := coordinate(fi, pieces, sol, DefaultRounds)
-				wantRounds, wantMoved := referenceCoordinate(fi, pieces, want, DefaultRounds)
+				rounds, moved := coordinate(fi, pieces, sol, coordinationRounds)
+				wantRounds, wantMoved := referenceCoordinate(fi, pieces, want, coordinationRounds)
 				sol.Normalize()
 				want.Normalize()
 				got, err := json.Marshal(sol)
@@ -108,7 +111,7 @@ func BenchmarkCoordinate(b *testing.B) {
 		b.StopTimer()
 		s := sol.Clone()
 		b.StartTimer()
-		coordinate(fi, pieces, s, DefaultRounds)
+		coordinate(fi, pieces, s, coordinationRounds)
 		s.Normalize()
 	}
 }

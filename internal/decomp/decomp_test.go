@@ -3,21 +3,29 @@ package decomp
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
-	"sync"
 	"testing"
 
 	"replicatree/internal/core"
 	"replicatree/internal/gen"
-	"replicatree/internal/solver"
+	"replicatree/internal/multiple"
 	"replicatree/internal/tree"
 )
 
 func flatOf(in *core.Instance) *core.FlatInstance {
 	return &core.FlatInstance{Flat: in.Tree, W: in.W, DMax: in.DMax}
+}
+
+// forced runs the pipeline with verification at the given target piece
+// size (0 = DefaultPieceSize), with SolveFlat's round budget and pool.
+func forced(ctx context.Context, fi *core.FlatInstance, target int) (*Result, error) {
+	if target == 0 {
+		target = DefaultPieceSize
+	}
+	return solveFlat(ctx, fi, true, target, coordinationRounds, runtime.GOMAXPROCS(0))
 }
 
 // TestSolveFlatFeasibleSweep: over random instances of both distance
@@ -31,7 +39,7 @@ func TestSolveFlatFeasibleSweep(t *testing.T) {
 			in := gen.RandomInstance(rng, gen.TreeConfig{Internals: 80, MaxArity: 3, ExtraClients: 60}, withD)
 			fi := flatOf(in)
 			for _, target := range []int{8, 32, 1 << 20} {
-				res, err := SolveFlat(context.Background(), fi, Options{TargetPieceSize: target, Verify: true})
+				res, err := forced(context.Background(), fi, target)
 				if err != nil {
 					t.Fatalf("seed %d withD=%v target %d: %v", seed, withD, target, err)
 				}
@@ -54,29 +62,26 @@ func TestSolveFlatFeasibleSweep(t *testing.T) {
 }
 
 // TestSolveFlatSinglePieceMatchesInner: a target larger than the tree
-// means no decomposition, so the result must equal the inner engine's
-// cold solve exactly.
+// means no decomposition, so the result must equal Greedy's solve of
+// the whole tree exactly.
 func TestSolveFlatSinglePieceMatchesInner(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	in := gen.RandomInstance(rng, gen.TreeConfig{Internals: 40, MaxArity: 3, ExtraClients: 30}, true)
-	fi := flatOf(in)
-	res, err := SolveFlat(context.Background(), fi, Options{TargetPieceSize: 1 << 20, Verify: true})
+	res, err := forced(context.Background(), flatOf(in), 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Pieces != 1 {
 		t.Fatalf("expected a single piece, got %d", res.Pieces)
 	}
-	eng, err := solver.Lookup(DefaultEngine)
+	var s multiple.Session
+	s.Reset(in)
+	want, err := s.Greedy()
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := eng.Solve(context.Background(), solver.Request{Instance: in})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Replicas != rep.Solution.NumReplicas() {
-		t.Fatalf("single-piece decomp found %d replicas, inner engine %d", res.Replicas, rep.Solution.NumReplicas())
+	if res.Replicas != want.NumReplicas() {
+		t.Fatalf("single-piece decomp found %d replicas, Greedy %d", res.Replicas, want.NumReplicas())
 	}
 }
 
@@ -90,16 +95,16 @@ func TestCoordinationImproves(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		in := gen.RandomInstance(rng, gen.TreeConfig{Internals: 120, MaxArity: 3, ExtraClients: 80}, false)
 		fi := flatOf(in)
-		off, err := SolveFlat(context.Background(), fi, Options{TargetPieceSize: 16, Rounds: -1, Verify: true})
+		off, err := solveFlat(context.Background(), fi, true, 16, 0, runtime.GOMAXPROCS(0))
 		if err != nil {
-			t.Fatalf("seed %d rounds=-1: %v", seed, err)
+			t.Fatalf("seed %d no rounds: %v", seed, err)
 		}
-		on, err := SolveFlat(context.Background(), fi, Options{TargetPieceSize: 16, Verify: true})
+		on, err := forced(context.Background(), fi, 16)
 		if err != nil {
-			t.Fatalf("seed %d rounds=default: %v", seed, err)
+			t.Fatalf("seed %d default rounds: %v", seed, err)
 		}
 		if off.Rounds != 0 || off.Moved != 0 {
-			t.Fatalf("seed %d: Rounds=-1 still coordinated (%d rounds, %d moved)", seed, off.Rounds, off.Moved)
+			t.Fatalf("seed %d: a zero round budget still coordinated (%d rounds, %d moved)", seed, off.Rounds, off.Moved)
 		}
 		if on.Replicas > off.Replicas {
 			t.Fatalf("seed %d: coordination made it worse (%d > %d)", seed, on.Replicas, off.Replicas)
@@ -113,112 +118,33 @@ func TestCoordinationImproves(t *testing.T) {
 	}
 }
 
-// registerFlaky installs a test engine that refuses any tree smaller
-// than minNodes and otherwise delegates to multiple-greedy. Decomp
-// pieces all fall under the threshold, so every piece solve fails and
-// the merge path must cascade back to the undecomposed tree.
-func registerFlaky() string {
-	return registerRefusing("test-flaky-small", func(nodes int) bool { return nodes < flakyMinNodes })
-}
-
-var registerMu sync.Mutex
-
-// registerRefusing installs, once per name, a test engine that fails
-// every tree whose node count refuse names and otherwise delegates to
-// multiple-greedy.
-func registerRefusing(name string, refuse func(nodes int) bool) string {
-	registerMu.Lock()
-	defer registerMu.Unlock()
-	if _, err := solver.Lookup(name); err == nil {
-		return name
-	}
-	inner := solver.MustLookup(solver.MultipleGreedy)
-	solver.MustRegisterEngine(solver.NewEngine(solver.Capabilities{
-		Name:         name,
-		Policy:       core.Multiple,
-		SupportsDMax: true,
-		Cost:         solver.CostPolynomial,
-		Description:  "test engine: fails on some tree sizes",
-	}, func(ctx context.Context, req solver.Request) (*core.Solution, int64, error) {
-		if refuse(req.Instance.Tree.Len()) {
-			return nil, 0, errors.New("tree size refused by this engine")
-		}
-		rep, err := inner.Solve(ctx, req)
-		if err != nil {
-			return nil, 0, err
-		}
-		return rep.Solution, rep.Work, nil
-	}))
-	return name
-}
-
-const flakyMinNodes = 200
-
-// TestFailedPiecesMergeBack: when every piece solve fails, the merge
-// path must drop the cuts and fall back to the undecomposed tree, and
-// the result must record the merges.
-func TestFailedPiecesMergeBack(t *testing.T) {
-	name := registerFlaky()
+// TestClientAboveWRefusedUpFront: with one client at W + 1 deep in a
+// forced-piece tree, SolveFlat returns Greedy's refusal verbatim, from
+// the whole-tree check: a piece's refusal would come back wrapped in
+// "decomp: piece N: ".
+func TestClientAboveWRefusedUpFront(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	in := gen.RandomInstance(rng, gen.TreeConfig{Internals: 120, MaxArity: 3, ExtraClients: 80}, false)
-	fi := flatOf(in)
-	if fi.Flat.Len() < flakyMinNodes {
-		t.Fatalf("fixture too small: %d nodes", fi.Flat.Len())
-	}
-	res, err := SolveFlat(context.Background(), fi, Options{TargetPieceSize: 16, Engine: name, Verify: true})
-	if err != nil {
+	clients := in.Tree.Clients()
+	ed := tree.NewEditor(in.Tree)
+	if err := ed.SetRequests(clients[len(clients)-1], in.W+1); err != nil {
 		t.Fatal(err)
 	}
-	if res.Merged == 0 {
-		t.Fatal("expected merged pieces")
+	in = &core.Instance{Tree: ed.Tree(), W: in.W, DMax: in.DMax}
+	want := multiple.CheckGreedy(in)
+	if want == nil {
+		t.Fatal("fixture has no client above W")
 	}
-	if res.Pieces != 1 {
-		t.Fatalf("expected the undecomposed fallback (1 piece), got %d", res.Pieces)
+	if n := len(tree.PartitionFlat(in.Tree, 16)); n < 2 {
+		t.Fatalf("expected several pieces, got %d", n)
 	}
-	if err := core.Verify(in, core.Multiple, res.Solution); err != nil {
-		t.Fatalf("merged solve is infeasible: %v", err)
-	}
-}
-
-// TestEngineRegistration: the registry path must resolve "decomp" and
-// produce verified reports with a filled bound and no work: decomp is
-// polynomial, and Report.Work (and a certificate's work) counts search
-// steps only.
-func TestEngineRegistration(t *testing.T) {
-	eng, err := solver.Lookup(solver.Decomp)
-	if err != nil {
-		t.Fatalf("decomp not registered: %v", err)
-	}
-	caps := eng.Capabilities()
-	if caps.MaxNodes != 0 || caps.Cost != solver.CostPolynomial || caps.Policy != core.Multiple {
-		t.Fatalf("unexpected capability document: %+v", caps)
-	}
-	rng := rand.New(rand.NewSource(4))
-	in := gen.RandomInstance(rng, gen.TreeConfig{Internals: 60, MaxArity: 3, ExtraClients: 40}, true)
-	rep, err := eng.Solve(context.Background(), solver.Request{Instance: in})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := core.Verify(in, rep.Policy, rep.Solution); err != nil {
-		t.Fatalf("engine solution failed verification: %v", err)
-	}
-	if rep.LowerBound != core.LowerBound(in) {
-		t.Fatalf("report bound %d, want %d", rep.LowerBound, core.LowerBound(in))
-	}
-	if rep.Work != 0 {
-		t.Fatalf("report carries work %d", rep.Work)
-	}
-	c, err := solver.Certify(in, &rep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Work != 0 || c.Optimality != nil {
-		t.Fatalf("certificate carries work %d, optimality %+v", c.Work, c.Optimality)
-	}
-	// A Single-policy request must be rejected: decomp's coordination
-	// splits client flows across cut edges.
-	if _, err := eng.Solve(context.Background(), solver.Request{Instance: in, Policy: solver.WantSingle}); err == nil {
-		t.Fatal("Single-policy request accepted")
+	for _, solve := range []func() (*Result, error){
+		func() (*Result, error) { return forced(context.Background(), flatOf(in), 16) },
+		func() (*Result, error) { return SolveFlat(context.Background(), flatOf(in), Options{Verify: true}) },
+	} {
+		if _, err := solve(); err == nil || err.Error() != want.Error() {
+			t.Fatalf("got %v, want %q", err, want)
+		}
 	}
 }
 
@@ -238,7 +164,7 @@ func TestSolveFlatFromChunkedStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := SolveFlat(context.Background(), rt, Options{TargetPieceSize: 256, Verify: true})
+	res, err := forced(context.Background(), rt, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +181,7 @@ func TestSolveFlatCancelled(t *testing.T) {
 	in := gen.RandomInstance(rng, gen.TreeConfig{Internals: 60, MaxArity: 3, ExtraClients: 40}, false)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := SolveFlat(ctx, flatOf(in), Options{TargetPieceSize: 8}); err == nil {
+	if _, err := forced(ctx, flatOf(in), 8); err == nil {
 		t.Fatal("cancelled solve succeeded")
 	}
 }
@@ -275,7 +201,7 @@ func TestSolvePiecesNamesFirstBadPiece(t *testing.T) {
 	}
 	want := fmt.Sprintf("decomp: piece %d: tree: malformed piece", pieces[2].Boundary.Root)
 	for _, workers := range []int{1, 2, 8} {
-		_, err := solvePieces(context.Background(), fi, solver.MustLookup(DefaultEngine), pieces, Options{Workers: workers}, &core.Solution{})
+		_, err := solvePieces(context.Background(), fi, pieces, workers)
 		if err == nil || !strings.HasPrefix(err.Error(), want) {
 			t.Fatalf("%d workers: got %v, want %q", workers, err, want)
 		}

@@ -65,7 +65,7 @@ func TestSolveFlatPinned(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := SolveFlat(context.Background(), fi, Options{TargetPieceSize: tc.target, Verify: true})
+			res, err := forced(context.Background(), fi, tc.target)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -89,27 +89,19 @@ func TestSolveFlatPinned(t *testing.T) {
 // TestSolveFlatWorkersAgree holds SolveFlat to the same answer at any
 // worker count: with 1, 2 and 8 workers (a pool of 1, 2 and 8
 // goroutines, each building and solving one piece at a time) the
-// solution bytes and the run's counters must match. The rows are a 50k-node stream, a
-// forced-piece run with a distance bound that retires replicas over
-// several rounds, and a forced-piece run whose engine fails on a
-// third of the piece sizes, so that pieces merge back over several
-// passes and the rest still coordinate.
+// solution bytes and the run's counters must match. The rows are a
+// 50k-node stream and a forced-piece run with a distance bound that
+// retires replicas over several rounds.
 func TestSolveFlatWorkersAgree(t *testing.T) {
 	cases := []struct {
 		seed, nodes, target int
 		dist                bool
-		engine              string
 	}{
-		{17, 50_000, 1024, false, ""},
-		{13, 5_000, 16, true, ""},
-		{21, 5_000, 32, false, registerRefusing("test-refuse-thirds", func(n int) bool { return n%3 == 0 && n < 1000 })},
+		{17, 50_000, 1024, false},
+		{13, 5_000, 16, true},
 	}
 	for _, tc := range cases {
-		name := fmt.Sprintf("seed%d_n%d_t%d_d%v", tc.seed, tc.nodes, tc.target, tc.dist)
-		if tc.engine != "" {
-			name += "_" + tc.engine
-		}
-		t.Run(name, func(t *testing.T) {
+		t.Run(fmt.Sprintf("seed%d_n%d_t%d_d%v", tc.seed, tc.nodes, tc.target, tc.dist), func(t *testing.T) {
 			stream := hugeStream(t, int64(tc.seed), tc.nodes, tc.dist)
 			var want []byte
 			var first *Result
@@ -118,7 +110,7 @@ func TestSolveFlatWorkersAgree(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, err := SolveFlat(context.Background(), fi, Options{TargetPieceSize: tc.target, Engine: tc.engine, Workers: workers, Verify: true})
+				res, err := solveFlat(context.Background(), fi, true, tc.target, coordinationRounds, workers)
 				if err != nil {
 					t.Fatalf("%d workers: %v", workers, err)
 				}
@@ -128,18 +120,18 @@ func TestSolveFlatWorkersAgree(t *testing.T) {
 				}
 				if first == nil {
 					want, first = raw, res
-					t.Logf("pieces %d, rounds %d, moved %d, merged %d, replicas %d",
-						res.Pieces, res.Rounds, res.Moved, res.Merged, res.Replicas)
+					t.Logf("pieces %d, rounds %d, moved %d, replicas %d",
+						res.Pieces, res.Rounds, res.Moved, res.Replicas)
 					continue
 				}
 				if !bytes.Equal(raw, want) {
 					t.Errorf("%d workers: solution differs from 1 worker's", workers)
 				}
 				if res.Pieces != first.Pieces || res.Rounds != first.Rounds || res.Moved != first.Moved ||
-					res.Merged != first.Merged || res.LowerBound != first.LowerBound {
-					t.Errorf("%d workers: pieces/rounds/moved/merged/bound %d/%d/%d/%d/%d, 1 worker %d/%d/%d/%d/%d",
-						workers, res.Pieces, res.Rounds, res.Moved, res.Merged, res.LowerBound,
-						first.Pieces, first.Rounds, first.Moved, first.Merged, first.LowerBound)
+					res.LowerBound != first.LowerBound {
+					t.Errorf("%d workers: pieces/rounds/moved/bound %d/%d/%d/%d, 1 worker %d/%d/%d/%d",
+						workers, res.Pieces, res.Rounds, res.Moved, res.LowerBound,
+						first.Pieces, first.Rounds, first.Moved, first.LowerBound)
 				}
 			}
 		})

@@ -19,9 +19,10 @@
 // The engine seam verifies the answer, failed servers included, and
 // fills the lower bound. Resolve reports the churn against the
 // previous resolve in Report.Churn, as multiple.PlanDelta computes it
-// (the delta engine calls it itself), and the solution/churn returned
-// are owned by the caller (cloned out of session state). A Session is
-// safe for concurrent use.
+// (the delta engine calls it itself). The returned solution is cloned
+// once out of the scratch and then shared with the session, which
+// keeps it as the next resolve's Previous: callers read it and never
+// mutate it. A Session is safe for concurrent use.
 package delta
 
 import (
@@ -241,8 +242,10 @@ func (s *Session) SetFailed(failed []tree.NodeID) error {
 }
 
 // Resolve re-solves the current instance. The returned report's
-// Solution and Churn are caller-owned; Churn always compares against
-// the previous successful resolve (all-added on the first). A failed
+// Solution is read-only: the session keeps the same copy as the next
+// resolve's Previous and hands it out again from Report. Churn is
+// caller-owned and always compares against the previous successful
+// resolve (all-added on the first). A failed
 // resolve leaves the previous solution untouched, so a later mutation
 // can repair the instance.
 func (s *Session) Resolve(ctx context.Context) (solver.Report, error) {
@@ -269,7 +272,7 @@ func (s *Session) Resolve(ctx context.Context) (solver.Report, error) {
 		ch := multiple.PlanDelta(s.prev, rep.Solution)
 		rep.Churn = &ch
 	}
-	s.prev = rep.Solution.Clone()
+	s.prev = rep.Solution
 	s.last = rep
 	s.solved = true
 	return rep, nil

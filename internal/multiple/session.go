@@ -93,11 +93,21 @@ func (s *Session) Bin() (*core.Solution, error) {
 // observed gap of one replica; the NoD general-arity regime is the one
 // the paper cites as polynomially solvable [3].
 func (s *Session) Greedy() (*core.Solution, error) {
-	if s.in.Tree.MaxRequests() > s.in.W {
-		return nil, fmt.Errorf("multiple: Greedy requires ri ≤ W for all clients (max r=%d, W=%d)",
-			s.in.Tree.MaxRequests(), s.in.W)
+	if err := CheckGreedy(s.in); err != nil {
+		return nil, err
 	}
 	return s.run(false, &s.solA)
+}
+
+// CheckGreedy returns the error Greedy refuses in with, or nil: its
+// only refusal is a client with ri > W. A tree's pieces keep W and
+// their clients' rates, so decomp checks the whole tree once instead
+// of meeting the refusal piece by piece.
+func CheckGreedy(in *core.Instance) error {
+	if m := in.Tree.MaxRequests(); m > in.W {
+		return fmt.Errorf("multiple: Greedy requires ri ≤ W for all clients (max r=%d, W=%d)", m, in.W)
+	}
+	return nil
 }
 
 // Lazy runs the delayed-placement variant of Algorithm 3 (ri ≤ W): a

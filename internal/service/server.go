@@ -36,10 +36,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	// Link the decomposition engine into every service binary: it
-	// registers itself on init (it imports solver, so the registry
-	// cannot reference it statically).
-	_ "replicatree/internal/decomp"
 	"replicatree/internal/solver"
 )
 

@@ -42,8 +42,7 @@ const (
 	// drops the candidate from the portfolio.
 	autoExactBudget = int64(2_000_000)
 	// autoDecompMinNodes routes oversized instances to the decomp
-	// engine (when linked in) instead of racing the whole-tree
-	// portfolio on them.
+	// engine instead of racing the whole-tree portfolio on them.
 	autoDecompMinNodes = 32768
 )
 
@@ -69,11 +68,12 @@ func autoStage(c Capabilities) int {
 }
 
 type autoEngine struct {
-	caps Capabilities
+	caps   Capabilities
+	decomp Engine // the registered decomp engine, which huge trees go to
 }
 
-func newAutoEngine() Engine {
-	return &autoEngine{caps: Capabilities{
+func newAutoEngine(decomp Engine) Engine {
+	return &autoEngine{decomp: decomp, caps: Capabilities{
 		Name:         Auto,
 		Policy:       core.Multiple, // winners may be stricter; Multiple always admits them
 		Exact:        false,         // Report.Proved says when a run was optimal anyway
@@ -107,30 +107,21 @@ func (a *autoEngine) Solve(ctx context.Context, req Request) (Report, error) {
 	}
 	in := req.Instance
 
-	// Oversized instances route to the subtree decomposition engine
-	// when it is linked into the binary: racing whole-tree engines on
-	// a million-node tree is exactly the ceiling decomp exists to
-	// break. Routing is by name (decomp imports this package, so it
-	// cannot be referenced statically); a missing or failing decomp
-	// falls through to the regular portfolio.
-	if in.Tree.Len() >= autoDecompMinNodes {
-		if eng, err := Lookup(Decomp); err == nil && req.Policy.Allows(core.Multiple) {
-			creq := Request{
-				Instance: in,
-				Budget:   req.Budget,
-				Deadline: req.Deadline,
-				NoBound:  true,
-			}
-			if drep, derr := eng.Solve(ctx, creq); derr == nil && drep.Solution != nil {
-				rep.Solution = drep.Solution
-				rep.Policy = drep.Policy
-				rep.Engine = drep.Engine
-				rep.Work = drep.Work
-				fillBound(&rep, req)
-				rep.Elapsed = time.Since(begin)
-				return rep, nil
-			}
+	// Oversized instances go to the subtree decomposition engine:
+	// racing whole-tree engines on a million-node tree is exactly the
+	// ceiling decomp exists to break. Its answer, or its error, is
+	// auto's.
+	if in.Tree.Len() >= autoDecompMinNodes && req.Policy.Allows(core.Multiple) {
+		drep, err := a.decomp.Solve(ctx, Request{Instance: in, Deadline: req.Deadline, NoBound: true})
+		if err != nil {
+			return rep, err
 		}
+		rep.Solution = drep.Solution
+		rep.Policy = drep.Policy
+		rep.Engine = drep.Engine
+		fillBound(&rep, req)
+		rep.Elapsed = time.Since(begin)
+		return rep, nil
 	}
 
 	// Capability-driven candidate selection. "capable" counts engines
@@ -161,8 +152,8 @@ func (a *autoEngine) Solve(ctx context.Context, req Request) (Report, error) {
 	for _, e := range Engines() {
 		c := e.Capabilities()
 		if c.Name == Auto || c.Name == Decomp || c.Delta {
-			// No self-recursion; decomp is routed explicitly above, not
-			// raced (its piece solves already fan out through Batch);
+			// No self-recursion; decomp is routed by size above, not
+			// raced (its piece solves already fan out on every core);
 			// delta engines optimise churn against a previous placement,
 			// not replica count, so they never compete.
 			continue

@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"replicatree/internal/core"
+	"replicatree/internal/decomp"
 	"replicatree/internal/exact"
 	"replicatree/internal/multiple"
 )
@@ -25,12 +26,7 @@ const (
 	ExactMultiple  = "exact-multiple"  // optimal Multiple set search + max-flow
 	LPRound        = "lp-round"        // LP relaxation support rounding, Multiple
 	Auto           = "auto"            // capability-driven portfolio over the registry
-
-	// Decomp is the subtree decomposition engine for huge trees. It
-	// lives in internal/decomp (which imports this package, so it
-	// registers itself from its own init); link it with a blank import
-	// where it is wanted. Auto routes to it by name when present.
-	Decomp = "decomp"
+	Decomp         = "decomp"          // subtree decomposition for huge trees; auto routes to it
 )
 
 // lpRoundMaxNodes caps lp-round: portfolios drop it above this size
@@ -136,5 +132,25 @@ func init() {
 			}
 			return s.Placement()
 		}))
-	MustRegisterEngine(newAutoEngine())
+	decompEngine := NewEngine(
+		caps(Decomp, core.Multiple, false, true, poly, "subtree decomposition: partitioned parallel piece solves with boundary coordination"),
+		solveDecomp)
+	MustRegisterEngine(decompEngine)
+	MustRegisterEngine(newAutoEngine(decompEngine))
+}
+
+// solveDecomp is the decomp engine's body: decomp.SolveFlat on the
+// request's tree as it is, with no ceiling (MaxNodes 0: it is the
+// engine the sized ones leave huge trees to). The seam verifies the
+// stitched answer, so SolveFlat does not. It reports no work: its cost
+// is polynomial, and Report.Work counts search steps only. The
+// huge-tree paths (cmd/replica -stream, the replicabench huge-tree
+// workload) call SolveFlat directly.
+func solveDecomp(ctx context.Context, req Request) (*core.Solution, int64, error) {
+	fi := &core.FlatInstance{Flat: req.Instance.Tree, W: req.Instance.W, DMax: req.Instance.DMax}
+	res, err := decomp.SolveFlat(ctx, fi, decomp.Options{})
+	if err != nil {
+		return nil, 0, err
+	}
+	return res.Solution, 0, nil
 }

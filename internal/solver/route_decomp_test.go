@@ -1,9 +1,8 @@
 package solver_test
 
-// Routing pins for the auto → decomp handoff. These live in an
-// external test package because decomp imports solver: the engine can
-// only reach the registry through this package's import graph, exactly
-// as it does in the shipped binaries.
+// Routing pins for the auto → decomp handoff and the decomp engine's
+// contract, run from an external test package as the shipped binaries
+// reach the registry.
 
 import (
 	"context"
@@ -11,9 +10,10 @@ import (
 	"testing"
 
 	"replicatree/internal/core"
-	_ "replicatree/internal/decomp" // registers the decomp engine
 	"replicatree/internal/gen"
+	"replicatree/internal/multiple"
 	"replicatree/internal/solver"
+	"replicatree/internal/tree"
 )
 
 func smallInstance(t *testing.T) *core.Instance {
@@ -103,6 +103,72 @@ func TestMaxNodesGate(t *testing.T) {
 		caps := solver.MustLookup(name).Capabilities()
 		if caps.MaxNodes != want {
 			t.Errorf("%s: MaxNodes %d, want %d", name, caps.MaxNodes, want)
+		}
+	}
+}
+
+// TestEngineRegistration: the registry resolves "decomp" and produces
+// verified reports with a filled bound and no work: decomp is
+// polynomial, and Report.Work (and a certificate's work) counts search
+// steps only.
+func TestEngineRegistration(t *testing.T) {
+	eng, err := solver.Lookup(solver.Decomp)
+	if err != nil {
+		t.Fatalf("decomp not registered: %v", err)
+	}
+	caps := eng.Capabilities()
+	if caps.MaxNodes != 0 || caps.Cost != solver.CostPolynomial || caps.Policy != core.Multiple {
+		t.Fatalf("unexpected capability document: %+v", caps)
+	}
+	rng := rand.New(rand.NewSource(4))
+	in := gen.RandomInstance(rng, gen.TreeConfig{Internals: 60, MaxArity: 3, ExtraClients: 40}, true)
+	rep, err := eng.Solve(context.Background(), solver.Request{Instance: in})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := core.Verify(in, rep.Policy, rep.Solution); err != nil {
+		t.Fatalf("engine solution failed verification: %v", err)
+	}
+	if rep.LowerBound != core.LowerBound(in) {
+		t.Fatalf("report bound %d, want %d", rep.LowerBound, core.LowerBound(in))
+	}
+	if rep.Work != 0 {
+		t.Fatalf("report carries work %d", rep.Work)
+	}
+	c, err := solver.Certify(in, &rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Work != 0 || c.Optimality != nil {
+		t.Fatalf("certificate carries work %d, optimality %+v", c.Work, c.Optimality)
+	}
+	// A Single-policy request must be rejected: decomp's coordination
+	// splits client flows across cut edges.
+	if _, err := eng.Solve(context.Background(), solver.Request{Instance: in, Policy: solver.WantSingle}); err == nil {
+		t.Fatal("Single-policy request accepted")
+	}
+}
+
+// TestClientAboveWRefusedByDecompAndAuto: a huge instance with one
+// client at W + 1 gets Greedy's refusal, verbatim, from the decomp
+// engine and from auto, which routes it there by size and no longer
+// falls through to the whole-tree portfolio.
+func TestClientAboveWRefusedByDecompAndAuto(t *testing.T) {
+	in := hugeInstance(t)
+	clients := in.Tree.Clients()
+	ed := tree.NewEditor(in.Tree)
+	if err := ed.SetRequests(clients[len(clients)-1], in.W+1); err != nil {
+		t.Fatal(err)
+	}
+	in = &core.Instance{Tree: ed.Tree(), W: in.W, DMax: in.DMax}
+	want := multiple.CheckGreedy(in)
+	if want == nil {
+		t.Fatal("fixture has no client above W")
+	}
+	for _, name := range []string{solver.Decomp, solver.Auto} {
+		_, err := solver.MustLookup(name).Solve(context.Background(), solver.Request{Instance: in})
+		if err == nil || err.Error() != want.Error() {
+			t.Errorf("%s: got %v, want %q", name, err, want)
 		}
 	}
 }

@@ -54,10 +54,11 @@ func pathInstance(n int) *core.Instance {
 	return &core.Instance{Tree: b.MustBuild(), W: 1, DMax: core.NoDistance}
 }
 
-// TestSingleGenWideAndDeep runs every single-* engine and the
-// multiple-* engines that accept any arity (multiple-bin too on the
-// path, the one binary tree here) on 10⁵- and 10⁶-node star and path
-// instances through Engine.Solve (10⁵ only under the sanitizers). Each
+// TestSingleGenWideAndDeep runs every single-* engine, the multiple-*
+// engines that accept any arity (multiple-bin too on the path, the one
+// binary tree here), decomp and auto (which routes every instance here
+// to decomp by size) on 10⁵- and 10⁶-node star and path instances
+// through Engine.Solve (10⁵ only under the sanitizers). Each
 // answer must pass the solver-free verifier, and no solve may grow the
 // goroutine stack by 16 MB: every algorithm walks the stored postorder
 // instead of recursing, and builds its solution without a duplicate
@@ -67,6 +68,7 @@ func TestSingleGenWideAndDeep(t *testing.T) {
 	engines := []string{
 		solver.SingleGen, solver.SingleNoD, solver.SinglePassUp, solver.SingleBest, solver.SinglePushUp,
 		solver.MultipleGreedy, solver.MultipleLazy, solver.MultipleBest, solver.MultipleBin,
+		solver.Decomp, solver.Auto,
 	}
 	sizes := []int{100_000, 1_000_000}
 	if instrumented {

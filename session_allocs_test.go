@@ -15,15 +15,15 @@ import (
 // Allocation ceilings of one set_request plus Resolve on a
 // delta.Session, the operation of the session-churn workload, on the
 // instances of BenchmarkDeltaMutate2k and BenchmarkReplanMutate:
-//   - single-gen: the two solution clones Resolve hands out and keeps,
+//   - single-gen: the one solution clone Resolve hands out and keeps,
 //     the churn record, and the instance wrapper that makes the
 //     session's scratch re-ingest the edited tree;
 //   - multiple-replan: the transport network and the growth pool,
 //     which the replan builds afresh on every resolve, plus the same
 //     session overhead.
 const (
-	singleGenResolveAllocs = 8
-	replanResolveAllocs    = 139
+	singleGenResolveAllocs = 5
+	replanResolveAllocs    = 136
 )
 
 // TestSessionResolveAllocs pins the allocations of one mutate and
